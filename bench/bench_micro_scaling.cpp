@@ -10,23 +10,11 @@
 // wall-clock, Mode::reference full-rescan vs Mode::indexed cached queries,
 // with bit-identity checks for both heuristic policies).
 //
-// BENCH_pipeline.json (the route_batch throughput study: flat-kernel vs
-// pointer-walk speedups with bit-identity checks, end-to-end nets/sec at
-// 1/2/4/8 threads with byte-identity vs the serial run, a zero expected
+// BENCH_pipeline.json (the route_batch throughput study: end-to-end nets/sec
+// at 1/2/4/8 threads with byte-identity vs the serial run, a zero expected
 // failure count and a compiles_per_net == 1.0 witness per row, a
 // fault-injection determinism probe -- serial vs threaded failure counts and
 // byte-identity under a soak plan -- and the workspace-arena reuse proof).
-//
-// BENCH_metrics.json (the canonical-IR consumer study: the five tree
-// metrics, RC-tree construction, the two simulators, and the SVG renderer,
-// each timed flat vs its cong_oracles pointer-walk twin with exact identity
-// checks).
-//
-// BENCH_simd.json (the vectorized-kernel study: per-kernel speedup of the
-// active vector ISA over the scalar anchor in relaxed and strict modes with
-// ULP/bit-identity flags, plus the lane-batched route_batch throughput with
-// pack occupancy).  The oracle-anchored studies above run under a scalar
-// dispatch pin so their exact-identity checks keep comparing seed bits.
 //
 // BENCH_eco.json (the session-engine study: ECO single-sink-move repair
 // latency vs from-scratch route_single on quadrant-skewed and uniform
@@ -44,8 +32,6 @@
 //   --json=PATH          output path for the wiresize study (default BENCH_wiresize.json)
 //   --atree-json=PATH    output path for the A-tree study (default BENCH_atree.json)
 //   --pipeline-json=PATH output path for the pipeline study (default BENCH_pipeline.json)
-//   --metrics-json=PATH  output path for the IR-consumer study (default BENCH_metrics.json)
-//   --simd-json=PATH     output path for the SIMD study (default BENCH_simd.json)
 //   --eco-json=PATH      output path for the session study (default BENCH_eco.json)
 //   --serve-json=PATH    output path for the service overload study
 //                        (default BENCH_serve.json)
@@ -81,24 +67,15 @@
 #include "batch/batch.h"
 #include "batch/pipeline.h"
 #include "bench_common.h"
-#include "delay/elmore.h"
-#include "delay/rph.h"
-#include "sim/moments.h"
 #include "sim/rc_tree.h"
 #include "netgen/netgen.h"
 #include "report/chip_report.h"
-#include "rtree/flat_tree.h"
 #include "rtree/io.h"
-#include "rtree/metrics.h"
-#include "rtree/svg.h"
 #include "report/table.h"
 #include "session/service.h"
 #include "session/session.h"
 #include "sim/delay_measure.h"
-#include "sim/transient.h"
 #include "sim/two_pole.h"
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
 #include "tech/technology.h"
 #include "wiresize/combined.h"
 #include "wiresize/grewsa.h"
@@ -507,30 +484,6 @@ bool write_atree_json(const std::string& path, bool smoke)
 // BENCH_pipeline.json throughput study
 // ---------------------------------------------------------------------------
 
-/// Per-call wall-clock of a microsecond-scale kernel: times a fixed inner
-/// loop (so the clock granularity does not dominate) and divides.
-template <typename Fn>
-double time_kernel(Fn&& fn)
-{
-    constexpr int kIters = 256;
-    return time_best([&] {
-               for (int i = 0; i < kIters; ++i) fn();
-           }) /
-           kIters;
-}
-
-struct KernelRow {
-    int sinks = 0;
-    const char* kernel = "";
-    double reference_s = 0.0;
-    double flat_s = 0.0;
-    bool identical = false;
-    double speedup() const
-    {
-        return flat_s > 0.0 ? reference_s / flat_s : 0.0;
-    }
-};
-
 struct PipelineRow {
     int threads = 0;
     double seconds = 0.0;
@@ -541,219 +494,10 @@ struct PipelineRow {
     double compiles_per_net = 0.0;  ///< must be exactly 1.0 on a clean batch
 };
 
-// ---------------------------------------------------------------------------
-// BENCH_metrics.json: canonical-IR consumers vs their pointer-walk oracles
-// ---------------------------------------------------------------------------
-
-bool write_metrics_json(const std::string& path, bool smoke)
-{
-    // Every downstream layer ported to the FlatTree IR, measured against its
-    // cong_oracles twin on the same nets with exact (==) identity checks:
-    // the five tree metrics, RC-tree construction, the two simulators, and
-    // the SVG renderer (byte identity).  Scalar dispatch pin: the oracles
-    // are the seed kernels, which only the scalar ISA reproduces bitwise.
-    ScopedSimdMode scalar_pin(SimdMode::scalar);
-    const Technology tech = mcm_technology();
-    const std::vector<int> sizes =
-        smoke ? std::vector<int>{12, 25} : std::vector<int>{12, 25, 50, 100, 200};
-
-    std::vector<KernelRow> rows;
-    for (const int sinks : sizes) {
-        const Net net = random_nets(9203, 1, kMcmGrid, sinks)[0];
-        const RoutingTree tree = build_atree_general(net).tree;
-        const FlatTree ft(tree);
-
-        const auto add = [&](const char* kernel, bool identical, auto&& ref_fn,
-                             auto&& flat_fn) {
-            KernelRow row;
-            row.sinks = sinks;
-            row.kernel = kernel;
-            row.identical = identical;
-            row.reference_s = time_kernel(ref_fn);
-            row.flat_s = time_kernel(flat_fn);
-            rows.push_back(row);
-            std::cout << "metrics kernel: " << sinks << " sinks  " << kernel
-                      << "  reference " << fmt_sci(row.reference_s, 2)
-                      << "s  flat " << fmt_sci(row.flat_s, 2) << "s  speedup "
-                      << fmt_fixed(row.speedup(), 1) << "x  identical "
-                      << (identical ? "yes" : "NO") << '\n';
-        };
-
-        add("total_length", total_length(ft) == total_length_reference(tree),
-            [&] { benchmark::DoNotOptimize(total_length_reference(tree)); },
-            [&] { benchmark::DoNotOptimize(total_length(ft)); });
-        add("sink_path_lengths",
-            sum_sink_path_lengths(ft) == sum_sink_path_lengths_reference(tree),
-            [&] { benchmark::DoNotOptimize(sum_sink_path_lengths_reference(tree)); },
-            [&] { benchmark::DoNotOptimize(sum_sink_path_lengths(ft)); });
-        add("all_node_path_lengths",
-            sum_all_node_path_lengths(ft) ==
-                sum_all_node_path_lengths_reference(tree),
-            [&] {
-                benchmark::DoNotOptimize(sum_all_node_path_lengths_reference(tree));
-            },
-            [&] { benchmark::DoNotOptimize(sum_all_node_path_lengths(ft)); });
-        add("radius", radius(ft) == radius_reference(tree),
-            [&] { benchmark::DoNotOptimize(radius_reference(tree)); },
-            [&] { benchmark::DoNotOptimize(radius(ft)); });
-        add("mdrt_cost",
-            mdrt_cost(ft, 1.0, 0.5, 0.25) ==
-                mdrt_cost_reference(tree, 1.0, 0.5, 0.25),
-            [&] { benchmark::DoNotOptimize(mdrt_cost_reference(tree, 1.0, 0.5, 0.25)); },
-            [&] { benchmark::DoNotOptimize(mdrt_cost(ft, 1.0, 0.5, 0.25)); });
-
-        // RC construction and the simulators: the flat-built and the
-        // pointer-walk-built RC trees must be indistinguishable all the way
-        // through the waveform outputs.
-        const RcTree rc_flat = RcTree::from_flat_tree(ft, tech);
-        const RcTree rc_ref = RcTree::from_routing_tree_reference(tree, tech);
-        bool rc_identical = rc_flat.size() == rc_ref.size() &&
-                            rc_flat.sink_nodes() == rc_ref.sink_nodes();
-        for (std::size_t i = 0; rc_identical && i < rc_flat.size(); ++i)
-            rc_identical = rc_flat.node(i).parent == rc_ref.node(i).parent &&
-                           rc_flat.node(i).r_ohm == rc_ref.node(i).r_ohm &&
-                           rc_flat.node(i).c_f == rc_ref.node(i).c_f &&
-                           rc_flat.node(i).l_h == rc_ref.node(i).l_h;
-        add("rc_build", rc_identical,
-            [&] {
-                benchmark::DoNotOptimize(
-                    RcTree::from_routing_tree_reference(tree, tech));
-            },
-            [&] { benchmark::DoNotOptimize(RcTree::from_flat_tree(ft, tech)); });
-        add("two_pole",
-            two_pole_sink_delays(rc_flat) == two_pole_sink_delays(rc_ref),
-            [&] { benchmark::DoNotOptimize(two_pole_sink_delays(rc_ref)); },
-            [&] { benchmark::DoNotOptimize(two_pole_sink_delays(rc_flat)); });
-        if (sinks <= 50) {
-            // Backward Euler is O(timesteps * nodes); per-call timing keeps
-            // the study wall-clock bounded, and larger nets add no coverage.
-            KernelRow row;
-            row.sinks = sinks;
-            row.kernel = "transient";
-            row.identical =
-                transient_sink_delays(rc_flat) == transient_sink_delays(rc_ref);
-            row.reference_s = time_best(
-                [&] { benchmark::DoNotOptimize(transient_sink_delays(rc_ref)); });
-            row.flat_s = time_best(
-                [&] { benchmark::DoNotOptimize(transient_sink_delays(rc_flat)); });
-            rows.push_back(row);
-            std::cout << "metrics kernel: " << sinks << " sinks  transient"
-                      << "  reference " << fmt_sci(row.reference_s, 2)
-                      << "s  flat " << fmt_sci(row.flat_s, 2) << "s  identical "
-                      << (row.identical ? "yes" : "NO") << '\n';
-        }
-        add("svg", to_svg(ft) == to_svg_reference(tree),
-            [&] { benchmark::DoNotOptimize(to_svg_reference(tree)); },
-            [&] { benchmark::DoNotOptimize(to_svg(ft)); });
-    }
-
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot write " << path << '\n';
-        return false;
-    }
-    out << "{\n"
-        << "  \"benchmark\": \"flat_ir_consumers\",\n"
-        << "  \"generated_by\": \"bench_micro_scaling\",\n"
-        << "  \"technology\": \"mcm\",\n"
-        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-        << ",\n"
-        << "  \"kernels\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const KernelRow& r = rows[i];
-        out << "    {\"sinks\": " << r.sinks << ", \"kernel\": \"" << r.kernel
-            << "\", \"reference_s\": " << fmt_sci(r.reference_s, 4)
-            << ", \"flat_s\": " << fmt_sci(r.flat_s, 4)
-            << ", \"speedup\": " << fmt_fixed(r.speedup(), 2)
-            << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-            << (i + 1 < rows.size() ? "," : "") << '\n';
-    }
-    out << "  ]\n"
-        << "}\n";
-    std::cout << "wrote " << path << '\n';
-
-    bool all_identical = true;
-    for (const KernelRow& r : rows) all_identical = all_identical && r.identical;
-    return all_identical;
-}
-
 bool write_pipeline_json(const std::string& path, bool smoke,
                          const std::vector<int>& threads_list)
 {
-    // Scalar dispatch pin, for the same reason as write_metrics_json: this
-    // study's identity columns are defined against the seed oracles, and its
-    // timing rows are the scalar-anchor trajectory that BENCH_simd.json
-    // reports vectorized speedups over.
-    ScopedSimdMode scalar_pin(SimdMode::scalar);
     const Technology tech = mcm_technology();
-
-    // --- flat kernels vs the pointer-walk references --------------------
-    // The flat side is measured in its batch-serving shape: the FlatTree is
-    // compiled once into a Workspace arena and the evaluators reuse its
-    // scratch, exactly as route_batch runs them per net.  The reference side
-    // is the seed per-call pointer walk.  Identity is checked exactly (==).
-    const std::vector<int> sizes =
-        smoke ? std::vector<int>{12, 25} : std::vector<int>{12, 25, 50, 100, 200};
-    std::vector<KernelRow> kernel_rows;
-    for (const int sinks : sizes) {
-        const Net net = random_nets(4093, 1, kMcmGrid, sinks)[0];
-        const RoutingTree tree = build_atree_general(net).tree;
-        Workspace ws;
-        ws.flat.build(tree);
-
-        {
-            KernelRow row;
-            row.sinks = sinks;
-            row.kernel = "elmore";
-            const auto ref = elmore_all_sinks_reference(tree, tech);
-            row.identical = elmore_all_sinks(ws.flat, tech) == ref;
-            row.reference_s = time_kernel([&] {
-                benchmark::DoNotOptimize(elmore_all_sinks_reference(tree, tech));
-            });
-            row.flat_s = time_kernel([&] {
-                elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
-                benchmark::DoNotOptimize(ws.sink_delays.data());
-            });
-            kernel_rows.push_back(row);
-        }
-        {
-            KernelRow row;
-            row.sinks = sinks;
-            row.kernel = "rph";
-            const RphTerms ref = rph_terms_reference(tree, tech);
-            const RphTerms flat = rph_terms(ws.flat, tech);
-            row.identical = flat.t1 == ref.t1 && flat.t2 == ref.t2 &&
-                            flat.t3 == ref.t3 && flat.t4 == ref.t4;
-            row.reference_s = time_kernel([&] {
-                benchmark::DoNotOptimize(rph_terms_reference(tree, tech));
-            });
-            row.flat_s = time_kernel(
-                [&] { benchmark::DoNotOptimize(rph_terms(ws.flat, tech)); });
-            kernel_rows.push_back(row);
-        }
-        {
-            KernelRow row;
-            row.sinks = sinks;
-            row.kernel = "moments";
-            const RcTree rc = RcTree::from_routing_tree(tree, tech, 8);
-            const auto ref = compute_moments_reference(rc, 3);
-            const auto& flat = compute_moments(rc, 3, ws.moments);
-            row.identical = flat == ref;
-            row.reference_s = time_kernel([&] {
-                benchmark::DoNotOptimize(compute_moments_reference(rc, 3));
-            });
-            row.flat_s = time_kernel([&] {
-                benchmark::DoNotOptimize(compute_moments(rc, 3, ws.moments));
-            });
-            kernel_rows.push_back(row);
-        }
-        for (auto it = kernel_rows.end() - 3; it != kernel_rows.end(); ++it)
-            std::cout << "pipeline kernel: " << it->sinks << " sinks  "
-                      << it->kernel << "  reference " << fmt_sci(it->reference_s, 2)
-                      << "s  flat " << fmt_sci(it->flat_s, 2) << "s  speedup "
-                      << fmt_fixed(it->speedup(), 1) << "x  identical "
-                      << (it->identical ? "yes" : "NO") << '\n';
-    }
 
     // --- end-to-end route_batch scaling ---------------------------------
     // Byte-identity (hexfloat serialization) of every thread count against
@@ -850,17 +594,6 @@ bool write_pipeline_json(const std::string& path, bool smoke,
         << "  \"technology\": \"mcm\",\n"
         << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
         << ",\n"
-        << "  \"kernels\": [\n";
-    for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
-        const KernelRow& r = kernel_rows[i];
-        out << "    {\"sinks\": " << r.sinks << ", \"kernel\": \"" << r.kernel
-            << "\", \"reference_s\": " << fmt_sci(r.reference_s, 4)
-            << ", \"flat_s\": " << fmt_sci(r.flat_s, 4)
-            << ", \"speedup\": " << fmt_fixed(r.speedup(), 2)
-            << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-            << (i + 1 < kernel_rows.size() ? "," : "") << '\n';
-    }
-    out << "  ],\n"
         << "  \"pipeline\": [\n";
     for (std::size_t i = 0; i < pipeline_rows.size(); ++i) {
         const PipelineRow& r = pipeline_rows[i];
@@ -896,218 +629,10 @@ bool write_pipeline_json(const std::string& path, bool smoke,
 
     bool all_identical = arena_reused && fault_identical &&
                          fault_s1.nets_not_ok() == fault_s4.nets_not_ok();
-    for (const KernelRow& r : kernel_rows)
-        all_identical = all_identical && r.identical;
     for (const PipelineRow& r : pipeline_rows)
         all_identical = all_identical && r.identical && r.failed == 0 &&
                         r.compiles_per_net <= 1.0;
     return all_identical;
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_simd.json: vectorized kernels vs the scalar anchor
-// ---------------------------------------------------------------------------
-
-/// Distance in representable doubles; 0 for bit-equal values.
-std::uint64_t ulps_between(double a, double b)
-{
-    if (a == b) return 0;
-    if (!std::isfinite(a) || !std::isfinite(b)) return ~std::uint64_t{0};
-    std::int64_t ia, ib;
-    std::memcpy(&ia, &a, sizeof a);
-    std::memcpy(&ib, &b, sizeof b);
-    if (ia < 0) ia = std::numeric_limits<std::int64_t>::min() - ia;
-    if (ib < 0) ib = std::numeric_limits<std::int64_t>::min() - ib;
-    return static_cast<std::uint64_t>(ia > ib ? ia - ib : ib - ia);
-}
-
-constexpr std::uint64_t kSimdMaxUlps = 256;
-
-struct SimdKernelRow {
-    int sinks = 0;
-    const char* kernel = "";
-    const char* mode = "";  ///< "relaxed" (ULP gate) or "strict" (bit gate)
-    double scalar_s = 0.0;
-    double vector_s = 0.0;
-    bool ok = false;
-    double speedup() const
-    {
-        return vector_s > 0.0 ? scalar_s / vector_s : 0.0;
-    }
-};
-
-bool write_simd_json(const std::string& path, bool smoke)
-{
-    const Technology tech = mcm_technology();
-    const SimdIsa isa = resolve_simd_isa(SimdMode::auto_detect);
-    // On a host without a compiled-in vector ISA the "vector" rows re-run
-    // the scalar kernels; the file still records isa=scalar so the
-    // regression checker and readers know no speedup claim is being made.
-    const std::vector<int> sizes =
-        smoke ? std::vector<int>{12, 25} : std::vector<int>{12, 25, 50, 100, 200};
-
-    std::vector<SimdKernelRow> rows;
-    for (const int sinks : sizes) {
-        const Net net = random_nets(4093, 1, kMcmGrid, sinks)[0];
-        const RoutingTree tree = build_atree_general(net).tree;
-        Workspace ws;
-        ws.flat.build(tree);
-        const RcTree rc = RcTree::from_routing_tree(tree, tech, 8);
-
-        // Scalar anchor: results and per-call wall-clock under a scalar pin.
-        std::vector<double> elmore_seed;
-        RphTerms rph_seed;
-        std::vector<std::vector<double>> moments_seed;
-        double elmore_s, rph_s, moments_s;
-        {
-            ScopedSimdMode pin(SimdMode::scalar);
-            elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
-            elmore_seed = ws.sink_delays;
-            rph_seed = rph_terms(ws.flat, tech);
-            moments_seed = compute_moments(rc, 3);
-            elmore_s = time_kernel([&] {
-                elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
-                benchmark::DoNotOptimize(ws.sink_delays.data());
-            });
-            rph_s = time_kernel(
-                [&] { benchmark::DoNotOptimize(rph_terms(ws.flat, tech)); });
-            moments_s = time_kernel([&] {
-                benchmark::DoNotOptimize(compute_moments(rc, 3, ws.moments));
-            });
-        }
-
-        const auto run_mode = [&](bool strict) {
-            ScopedSimdMode pin(SimdMode::auto_detect, strict);
-            const char* mode = strict ? "strict" : "relaxed";
-            const auto gate = [&](double seed, double got) {
-                return strict ? seed == got
-                              : ulps_between(seed, got) <= kSimdMaxUlps;
-            };
-            {
-                SimdKernelRow row{sinks, "elmore", mode, elmore_s, 0.0, true};
-                elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
-                row.ok = ws.sink_delays.size() == elmore_seed.size();
-                for (std::size_t i = 0; row.ok && i < elmore_seed.size(); ++i)
-                    row.ok = gate(elmore_seed[i], ws.sink_delays[i]);
-                row.vector_s = time_kernel([&] {
-                    elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
-                    benchmark::DoNotOptimize(ws.sink_delays.data());
-                });
-                rows.push_back(row);
-            }
-            {
-                SimdKernelRow row{sinks, "rph", mode, rph_s, 0.0, true};
-                const RphTerms t = rph_terms(ws.flat, tech);
-                row.ok = t.t1 == rph_seed.t1 && t.t3 == rph_seed.t3 &&
-                         gate(rph_seed.t2, t.t2) && gate(rph_seed.t4, t.t4);
-                row.vector_s = time_kernel(
-                    [&] { benchmark::DoNotOptimize(rph_terms(ws.flat, tech)); });
-                rows.push_back(row);
-            }
-            {
-                SimdKernelRow row{sinks, "moments", mode, moments_s, 0.0, true};
-                const auto& m = compute_moments(rc, 3, ws.moments);
-                row.ok = m.size() == moments_seed.size();
-                for (std::size_t q = 0; row.ok && q < m.size(); ++q)
-                    for (std::size_t i = 0; row.ok && i < m[q].size(); ++i)
-                        row.ok = gate(moments_seed[q][i], m[q][i]);
-                row.vector_s = time_kernel([&] {
-                    benchmark::DoNotOptimize(compute_moments(rc, 3, ws.moments));
-                });
-                rows.push_back(row);
-            }
-            for (auto it = rows.end() - 3; it != rows.end(); ++it)
-                std::cout << "simd kernel: " << it->sinks << " sinks  "
-                          << it->kernel << ' ' << it->mode << "  scalar "
-                          << fmt_sci(it->scalar_s, 2) << "s  "
-                          << simd_isa_name(isa) << ' '
-                          << fmt_sci(it->vector_s, 2) << "s  speedup "
-                          << fmt_fixed(it->speedup(), 2) << "x  ok "
-                          << (it->ok ? "yes" : "NO") << '\n';
-        };
-        run_mode(false);
-        run_mode(true);
-    }
-
-    // --- lane-batched small-net throughput ------------------------------
-    // Serial route_batch over many small nets, scalar anchor vs the relaxed
-    // vectorized mode whose report stage runs lane packs.  Statuses must
-    // match and the delay columns stay ULP-bounded; occupancy tracks how
-    // full the packs ran.
-    const int lb_nets = smoke ? 24 : 256;
-    const int lb_sinks = 6;
-    const auto lb = random_nets(31, lb_nets, kMcmGrid, lb_sinks);
-    PipelineOptions lb_opts;
-    lb_opts.threads = 1;
-    std::vector<NetRouteResult> lb_seed, lb_vec;
-    double lb_scalar_s, lb_vector_s;
-    {
-        ScopedSimdMode pin(SimdMode::scalar);
-        lb_scalar_s =
-            time_best([&] { lb_seed = route_batch(lb, tech, lb_opts); });
-    }
-    PipelineStats lb_stats;
-    std::vector<Workspace> lb_ws;
-    {
-        ScopedSimdMode pin(SimdMode::auto_detect, false);
-        lb_vector_s = time_best(
-            [&] { lb_vec = route_batch(lb, tech, lb_opts, &lb_stats, &lb_ws); });
-    }
-    bool lb_ok = lb_seed.size() == lb_vec.size();
-    for (std::size_t i = 0; lb_ok && i < lb_seed.size(); ++i)
-        lb_ok = lb_seed[i].status == lb_vec[i].status &&
-                ulps_between(lb_seed[i].elmore_max_s, lb_vec[i].elmore_max_s) <=
-                    kSimdMaxUlps &&
-                ulps_between(lb_seed[i].rph_s, lb_vec[i].rph_s) <= kSimdMaxUlps;
-    const double lb_speedup = lb_vector_s > 0.0 ? lb_scalar_s / lb_vector_s : 0.0;
-    std::cout << "simd lane batch: " << lb_nets << " nets  scalar "
-              << fmt_sci(lb_scalar_s, 2) << "s  " << simd_isa_name(isa) << ' '
-              << fmt_sci(lb_vector_s, 2) << "s  speedup "
-              << fmt_fixed(lb_speedup, 2) << "x  packs "
-              << lb_stats.counters.lane_packs << "  occupancy "
-              << fmt_fixed(lb_stats.counters.lane_occupancy(), 2) << "  ok "
-              << (lb_ok ? "yes" : "NO") << '\n';
-
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot write " << path << '\n';
-        return false;
-    }
-    out << "{\n"
-        << "  \"benchmark\": \"simd_kernels\",\n"
-        << "  \"generated_by\": \"bench_micro_scaling\",\n"
-        << "  \"technology\": \"mcm\",\n"
-        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-        << ",\n"
-        << "  \"isa\": \"" << simd_isa_name(isa) << "\",\n"
-        << "  \"lane_width\": " << simdk::lane_width(isa) << ",\n"
-        << "  \"kernels\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const SimdKernelRow& r = rows[i];
-        out << "    {\"sinks\": " << r.sinks << ", \"kernel\": \"" << r.kernel
-            << "\", \"mode\": \"" << r.mode
-            << "\", \"scalar_s\": " << fmt_sci(r.scalar_s, 4)
-            << ", \"vector_s\": " << fmt_sci(r.vector_s, 4)
-            << ", \"speedup\": " << fmt_fixed(r.speedup(), 2)
-            << ", \"ulp_ok\": " << (r.ok ? "true" : "false") << "}"
-            << (i + 1 < rows.size() ? "," : "") << '\n';
-    }
-    out << "  ],\n"
-        << "  \"lane_batch\": {\"nets\": " << lb_nets
-        << ", \"sinks\": " << lb_sinks
-        << ", \"scalar_s\": " << fmt_sci(lb_scalar_s, 4)
-        << ", \"vector_s\": " << fmt_sci(lb_vector_s, 4)
-        << ", \"speedup\": " << fmt_fixed(lb_speedup, 2)
-        << ", \"lane_packs\": " << lb_stats.counters.lane_packs
-        << ", \"lane_occupancy\": "
-        << fmt_fixed(lb_stats.counters.lane_occupancy(), 3)
-        << ", \"ulp_ok\": " << (lb_ok ? "true" : "false") << "}\n"
-        << "}\n";
-    std::cout << "wrote " << path << '\n';
-
-    bool all_ok = lb_ok;
-    for (const SimdKernelRow& r : rows) all_ok = all_ok && r.ok;
-    return all_ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -1255,10 +780,6 @@ std::vector<Net> dup_batch(std::uint64_t seed, int total, double dup_ratio,
 bool write_eco_json(const std::string& path, bool smoke,
                     const std::vector<int>& threads_list)
 {
-    // Scalar pin for the same reason as the other studies: the identity
-    // gates compare against route_single under the same dispatch, and the
-    // timing rows should not drift with the host's vector ISA.
-    ScopedSimdMode scalar_pin(SimdMode::scalar);
     const Technology tech = mcm_technology();
 
     // --- ECO repair latency vs full re-route ----------------------------
@@ -1463,7 +984,6 @@ bool write_eco_json(const std::string& path, bool smoke,
 
 bool write_serve_json(const std::string& path, bool smoke)
 {
-    ScopedSimdMode scalar_pin(SimdMode::scalar);
     const Technology tech = mcm_technology();
 
     // --- service overload study -----------------------------------------
@@ -1659,7 +1179,6 @@ bool write_serve_json(const std::string& path, bool smoke)
 
 bool write_chip_json(const std::string& path, bool smoke)
 {
-    ScopedSimdMode scalar_pin(SimdMode::scalar);
     const Technology tech = mcm_technology();
 
     // --- chip workload study --------------------------------------------
@@ -1845,8 +1364,6 @@ int main(int argc, char** argv)
     std::string json_path = "BENCH_wiresize.json";
     std::string atree_json_path = "BENCH_atree.json";
     std::string pipeline_json_path = "BENCH_pipeline.json";
-    std::string metrics_json_path = "BENCH_metrics.json";
-    std::string simd_json_path = "BENCH_simd.json";
     std::string eco_json_path = "BENCH_eco.json";
     std::string serve_json_path = "BENCH_serve.json";
     std::string chip_json_path = "BENCH_chip.json";
@@ -1871,10 +1388,6 @@ int main(int argc, char** argv)
             atree_json_path = argv[i] + 13;
         else if (std::strncmp(argv[i], "--pipeline-json=", 16) == 0)
             pipeline_json_path = argv[i] + 16;
-        else if (std::strncmp(argv[i], "--metrics-json=", 15) == 0)
-            metrics_json_path = argv[i] + 15;
-        else if (std::strncmp(argv[i], "--simd-json=", 12) == 0)
-            simd_json_path = argv[i] + 12;
         else if (std::strncmp(argv[i], "--eco-json=", 11) == 0)
             eco_json_path = argv[i] + 11;
         else if (std::strncmp(argv[i], "--serve-json=", 13) == 0)
@@ -1907,16 +1420,13 @@ int main(int argc, char** argv)
         skip_wiresize || cong93::write_scaling_json(json_path);
     const bool atree_ok =
         skip_atree || cong93::write_atree_json(atree_json_path, smoke);
-    const bool metrics_ok =
-        cong93::write_metrics_json(metrics_json_path, smoke);
     const bool pipeline_ok =
         cong93::write_pipeline_json(pipeline_json_path, smoke, threads_list);
-    const bool simd_ok = cong93::write_simd_json(simd_json_path, smoke);
     const bool eco_ok = cong93::write_eco_json(eco_json_path, smoke, threads_list);
     const bool serve_ok = cong93::write_serve_json(serve_json_path, smoke);
     const bool chip_ok = cong93::write_chip_json(chip_json_path, smoke);
-    return wiresize_ok && atree_ok && metrics_ok && pipeline_ok && simd_ok &&
-                   eco_ok && serve_ok && chip_ok
+    return wiresize_ok && atree_ok && pipeline_ok && eco_ok && serve_ok &&
+                   chip_ok
                ? 0
                : 1;
 }

@@ -1,9 +1,7 @@
 #include "batch/pipeline.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -17,7 +15,6 @@
 #include "atree/generalized.h"
 #include "baseline/brbc.h"
 #include "baseline/spt.h"
-#include "batch/batched_tree.h"
 #include "delay/elmore.h"
 #include "delay/rph.h"
 #include "netgen/netgen.h"
@@ -26,17 +23,11 @@
 #include "session/route_cache.h"
 #include "session/shard.h"
 #include "sim/rc_tree.h"
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
 #include "wiresize/combined.h"
 
 namespace cong93 {
 
 namespace {
-
-/// Largest net (nodes) admitted to a lane pack: beyond this the per-net
-/// kernels already saturate the vector units and packing only adds padding.
-constexpr std::size_t kMaxLaneNodes = 1024;
 
 /// What stages 0-2 left behind for the report/tail stages.
 struct FrontOutcome {
@@ -55,12 +46,6 @@ struct BatchLifecycle {
     Deadline wall;
     const FaultPlan* plan = nullptr;
     std::atomic<std::uint64_t>* wall_degraded = nullptr;
-
-    bool active() const
-    {
-        return cancel != nullptr || wall.active() ||
-               (plan != nullptr && plan->virtual_clock());
-    }
 };
 
 /// Per-net deadline clock, checked at stage boundaries.  Under a virtual
@@ -161,14 +146,14 @@ void mark_rejected(NetRouteResult& r, std::size_t index, std::uint64_t diag_seed
 }
 
 /// Stages 0-2 (validate -> topology ladder -> compile) of one net, compiling
-/// into `ft` (the slot arena or a lane-arena tree).  Catches std::exception
-/// at every stage and degrades (see pipeline.h); writes only `r`, `ft` and
-/// the slot's workspace, so isolation holds by construction.
+/// into the slot arena `ws.flat`.  Catches std::exception at every stage and
+/// degrades (see pipeline.h); writes only `r` and the slot's workspace, so
+/// isolation holds by construction.
 FrontOutcome route_front(const Net& raw, std::size_t index,
                          std::uint64_t diag_seed, const Technology& tech,
                          const PipelineOptions& opts, const FaultPlan& faults,
-                         NetClock& clk, Workspace& ws, FlatTree& ft,
-                         NetRouteResult& r, Technology& corrupted_storage)
+                         NetClock& clk, Workspace& ws, NetRouteResult& r,
+                         Technology& corrupted_storage)
 {
     FrontOutcome fo;
     r.diag.net_index = index;
@@ -242,7 +227,7 @@ FrontOutcome route_front(const Net& raw, std::size_t index,
         ws.guard_nodes(tree->node_count(), opts.max_nodes_per_net);
         if (faults.fires(index, RouteStage::compile))
             ws.guard_nodes(tree->node_count(), faults.arena_cap_nodes);
-        ft.build(*tree);
+        ws.flat.build(*tree);
     } catch (const std::exception& e) {
         r.diag.note(RouteStage::compile, e.what());
         r.status = RouteStatus::failed;
@@ -253,47 +238,6 @@ FrontOutcome route_front(const Net& raw, std::size_t index,
     fo.alive = true;
     fo.nodes = tree->node_count();
     return fo;
-}
-
-/// Stage 3: uniform-width report, finiteness-checked so corrupt technology
-/// parameters surface as a diagnosed failure instead of NaN output.  When
-/// `lane_delays` is non-null the sink delays were already produced by the
-/// lane-batched Elmore kernel (bit-identical to the per-net relaxed kernel)
-/// and only the reduction runs here.  Returns true when the net is still on
-/// the full-flow rung.
-bool route_report(const FlatTree& ft, const FrontOutcome& fo,
-                  const Technology& t, Workspace& ws,
-                  const double* lane_delays, NetRouteResult& r)
-{
-    try {
-        const double rph = rph_terms(ft, t).total();
-        double elmore_max = 0.0;
-        if (lane_delays != nullptr) {
-            for (std::size_t j = 0; j < ft.sinks().size(); ++j)
-                elmore_max = std::max(elmore_max, lane_delays[j]);
-            if (ft.sinks().empty()) elmore_max = 0.0;
-        } else {
-            ws.note_use(ws.caps, ft.size());
-            ws.note_use(ws.sink_delays, ft.sinks().size());
-            elmore_all_sinks(ft, t, ws.caps, ws.sink_delays);
-            elmore_max = ws.sink_delays.empty()
-                             ? 0.0
-                             : *std::max_element(ws.sink_delays.begin(),
-                                                 ws.sink_delays.end());
-        }
-        if (!std::isfinite(rph) || !std::isfinite(elmore_max))
-            throw std::runtime_error(
-                "non-finite uniform-width delay (corrupt technology parameters?)");
-        r.nodes = fo.nodes;
-        r.wirelength = ft.total_length();
-        r.rph_s = rph;
-        r.elmore_max_s = elmore_max;
-        return true;
-    } catch (const std::exception& e) {
-        r.diag.note(RouteStage::report, e.what());
-        r.status = RouteStatus::failed;
-        return false;
-    }
 }
 
 /// Stages 4-5: wiresizing and its moment cross-check.  Either failing
@@ -355,10 +299,8 @@ void route_tail(const FlatTree& ft, std::size_t index, const Technology& t,
     }
 }
 
-/// One net straight through the ladder against the slot arena -- the
-/// non-batched execution path (scalar/strict modes, oversize or
-/// fault-corrupted nets).  Stage composition is identical to the seed
-/// single-function ladder.
+/// One net straight through the ladder against the slot arena.  Stage
+/// composition is identical to the seed single-function ladder.
 NetRouteResult route_net(const Net& raw, std::size_t index,
                          std::uint64_t diag_seed, const Technology& tech,
                          const PipelineOptions& opts, const FaultPlan& faults,
@@ -372,13 +314,13 @@ NetRouteResult route_net(const Net& raw, std::size_t index,
     }
     Technology corrupted;
     const FrontOutcome fo = route_front(raw, index, diag_seed, tech, opts,
-                                        faults, clk, ws, ws.flat, r, corrupted);
+                                        faults, clk, ws, r, corrupted);
     if (!fo.alive) return r;
     if (clk.cancelled()) {
         mark_cancelled(r, index, diag_seed);
         return r;
     }
-    if (!route_report(ws.flat, fo, *fo.t, ws, nullptr, r)) return r;
+    if (!route_report_compiled(ws.flat, fo.nodes, *fo.t, ws, r)) return r;
     clk.charge(RouteStage::report);
     if (opts.wiresize) {
         // Deadline boundary before the tail: pressure skips wiresizing
@@ -390,75 +332,6 @@ NetRouteResult route_net(const Net& raw, std::size_t index,
             route_tail(ws.flat, index, *fo.t, opts, faults, clk, ws, r);
     }
     return r;
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched execution (relaxed vectorized modes only)
-// ---------------------------------------------------------------------------
-
-/// A net whose front ran but whose Elmore report waits for a full lane pack.
-struct PendingLane {
-    std::size_t net = 0;    ///< index into nets/out
-    std::size_t arena = 0;  ///< Workspace lane-tree slot
-    FrontOutcome fo;
-};
-
-/// Per-slot pending nets, bucketed by power-of-two node count so the lanes
-/// of one pack have comparable depth (padding waste is bounded by 2x).
-/// Bucket b holds nets with size in (2^(b-1), 2^b].
-struct SlotBatcher {
-    std::array<std::vector<PendingLane>, 11> buckets;  // 2^10 == kMaxLaneNodes
-};
-
-std::size_t bucket_of(std::size_t n)
-{
-    return static_cast<std::size_t>(std::bit_width(n - 1));
-}
-
-/// Runs the deferred report/tail stages of every net in `pending` through
-/// one lane-batched Elmore sweep, then releases their arena slots.  Per net
-/// the results are bit-identical to the per-net relaxed path (the batched
-/// kernel's per-lane guarantee), so pack composition -- and therefore thread
-/// schedule -- cannot affect output bytes.
-void flush_bucket(std::vector<PendingLane>& pending, int lanes,
-                  const SimdConfig& cfg, const Technology& tech,
-                  const PipelineOptions& opts, const FaultPlan& faults,
-                  Workspace& ws, std::vector<NetRouteResult>& out)
-{
-    if (pending.empty()) return;
-    const std::size_t count = pending.size();
-    std::array<const FlatTree*, 8> trees{};
-    for (std::size_t l = 0; l < count; ++l)
-        trees[l] = &ws.lane_tree(pending[l].arena);
-    ws.lane_pack.pack(trees.data(), static_cast<int>(count), lanes, tech);
-
-    const std::size_t K = static_cast<std::size_t>(lanes);
-    std::size_t max_sinks = 0;
-    for (std::size_t l = 0; l < count; ++l)
-        max_sinks = std::max(max_sinks, trees[l]->sinks().size());
-    ws.note_use(ws.lane_caps, K * ws.lane_pack.max_nodes());
-    ws.note_use(ws.lane_delays, K * max_sinks);
-    ws.lane_caps.resize(K * ws.lane_pack.max_nodes());
-    ws.lane_delays.resize(K * max_sinks);
-
-    std::array<double*, 8> outs{};
-    for (std::size_t l = 0; l < count; ++l)
-        outs[l] = ws.lane_delays.data() + l * max_sinks;
-    simdk::batched_elmore(ws.lane_pack.view(), cfg, ws.lane_caps.data(),
-                          outs.data());
-
-    for (std::size_t l = 0; l < count; ++l) {
-        const PendingLane& p = pending[l];
-        NetRouteResult& r = out[p.net];
-        const FlatTree& ft = *trees[l];
-        // Lane batching only runs when the request lifecycle is inactive
-        // (see route_batch_impl), so the deadline clock here is inert.
-        NetClock clk;
-        if (route_report(ft, p.fo, tech, ws, outs[l], r) && opts.wiresize)
-            route_tail(ft, p.net, tech, opts, faults, clk, ws, r);
-        ws.release_lane_tree(p.arena);
-    }
-    pending.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -593,63 +466,6 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         return seeded ? net_seed(diag_seed_base, i) : 0;
     };
 
-    // The kernel configuration is resolved once per batch: lane batching
-    // runs only under a relaxed vectorized mode, where the batched kernel
-    // is bit-identical per lane to the per-net kernel.  Scalar and strict
-    // modes take the straight-line path, whose arithmetic is seed-exact.
-    // With a cache attached, lane packs are disabled as well: a
-    // single-flight leader must be complete -- report and tail included --
-    // the moment it publishes, which deferring its report into a lane pack
-    // would break.  The per-lane bit-identity contract makes that a pure
-    // scheduling change; output bytes do not move.  An active request
-    // lifecycle (deadline, cancel token or virtual clock) also forces the
-    // per-net path: lane packs defer the report past the stage boundaries
-    // the lifecycle checks at.
-    const SimdConfig cfg = active_simd_config();
-    const int lanes = (cfg.relaxed() && cache == nullptr && !lc.active())
-                          ? simdk::lane_width(cfg.isa)
-                          : 1;
-    std::vector<SlotBatcher> batchers(
-        lanes > 1 ? ws.size() : std::size_t{0});
-
-    const auto route_one = [&](std::vector<NetRouteResult>& out,
-                               std::size_t i, int slot) {
-        Workspace& w = ws[static_cast<std::size_t>(slot)];
-        if (lanes <= 1) {
-            out[i] = route_net(nets[i], i, seed_of(i), tech, opts, faults, lc, w);
-            return;
-        }
-        // Lane mode implies an inactive lifecycle (gated above), so the
-        // per-net clock built here never fires.
-        NetClock clk(lc, i);
-        const std::size_t arena = w.acquire_lane_tree();
-        FlatTree& ft = w.lane_tree(arena);
-        Technology corrupted;
-        const FrontOutcome fo =
-            route_front(nets[i], i, seed_of(i), tech, opts, faults, clk, w, ft,
-                        out[i], corrupted);
-        if (!fo.alive) {
-            w.release_lane_tree(arena);
-            return;
-        }
-        // Lane eligibility: default technology (a NaN-corrupted copy dies in
-        // this net's own finiteness check and must not poison lane mates --
-        // the pack resolves sink loads against one technology), bounded
-        // size, and at least one sink to report.
-        if (fo.t != &tech || ft.size() > kMaxLaneNodes || ft.sinks().empty()) {
-            if (route_report(ft, fo, *fo.t, w, nullptr, out[i]) &&
-                opts.wiresize)
-                route_tail(ft, i, *fo.t, opts, faults, clk, w, out[i]);
-            w.release_lane_tree(arena);
-            return;
-        }
-        auto& bucket =
-            batchers[static_cast<std::size_t>(slot)].buckets[bucket_of(ft.size())];
-        bucket.push_back(PendingLane{i, arena, fo});
-        if (bucket.size() == static_cast<std::size_t>(lanes))
-            flush_bucket(bucket, lanes, cfg, tech, opts, faults, w, out);
-    };
-
     std::uint64_t builds_before = 0;
     for (const Workspace& w : ws) builds_before += w.counters().tree_builds;
 
@@ -780,7 +596,8 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         if (cache != nullptr)
             route_cached(i, slot);
         else
-            route_one(out, i, slot);
+            out[i] = route_net(nets[i], i, seed_of(i), tech, opts, faults, lc,
+                               ws[static_cast<std::size_t>(slot)]);
     };
 
     // Dynamic-scheduling granularity: with an explicit chunk honor it;
@@ -805,12 +622,6 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         ThreadPool pool(pool_threads);
         parallel_for_slots(pool, nets.size(), work_fn, chunk, lc.cancel);
     }
-    // Nets still pending in partially filled buckets finish here, after the
-    // barrier, on their owning slot's workspace.
-    for (std::size_t s = 0; s < batchers.size(); ++s)
-        for (auto& bucket : batchers[s].buckets)
-            flush_bucket(bucket, lanes, cfg, tech, opts, faults, ws[s], out);
-
     // Indices the cancellation cut off before any slot reached them.
     if (lc.cancel != nullptr)
         for (std::size_t i = 0; i < nets.size(); ++i)
@@ -910,11 +721,30 @@ bool route_report_compiled(const FlatTree& ft, std::size_t nodes,
                            const Technology& t, Workspace& ws,
                            NetRouteResult& r)
 {
-    FrontOutcome fo;
-    fo.alive = true;
-    fo.nodes = nodes;
-    fo.t = &t;
-    return route_report(ft, fo, t, ws, nullptr, r);
+    // Finiteness-checked, so corrupt technology parameters surface as a
+    // diagnosed failure instead of NaN output.
+    try {
+        const double rph = rph_terms(ft, t).total();
+        ws.note_use(ws.caps, ft.size());
+        ws.note_use(ws.sink_delays, ft.sinks().size());
+        elmore_all_sinks(ft, t, ws.caps, ws.sink_delays);
+        const double elmore_max =
+            ws.sink_delays.empty()
+                ? 0.0
+                : *std::max_element(ws.sink_delays.begin(), ws.sink_delays.end());
+        if (!std::isfinite(rph) || !std::isfinite(elmore_max))
+            throw std::runtime_error(
+                "non-finite uniform-width delay (corrupt technology parameters?)");
+        r.nodes = nodes;
+        r.wirelength = ft.total_length();
+        r.rph_s = rph;
+        r.elmore_max_s = elmore_max;
+        return true;
+    } catch (const std::exception& e) {
+        r.diag.note(RouteStage::report, e.what());
+        r.status = RouteStatus::failed;
+        return false;
+    }
 }
 
 void route_tail_compiled(const FlatTree& ft, std::size_t index,

@@ -16,13 +16,7 @@
 //   2. FlatTree compilation    -- into the slot's arena (guarded by the
 //                                 workspace node cap when one is set);
 //   3. uniform-width report    -- RPH bound + max sink Elmore delay via the
-//                                 flat kernels, finiteness-checked.  Under a
-//                                 relaxed vectorized CONG93_SIMD mode, small
-//                                 same-size-bucket nets defer this stage
-//                                 into lane packs (batch/batched_tree.h)
-//                                 whose Elmore sweep runs all lanes at once;
-//                                 per net the bits equal the per-net relaxed
-//                                 kernel, so batching never changes output;
+//                                 flat kernels, finiteness-checked;
 //   4. grewsa_owsa             -- optimal wiresizing (PR 1's incremental
 //                                 engine) over a WiresizeContext whose
 //                                 segment arrays derive from the stage-2

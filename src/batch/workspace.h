@@ -22,12 +22,10 @@
 #define CONG93_BATCH_WORKSPACE_H
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "batch/batched_tree.h"
 #include "rtree/flat_tree.h"
 #include "sim/moments.h"
 
@@ -35,15 +33,12 @@ namespace cong93 {
 
 /// Aggregated allocation telemetry of one or more Workspaces.
 struct WorkspaceCounters {
-    std::uint64_t tree_builds = 0;     ///< FlatTree compilations (slot + lanes)
+    std::uint64_t tree_builds = 0;     ///< FlatTree compilations
     std::uint64_t tree_growths = 0;    ///< compilations that grew the arrays
     std::uint64_t moment_evals = 0;    ///< moment-kernel calls
     std::uint64_t moment_growths = 0;  ///< calls that grew the moment scratch
     std::uint64_t scratch_growths = 0; ///< growths of the plain scratch vectors
     std::uint64_t arena_rejects = 0;   ///< nets rejected by guard_nodes caps
-    std::uint64_t lane_packs = 0;      ///< BatchedFlatTree::pack() calls
-    std::uint64_t lane_filled = 0;     ///< lanes that carried a real net
-    std::uint64_t lane_slots = 0;      ///< lane slots offered across packs
     /// Nets answered by the route cache / single-flight result sharing
     /// instead of a compile (batch/pipeline.cpp).  Distinguishes "served"
     /// from "compiled" so per-net compile accounting stays meaningful:
@@ -59,21 +54,15 @@ struct WorkspaceCounters {
         moment_growths += o.moment_growths;
         scratch_growths += o.scratch_growths;
         arena_rejects += o.arena_rejects;
-        lane_packs += o.lane_packs;
-        lane_filled += o.lane_filled;
-        lane_slots += o.lane_slots;
         results_served += o.results_served;
         return *this;
     }
 
-    /// Mean fraction of lane slots that carried a real net; 1.0 when every
-    /// pack was full (or no packs happened).
-    double lane_occupancy() const
-    {
-        return lane_slots == 0 ? 1.0
-                               : static_cast<double>(lane_filled) /
-                                     static_cast<double>(lane_slots);
-    }
+    /// Compatibility stub, always 1.0: nets are no longer packed into
+    /// lanes.  Kept only because the end-to-end benchmark
+    /// (e2ebench/src/layers.cpp) still reads it for its
+    /// batch.lane_occupancy metric.
+    double lane_occupancy() const { return 1.0; }
 };
 
 class Workspace {
@@ -88,29 +77,6 @@ public:
     std::vector<double> sink_delays;
     /// Node-id scratch (preorder / sink lists).
     std::vector<NodeId> node_scratch;
-    /// Interleaved lane pack + kernel scratch for lane-batched Elmore
-    /// (batch/batched_tree.h): `lane_caps` is the lanes*max_nodes sweep
-    /// scratch, `lane_delays` the per-lane sink-delay rows.
-    BatchedFlatTree lane_pack;
-    std::vector<double> lane_caps;
-    std::vector<double> lane_delays;
-
-    /// Lane arena: stable-address pool of compiled trees for nets whose
-    /// Elmore report is deferred into a lane pack.  acquire hands out a free
-    /// slot (allocating one only on first use at this depth); release
-    /// returns it for the next net.  Indices stay valid across acquires.
-    std::size_t acquire_lane_tree()
-    {
-        if (!lane_free_.empty()) {
-            const std::size_t i = lane_free_.back();
-            lane_free_.pop_back();
-            return i;
-        }
-        lane_trees_.push_back(std::make_unique<FlatTree>());
-        return lane_trees_.size() - 1;
-    }
-    FlatTree& lane_tree(std::size_t i) { return *lane_trees_[i]; }
-    void release_lane_tree(std::size_t i) { lane_free_.push_back(i); }
 
     /// Notes an upcoming use of a plain scratch vector of size n, counting a
     /// growth when the capacity does not cover it yet.  Kernels themselves
@@ -147,15 +113,12 @@ public:
     std::size_t resident_bytes() const
     {
         std::size_t n = flat_tree_bytes(flat);
-        for (const auto& t : lane_trees_) n += flat_tree_bytes(*t);
         n += moments.subtree.capacity() * sizeof(double);
         n += moments.subtree_pp.capacity() * sizeof(double);
         for (const auto& row : moments.m) n += row.capacity() * sizeof(double);
         n += caps.capacity() * sizeof(double);
         n += sink_delays.capacity() * sizeof(double);
         n += node_scratch.capacity() * sizeof(NodeId);
-        n += lane_caps.capacity() * sizeof(double);
-        n += lane_delays.capacity() * sizeof(double);
         return n;
     }
 
@@ -164,17 +127,10 @@ public:
         WorkspaceCounters c;
         c.tree_builds = flat.builds();
         c.tree_growths = flat.growths();
-        for (const auto& t : lane_trees_) {
-            c.tree_builds += t->builds();
-            c.tree_growths += t->growths();
-        }
         c.moment_evals = moments.evals;
         c.moment_growths = moments.growths;
-        c.scratch_growths = scratch_growths_ + lane_pack.growths();
+        c.scratch_growths = scratch_growths_;
         c.arena_rejects = arena_rejects_;
-        c.lane_packs = lane_pack.packs();
-        c.lane_filled = lane_pack.lanes_filled();
-        c.lane_slots = lane_pack.lane_slots();
         c.results_served = results_served_;
         return c;
     }
@@ -195,8 +151,6 @@ private:
                t.node_of().capacity() * sizeof(NodeId);
     }
 
-    std::vector<std::unique_ptr<FlatTree>> lane_trees_;
-    std::vector<std::size_t> lane_free_;
     std::uint64_t scratch_growths_ = 0;
     std::uint64_t arena_rejects_ = 0;
     std::uint64_t results_served_ = 0;

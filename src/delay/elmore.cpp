@@ -3,53 +3,56 @@
 #include <algorithm>
 #include <numeric>
 
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
-
 namespace cong93 {
 
 namespace {
 
-simdk::ElmoreView make_view(const FlatTree& ft, const Technology& tech)
+/// Subtree capacitances over the preorder arrays, children accumulated in
+/// original order via the CSR adjacency so the sums match the pointer-walk
+/// oracle bit for bit.  Fills cap[0..n).
+void subtree_caps(const FlatTree& ft, const Technology& tech, double* cap)
 {
-    simdk::ElmoreView v;
-    v.n = ft.size();
-    v.parent = ft.parent().data();
-    v.edge_len = ft.edge_length().data();
-    v.is_sink = ft.is_sink().data();
-    v.sink_cap = ft.sink_cap().data();
-    v.child_ptr = ft.child_ptr().data();
-    v.child_idx = ft.child_idx().data();
-    v.sinks = ft.sinks().data();
-    v.sink_count = ft.sinks().size();
-    v.r_unit = tech.r_grid();
-    v.c_unit = tech.c_grid();
-    v.rd = tech.driver_resistance_ohm;
-    v.default_sink_cap = tech.sink_load_f;
-    return v;
+    const Length* el = ft.edge_length().data();
+    const std::uint8_t* is_sink = ft.is_sink().data();
+    const double* sink_cap = ft.sink_cap().data();
+    const std::int32_t* child_ptr = ft.child_ptr().data();
+    const std::int32_t* child_idx = ft.child_idx().data();
+    const double c_unit = tech.c_grid();
+    for (std::size_t i = ft.size(); i-- > 0;) {
+        double c = c_unit * static_cast<double>(el[i]);
+        if (is_sink[i]) c += sink_cap[i] >= 0.0 ? sink_cap[i] : tech.sink_load_f;
+        for (std::int32_t k = child_ptr[i]; k < child_ptr[i + 1]; ++k)
+            c += cap[static_cast<std::size_t>(child_idx[k])];
+        cap[i] = c;
+    }
+}
+
+/// Elmore delay at flat node `id`: driver term plus the shared-resistance
+/// contribution of every edge on its root path.
+double root_path_delay(const FlatTree& ft, const Technology& tech,
+                       const double* cap, std::int32_t id)
+{
+    const std::int32_t* parent = ft.parent().data();
+    const Length* el = ft.edge_length().data();
+    const double r_unit = tech.r_grid();
+    const double c_unit = tech.c_grid();
+    double t = tech.driver_resistance_ohm * (ft.empty() ? 0.0 : cap[0]);
+    for (; id != 0; id = parent[id]) {
+        const double re = r_unit * static_cast<double>(el[id]);
+        const double ce = c_unit * static_cast<double>(el[id]);
+        t += re * (cap[static_cast<std::size_t>(id)] - 0.5 * ce);
+    }
+    return t;
 }
 
 }  // namespace
 
 double elmore_delay(const RoutingTree& tree, const Technology& tech, NodeId sink)
 {
-    // Single-sink probe used by topology construction and tests: always the
-    // seed scalar path, so candidate-evaluation arithmetic (and therefore
-    // every tie-break) is identical under any CONG93_SIMD setting.
     const FlatTree ft(tree);
-    const simdk::ElmoreView v = make_view(ft, tech);
     std::vector<double> cap(ft.size());
-    simdk::elmore_subtree_caps_scalar(v, cap.data());
-    const double c_total = ft.empty() ? 0.0 : cap[0];
-    double t = tech.driver_resistance_ohm * c_total;
-    const std::int32_t* parent = ft.parent().data();
-    const Length* el = ft.edge_length().data();
-    for (std::int32_t id = ft.flat_of(sink); id != 0; id = parent[id]) {
-        const double re = tech.r_grid() * static_cast<double>(el[id]);
-        const double ce = tech.c_grid() * static_cast<double>(el[id]);
-        t += re * (cap[static_cast<std::size_t>(id)] - 0.5 * ce);
-    }
-    return t;
+    subtree_caps(ft, tech, cap.data());
+    return root_path_delay(ft, tech, cap.data(), ft.flat_of(sink));
 }
 
 std::vector<double> elmore_all_sinks(const RoutingTree& tree, const Technology& tech)
@@ -67,11 +70,11 @@ std::vector<double> elmore_all_sinks(const FlatTree& ft, const Technology& tech)
 void elmore_all_sinks(const FlatTree& ft, const Technology& tech,
                       std::vector<double>& cap_scratch, std::vector<double>& out)
 {
-    const simdk::ElmoreView v = make_view(ft, tech);
-    cap_scratch.resize(v.n);
-    out.resize(v.sink_count);
-    simdk::elmore_all_sinks(v, active_simd_config(), cap_scratch.data(),
-                            out.data());
+    cap_scratch.resize(ft.size());
+    out.resize(ft.sinks().size());
+    subtree_caps(ft, tech, cap_scratch.data());
+    for (std::size_t j = 0; j < out.size(); ++j)
+        out[j] = root_path_delay(ft, tech, cap_scratch.data(), ft.sinks()[j]);
 }
 
 double elmore_max(const RoutingTree& tree, const Technology& tech)

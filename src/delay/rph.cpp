@@ -1,8 +1,5 @@
 #include "delay/rph.h"
 
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
-
 namespace cong93 {
 
 RphTerms rph_terms(const RoutingTree& tree, const Technology& tech)
@@ -15,27 +12,29 @@ RphTerms rph_terms(const FlatTree& ft, const Technology& tech)
     const double rd = tech.driver_resistance_ohm;
     const double r0 = tech.r_grid();
     const double c0 = tech.c_grid();
+    const Length* el = ft.edge_length().data();
+    const Length* pl = ft.path_length().data();
+    const double* sink_cap = ft.sink_cap().data();
 
-    simdk::RphView v;
-    v.n = ft.size();
-    v.edge_len = ft.edge_length().data();
-    v.path_len = ft.path_length().data();
-    v.sinks = ft.sinks().data();
-    v.sink_count = ft.sinks().size();
-    v.sink_cap = ft.sink_cap().data();
-    v.r0 = r0;
-    v.rd = rd;
-    v.default_sink_cap = tech.sink_load_f;
-    // The integer geometric sums are exact in every mode, so t1/t3 match the
-    // reference's metrics helpers bit for bit regardless of ISA; the sink
-    // sums t2/t4 follow the reduction-order contract (simd/dispatch.h).
-    const simdk::RphSums s = rph_sums(v, active_simd_config());
+    // Integer geometric sums are exact, so t1/t3 match the reference's
+    // metrics helpers bit for bit; the sink sums accumulate in sinks() order.
+    Length length_sum = 0;
+    Length qmst_sum = 0;
+    for (std::size_t i = 1; i < ft.size(); ++i) {
+        const Length l = el[i];
+        const Length a = pl[i] - l;
+        length_sum += l;
+        qmst_sum += l * a + l * (l + 1) / 2;
+    }
 
     RphTerms t;
-    t.t1 = rd * c0 * static_cast<double>(s.length_sum);
-    t.t3 = r0 * c0 * static_cast<double>(s.qmst_sum);
-    t.t2 = s.t2;
-    t.t4 = s.t4;
+    t.t1 = rd * c0 * static_cast<double>(length_sum);
+    t.t3 = r0 * c0 * static_cast<double>(qmst_sum);
+    for (const std::int32_t k : ft.sinks()) {
+        const double ck = sink_cap[k] >= 0.0 ? sink_cap[k] : tech.sink_load_f;
+        t.t2 += r0 * static_cast<double>(pl[k]) * ck;
+        t.t4 += rd * ck;
+    }
     return t;
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "simd/dispatch.h"
-
 namespace cong93 {
 
 namespace {
@@ -52,7 +50,6 @@ std::size_t RouteCache::shards_for_threads(int threads)
 std::uint32_t RouteCache::config_of(const Technology& tech,
                                     const PipelineOptions& opts)
 {
-    const SimdConfig cfg = active_simd_config();
     Config c;
     c.tech = tech;
     c.widths_r = opts.widths_r;
@@ -60,8 +57,6 @@ std::uint32_t RouteCache::config_of(const Technology& tech,
     c.moment_check = opts.moment_check;
     c.rc_sections_per_edge = opts.rc_sections_per_edge;
     c.max_nodes_per_net = opts.max_nodes_per_net;
-    c.simd_isa = static_cast<int>(cfg.isa);
-    c.simd_strict = cfg.strict;
 
     std::lock_guard<std::mutex> lk(config_mutex_);
     for (std::size_t i = 0; i < configs_.size(); ++i) {
@@ -69,8 +64,7 @@ std::uint32_t RouteCache::config_of(const Technology& tech,
         if (tech_equal(o.tech, c.tech) && o.widths_r == c.widths_r &&
             o.wiresize == c.wiresize && o.moment_check == c.moment_check &&
             o.rc_sections_per_edge == c.rc_sections_per_edge &&
-            o.max_nodes_per_net == c.max_nodes_per_net &&
-            o.simd_isa == c.simd_isa && o.simd_strict == c.simd_strict)
+            o.max_nodes_per_net == c.max_nodes_per_net)
             return static_cast<std::uint32_t>(i);
     }
     configs_.push_back(std::move(c));

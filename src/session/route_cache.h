@@ -10,15 +10,13 @@
 //   signature = (config, source-relative sink sequence with exact caps)
 //
 // where `config` fingerprints everything else that feeds the result bits:
-// the technology parameters, the pipeline options, and the resolved SIMD
-// kernel configuration (relaxed vector modes produce different -- still
-// deterministic -- bits than scalar).  The 64-bit hash of the signature
-// quantizes sink caps to float so near-duplicate caps land in one bucket,
-// but equality always compares the exact double bits: quantization can only
-// cause a (handled) hash collision, never a wrong share.  The sink sequence
-// is deliberately NOT sorted: sink order feeds the A-tree construction's
-// tie-breaking, so permuted duplicates occupy distinct entries (see
-// session/shard.h for the sig:: helpers).
+// the technology parameters and the pipeline options.  The 64-bit hash of
+// the signature quantizes sink caps to float so near-duplicate caps land in
+// one bucket, but equality always compares the exact double bits:
+// quantization can only cause a (handled) hash collision, never a wrong
+// share.  The sink sequence is deliberately NOT sorted: sink order feeds
+// the A-tree construction's tie-breaking, so permuted duplicates occupy
+// distinct entries (see session/shard.h for the sig:: helpers).
 //
 // Since PR 8 the cache is CONCURRENT and LOCK-STRIPED: the signature hash
 // selects one of `shard_count()` independently mutexed strict-LRU shards
@@ -76,8 +74,8 @@ public:
     /// shard lock stays well under one.
     static std::size_t shards_for_threads(int threads);
 
-    /// Interns the exact (technology, options, SIMD-config) triple this
-    /// cache consultation runs under and returns its fingerprint id.  Two
+    /// Interns the exact (technology, options) pair this cache consultation
+    /// runs under and returns its fingerprint id.  Two
     /// calls return the same id iff every result-bit-relevant field compares
     /// bit-identical, so entries written under one configuration can never
     /// serve a lookup made under another.  Thread-safe.
@@ -164,8 +162,6 @@ private:
         bool moment_check = false;
         int rc_sections_per_edge = 0;
         std::size_t max_nodes_per_net = 0;
-        int simd_isa = 0;
-        bool simd_strict = false;
     };
 
     std::size_t capacity_;

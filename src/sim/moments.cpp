@@ -3,9 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
-
 namespace cong93 {
 
 std::vector<std::vector<double>> compute_moments(const RcTree& rc, int order)
@@ -31,35 +28,47 @@ const std::vector<std::vector<double>>& compute_moments(const RcTree& rc, int or
         ws.m.resize(static_cast<std::size_t>(order));
     for (int q = 0; q < order; ++q) ws.m[static_cast<std::size_t>(q)].resize(n);
 
-    const SimdConfig cfg = active_simd_config();
-    const bool rlc = rc.has_inductance();
-    simdk::MomentsView v;
-    v.n = n;
-    v.parent = rc.parent_data();
-    v.r = rc.r_data();
-    v.c = rc.c_data();
-    v.lh = rlc ? rc.l_data() : nullptr;
-
+    const std::int32_t* parent = rc.parent_data();
+    const double* r = rc.r_data();
+    const double* c = rc.c_data();
     // The m_{q-2} currents start at zero and only matter when inductance
-    // couples them in; pure-RC calls never touch the buffer (the seed
-    // kernel's +0.0*spp terms are bitwise no-ops, see kernels_scalar.cpp).
-    double* spp = nullptr;
-    if (rlc) {
-        ws.subtree_pp.assign(n, 0.0);
-        spp = ws.subtree_pp.data();
-    }
+    // couples them in; pure-RC calls never touch that buffer.
+    const bool rlc = rc.has_inductance();
+    if (rlc) ws.subtree_pp.assign(n, 0.0);
 
     for (int q = 0; q < order; ++q) {
-        // m_0 = 1 everywhere, so the q == 0 currents are the raw C_k.
-        const double* prev =
-            q == 0 ? nullptr : ws.m[static_cast<std::size_t>(q - 1)].data();
+        // Subtree "current" sums Σ_subtree C_k * m_{q-1}(k); m_0 = 1
+        // everywhere, so the q == 0 currents are the raw C_k.  Children
+        // follow parents in index order.
+        double* sub = ws.subtree.data();
+        if (q == 0) {
+            for (std::size_t i = 0; i < n; ++i) sub[i] = c[i];
+        } else {
+            const double* prev = ws.m[static_cast<std::size_t>(q - 1)].data();
+            for (std::size_t i = 0; i < n; ++i) sub[i] = c[i] * prev[i];
+        }
+        for (std::size_t i = n; i-- > 1;)
+            sub[static_cast<std::size_t>(parent[i])] += sub[i];
+
+        // Top-down: the branch drop is (R + sL) * I, i.e. at order q the R
+        // term couples to m_{q-1} currents and the L term to m_{q-2}.
         double* cur = ws.m[static_cast<std::size_t>(q)].data();
-        simdk::moments_order(v, cfg, prev, cur, ws.subtree.data(), spp);
         if (rlc) {
-            // This order's accumulated currents are next order's m_{q-2}
-            // currents; swapping avoids the reference's full-vector copy.
+            const double* lh = rc.l_data();
+            const double* spp = ws.subtree_pp.data();
+            cur[0] = -r[0] * sub[0] - lh[0] * spp[0];
+            for (std::size_t i = 1; i < n; ++i)
+                cur[i] = cur[static_cast<std::size_t>(parent[i])] -
+                         r[i] * sub[i] - lh[i] * spp[i];
+            // This order's currents are next order's m_{q-2} currents;
+            // swapping avoids the reference's full-vector copy.
             std::swap(ws.subtree, ws.subtree_pp);
-            spp = ws.subtree_pp.data();
+        } else {
+            // Pure RC: the seed kernel's lh terms are all +0.0*spp, a bitwise
+            // no-op on these alternating-sign moment rows; skip them.
+            cur[0] = -r[0] * sub[0];
+            for (std::size_t i = 1; i < n; ++i)
+                cur[i] = cur[static_cast<std::size_t>(parent[i])] - r[i] * sub[i];
         }
     }
     return ws.m;

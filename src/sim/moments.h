@@ -12,9 +12,8 @@
 // so a batch of nets reuses its scratch instead of copying the tree and
 // re-zeroing buffers per call.  Pure-RC trees skip the inductance terms and
 // the m_{q-2} buffer outright -- a bitwise no-op, since the seed kernel's
-// lh terms are all +0.0 there.  The per-order recursion itself dispatches
-// through simd/kernels.h (see DESIGN.md §9): the scalar ISA reproduces the
-// seed implementation (kept as compute_moments_reference) bit for bit.
+// lh terms are all +0.0 there.  The per-order recursion reproduces the seed
+// implementation (kept as compute_moments_reference) bit for bit.
 #ifndef CONG93_SIM_MOMENTS_H
 #define CONG93_SIM_MOMENTS_H
 

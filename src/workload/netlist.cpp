@@ -1,6 +1,7 @@
 #include "workload/netlist.h"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -19,12 +20,14 @@ std::string fmt_double(double v)
     return std::string(buf, res.ptr);
 }
 
+/// Finite doubles only: std::from_chars also accepts "nan" and "inf", which
+/// no crit/rat/cap attribute may carry.
 bool parse_double(const std::string& tok, double& out)
 {
     const char* first = tok.data();
     const char* last = tok.data() + tok.size();
     const auto res = std::from_chars(first, last, out);
-    return res.ec == std::errc{} && res.ptr == last;
+    return res.ec == std::errc{} && res.ptr == last && std::isfinite(out);
 }
 
 bool parse_coord(const std::string& tok, Coord& out)
@@ -191,6 +194,10 @@ bool NetlistReader::read_item(WorkItem& item)
             if (!parse_double(tokens[i + 1], v)) {
                 fail("bad value '" + tokens[i + 1] + "' for '" + tokens[i] + "'");
             } else if (tokens[i] == "crit") {
+                // A negative weight would turn a violation into TNS credit.
+                if (v < 0.0)
+                    fail("negative crit '" + tokens[i + 1] + "' for net '" +
+                         item.meta.name + "'");
                 item.meta.criticality = v;
             } else if (tokens[i] == "rat") {
                 item.meta.required_arrival_s = v;
@@ -312,7 +319,7 @@ NetlistDesign parse_netlist(const std::string& text)
     NetlistReader reader(in);
     NetlistDesign design;
     design.name = reader.design_name();
-    design.items.reserve(reader.size_hint());
+    // No reserve(size_hint()): the header's net count is untrusted input.
     while (reader.pull(design.items, 1024) != 0) {
     }
     return design;

@@ -13,7 +13,9 @@
 //   end
 //
 // <degree> is the pin count (1 source + #sinks), the bookshelf convention;
-// a mismatch with the listed pins is a per-net parse error.  Doubles are
+// a mismatch with the listed pins is a per-net parse error.  crit, rat and
+// cap must be finite and crit non-negative; a negative rat or cap is the
+// "unconstrained" / "technology default" marker.  Doubles are
 // written in shortest round-trip form (std::to_chars), so
 // parse(format(items)) == items bit-for-bit and format(parse(text)) is
 // byte-identical for writer-produced text.

@@ -281,10 +281,24 @@ TEST(FlatIr, PipelineCompileCounterIsPerBatchDelta)
 // Pointer-walk oracles (cong_oracles target)
 // ---------------------------------------------------------------------------
 
+/// Small random A-trees plus one tree per size from 12 to 200 sinks (seed
+/// 9203), so the identity checks also cover nets an order of magnitude
+/// larger.
+std::vector<RoutingTree> oracle_trees(std::uint64_t seed, int count, int sinks,
+                                      int max_study_sinks = 200)
+{
+    std::vector<RoutingTree> trees = random_atrees(seed, count, sinks);
+    for (const int n : {12, 25, 50, 100, 200})
+        if (n <= max_study_sinks)
+            trees.push_back(
+                build_atree_general(random_nets(9203, 1, kMcmGrid, n)[0]).tree);
+    return trees;
+}
+
 TEST(FlatIrOracle, RcTreeBitIdenticalToPointerWalk)
 {
     const Technology tech = mcm_technology();
-    for (const RoutingTree& tree : random_atrees(401, 5, 12)) {
+    for (const RoutingTree& tree : oracle_trees(401, 5, 12)) {
         const FlatTree ft(tree);
         for (const int sections : {4, 16}) {
             for (const bool rlc : {false, true}) {
@@ -299,7 +313,9 @@ TEST(FlatIrOracle, RcTreeBitIdenticalToPointerWalk)
 TEST(FlatIrOracle, SimulatorsBitIdenticalThroughFlatBuiltRc)
 {
     const Technology tech = mcm_technology();
-    for (const RoutingTree& tree : random_atrees(402, 3, 9)) {
+    // Backward Euler is O(timesteps * nodes): the largest study nets add
+    // runtime but no coverage.
+    for (const RoutingTree& tree : oracle_trees(402, 3, 9, 50)) {
         const RcTree flat_rc = RcTree::from_flat_tree(FlatTree(tree), tech);
         const RcTree ref_rc = RcTree::from_routing_tree_reference(tree, tech);
 
@@ -319,7 +335,7 @@ TEST(FlatIrOracle, SimulatorsBitIdenticalThroughFlatBuiltRc)
 
 TEST(FlatIrOracle, MetricsBitIdenticalToPointerWalk)
 {
-    for (const RoutingTree& tree : random_atrees(403, 6, 13)) {
+    for (const RoutingTree& tree : oracle_trees(403, 6, 13)) {
         const FlatTree ft(tree);
         EXPECT_EQ(total_length(ft), total_length_reference(tree));
         EXPECT_EQ(sum_sink_path_lengths(ft), sum_sink_path_lengths_reference(tree));
@@ -333,7 +349,7 @@ TEST(FlatIrOracle, MetricsBitIdenticalToPointerWalk)
 
 TEST(FlatIrOracle, SvgByteIdenticalToPointerWalk)
 {
-    for (const RoutingTree& tree : random_atrees(404, 3, 8)) {
+    for (const RoutingTree& tree : oracle_trees(404, 3, 8)) {
         const FlatTree ft(tree);
         EXPECT_EQ(to_svg(ft), to_svg_reference(tree));
         SvgOptions opts;

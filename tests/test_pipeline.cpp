@@ -21,7 +21,6 @@
 #include "rtree/segments.h"
 #include "sim/moments.h"
 #include "sim/rc_tree.h"
-#include "simd/dispatch.h"
 #include "tech/technology.h"
 #include "wiresize/combined.h"
 #include "wiresize/grewsa.h"
@@ -116,9 +115,6 @@ TEST(RoutingTree, BufferReuseOverloadsMatch)
 
 TEST(FlatKernels, ElmoreBitIdenticalToReference)
 {
-    // The oracle anchor is defined against the seed kernels, i.e. scalar
-    // dispatch; relaxed/vectorized equivalence lives in test_simd_kernels.
-    ScopedSimdMode scalar_mode(SimdMode::scalar);
     const Technology tech = mcm_technology();
     for (const RoutingTree& tree : random_atrees(21, 6, 15)) {
         const auto flat = elmore_all_sinks(tree, tech);
@@ -131,7 +127,6 @@ TEST(FlatKernels, ElmoreBitIdenticalToReference)
 
 TEST(FlatKernels, RphTermsBitIdenticalToReference)
 {
-    ScopedSimdMode scalar_mode(SimdMode::scalar);
     const Technology tech = mcm_technology();
     for (const RoutingTree& tree : random_atrees(22, 6, 15)) {
         const RphTerms flat = rph_terms(tree, tech);
@@ -174,10 +169,7 @@ TEST(FlatKernels, WiresizeDelayAndTermsBitIdentical)
 
 TEST(FlatKernels, MomentsBitIdenticalToReference)
 {
-    // Oracle anchor: the scalar ISA reproduces the seed moment recursion bit
-    // for bit.  Relaxed vectorized modes reassociate the chain scans and are
-    // covered by ULP-bounded equivalence in test_simd_kernels.
-    ScopedSimdMode scalar_mode(SimdMode::scalar);
+    // The flat kernel reproduces the seed moment recursion bit for bit.
     const Technology tech = mcm_technology();
     MomentWorkspace ws;
     for (const RoutingTree& tree : random_atrees(24, 4, 10)) {
@@ -197,6 +189,21 @@ TEST(FlatKernels, MomentsBitIdenticalToReference)
     compute_moments(rc, 3, ws);
     EXPECT_EQ(ws.growths, growths);
     EXPECT_EQ(ws.evals, 5u);
+
+    // RLC trees take the inductance branch of the recursion; order 4 makes
+    // the m_{q-2} coupling matter.
+    MomentWorkspace rlc_ws;
+    for (const RoutingTree& tree : random_atrees(38, 3, 9)) {
+        const RcTree rlc = RcTree::from_routing_tree(tree, tech, 8, true);
+        ASSERT_TRUE(rlc.has_inductance());
+        const auto& flat = compute_moments(rlc, 4, rlc_ws);
+        const auto ref = compute_moments_reference(rlc, 4);
+        for (int q = 0; q < 4; ++q)
+            for (std::size_t i = 0; i < rlc.size(); ++i)
+                EXPECT_EQ(flat[static_cast<std::size_t>(q)][i],
+                          ref[static_cast<std::size_t>(q)][i])
+                    << "rlc order " << q << " node " << i;
+    }
 }
 
 TEST(FlatKernels, GrewsaFixpointBitIdenticalToReference)

@@ -293,6 +293,65 @@ TEST(NetlistNegativeTest, TruncationIsDiagnosedNotThrown)
               std::string::npos);
 }
 
+// std::from_chars accepts "nan" and "inf"; no crit/rat/cap may carry them,
+// and a negative crit would turn a violation into TNS credit.  Each bad
+// value is its net's parse error; negative rat/cap stay the unconstrained /
+// default markers.
+TEST(NetlistNegativeTest, NonFiniteValuesAndNegativeCritAreParseErrors)
+{
+    const std::string text =
+        "# cong93 netlist v1\ndesign v 10\n"
+        "net critnan 2 rat 1e-15 crit nan\nsource 0 0\nsink 900 900\nend\n"
+        "net critneg 2 rat 1e-15 crit -5\nsource 0 0\nsink 900 900\nend\n"
+        "net critinf 2 crit inf\nsource 0 0\nsink 9 9\nend\n"
+        "net ratnan 2 rat nan\nsource 0 0\nsink 9 9\nend\n"
+        "net ratinf 2 rat -inf\nsource 0 0\nsink 9 9\nend\n"
+        "net capnan 2\nsource 0 0\nsink 9 9 cap nan\nend\n"
+        "net capinf 2\nsource 0 0\nsink 9 9 cap inf\nend\n"
+        "net sinkratinf 2\nsource 0 0\nsink 9 9 rat inf\nend\n"
+        "net markers 2 rat -1 crit 0\nsource 0 0\nsink 9 9 cap -1 rat -2\nend\n"
+        "net late 2 rat 1e-15 crit 3\nsource 0 0\nsink 900 900\nend\n";
+    const NetlistDesign design = parse_netlist(text);
+    ASSERT_EQ(design.items.size(), 10u);
+    for (std::size_t i = 0; i < 8; ++i) {
+        EXPECT_NE(design.items[i].meta.parse_error.find(
+                      i == 1 ? "negative crit" : "bad value"),
+                  std::string::npos)
+            << design.items[i].meta.name << ": "
+            << design.items[i].meta.parse_error;
+    }
+    EXPECT_TRUE(design.items[8].meta.parse_error.empty());
+    EXPECT_EQ(design.items[8].meta.criticality, 0.0);
+    EXPECT_LT(design.items[8].meta.required_arrival_s, 0.0);
+    EXPECT_TRUE(design.items[9].meta.parse_error.empty());
+
+    const Technology tech = mcm_technology();
+    VectorNetSource src(design.items);
+    ChipAggregator agg(tech, 4);
+    std::vector<NetRouteResult> results;
+    const StreamStats st = route_stream(
+        src, tech, {}, {},
+        [&](std::size_t first, const std::vector<WorkItem>& it,
+            const std::vector<NetRouteResult>& r) {
+            agg.add_chunk(first, it, r);
+            results.insert(results.end(), r.begin(), r.end());
+        });
+    EXPECT_TRUE(st.source_error.empty());
+    ASSERT_EQ(results.size(), 10u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(results[i].status, RouteStatus::invalid_input) << i;
+    EXPECT_TRUE(is_routed(results[8].status));
+    EXPECT_TRUE(is_routed(results[9].status));
+
+    // Only "late" is constrained and it violates: TNS is a finite penalty.
+    const ChipSummary& s = agg.summary();
+    EXPECT_EQ(s.constrained, 1u);
+    EXPECT_EQ(s.violations, 1u);
+    EXPECT_TRUE(std::isfinite(s.tns_s));
+    EXPECT_TRUE(std::isfinite(s.wns_s));
+    EXPECT_LT(s.tns_s, 0.0);
+}
+
 TEST(NetlistNegativeTest, OutOfBoundCoordsParseButNeverRouteOrIntern)
 {
     // |coord| > kMaxRoutableCoord parses fine (it fits Coord) and is

@@ -5,14 +5,12 @@ Compares a freshly generated study against the committed one.  Two classes
 of checks with different severities:
 
 * Identity checks are HARD failures (exit 1): every ``identical`` /
-  ``fixpoint_identical`` / ``reused`` / ``ulp_ok`` field -- in timing rows,
+  ``fixpoint_identical`` / ``reused`` field -- in timing rows,
   in scalar sections like ``batch`` or ``arena``, and anywhere nested (the
   walk is recursive, so the ``cache_mt`` / ``cache_mt_sharded`` determinism
   rows cannot hide a false verdict at any depth) -- must be true in the
   fresh study.  These assert bit-exact equivalence of optimized kernels
-  against their reference twins (``ulp_ok``: ULP-bounded equivalence of
-  relaxed vectorized kernels, bit-exact for strict rows), which no machine
-  variance can excuse.  A fresh study that silently DROPS a committed
+  against their reference twins, which no machine variance can excuse.  A fresh study that silently DROPS a committed
   ``cache_mt*``, ``serve_overload*`` or ``chip_*`` determinism section is a
   hard failure too: the identity claim must be re-proven, not removed.
 
@@ -61,18 +59,11 @@ import sys
 
 
 def row_key(section, row):
-    """Stable identity of a timing row: section, optional kernel/mode, size."""
+    """Stable identity of a timing row: section, optional kernel, size."""
     # Pipeline scaling rows carry both fields; threads is the row identity
-    # there (sinks is just the batch shape, which smoke runs shrink).  SIMD
-    # kernel rows repeat each (kernel, sinks) pair per reduction-order mode.
+    # there (sinks is just the batch shape, which smoke runs shrink).
     size_field = "threads" if "threads" in row else "sinks"
-    return (
-        section,
-        row.get("kernel", ""),
-        row.get("mode", ""),
-        size_field,
-        row.get(size_field),
-    )
+    return (section, row.get("kernel", ""), size_field, row.get(size_field))
 
 
 def timing_rows(study):
@@ -89,7 +80,7 @@ def timing_rows(study):
     return out
 
 
-IDENTITY_FIELDS = ("identical", "fixpoint_identical", "reused", "ulp_ok")
+IDENTITY_FIELDS = ("identical", "fixpoint_identical", "reused")
 
 
 def identity_violations(study):
@@ -202,11 +193,7 @@ def main(argv):
 
     failed = False
     for section, entry in identity_violations(fresh):
-        field = next(
-            f
-            for f in ("identical", "fixpoint_identical", "reused", "ulp_ok")
-            if entry.get(f, True) is False
-        )
+        field = next(f for f in IDENTITY_FIELDS if entry.get(f, True) is False)
         print(f"FAIL: {describe(section, entry)}: {field} is false")
         failed = True
 
