@@ -18,6 +18,7 @@ RoutingTree forest_to_tree(const Forest& forest, const Net& net, Point offset)
         throw std::logic_error("forest_to_tree: source is not the final root");
 
     RoutingTree tree(net.source);
+    tree.reserve(forest.node_count());
     // Map forest node ids to tree node ids with an explicit DFS.
     std::vector<NodeId> map(forest.node_count(), kNoNode);
     map[static_cast<std::size_t>(src)] = tree.root();
@@ -34,10 +35,15 @@ RoutingTree forest_to_tree(const Forest& forest, const Net& net, Point offset)
             stack.push_back(c);
         }
     }
+    // Each sink is its forest terminal node, reached through the DFS map.
+    // Forest points are pairwise distinct, so that node is the only -- and
+    // hence the lowest-id -- tree node at the sink; duplicate sinks share it
+    // and the last cap written wins.
     for (std::size_t i = 0; i < net.sinks.size(); ++i) {
-        const auto id = tree.find_node(net.sinks[i]);
-        if (!id) throw std::logic_error("forest_to_tree: sink missing from tree");
-        tree.mark_sink(*id, net.sink_cap(i));
+        const NodeId id = map[static_cast<std::size_t>(forest.sink_node(i))];
+        if (id == kNoNode || tree.point(id) != net.sinks[i])
+            throw std::logic_error("forest_to_tree: sink missing from tree");
+        tree.mark_sink(id, net.sink_cap(i));
     }
     return tree;
 }
@@ -46,9 +52,11 @@ RoutingTree forest_to_tree(const Forest& forest, const Net& net, Point offset)
 
 AtreeResult build_atree(const Net& net, const AtreeOptions& options)
 {
-    // Translate the source to the origin.
-    std::vector<Point> sinks;
-    sinks.reserve(net.sinks.size());
+    // Translate the source to the origin (a no-op for quadrant subnets,
+    // whose sinks are used as they are).
+    const bool at_origin = net.source == Point{0, 0};
+    std::vector<Point> shifted;
+    if (!at_origin) shifted.reserve(net.sinks.size());
     for (const Point s : net.sinks) {
         const Point t{static_cast<Coord>(s.x - net.source.x),
                       static_cast<Coord>(s.y - net.source.y)};
@@ -56,10 +64,10 @@ AtreeResult build_atree(const Net& net, const AtreeOptions& options)
             throw std::invalid_argument(
                 "build_atree: sink does not dominate the source; use "
                 "build_atree_general for arbitrary nets");
-        sinks.push_back(t);
+        if (!at_origin) shifted.push_back(t);
     }
 
-    Forest forest(Point{0, 0}, sinks);
+    Forest forest(Point{0, 0}, at_origin ? net.sinks : shifted);
     MoveEngine engine(forest, options.policy, options.use_safe_moves, options.mode);
     engine.run();
 

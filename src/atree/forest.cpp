@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace cong93 {
 
@@ -25,28 +24,65 @@ Forest::Forest(Point source, const std::vector<Point>& sinks)
     if (source.x != 0 || source.y != 0)
         throw_with_context("Forest: source must be at the origin", source,
                            sinks.size());
+    for (const Point s : sinks)
+        if (s.x < 0 || s.y < 0)
+            throw_with_context("Forest: sinks must lie in the first quadrant",
+                               s, sinks.size());
+
+    // Collapse duplicates by sorting sink indices by (point, index): in each
+    // run of equal points the first occurrence leads.  Until the creation
+    // pass below turns it into a node id, sink_nodes_[i] holds kFirst for a
+    // first occurrence and the first occurrence's index for a repeat (which
+    // the creation pass reaches after its first occurrence).
+    constexpr int kFirst = -1;
+    const std::size_t n = sinks.size();
+    std::vector<int>& order = stack_;  // set_tree's scratch, idle until then
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<int>(i);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+        const Point pa = sinks[static_cast<std::size_t>(a)];
+        const Point pb = sinks[static_cast<std::size_t>(b)];
+        return pa < pb || (pa == pb && a < b);
+    });
+    sink_nodes_.assign(n, kFirst);
+    for (std::size_t k = 1, lead = 0; k < n; ++k) {
+        const auto i = static_cast<std::size_t>(order[k]);
+        if (sinks[i] == sinks[static_cast<std::size_t>(order[lead])])
+            sink_nodes_[i] = order[lead];
+        else
+            lead = k;
+    }
+
+    // The construction adds at most a few nodes per terminal (path corners
+    // and edge splits); reserve for the common case.
+    nodes_.reserve(4 * (n + 1));
+    roots_.reserve(n + 1);
+    tree_roots_.reserve(n + 1);
+    index_.reserve(2 * (n + 1));
+
     source_node_ = new_node(source, 0);
     nodes_.back().terminal = true;
     roots_.push_back(source_node_);
     tree_roots_.push_back(source_node_);
-    std::unordered_set<Point, PointHash> seen;
-    seen.insert(source);
-    for (const Point s : sinks) {
-        if (s.x < 0 || s.y < 0)
-            throw_with_context("Forest: sinks must lie in the first quadrant",
-                               s, sinks.size());
-        if (s == source) continue;
-        if (!seen.insert(s).second) continue;  // duplicate sink collapsed
+    for (std::size_t i = 0; i < n; ++i) {
+        const Point s = sinks[i];
+        if (s == source) {
+            sink_nodes_[i] = source_node_;
+            continue;
+        }
+        if (const int first = sink_nodes_[i]; first != kFirst) {
+            sink_nodes_[i] = sink_nodes_[static_cast<std::size_t>(first)];
+            continue;  // duplicate sink collapsed
+        }
         const int tree = static_cast<int>(tree_roots_.size());
         const int id = new_node(s, tree);
         nodes_.back().terminal = true;
         roots_.push_back(id);
         tree_roots_.push_back(id);
+        sink_nodes_[i] = id;
     }
-    for (const int rid : roots_) {
+    for (const int rid : roots_)
         index_.add(Seg(nodes_[static_cast<std::size_t>(rid)].p), rid);
-        root_by_point_.emplace(nodes_[static_cast<std::size_t>(rid)].p, rid);
-    }
 }
 
 int Forest::new_node(Point p, int tree)
@@ -60,8 +96,9 @@ int Forest::new_node(Point p, int tree)
 
 int Forest::root_at(Point p) const
 {
-    const auto it = root_by_point_.find(p);
-    return it == root_by_point_.end() ? -1 : it->second;
+    for (const int rid : roots_)
+        if (nodes_[static_cast<std::size_t>(rid)].p == p) return rid;
+    return -1;
 }
 
 Forest::RootQuery Forest::analyze(int root_id) const
@@ -81,7 +118,10 @@ Forest::RootQuery Forest::analyze(int root_id) const
     // the (distance, coordinate)-smallest unblocked candidate, sorting the
     // candidates by that key and taking the first unblocked one gives the
     // identical result with typically one or two O(log n) gate probes.
-    std::vector<std::pair<std::pair<Length, Coord>, Point>> nw, se;
+    std::vector<Candidate>& nw = nw_;
+    std::vector<Candidate>& se = se_;
+    nw.clear();
+    se.clear();
     for (const int rid : roots_) {
         if (rid == root_id) continue;
         const NodeRec& rn = node(rid);
@@ -154,7 +194,8 @@ int Forest::materialize(Point p, int tree_id)
 
 void Forest::set_tree(int node_id, int tree_id)
 {
-    std::vector<int> stack{node_id};
+    std::vector<int>& stack = stack_;
+    stack.assign(1, node_id);
     while (!stack.empty()) {
         const int id = stack.back();
         stack.pop_back();
@@ -166,6 +207,18 @@ void Forest::set_tree(int node_id, int tree_id)
 
 Forest::PathResult Forest::apply_path(int from_root, const std::vector<Point>& waypoints)
 {
+    return apply_path(from_root, waypoints.data(), waypoints.data() + waypoints.size());
+}
+
+Forest::PathResult Forest::apply_path(int from_root,
+                                      std::initializer_list<Point> waypoints)
+{
+    return apply_path(from_root, waypoints.begin(), waypoints.end());
+}
+
+Forest::PathResult Forest::apply_path(int from_root, const Point* first,
+                                      const Point* last)
+{
     NodeRec& start = nodes_.at(static_cast<std::size_t>(from_root));
     if (start.parent != -1) {
         std::ostringstream os;
@@ -176,11 +229,13 @@ Forest::PathResult Forest::apply_path(int from_root, const std::vector<Point>& w
     const int own_tree = start.tree;
 
     // Walk the legs, truncating at the first contact with another tree.
-    std::vector<Point> chain;  // corner / end points, in walking order
+    std::vector<Point>& chain = chain_;  // corner / end points, in walking order
+    chain.clear();
     Point cur = start.p;
     int merged_tree = -1;
     Length walked = 0;
-    for (const Point wp : waypoints) {
+    for (const Point* it = first; it != last; ++it) {
+        const Point wp = *it;
         if (wp == cur) continue;
         const Leg leg = make_leg(cur, wp);
         if (const auto hit = first_contact(leg, own_tree)) {
@@ -228,7 +283,6 @@ Forest::PathResult Forest::apply_path(int from_root, const std::vector<Point>& w
     res.added_segs.push_back(Seg(res.prev_point, chain.front()));
     index_.add(res.added_segs.back(), from_root);
 
-    root_by_point_.erase(res.prev_point);
     if (merged_tree >= 0) {
         set_tree(from_root, merged_tree);
         tree_roots_[static_cast<std::size_t>(own_tree)] = -1;
@@ -241,7 +295,6 @@ Forest::PathResult Forest::apply_path(int from_root, const std::vector<Point>& w
         nodes_[static_cast<std::size_t>(far_node)].parent = -1;
         tree_roots_[static_cast<std::size_t>(own_tree)] = far_node;
         *std::find(roots_.begin(), roots_.end(), from_root) = far_node;
-        root_by_point_.emplace(res.end_point, far_node);
         res.end_node = far_node;
         res.new_root = far_node;
     }

@@ -22,9 +22,9 @@
 #ifndef CONG93_ATREE_FOREST_H
 #define CONG93_ATREE_FOREST_H
 
+#include <initializer_list>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,12 +60,19 @@ public:
 
     /// Creates the initial forest F_0 for a first-quadrant net: `source` must
     /// be (0,0) and every sink must have nonnegative coordinates.  Duplicate
-    /// terminals are collapsed.
+    /// terminals are collapsed: node ids follow the sinks' first occurrences
+    /// (source first), and node and root storage is reserved from the sink
+    /// count.
     Forest(Point source, const std::vector<Point>& sinks);
 
     std::size_t node_count() const { return nodes_.size(); }
     const NodeRec& node(int id) const { return nodes_.at(static_cast<std::size_t>(id)); }
     int source_node() const { return source_node_; }
+    /// Terminal node at the position of sink i (the constructor's i-th
+    /// sink): the first occurrence's node for duplicates, the source node
+    /// for sinks at the origin.  Nodes never move, so this holds for the
+    /// whole construction.
+    int sink_node(std::size_t i) const { return sink_nodes_.at(i); }
 
     /// Current root node ids, one per arborescence.
     const std::vector<int>& roots() const { return roots_; }
@@ -74,7 +81,8 @@ public:
     /// Root node id of the arborescence containing `id`.
     int root_of_tree(int tree_id) const { return tree_roots_.at(static_cast<std::size_t>(tree_id)); }
 
-    /// Root node id exactly at p, or -1 (O(1) hash lookup).
+    /// Root node id exactly at p, or -1 (a scan over the roots; root points
+    /// are pairwise distinct).
     int root_at(Point p) const;
 
     /// Computes dx/dy/df and the m-points for a root node (indexed path).
@@ -105,6 +113,9 @@ public:
     /// the final point becomes the new root of `from_root`'s tree.  Length-0
     /// paths are rejected (returns end_node == from_root, merged == false).
     PathResult apply_path(int from_root, const std::vector<Point>& waypoints);
+    /// Same, for a braced waypoint list (the move engine's form: no
+    /// waypoint vector is allocated).
+    PathResult apply_path(int from_root, std::initializer_list<Point> waypoints);
 
     /// Total wirelength of the forest.
     Length total_length() const { return total_length_; }
@@ -130,6 +141,7 @@ public:
         const Leg& leg, int own_tree) const;
 
 private:
+    PathResult apply_path(int from_root, const Point* first, const Point* last);
     int new_node(Point p, int tree);
     /// Node exactly at p on tree `tree_id`, splitting an edge if needed.
     int materialize(Point p, int tree_id);
@@ -138,8 +150,15 @@ private:
     std::vector<NodeRec> nodes_;
     std::vector<int> roots_;       ///< node ids
     std::vector<int> tree_roots_;  ///< tree id -> root node id (-1 once absorbed)
-    std::unordered_map<Point, int, PointHash> root_by_point_;
+    std::vector<int> sink_nodes_;  ///< constructor sink index -> terminal node
     SegIndex index_;
+    // Scratch reused across calls.  A Forest belongs to one construction and
+    // is never queried concurrently, so analyze() may reuse its candidate
+    // lists despite being const.
+    std::vector<Point> chain_;                 ///< apply_path corners
+    std::vector<int> stack_;                   ///< set_tree DFS
+    using Candidate = std::pair<std::pair<Length, Coord>, Point>;
+    mutable std::vector<Candidate> nw_, se_;   ///< analyze mx/my candidates
     int source_node_ = -1;
     Length total_length_ = 0;
 };

@@ -1,10 +1,10 @@
 #include "atree/generalized.h"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "rtree/metrics.h"
@@ -82,6 +82,8 @@ Net quadrant_subnet(const QuadrantPartition& part, int q)
     const auto [sx, sy] = kQuadSign[static_cast<std::size_t>(q)];
     Net sub;
     sub.source = Point{0, 0};
+    sub.sinks.reserve(sinks.size());
+    sub.sink_caps.reserve(sinks.size());
     for (const RelSink& d : sinks)
         sub.sinks.push_back(Point{static_cast<Coord>(d.p.x * sx),
                                   static_cast<Coord>(d.p.y * sy)});
@@ -92,26 +94,37 @@ Net quadrant_subnet(const QuadrantPartition& part, int q)
 AtreeResult assemble_quadrants(const Net& net, const QuadrantPartition& part,
                                const std::array<const AtreeResult*, 4>& quads)
 {
-    RoutingTree combined(net.source);
-    AtreeResult total{combined};
+    AtreeResult total{RoutingTree(net.source)};
+    RoutingTree& combined = total.tree;
+    std::size_t nodes = 1;
+    for (std::size_t q = 0; q < 4; ++q)
+        if (!part.quads[q].empty()) nodes += quads[q]->tree.node_count() - 1;
+    combined.reserve(nodes);
+
+    std::vector<NodeId> map;    // quadrant node id -> combined node id
+    std::vector<NodeId> stack;  // preorder DFS
     for (int q = 0; q < 4; ++q) {
         if (part.quads[static_cast<std::size_t>(q)].empty()) continue;
         const AtreeResult& r = *quads[static_cast<std::size_t>(q)];
         const auto [sx, sy] = kQuadSign[static_cast<std::size_t>(q)];
 
-        // Graft the quadrant tree into the combined tree, reflecting back and
-        // translating to absolute coordinates.
-        const auto map_point = [&, sx = sx, sy = sy](Point p) {
-            return Point{static_cast<Coord>(p.x * sx + net.source.x),
-                         static_cast<Coord>(p.y * sy + net.source.y)};
-        };
-        std::vector<NodeId> map(r.tree.node_count(), kNoNode);
+        // Graft the quadrant tree into the combined tree in preorder,
+        // reflecting back and translating to absolute coordinates.
+        map.assign(r.tree.node_count(), kNoNode);
         map[static_cast<std::size_t>(r.tree.root())] = combined.root();
-        for (const NodeId id : r.tree.preorder()) {
-            if (id == r.tree.root()) continue;
-            const NodeId parent = map[static_cast<std::size_t>(r.tree.node(id).parent)];
-            map[static_cast<std::size_t>(id)] =
-                combined.add_child(parent, map_point(r.tree.point(id)));
+        stack.assign(1, r.tree.root());
+        while (!stack.empty()) {
+            const NodeId id = stack.back();
+            stack.pop_back();
+            const RoutingTree::Node& n = r.tree.node(id);
+            if (id != r.tree.root()) {
+                const Point p{static_cast<Coord>(n.p.x * sx + net.source.x),
+                              static_cast<Coord>(n.p.y * sy + net.source.y)};
+                map[static_cast<std::size_t>(id)] = combined.add_child(
+                    map[static_cast<std::size_t>(n.parent)], p);
+            }
+            for (auto it = n.children.rbegin(); it != n.children.rend(); ++it)
+                stack.push_back(*it);
         }
 
         // Mark this quadrant's sinks on the grafted copy (marking inside the
@@ -129,21 +142,25 @@ AtreeResult assemble_quadrants(const Net& net, const QuadrantPartition& part,
         total.sb_qmst_total += r.sb_qmst_total;
     }
 
-    // Verify coverage (a sink exactly at the source is marked on the root).
-    // One hash pass over the nodes replaces the former per-sink full scan:
-    // for each point, keep the last node id at it and whether any node there
-    // is already a sink (matching the scan's semantics exactly).
-    std::unordered_map<Point, std::pair<NodeId, bool>, PointHash> at;
-    at.reserve(combined.node_count());
-    for (std::size_t i = 0; i < combined.node_count(); ++i) {
-        const NodeId id = static_cast<NodeId>(i);
-        auto [it, fresh] = at.try_emplace(combined.point(id), id, false);
-        if (!fresh) it->second.first = id;
-        it->second.second = it->second.second || combined.node(id).is_sink;
+    // Verify coverage.  Every sink off the source belongs to a quadrant whose
+    // tree marked it, so it must already be a marked node of the combined
+    // tree; a sink at the source is marked on the root (the only node there)
+    // with the default load.  The marked points, sorted, answer each sink
+    // with one binary search.
+    std::vector<Point> marked;
+    marked.reserve(net.sinks.size());
+    for (std::size_t i = 1; i < combined.node_count(); ++i) {
+        const RoutingTree::Node& n = combined.node(static_cast<NodeId>(i));
+        if (n.is_sink) marked.push_back(n.p);
     }
+    std::sort(marked.begin(), marked.end());
     for (const Point s : net.sinks) {
-        const auto it = at.find(s);
-        if (it == at.end()) {
+        if (s == net.source) {
+            if (!combined.node(combined.root()).is_sink)
+                combined.mark_sink(combined.root());
+            continue;
+        }
+        if (!std::binary_search(marked.begin(), marked.end(), s)) {
             std::ostringstream os;
             os << "build_atree_general: sink at " << s
                << " missing from the combined tree (net has "
@@ -151,13 +168,8 @@ AtreeResult assemble_quadrants(const Net& net, const QuadrantPartition& part,
                << combined.node_count() << " nodes)";
             throw std::logic_error(os.str());
         }
-        if (!it->second.second) {
-            combined.mark_sink(it->second.first);
-            it->second.second = true;
-        }
     }
 
-    total.tree = combined;
     total.cost = total_length(combined);
     total.qmst_cost = sum_all_node_path_lengths(combined);
     return total;

@@ -46,6 +46,10 @@ MoveEngine::MoveEngine(Forest& forest, HeuristicPolicy policy, bool use_safe_mov
     : forest_(&forest), policy_(policy), use_safe_moves_(use_safe_moves),
       mode_(mode)
 {
+    // Sized for the common case: small forests finish within about two
+    // moves per root, adding a few nodes per terminal.
+    log_.reserve(2 * forest.roots().size());
+    if (mode_ == Mode::indexed) cache_.reserve(4 * forest.node_count());
 }
 
 void MoveEngine::record(MoveRecord rec)
@@ -79,22 +83,15 @@ Forest::RootQuery MoveEngine::query(int root_id)
         require_oracles();
 #endif
     }
-    if (const auto it = cache_.find(root_id); it != cache_.end())
-        return it->second;
-    const Forest::RootQuery q = forest_->analyze(root_id);
-    cache_.emplace(root_id, q);
-    return q;
+    const auto id = static_cast<std::size_t>(root_id);
+    if (id >= cache_.size()) cache_.resize(std::max(forest_->node_count(), id + 1));
+    if (!cache_[id]) cache_[id] = forest_->analyze(root_id);
+    return *cache_[id];
 }
 
-std::vector<int> MoveEngine::scan_order()
+const std::vector<int>& MoveEngine::scan_order()
 {
-    if (mode_ == Mode::reference) {
-        std::vector<int> roots = forest_->roots();
-        std::sort(roots.begin(), roots.end(),
-                  [&](int a, int b) { return farther_first(*forest_, a, b); });
-        return roots;
-    }
-    if (!order_ready_) {
+    if (mode_ == Mode::reference || !order_ready_) {
         order_ = forest_->roots();
         std::sort(order_.begin(), order_.end(),
                   [&](int a, int b) { return farther_first(*forest_, a, b); });
@@ -108,7 +105,11 @@ void MoveEngine::note_path(const Forest::PathResult& pr)
     if (mode_ == Mode::reference) return;
     if (pr.added_segs.empty()) return;  // rejected zero-length path: no change
 
-    cache_.erase(pr.prev_root);
+    const auto drop = [&](int rid) {
+        if (static_cast<std::size_t>(rid) < cache_.size())
+            cache_[static_cast<std::size_t>(rid)].reset();
+    };
+    drop(pr.prev_root);
     if (order_ready_) {
         const auto it = std::find(order_.begin(), order_.end(), pr.prev_root);
         if (it != order_.end()) order_.erase(it);
@@ -116,7 +117,7 @@ void MoveEngine::note_path(const Forest::PathResult& pr)
     if (pr.merged) {
         // The surviving root's arborescence just absorbed another tree: its
         // df/mf now exclude the absorbed geometry, so re-derive from scratch.
-        cache_.erase(pr.new_root);
+        drop(pr.new_root);
     } else if (order_ready_) {
         order_.insert(
             std::lower_bound(order_.begin(), order_.end(), pr.new_root,
@@ -132,8 +133,10 @@ void MoveEngine::note_path(const Forest::PathResult& pr)
     //   * a new segment crossing the cached mx/my blocking gate,
     //   * the moved root having been the cached mx/my,
     //   * a new root appearing NW/SE within the cached dx/dy (ties included).
-    std::vector<int> doomed;
-    for (const auto& [rid, q] : cache_) {
+    for (const int rid : forest_->roots()) {  // only roots are ever cached
+        const auto id = static_cast<std::size_t>(rid);
+        if (id >= cache_.size() || !cache_[id]) continue;
+        const Forest::RootQuery& q = *cache_[id];
         const Point p = forest_->node(rid).p;
         bool hit = false;
         for (const Seg& s : pr.added_segs) {
@@ -160,9 +163,8 @@ void MoveEngine::note_path(const Forest::PathResult& pr)
             else if (rn.x > p.x && rn.y < p.y && dist_y(p, rn) <= q.dy)
                 hit = true;
         }
-        if (hit) doomed.push_back(rid);
+        if (hit) cache_[id].reset();
     }
-    for (const int rid : doomed) cache_.erase(rid);
 }
 
 bool MoveEngine::step()
@@ -194,9 +196,9 @@ void MoveEngine::run()
 
 bool MoveEngine::try_safe_move()
 {
-    const std::vector<int> roots = scan_order();
-
-    for (const int rid : roots) {
+    // Each branch below returns right after applying its path, so the
+    // scan order is not read again once the path has changed it.
+    for (const int rid : scan_order()) {
         const Point p = forest_->node(rid).p;
         const Forest::RootQuery q = query(rid);
         if (q.df >= kInfLen) continue;  // the origin; it never moves

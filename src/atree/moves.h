@@ -19,7 +19,7 @@
 #ifndef CONG93_ATREE_MOVES_H
 #define CONG93_ATREE_MOVES_H
 
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "atree/forest.h"
@@ -91,7 +91,8 @@ private:
     /// from the full scan (reference).
     Forest::RootQuery query(int root_id);
     /// Roots in the safe-move scan order (farthest from the origin first).
-    std::vector<int> scan_order();
+    /// The reference is invalidated by the next applied path.
+    const std::vector<int>& scan_order();
     /// Absorbs an applied path into the cache/order bookkeeping: drops the
     /// moved root, inserts the new one, and invalidates every cached query
     /// the new geometry or root change could affect.
@@ -101,8 +102,11 @@ private:
     HeuristicPolicy policy_;
     bool use_safe_moves_;
     Mode mode_;
-    std::unordered_map<int, Forest::RootQuery> cache_;
-    std::vector<int> order_;  ///< maintained scan order (indexed mode)
+    /// Cached root queries (indexed mode), indexed by node id; only roots
+    /// are ever cached.
+    std::vector<std::optional<Forest::RootQuery>> cache_;
+    std::vector<int> order_;  ///< scan order (maintained in indexed mode,
+                              ///< re-sorted per step in reference mode)
     bool order_ready_ = false;
     std::vector<MoveRecord> log_;
     int safe_moves_ = 0;

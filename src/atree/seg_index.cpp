@@ -2,69 +2,81 @@
 
 namespace cong93 {
 
-void SegIndex::Line::insert(Coord lo, Coord hi, int owner)
+void SegIndex::insert(Lines& lines, Coord line, Coord lo, Coord hi, int owner)
 {
-    const auto it = std::upper_bound(
-        by_lo.begin(), by_lo.end(), lo,
-        [](Coord v, const Entry& e) { return v < e.lo; });
-    const std::size_t at = static_cast<std::size_t>(it - by_lo.begin());
-    by_lo.insert(it, Entry{lo, hi, owner});
-    prefix_max_hi.resize(by_lo.size());
-    for (std::size_t i = at; i < by_lo.size(); ++i)
-        prefix_max_hi[i] =
-            i == 0 ? by_lo[i].hi : std::max(prefix_max_hi[i - 1], by_lo[i].hi);
+    // After every entry of a lower line and every entry of this line with
+    // lo' <= lo, so equal keys keep insertion order.
+    const auto it = std::partition_point(
+        lines.begin(), lines.end(), [&](const Entry& e) {
+            return e.line < line || (e.line == line && e.lo <= lo);
+        });
+    std::size_t i = static_cast<std::size_t>(it - lines.begin());
+    lines.insert(it, Entry{line, lo, hi, hi, owner});
+    // Refresh the running maximum from the new entry to the end of its line.
+    for (; i < lines.size() && lines[i].line == line; ++i)
+        lines[i].max_hi = i > 0 && lines[i - 1].line == line
+                              ? std::max(lines[i - 1].max_hi, lines[i].hi)
+                              : lines[i].hi;
 }
 
-bool SegIndex::Line::overlaps(Coord lo, Coord hi) const
+bool SegIndex::overlaps(const Lines& lines, std::size_t begin, std::size_t end,
+                        Coord lo, Coord hi)
 {
     // An interval e meets [lo, hi] iff e.lo <= hi and e.hi >= lo; among the
-    // prefix with e.lo <= hi the max high endpoint decides.
-    const auto it = std::upper_bound(
-        by_lo.begin(), by_lo.end(), hi,
-        [](Coord v, const Entry& e) { return v < e.lo; });
-    if (it == by_lo.begin()) return false;
-    return prefix_max_hi[static_cast<std::size_t>(it - by_lo.begin()) - 1] >= lo;
+    // prefix with e.lo <= hi the running max of the high endpoints decides.
+    const auto it = std::partition_point(
+        lines.begin() + static_cast<std::ptrdiff_t>(begin),
+        lines.begin() + static_cast<std::ptrdiff_t>(end),
+        [hi](const Entry& e) { return e.lo <= hi; });
+    const std::size_t n = static_cast<std::size_t>(it - lines.begin());
+    return n > begin && lines[n - 1].max_hi >= lo;
+}
+
+bool SegIndex::overlaps(const Lines& lines, Coord at, Coord lo, Coord hi)
+{
+    const std::size_t end = first_after(lines, at, 0, lines.size());
+    return overlaps(lines, first_at(lines, at, 0, end), end, lo, hi);
 }
 
 void SegIndex::add(const Seg& s, int owner)
 {
     if (s.vertical())  // degenerate points file as zero-length columns
-        cols_[s.lo().x].insert(s.lo().y, s.hi().y, owner);
+        insert(cols_, s.lo().x, s.lo().y, s.hi().y, owner);
     else
-        rows_[s.lo().y].insert(s.lo().x, s.hi().x, owner);
+        insert(rows_, s.lo().y, s.lo().x, s.hi().x, owner);
 }
 
 bool SegIndex::hits_vertical_gate(Coord x, Coord y_lo, Coord y_hi) const
 {
     if (y_lo >= y_hi) return false;
-    if (const auto it = cols_.find(x);
-        it != cols_.end() && it->second.overlaps(y_lo, y_hi - 1))
-        return true;
-    for (auto it = rows_.lower_bound(y_lo); it != rows_.end() && it->first < y_hi;
-         ++it)
-        if (it->second.stabbed(x)) return true;
+    if (overlaps(cols_, x, y_lo, y_hi - 1)) return true;
+    for (std::size_t begin = first_at(rows_, y_lo, 0, rows_.size());
+         begin < rows_.size() && rows_[begin].line < y_hi;) {
+        const std::size_t end =
+            first_after(rows_, rows_[begin].line, begin, rows_.size());
+        if (overlaps(rows_, begin, end, x, x)) return true;
+        begin = end;
+    }
     return false;
 }
 
 bool SegIndex::hits_horizontal_gate(Coord y, Coord x_lo, Coord x_hi) const
 {
     if (x_lo >= x_hi) return false;
-    if (const auto it = rows_.find(y);
-        it != rows_.end() && it->second.overlaps(x_lo, x_hi - 1))
-        return true;
-    for (auto it = cols_.lower_bound(x_lo); it != cols_.end() && it->first < x_hi;
-         ++it)
-        if (it->second.stabbed(y)) return true;
+    if (overlaps(rows_, y, x_lo, x_hi - 1)) return true;
+    for (std::size_t begin = first_at(cols_, x_lo, 0, cols_.size());
+         begin < cols_.size() && cols_[begin].line < x_hi;) {
+        const std::size_t end =
+            first_after(cols_, cols_[begin].line, begin, cols_.size());
+        if (overlaps(cols_, begin, end, y, y)) return true;
+        begin = end;
+    }
     return false;
 }
 
 bool SegIndex::covers(Point p) const
 {
-    if (const auto it = cols_.find(p.x);
-        it != cols_.end() && it->second.stabbed(p.y))
-        return true;
-    const auto it = rows_.find(p.y);
-    return it != rows_.end() && it->second.stabbed(p.x);
+    return overlaps(cols_, p.x, p.y, p.y) || overlaps(rows_, p.y, p.x, p.x);
 }
 
 }  // namespace cong93

@@ -3,13 +3,17 @@
 //
 // Geometry is decomposed into per-line intervals: every vertical segment (and
 // every degenerate point) becomes a y-interval filed under its column, every
-// horizontal segment an x-interval filed under its row.  Each line keeps its
-// intervals sorted by low endpoint together with a prefix maximum of the high
-// endpoints, so "does anything on this line touch [a, b]?" is one binary
-// search.  Region queries (nearest dominated point, first contact along a
-// leg) walk lines outward from the query point and stop as soon as the axis
-// distance alone exceeds the best candidate, so they touch only the geometry
-// near the answer instead of every segment in the forest.
+// horizontal segment an x-interval filed under its row.  Each family is one
+// flat vector of entries sorted by (line, low endpoint) -- a line is a
+// contiguous run -- and every entry carries the running maximum of the high
+// endpoints over its line so far, so "does anything on this line touch
+// [a, b]?" is one binary search.  Region queries (nearest dominated point,
+// first contact along a leg) walk lines outward from the query point and
+// stop as soon as the axis distance alone exceeds the best candidate, so
+// they touch only the geometry near the answer instead of every segment in
+// the forest.  Nets of up to a few hundred sinks put tens to hundreds of
+// entries in a family, where shifting the tail of one flat vector on insert
+// costs less than the per-line heap nodes a tree map would allocate.
 //
 // The index is append-only: edge *splits* never change the union of forest
 // points and tree *relabels* are resolved through the `owner` node id carried
@@ -21,7 +25,6 @@
 #define CONG93_ATREE_SEG_INDEX_H
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -33,6 +36,13 @@ namespace cong93 {
 
 class SegIndex {
 public:
+    /// Pre-sizes both line families for about `segs` segments.
+    void reserve(std::size_t segs)
+    {
+        cols_.reserve(segs);
+        rows_.reserve(segs);
+    }
+
     /// Appends a segment (owner = the forest node id whose parent edge, or
     /// whose isolated point, this is; used for tree-id lookups by the caller).
     void add(const Seg& s, int owner);
@@ -73,28 +83,34 @@ public:
         // exceeds the best distance no farther column can matter (not even
         // for ties: a pruned candidate is strictly worse than the final best,
         // because `best` only shrinks after the pruning decision).
-        for (auto it = cols_.upper_bound(p.x); it != cols_.begin();) {
-            --it;
-            const Length ddx = static_cast<Length>(p.x) - it->first;
+        for (std::size_t end = first_after(cols_, p.x, 0, cols_.size()); end > 0;) {
+            const Coord x = cols_[end - 1].line;
+            const Length ddx = static_cast<Length>(p.x) - x;
             if (ddx > best) break;
-            for (const Entry& e : it->second.by_lo) {
+            const std::size_t begin = first_at(cols_, x, 0, end);
+            for (std::size_t i = begin; i < end; ++i) {
+                const Entry& e = cols_[i];
                 if (e.lo > p.y) break;  // sorted by lo: the rest start higher
                 if (!keep(e.owner)) continue;
                 const Coord y = std::min(e.hi, p.y);
-                update(Point{it->first, y}, ddx + (static_cast<Length>(p.y) - y));
+                update(Point{x, y}, ddx + (static_cast<Length>(p.y) - y));
             }
+            end = begin;
         }
         // Rows at y <= p.y, nearest first.
-        for (auto it = rows_.upper_bound(p.y); it != rows_.begin();) {
-            --it;
-            const Length ddy = static_cast<Length>(p.y) - it->first;
+        for (std::size_t end = first_after(rows_, p.y, 0, rows_.size()); end > 0;) {
+            const Coord y = rows_[end - 1].line;
+            const Length ddy = static_cast<Length>(p.y) - y;
             if (ddy > best) break;
-            for (const Entry& e : it->second.by_lo) {
+            const std::size_t begin = first_at(rows_, y, 0, end);
+            for (std::size_t i = begin; i < end; ++i) {
+                const Entry& e = rows_[i];
                 if (e.lo > p.x) break;
                 if (!keep(e.owner)) continue;
                 const Coord x = std::min(e.hi, p.x);
-                update(Point{x, it->first}, ddy + (static_cast<Length>(p.x) - x));
+                update(Point{x, y}, ddy + (static_cast<Length>(p.x) - x));
             }
+            end = begin;
         }
     }
 
@@ -108,25 +124,28 @@ public:
     {
         if (leg.len <= 0) return std::nullopt;
         std::optional<std::pair<Length, int>> best;
-        const auto scan_parallel = [&](const std::map<Coord, Line>& lines,
-                                       Coord fixed, Coord pos0, int dir) {
-            const auto it = lines.find(fixed);
-            if (it == lines.end()) return;
-            for (const Entry& e : it->second.by_lo) {
+        const auto scan_parallel = [&](const Lines& lines, Coord fixed,
+                                       Coord pos0, int dir) {
+            const std::size_t end = first_after(lines, fixed, 0, lines.size());
+            for (std::size_t i = first_at(lines, fixed, 0, end); i < end; ++i) {
+                const Entry& e = lines[i];
                 if (!keep(e.owner)) continue;
                 const auto t = leg_first_entry(pos0, dir, leg.len, e.lo, e.hi);
                 if (t && (!best || *t < best->first)) best = {{*t, e.owner}};
             }
         };
-        const auto scan_cross = [&](const std::map<Coord, Line>& lines,
-                                    Coord cross, Coord pos0, int dir) {
+        const auto scan_cross = [&](const Lines& lines, Coord cross, Coord pos0,
+                                    int dir) {
             // Lines perpendicular to the leg, nearest first; the line at the
             // leg origin only yields t = 0, which first-contact excludes.
-            const auto try_line = [&](Coord at, const Line& line) {
+            // Returns false once the line is out of reach.
+            const auto try_line = [&](std::size_t begin, std::size_t end) {
+                const Coord at = lines[begin].line;
                 const Length t = dir > 0 ? static_cast<Length>(at) - pos0
                                          : static_cast<Length>(pos0) - at;
                 if (t > leg.len || (best && t >= best->first)) return false;
-                for (const Entry& e : line.by_lo) {
+                for (std::size_t i = begin; i < end; ++i) {
+                    const Entry& e = lines[i];
                     if (e.lo > cross) break;
                     if (e.hi >= cross && keep(e.owner)) {
                         best = {{t, e.owner}};
@@ -136,12 +155,20 @@ public:
                 return true;  // keep walking outward
             };
             if (dir > 0) {
-                for (auto it = lines.upper_bound(pos0); it != lines.end(); ++it)
-                    if (!try_line(it->first, it->second)) break;
+                for (std::size_t begin = first_after(lines, pos0, 0, lines.size());
+                     begin < lines.size();) {
+                    const std::size_t end =
+                        first_after(lines, lines[begin].line, begin, lines.size());
+                    if (!try_line(begin, end)) break;
+                    begin = end;
+                }
             } else {
-                for (auto it = lines.lower_bound(pos0); it != lines.begin();) {
-                    --it;
-                    if (!try_line(it->first, it->second)) break;
+                for (std::size_t end = first_at(lines, pos0, 0, lines.size());
+                     end > 0;) {
+                    const std::size_t begin =
+                        first_at(lines, lines[end - 1].line, 0, end);
+                    if (!try_line(begin, end)) break;
+                    end = begin;
                 }
             }
         };
@@ -156,27 +183,47 @@ public:
     }
 
 private:
-    /// Interval [lo, hi] along a line, owned by forest node `owner`.
+    /// Interval [lo, hi] on grid line `line`, owned by forest node `owner`.
     struct Entry {
+        Coord line;
         Coord lo;
         Coord hi;
+        Coord max_hi;  ///< max of hi over this line's entries up to this one
         int owner;
     };
+    /// One line family, sorted by (line, lo); equal keys keep insertion
+    /// order.
+    using Lines = std::vector<Entry>;
 
-    /// One grid line's intervals, sorted by lo with a prefix max of hi so
-    /// overlap tests are a single binary search.
-    struct Line {
-        std::vector<Entry> by_lo;
-        std::vector<Coord> prefix_max_hi;
+    /// First index in [from, to) whose line is >= at (resp. > at).
+    static std::size_t first_at(const Lines& lines, Coord at, std::size_t from,
+                                std::size_t to)
+    {
+        return static_cast<std::size_t>(
+            std::partition_point(lines.begin() + static_cast<std::ptrdiff_t>(from),
+                                 lines.begin() + static_cast<std::ptrdiff_t>(to),
+                                 [at](const Entry& e) { return e.line < at; }) -
+            lines.begin());
+    }
+    static std::size_t first_after(const Lines& lines, Coord at, std::size_t from,
+                                   std::size_t to)
+    {
+        return static_cast<std::size_t>(
+            std::partition_point(lines.begin() + static_cast<std::ptrdiff_t>(from),
+                                 lines.begin() + static_cast<std::ptrdiff_t>(to),
+                                 [at](const Entry& e) { return e.line <= at; }) -
+            lines.begin());
+    }
 
-        void insert(Coord lo, Coord hi, int owner);
-        /// Any interval meeting the closed range [lo, hi]?
-        bool overlaps(Coord lo, Coord hi) const;
-        bool stabbed(Coord v) const { return overlaps(v, v); }
-    };
+    static void insert(Lines& lines, Coord line, Coord lo, Coord hi, int owner);
+    /// Does any entry of line `at` meet the closed range [lo, hi]?
+    static bool overlaps(const Lines& lines, Coord at, Coord lo, Coord hi);
+    /// Same, for the line occupying [begin, end).
+    static bool overlaps(const Lines& lines, std::size_t begin, std::size_t end,
+                         Coord lo, Coord hi);
 
-    std::map<Coord, Line> cols_;  ///< x -> y-intervals (vertical + degenerate)
-    std::map<Coord, Line> rows_;  ///< y -> x-intervals (horizontal)
+    Lines cols_;  ///< x -> y-intervals (vertical + degenerate)
+    Lines rows_;  ///< y -> x-intervals (horizontal)
 };
 
 }  // namespace cong93

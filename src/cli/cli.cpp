@@ -1,8 +1,10 @@
 #include "cli/cli.h"
 
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -25,6 +27,7 @@
 #include "session/service.h"
 #include "session/session.h"
 #include "rtree/metrics.h"
+#include "rtree/validate.h"
 #include "sim/delay_measure.h"
 #include "tech/technology.h"
 #include "wiresize/bottom_up.h"
@@ -424,6 +427,12 @@ int run_chip(const CliOptions& opts, std::ostream& out,
     return agg.summary().routed > 0 ? 0 : 1;
 }
 
+/// Bounds on a session script's `gen` line: far beyond any study's needs,
+/// but a corrupted count can no longer ask for days of routing or overflow
+/// the generator's int sink count.
+constexpr long long kMaxScriptGenNets = 1'000'000;
+constexpr long long kMaxScriptGenSinks = 4096;
+
 /// One canonical result line, prefixed with the session net id instead of
 /// format_results' loop index (same fields, same hexfloat formatting).
 std::string result_line(NetId id, const NetRouteResult& r)
@@ -463,19 +472,45 @@ int run_session(const CliOptions& opts, std::ostream& out,
         ls >> cmd;
         if (cmd.empty() || cmd[0] == '#') continue;
         try {
-            const auto need = [&](const char* what) -> long long {
+            // Every integer is range-checked before it is narrowed, so an
+            // out-of-range value is a script error instead of a silent wrap.
+            const auto need = [&](const char* what, long long lo,
+                                  long long hi) -> long long {
                 long long v;
                 if (!(ls >> v))
                     throw std::invalid_argument(std::string("expected ") + what);
+                if (v < lo || v > hi)
+                    throw std::invalid_argument(
+                        std::string(what) + " " + std::to_string(v) +
+                        " outside [" + std::to_string(lo) + ", " +
+                        std::to_string(hi) + "]");
                 return v;
             };
+            const auto coord = [&](const char* what) {
+                return static_cast<Coord>(
+                    need(what, -kMaxRoutableCoord, kMaxRoutableCoord));
+            };
+            const auto index = [&](const char* what) {
+                return static_cast<std::size_t>(
+                    need(what, 0, std::numeric_limits<long long>::max()));
+            };
+            const auto real = [&](const char* what) {
+                double v;
+                if (!(ls >> v) || !std::isfinite(v))
+                    throw std::invalid_argument(std::string("expected finite ") +
+                                                what);
+                return v;
+            };
+            // True when another token follows; an optional argument that is
+            // present must then parse.
+            const auto more = [&] { return !(ls >> std::ws).eof(); };
             if (cmd == "gen") {
-                const long long count = need("count");
-                const long long sinks = need("sinks");
+                const long long count = need("count", 1, kMaxScriptGenNets);
+                const long long sinks = need("sinks", 1, kMaxScriptGenSinks);
                 long long seed = static_cast<long long>(opts.seed);
-                if (long long s_in = 0; ls >> s_in) seed = s_in;  // optional
-                if (count < 1 || sinks < 1)
-                    throw std::invalid_argument("gen needs count, sinks >= 1");
+                if (more())
+                    seed = need("seed", std::numeric_limits<long long>::min(),
+                                std::numeric_limits<long long>::max());
                 // Workload-layer admission: GeneratedNetSource draws the
                 // same RNG stream as random_nets, so the admitted nets --
                 // and every output byte -- match the pre-NetSource CLI.
@@ -486,40 +521,38 @@ int run_session(const CliOptions& opts, std::ostream& out,
                     out << "net " << result_line(id, s.result(id));
             } else if (cmd == "net") {
                 Net n;
-                n.source = Point{static_cast<Coord>(need("source x")),
-                                 static_cast<Coord>(need("source y"))};
-                long long x;
-                while (ls >> x)
-                    n.sinks.push_back(Point{static_cast<Coord>(x),
-                                            static_cast<Coord>(need("sink y"))});
+                const Coord sx = coord("source x");
+                n.source = Point{sx, coord("source y")};
+                while (more()) {
+                    const Coord x = coord("sink x");
+                    n.sinks.push_back(Point{x, coord("sink y")});
+                }
                 if (n.sinks.empty())
                     throw std::invalid_argument("net needs at least one sink");
                 const NetId id = s.add(std::move(n));
                 out << "net " << result_line(id, s.result(id));
             } else if (cmd == "move" || cmd == "add" || cmd == "remove" ||
                        cmd == "retech") {
-                const NetId id = static_cast<NetId>(need("net id"));
+                const NetId id = index("net id");
                 EcoDelta d;
                 if (cmd == "move") {
-                    const auto k = static_cast<std::size_t>(need("sink index"));
-                    const Coord px = static_cast<Coord>(need("x"));
-                    d = EcoDelta::make_move(k,
-                                            Point{px, static_cast<Coord>(need("y"))});
+                    const std::size_t k = index("sink index");
+                    const Coord px = coord("x");
+                    d = EcoDelta::make_move(k, Point{px, coord("y")});
                 } else if (cmd == "add") {
-                    const Coord px = static_cast<Coord>(need("x"));
-                    const Coord py = static_cast<Coord>(need("y"));
-                    double cap = -1.0;
-                    if (double c_in = 0.0; ls >> c_in) cap = c_in;  // optional
+                    const Coord px = coord("x");
+                    const Coord py = coord("y");
+                    // A negative cap keeps its "technology default" meaning.
+                    const double cap = more() ? real("cap") : -1.0;
                     d = EcoDelta::make_add(Point{px, py}, cap);
                 } else if (cmd == "remove") {
-                    d = EcoDelta::make_remove(
-                        static_cast<std::size_t>(need("sink index")));
+                    d = EcoDelta::make_remove(index("sink index"));
                 } else {
                     std::string name;
                     if (!(ls >> name))
                         throw std::invalid_argument("expected technology name");
-                    double scale = 1.0;
-                    if (double s_in = 0.0; ls >> s_in) scale = s_in;  // optional
+                    // with_driver_scale rejects a scale that is not positive.
+                    const double scale = more() ? real("driver scale") : 1.0;
                     d = EcoDelta::make_retech(technology_by_name(name, scale));
                 }
                 const EcoOutcome o = s.apply(id, d);
@@ -530,7 +563,7 @@ int run_session(const CliOptions& opts, std::ostream& out,
                     << '\n'
                     << result_line(id, o.result);
             } else if (cmd == "route") {
-                const NetId id = static_cast<NetId>(need("net id"));
+                const NetId id = index("net id");
                 out << result_line(id, s.result(id));
             } else if (cmd == "print") {
                 for (NetId id = 0; id < s.size(); ++id)
@@ -544,6 +577,8 @@ int run_session(const CliOptions& opts, std::ostream& out,
             } else {
                 throw std::invalid_argument("unknown session command: " + cmd);
             }
+            if (std::string rest; more() && ls >> rest)
+                throw std::invalid_argument("unexpected token '" + rest + "'");
         } catch (const std::exception& e) {
             throw std::invalid_argument("session script line " +
                                         std::to_string(lineno) + ": " +
@@ -944,8 +979,8 @@ CliOptions parse_cli(const std::vector<std::string>& args)
     if (opts.widths < 1) throw std::invalid_argument("--widths must be >= 1");
     if (opts.threshold <= 0.0 || opts.threshold >= 1.0)
         throw std::invalid_argument("--threshold must be in (0,1)");
-    if (opts.driver_scale <= 0.0)
-        throw std::invalid_argument("--driver-scale must be positive");
+    if (!std::isfinite(opts.driver_scale) || opts.driver_scale <= 0.0)
+        throw std::invalid_argument("--driver-scale must be finite and positive");
     if (opts.max_nodes > 0 && opts.max_nodes < 2)
         throw std::invalid_argument("--max-nodes must be 0 or >= 2");
     if (opts.eco_threshold < 0.0 || opts.eco_threshold > 1.0)

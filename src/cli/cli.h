@@ -49,6 +49,12 @@
 //                     route <id>                   print one result line
 //                     print                        print every result line
 //                     stats                        cache/session counters
+//                   Every value is range-checked before use: coordinates
+//                   within +-kMaxRoutableCoord (rtree/validate.h), ids and
+//                   sink indices >= 0, gen counts in [1, 1e6] and sinks in
+//                   [1, 4096], scales positive, caps finite; a stray
+//                   trailing token is an error too.  A malformed line makes
+//                   the command exit 2.
 //                   [--cache-capacity N] [--no-cache] [--eco-threshold T]
 //                   [--shards K]
 //                   Everything except `stats` is byte-identical with the

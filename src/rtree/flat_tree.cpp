@@ -1,9 +1,23 @@
 #include "rtree/flat_tree.h"
 
+#include <atomic>
+
 namespace cong93 {
+
+namespace {
+
+std::atomic<std::uint64_t> g_compiles{0};
+
+}  // namespace
+
+std::uint64_t flat_tree_compiles()
+{
+    return g_compiles.load(std::memory_order_relaxed);
+}
 
 void FlatTree::build(const RoutingTree& tree)
 {
+    g_compiles.fetch_add(1, std::memory_order_relaxed);
     ++builds_;
     const std::size_t n = tree.node_count();
     if (n > watermark_) {

@@ -20,7 +20,10 @@
 // batch/workspace.h) keeps one FlatTree per worker thread and recompiles it
 // for each net of a batch without touching the allocator once the high-water
 // mark is reached.  builds()/growths() count compilations and capacity
-// growth events so reuse is measurable (see BENCH_pipeline.json).
+// growth events so reuse is measurable (see BENCH_pipeline.json), and
+// flat_tree_compiles() counts every build() in the process -- including the
+// throwaway compiles behind RoutingTree convenience overloads that no
+// Workspace sees.
 #ifndef CONG93_RTREE_FLAT_TREE_H
 #define CONG93_RTREE_FLAT_TREE_H
 
@@ -101,6 +104,11 @@ private:
     std::uint64_t builds_ = 0;
     std::uint64_t growths_ = 0;
 };
+
+/// Number of FlatTree::build calls in this process so far, over every
+/// FlatTree and thread.  Telemetry only (a relaxed atomic, so concurrent
+/// builds are all counted but not ordered); no output depends on it.
+std::uint64_t flat_tree_compiles();
 
 }  // namespace cong93
 

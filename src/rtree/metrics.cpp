@@ -4,11 +4,26 @@
 
 namespace cong93 {
 
+namespace {
+
+/// Σ_{j=1..l} (a+j) for an edge of length l whose head sits at path length
+/// a = pl - l: the contribution of the edge's grid points to the QMST cost.
+Length edge_qmst_term(Length l, Length pl)
+{
+    const Length a = pl - l;
+    return l * a + l * (l + 1) / 2;
+}
+
+}  // namespace
+
 Length total_length(const FlatTree& ft) { return ft.total_length(); }
 
 Length total_length(const RoutingTree& tree)
 {
-    return total_length(FlatTree(tree));
+    Length sum = 0;
+    for (std::size_t i = 1; i < tree.node_count(); ++i)
+        sum += tree.edge_length(static_cast<NodeId>(i));
+    return sum;
 }
 
 Length sum_sink_path_lengths(const FlatTree& ft)
@@ -21,7 +36,12 @@ Length sum_sink_path_lengths(const FlatTree& ft)
 
 Length sum_sink_path_lengths(const RoutingTree& tree)
 {
-    return sum_sink_path_lengths(FlatTree(tree));
+    Length sum = 0;
+    for (std::size_t i = 0; i < tree.node_count(); ++i) {
+        const RoutingTree::Node& n = tree.node(static_cast<NodeId>(i));
+        if (n.is_sink) sum += n.pl;
+    }
+    return sum;
 }
 
 Length sum_all_node_path_lengths(const FlatTree& ft)
@@ -29,17 +49,18 @@ Length sum_all_node_path_lengths(const FlatTree& ft)
     Length sum = 0;
     const Length* el = ft.edge_length().data();
     const Length* pl = ft.path_length().data();
-    for (std::size_t i = 1; i < ft.size(); ++i) {
-        const Length l = el[i];
-        const Length a = pl[i] - l;  // pl at the edge's head
-        sum += l * a + l * (l + 1) / 2;
-    }
+    for (std::size_t i = 1; i < ft.size(); ++i) sum += edge_qmst_term(el[i], pl[i]);
     return sum;
 }
 
 Length sum_all_node_path_lengths(const RoutingTree& tree)
 {
-    return sum_all_node_path_lengths(FlatTree(tree));
+    Length sum = 0;
+    for (std::size_t i = 1; i < tree.node_count(); ++i) {
+        const NodeId id = static_cast<NodeId>(i);
+        sum += edge_qmst_term(tree.edge_length(id), tree.path_length(id));
+    }
+    return sum;
 }
 
 Length radius(const FlatTree& ft)
@@ -50,7 +71,15 @@ Length radius(const FlatTree& ft)
     return r;
 }
 
-Length radius(const RoutingTree& tree) { return radius(FlatTree(tree)); }
+Length radius(const RoutingTree& tree)
+{
+    Length r = 0;
+    for (std::size_t i = 0; i < tree.node_count(); ++i) {
+        const RoutingTree::Node& n = tree.node(static_cast<NodeId>(i));
+        if (n.is_sink) r = std::max(r, n.pl);
+    }
+    return r;
+}
 
 Length net_radius(const Net& net)
 {
@@ -68,7 +97,9 @@ double mdrt_cost(const FlatTree& ft, double alpha, double beta, double gamma)
 
 double mdrt_cost(const RoutingTree& tree, double alpha, double beta, double gamma)
 {
-    return mdrt_cost(FlatTree(tree), alpha, beta, gamma);
+    return alpha * static_cast<double>(total_length(tree)) +
+           beta * static_cast<double>(sum_sink_path_lengths(tree)) +
+           gamma * static_cast<double>(sum_all_node_path_lengths(tree));
 }
 
 }  // namespace cong93

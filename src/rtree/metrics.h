@@ -5,13 +5,15 @@
 //                           objective (drives t3)
 // All values are exact 64-bit integers in grid units.
 //
-// The primary evaluators run over the compiled FlatTree (the analysis IR):
-// each metric is a single pass over the dense preorder arrays -- no
-// allocation, no pointer chasing, no recursion.  The RoutingTree overloads
-// are thin shims that compile-then-delegate; the seed pointer-walk bodies
-// survive as `*_reference` oracles in the cong_oracles target
-// (CONG93_BUILD_ORACLES) and are bit-identical because every sum here is an
-// exact integer accumulation.
+// Every metric exists twice.  The FlatTree overloads make one pass over the
+// compiled preorder arrays (the analysis IR).  The RoutingTree overloads
+// make one pass over the tree's node array in id order, reading
+// RoutingTree::edge_length and the maintained Node::pl; they never compile a
+// throwaway FlatTree and never allocate.  The A-tree constructors price
+// every tree they build through them.  Both forms are O(n) and agree bit for
+// bit: every sum here is an exact integer accumulation, so visiting order
+// does not matter.  The seed pointer-walk bodies survive as `*_reference`
+// oracles in the cong_oracles target (CONG93_BUILD_ORACLES).
 #ifndef CONG93_RTREE_METRICS_H
 #define CONG93_RTREE_METRICS_H
 

@@ -65,6 +65,8 @@ public:
 
     NodeId root() const { return 0; }
     std::size_t node_count() const { return nodes_.size(); }
+    /// Reserves node storage for a tree that will grow to n nodes.
+    void reserve(std::size_t n) { nodes_.reserve(n); }
     const Node& node(NodeId id) const { return nodes_.at(static_cast<std::size_t>(id)); }
     Point point(NodeId id) const { return node(id).p; }
 

@@ -481,24 +481,25 @@ EcoOutcome Session::apply(NetId id, const EcoDelta& delta)
         return o;
     }
 
+    // Dirty quadrants are rebuilt in place: if anything below throws, the
+    // full path reroutes the net and either recaptures the repair state or
+    // leaves it uncaptured, so a half-updated e.quads is never read.
     bool built = false;
     try {
-        std::array<std::optional<AtreeResult>, 4> quads = e.quads;
         for (std::size_t q = 0; q < 4; ++q) {
             if (!dirty[q]) continue;
             if (part.quads[q].empty())
-                quads[q].reset();
+                e.quads[q].reset();
             else
-                quads[q] = build_atree(
+                e.quads[q] = build_atree(
                     quadrant_subnet(part, static_cast<int>(q)));
         }
         std::array<const AtreeResult*, 4> ptrs{nullptr, nullptr, nullptr,
                                                nullptr};
         for (std::size_t q = 0; q < 4; ++q)
-            if (quads[q].has_value()) ptrs[q] = &*quads[q];
+            if (e.quads[q].has_value()) ptrs[q] = &*e.quads[q];
         AtreeResult assembled = assemble_quadrants(v.net, part, ptrs);
         e.part = std::move(part);
-        e.quads = std::move(quads);
         e.tree = std::move(assembled.tree);
         e.nodes = e.tree.node_count();
         built = true;

@@ -1,5 +1,6 @@
 #include "tech/technology.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace cong93 {
@@ -10,7 +11,8 @@ constexpr double kFemto = 1e-15;
 
 Technology Technology::with_driver_scale(double factor) const
 {
-    if (factor <= 0.0) throw std::invalid_argument("driver scale must be positive");
+    if (!std::isfinite(factor) || factor <= 0.0)
+        throw std::invalid_argument("driver scale must be finite and positive");
     Technology t = *this;
     t.driver_resistance_ohm /= factor;
     t.name += " x" + std::to_string(factor);

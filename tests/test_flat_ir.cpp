@@ -8,7 +8,8 @@
 //   * the cong_oracles pointer-walk twins (RcTree construction, simulator
 //     outputs, all five metrics, SVG bytes) when CONG93_BUILD_ORACLES=ON;
 //   * the pipeline's one-compile-per-net guarantee via
-//     PipelineStats::compiles_per_net.
+//     PipelineStats::compiles_per_net and the process-wide
+//     flat_tree_compiles() counter (A-tree construction compiles nothing).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -258,6 +259,36 @@ TEST(FlatIr, PipelineCompilesEachNetExactlyOnce)
 
     // Still byte-identical across thread counts with the shared compile.
     EXPECT_EQ(format_results(r1), format_results(r4));
+}
+
+TEST(FlatIr, AtreeConstructionCompilesNothing)
+{
+    // The constructors price their trees with the RoutingTree metric
+    // overloads, which walk the nodes directly.
+    const Net net = random_nets(303, 1, kMcmGrid, 16).front();
+    const std::uint64_t before = flat_tree_compiles();
+    const AtreeResult r = build_atree_general(net);
+    EXPECT_EQ(flat_tree_compiles() - before, 0u);
+    EXPECT_EQ(r.cost, total_length(r.tree));
+    EXPECT_EQ(r.qmst_cost, sum_all_node_path_lengths(r.tree));
+}
+
+TEST(FlatIr, ProcessWideCompilesEqualAtreeRoutedNets)
+{
+    // The process-wide counter sees every FlatTree::build, including any
+    // throwaway compile a Workspace would not: a batch of N A-tree-routed
+    // nets must compile exactly N times.
+    const Technology tech = mcm_technology();
+    const std::vector<Net> nets = random_nets(304, 20, kMcmGrid, 12);
+    PipelineOptions opts;
+    opts.threads = 1;
+    PipelineStats stats;
+    const std::uint64_t before = flat_tree_compiles();
+    const auto results = route_batch(nets, tech, opts, &stats);
+    const std::uint64_t compiles = flat_tree_compiles() - before;
+    for (const NetRouteResult& r : results) ASSERT_EQ(r.status, RouteStatus::ok);
+    EXPECT_EQ(compiles, nets.size());
+    EXPECT_EQ(stats.compiles_per_net, 1.0);
 }
 
 TEST(FlatIr, PipelineCompileCounterIsPerBatchDelta)

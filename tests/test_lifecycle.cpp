@@ -331,32 +331,43 @@ TEST(LifecycleService, QueueCapRejectsOverlappingRequests)
     const std::vector<Net> big = random_nets(3, 60, kMcmGrid, 10);
     const std::vector<Net> tiny = random_nets(4, 1, kMcmGrid, 3);
 
-    bool saw_rejection = false;
-    for (int attempt = 0; attempt < 5 && !saw_rejection; ++attempt) {
+    // Either side of the overlap may be the one refused: when a tiny
+    // request takes the only queue slot first, the long request is rejected
+    // inside its own thread, which must catch it there.
+    std::atomic<bool> saw_rejection{false};
+    const auto rejected = [&](const OverloadError& e) {
+        saw_rejection.store(true);
+        EXPECT_NE(std::string(e.what()).find("queue cap"), std::string::npos);
+    };
+    for (int attempt = 0; attempt < 5 && !saw_rejection.load(); ++attempt) {
         SessionService svc(tech, so);
         const SessionId a = svc.open();
         const SessionId b = svc.open();
         std::atomic<bool> started{false};
         std::thread long_req([&] {
             started.store(true);
-            svc.add_batch(a, big);
+            try {
+                svc.add_batch(a, big);
+            } catch (const OverloadError& e) {
+                rejected(e);
+            }
         });
         while (!started.load()) std::this_thread::yield();
         // Hammer the second session while the first request holds the only
         // queue slot; at least one attempt overlaps in practice.
-        for (int i = 0; i < 200 && !saw_rejection; ++i) {
+        for (int i = 0; i < 200 && !saw_rejection.load(); ++i) {
             try {
                 svc.add_batch(b, tiny);
             } catch (const OverloadError& e) {
-                saw_rejection = true;
-                EXPECT_NE(std::string(e.what()).find("queue cap"),
-                          std::string::npos);
+                rejected(e);
             }
         }
         long_req.join();
-        if (saw_rejection) EXPECT_GT(svc.stats().rejected_overload, 0u);
+        if (saw_rejection.load()) {
+            EXPECT_GT(svc.stats().rejected_overload, 0u);
+        }
     }
-    EXPECT_TRUE(saw_rejection);
+    EXPECT_TRUE(saw_rejection.load());
 }
 
 TEST(LifecycleService, QueueCapZeroNeverRejects)
