@@ -176,9 +176,13 @@ void parallel_for_index(ThreadPool& pool, std::size_t n,
 
 void parallel_for_slots(ThreadPool& pool, std::size_t n,
                         const std::function<void(std::size_t, int)>& fn,
-                        std::size_t chunk, const CancelToken* cancel)
+                        std::size_t chunk, const CancelToken* cancel,
+                        const std::function<void()>& overlap)
 {
-    if (n == 0) return;
+    if (n == 0) {
+        if (overlap) overlap();
+        return;
+    }
     if (chunk == 0) chunk = 1;
     // One long-lived job per worker slot; slots pull chunks off the shared
     // counter until the range is drained (or a worker threw, which jumps
@@ -207,6 +211,15 @@ void parallel_for_slots(ThreadPool& pool, std::size_t n,
                 }
             }
         });
+    }
+    if (overlap) {
+        try {
+            overlap();
+        } catch (...) {
+            // The slot jobs reference this frame: drain them first.
+            group.wait();
+            throw;
+        }
     }
     group.wait();
 }

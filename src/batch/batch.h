@@ -162,10 +162,17 @@ void parallel_for_index(ThreadPool& pool, std::size_t n,
 /// request releases the shared pool promptly.  The caller is responsible
 /// for marking unvisited indices; exceptions already captured before the
 /// cancellation still aggregate through the group as usual.
+///
+/// When `overlap` is set it runs once on the calling thread after the slot
+/// jobs are submitted and before the barrier, so the caller can do serial
+/// work (route_stream parses its next chunk) while the pool drains the
+/// range.  It must not touch state the slots write.  If it throws, the
+/// slots are still waited for before the exception propagates.
 void parallel_for_slots(ThreadPool& pool, std::size_t n,
                         const std::function<void(std::size_t, int)>& fn,
                         std::size_t chunk = 1,
-                        const CancelToken* cancel = nullptr);
+                        const CancelToken* cancel = nullptr,
+                        const std::function<void()>& overlap = {});
 
 /// Maps fn over [0, n), returning results in index order.  With threads == 1
 /// (or n < 2) this runs serially on the calling thread; output is identical

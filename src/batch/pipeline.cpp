@@ -423,19 +423,12 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
                                              const Technology& tech,
                                              const PipelineOptions& opts,
                                              PipelineStats* stats,
-                                             std::vector<Workspace>* workspaces)
+                                             std::vector<Workspace>* workspaces,
+                                             const std::function<void()>& overlap)
 {
     const int threads =
         opts.threads <= 0 ? default_thread_count() : opts.threads;
-    // A pool on a single-core host only adds context switches on top of the
-    // scheduling overhead; run the requested slot count serially instead.
-    // hardware_concurrency() == 0 means "unknown" and does not cap.  An
-    // externally owned pool is taken at face value: its threads exist either
-    // way, and the caller (e.g. a SessionService) sized it deliberately.
-    const int pool_threads =
-        opts.pool != nullptr
-            ? opts.pool->thread_count()
-            : (std::thread::hardware_concurrency() == 1 ? 1 : threads);
+    const int pool_threads = resolve_pool_threads(opts);
     const std::size_t slot_count =
         static_cast<std::size_t>(std::max(threads, pool_threads));
     std::vector<Workspace> local_ws;
@@ -617,10 +610,12 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
             work_fn(i, 0);
         }
     } else if (opts.pool != nullptr) {
-        parallel_for_slots(*opts.pool, nets.size(), work_fn, chunk, lc.cancel);
+        parallel_for_slots(*opts.pool, nets.size(), work_fn, chunk, lc.cancel,
+                           overlap);
     } else {
         ThreadPool pool(pool_threads);
-        parallel_for_slots(pool, nets.size(), work_fn, chunk, lc.cancel);
+        parallel_for_slots(pool, nets.size(), work_fn, chunk, lc.cancel,
+                           overlap);
     }
     // Indices the cancellation cut off before any slot reached them.
     if (lc.cancel != nullptr)
@@ -697,10 +692,25 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
             wall_degraded.load(std::memory_order_relaxed);
         tally_outcomes(out, *stats);
     }
+    // Nothing ran beside the serial loop, so the caller's overlap work runs
+    // now, outside [t0, t1]: stats->seconds stays pure route time.
+    if (serial && overlap) overlap();
     return out;
 }
 
 }  // namespace
+
+int resolve_pool_threads(const PipelineOptions& opts)
+{
+    // An externally owned pool is taken at face value: its threads exist
+    // either way, and the caller (e.g. a SessionService) sized it
+    // deliberately.  hardware_concurrency() == 0 means "unknown" and does
+    // not cap.
+    if (opts.pool != nullptr) return opts.pool->thread_count();
+    const int threads =
+        opts.threads <= 0 ? default_thread_count() : opts.threads;
+    return std::thread::hardware_concurrency() == 1 ? 1 : threads;
+}
 
 NetRouteResult route_single(const Net& net, std::size_t index,
                             std::uint64_t diag_seed, const Technology& tech,
@@ -765,7 +775,7 @@ std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
                                         std::vector<Workspace>* workspaces)
 {
     return route_batch_impl(nets, 0, false, nullptr, tech, opts, stats,
-                            workspaces);
+                            workspaces, {});
 }
 
 std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
@@ -773,14 +783,15 @@ std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
                                         const Technology& tech,
                                         const PipelineOptions& opts,
                                         PipelineStats* stats,
-                                        std::vector<Workspace>* workspaces)
+                                        std::vector<Workspace>* workspaces,
+                                        const std::function<void()>& overlap)
 {
     if (diag_seeds.size() != nets.size())
         throw std::invalid_argument("route_batch: diag_seeds size " +
                                     std::to_string(diag_seeds.size()) +
                                     " != nets size " + std::to_string(nets.size()));
     return route_batch_impl(nets, 0, false, diag_seeds.data(), tech, opts,
-                            stats, workspaces);
+                            stats, workspaces, overlap);
 }
 
 std::vector<NetRouteResult> route_batch(std::uint64_t seed, int count, Coord grid,
@@ -790,7 +801,7 @@ std::vector<NetRouteResult> route_batch(std::uint64_t seed, int count, Coord gri
                                         std::vector<Workspace>* workspaces)
 {
     return route_batch_impl(random_nets(seed, count, grid, sink_count), seed,
-                            true, nullptr, tech, opts, stats, workspaces);
+                            true, nullptr, tech, opts, stats, workspaces, {});
 }
 
 std::string format_results(const std::vector<NetRouteResult>& results)

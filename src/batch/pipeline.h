@@ -281,12 +281,26 @@ std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
 /// NetDiagnostic::net_seed is diag_seeds[i] -- the hook that lets streamed
 /// workload sources (workload/net_source.h) carry generator seeds through
 /// chunked routing exactly as the seeded front-end below records them.
+///
+/// `overlap`, when set, runs once on the calling thread: while the pool
+/// routes the batch (inside PipelineStats::seconds), or -- on the serial
+/// path -- after the last net and outside the timed window.  It must not
+/// touch `nets`, `diag_seeds` or the workspaces.  route_stream pulls its
+/// next chunk here.
 std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
                                         const std::vector<std::uint64_t>& diag_seeds,
                                         const Technology& tech,
                                         const PipelineOptions& opts = {},
                                         PipelineStats* stats = nullptr,
-                                        std::vector<Workspace>* workspaces = nullptr);
+                                        std::vector<Workspace>* workspaces = nullptr,
+                                        const std::function<void()>& overlap = {});
+
+/// Worker threads route_batch fans `opts` out over: the external pool's
+/// size when one is set, else the requested thread count (opts.threads, or
+/// default_thread_count()) -- capped to 1 on a single-core host
+/// (hardware_concurrency() == 1), where a pool only adds context switches.
+/// 1 means route_batch runs serially on the calling thread.
+int resolve_pool_threads(const PipelineOptions& opts);
 
 /// netgen front-end: generates `count` random nets (uniform terminals on
 /// [0, grid]^2, seeded deterministically) and routes them; each net's

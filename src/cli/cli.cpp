@@ -418,6 +418,7 @@ int run_chip(const CliOptions& opts, std::ostream& out,
     // are excluded from the CI serial-vs-threaded transcript diff.
     out << "# chip stream: chunks " << st.chunks << "  peak_chunk_nets "
         << st.peak_chunk_nets << "  nets_per_sec " << st.nets_per_sec
+        << "  pull_seconds " << st.pull_seconds
         << "  workspace_resident_bytes " << st.workspace_resident_bytes
         << '\n';
     if (!st.source_error.empty()) {

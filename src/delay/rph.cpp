@@ -18,12 +18,14 @@ RphTerms rph_terms(const FlatTree& ft, const Technology& tech)
 
     // Integer geometric sums are exact, so t1/t3 match the reference's
     // metrics helpers bit for bit; the sink sums accumulate in sinks() order.
+    // The QMST sum is 128-bit: a net validate_net admits can exceed int64
+    // there (see rtree/metrics.h), and t3 must not wrap negative.
     Length length_sum = 0;
-    Length qmst_sum = 0;
+    __int128 qmst_sum = 0;
     for (std::size_t i = 1; i < ft.size(); ++i) {
-        const Length l = el[i];
-        const Length a = pl[i] - l;
-        length_sum += l;
+        const __int128 l = el[i];
+        const __int128 a = pl[i] - el[i];
+        length_sum += el[i];
         qmst_sum += l * a + l * (l + 1) / 2;
     }
 

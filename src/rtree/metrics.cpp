@@ -1,18 +1,35 @@
 #include "rtree/metrics.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace cong93 {
 
 namespace {
 
-/// Σ_{j=1..l} (a+j) for an edge of length l whose head sits at path length
-/// a = pl - l: the contribution of the edge's grid points to the QMST cost.
-Length edge_qmst_term(Length l, Length pl)
-{
-    const Length a = pl - l;
-    return l * a + l * (l + 1) / 2;
-}
+/// Checked QMST accumulation.  Each edge of length l whose head sits at
+/// path length a = pl - l adds Σ_{j=1..l} (a+j).  Terms and the running sum
+/// are 128-bit, so neither can wrap; a sum beyond int64 throws -- a net
+/// validate_net admits can still get there (2048 sinks from a corner of the
+/// ±2^28 box), and a wrapped cost would come out negative.
+class QmstSum {
+public:
+    void add(Length l, Length pl)
+    {
+        const __int128 wl = l;
+        const __int128 a = static_cast<__int128>(pl) - l;
+        sum_ += wl * a + wl * (wl + 1) / 2;
+        if (sum_ > std::numeric_limits<Length>::max() ||
+            sum_ < std::numeric_limits<Length>::min())
+            throw std::overflow_error(
+                "QMST cost (sum of all node path lengths) overflows int64");
+    }
+    Length value() const { return static_cast<Length>(sum_); }
+
+private:
+    __int128 sum_ = 0;
+};
 
 }  // namespace
 
@@ -46,21 +63,21 @@ Length sum_sink_path_lengths(const RoutingTree& tree)
 
 Length sum_all_node_path_lengths(const FlatTree& ft)
 {
-    Length sum = 0;
+    QmstSum sum;
     const Length* el = ft.edge_length().data();
     const Length* pl = ft.path_length().data();
-    for (std::size_t i = 1; i < ft.size(); ++i) sum += edge_qmst_term(el[i], pl[i]);
-    return sum;
+    for (std::size_t i = 1; i < ft.size(); ++i) sum.add(el[i], pl[i]);
+    return sum.value();
 }
 
 Length sum_all_node_path_lengths(const RoutingTree& tree)
 {
-    Length sum = 0;
+    QmstSum sum;
     for (std::size_t i = 1; i < tree.node_count(); ++i) {
         const NodeId id = static_cast<NodeId>(i);
-        sum += edge_qmst_term(tree.edge_length(id), tree.path_length(id));
+        sum.add(tree.edge_length(id), tree.path_length(id));
     }
-    return sum;
+    return sum.value();
 }
 
 Length radius(const FlatTree& ft)

@@ -3,7 +3,8 @@
 //   Σ_{sinks k} pl_k(T)  -- the SPT objective (drives t2)
 //   Σ_{nodes k} pl_k(T)  -- sum over *all grid points* of the tree, the QMST
 //                           objective (drives t3)
-// All values are exact 64-bit integers in grid units.
+// All values are exact 64-bit integers in grid units (the QMST sum is
+// range-checked and throws rather than wrap).
 //
 // Every metric exists twice.  The FlatTree overloads make one pass over the
 // compiled preorder arrays (the analysis IR).  The RoutingTree overloads
@@ -32,7 +33,9 @@ Length sum_sink_path_lengths(const RoutingTree& tree);
 
 /// Σ over every grid node of the tree of its source path length (the QMST
 /// cost).  Each edge of length l starting at path length a contributes
-/// Σ_{j=1..l} (a+j) = l*a + l(l+1)/2; the source contributes 0.
+/// Σ_{j=1..l} (a+j) = l*a + l(l+1)/2; the source contributes 0.  Accumulated
+/// in 128 bits; throws std::overflow_error when the total does not fit
+/// int64.
 Length sum_all_node_path_lengths(const FlatTree& ft);
 Length sum_all_node_path_lengths(const RoutingTree& tree);
 

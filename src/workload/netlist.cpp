@@ -1,5 +1,6 @@
 #include "workload/netlist.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <istream>
@@ -22,7 +23,7 @@ std::string fmt_double(double v)
 
 /// Finite doubles only: std::from_chars also accepts "nan" and "inf", which
 /// no crit/rat/cap attribute may carry.
-bool parse_double(const std::string& tok, double& out)
+bool parse_double(std::string_view tok, double& out)
 {
     const char* first = tok.data();
     const char* last = tok.data() + tok.size();
@@ -30,7 +31,7 @@ bool parse_double(const std::string& tok, double& out)
     return res.ec == std::errc{} && res.ptr == last && std::isfinite(out);
 }
 
-bool parse_coord(const std::string& tok, Coord& out)
+bool parse_coord(std::string_view tok, Coord& out)
 {
     long long v = 0;
     const char* first = tok.data();
@@ -43,7 +44,7 @@ bool parse_coord(const std::string& tok, Coord& out)
     return true;
 }
 
-bool parse_count(const std::string& tok, std::size_t& out)
+bool parse_count(std::string_view tok, std::size_t& out)
 {
     unsigned long long v = 0;
     const char* first = tok.data();
@@ -54,21 +55,28 @@ bool parse_count(const std::string& tok, std::size_t& out)
     return true;
 }
 
-/// Splits one raw line into whitespace tokens, dropping '#' comments.
-void tokenize(const std::string& line, std::vector<std::string>& tokens)
+bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r' || c == '\n'; }
+
+/// Splits one raw line into whitespace tokens (views into `line`),
+/// dropping '#' comments.
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens)
 {
     tokens.clear();
-    std::string tok;
-    for (char c : line) {
-        if (c == '#') break;
-        if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-            if (!tok.empty()) tokens.push_back(std::move(tok)), tok.clear();
-        } else {
-            tok.push_back(c);
+    std::size_t i = 0;
+    while (i < line.size() && line[i] != '#') {
+        if (is_space(line[i])) {
+            ++i;
+            continue;
         }
+        const std::size_t start = i;
+        while (i < line.size() && !is_space(line[i]) && line[i] != '#') ++i;
+        tokens.push_back(line.substr(start, i - start));
     }
-    if (!tok.empty()) tokens.push_back(std::move(tok));
 }
+
+/// Sinks reserved up front from a block's declared degree: the degree is
+/// untrusted input, so the reservation is capped.
+constexpr std::size_t kMaxReservedSinks = 1024;
 
 }  // namespace
 
@@ -114,14 +122,14 @@ NetlistReader::NetlistReader(std::istream& in) : in_(&in)
 {
     // The magic line is formally a comment, so check it on the raw text
     // before token parsing starts.
-    std::string raw;
     bool found_magic = false;
-    while (std::getline(*in_, raw)) {
+    while (std::getline(*in_, line_)) {
         ++line_no_;
-        while (!raw.empty() && (raw.back() == '\r' || raw.back() == ' ' || raw.back() == '\t'))
-            raw.pop_back();
-        if (raw.empty()) continue;
-        if (raw != kMagic)
+        while (!line_.empty() &&
+               (line_.back() == '\r' || line_.back() == ' ' || line_.back() == '\t'))
+            line_.pop_back();
+        if (line_.empty()) continue;
+        if (line_ != kMagic)
             throw std::invalid_argument("netlist: missing magic line '" +
                                         std::string(kMagic) + "' (line " +
                                         std::to_string(line_no_) + ")");
@@ -131,26 +139,23 @@ NetlistReader::NetlistReader(std::istream& in) : in_(&in)
     if (!found_magic)
         throw std::invalid_argument("netlist: empty input (no magic line)");
 
-    std::vector<std::string> tokens;
-    if (!next_line(tokens) || tokens.size() != 3 || tokens[0] != "design" ||
-        !parse_count(tokens[2], declared_count_))
+    if (!next_line() || tokens_.size() != 3 || tokens_[0] != "design" ||
+        !parse_count(tokens_[2], declared_count_))
         throw std::invalid_argument(
             "netlist: expected 'design <name> <net-count>' after the magic line");
-    design_name_ = tokens[1];
+    design_name_ = tokens_[1];
 }
 
-bool NetlistReader::next_line(std::vector<std::string>& tokens)
+bool NetlistReader::next_line()
 {
     if (has_pending_) {
-        tokens = pending_;
         has_pending_ = false;
         return true;
     }
-    std::string raw;
-    while (std::getline(*in_, raw)) {
+    while (std::getline(*in_, line_)) {
         ++line_no_;
-        tokenize(raw, tokens);
-        if (!tokens.empty()) return true;
+        tokenize(line_, tokens_);
+        if (!tokens_.empty()) return true;
     }
     return false;
 }
@@ -158,8 +163,7 @@ bool NetlistReader::next_line(std::vector<std::string>& tokens)
 bool NetlistReader::read_item(WorkItem& item)
 {
     item = WorkItem{};
-    std::vector<std::string> tokens;
-    if (!next_line(tokens)) {
+    if (!next_line()) {
         if (yielded_ < declared_count_) {
             item.meta.parse_error =
                 "truncated design: header declares " + std::to_string(declared_count_) +
@@ -171,48 +175,53 @@ bool NetlistReader::read_item(WorkItem& item)
         return false;
     }
 
+    const std::vector<std::string_view>& tokens = tokens_;
     std::string error;
-    const std::size_t block_line = line_no_;
     bool block_open = false;  // inside net ... end, must recover on error
     bool have_source = false;
     bool have_end = false;
     std::size_t declared_degree = 0;
+    caps_.clear();
+    rats_.clear();
 
     const auto fail = [&](const std::string& msg) {
         if (error.empty()) error = "line " + std::to_string(line_no_) + ": " + msg;
     };
+    const auto str = [](std::string_view tok) { return std::string(tok); };
 
     if (tokens[0] != "net" || tokens.size() < 3) {
-        fail("expected 'net <name> <degree>', got '" + tokens[0] + "'");
+        fail("expected 'net <name> <degree>', got '" + str(tokens[0]) + "'");
     } else {
         block_open = true;
         item.meta.name = tokens[1];
         if (!parse_count(tokens[2], declared_degree) || declared_degree < 1)
-            fail("bad degree '" + tokens[2] + "' for net '" + item.meta.name + "'");
+            fail("bad degree '" + str(tokens[2]) + "' for net '" + item.meta.name + "'");
+        else
+            item.net.sinks.reserve(std::min(declared_degree - 1, kMaxReservedSinks));
         for (std::size_t i = 3; i + 1 < tokens.size() && error.empty(); i += 2) {
             double v = 0.0;
             if (!parse_double(tokens[i + 1], v)) {
-                fail("bad value '" + tokens[i + 1] + "' for '" + tokens[i] + "'");
+                fail("bad value '" + str(tokens[i + 1]) + "' for '" + str(tokens[i]) + "'");
             } else if (tokens[i] == "crit") {
                 // A negative weight would turn a violation into TNS credit.
                 if (v < 0.0)
-                    fail("negative crit '" + tokens[i + 1] + "' for net '" +
+                    fail("negative crit '" + str(tokens[i + 1]) + "' for net '" +
                          item.meta.name + "'");
                 item.meta.criticality = v;
             } else if (tokens[i] == "rat") {
                 item.meta.required_arrival_s = v;
             } else {
-                fail("unknown net attribute '" + tokens[i] + "'");
+                fail("unknown net attribute '" + str(tokens[i]) + "'");
             }
         }
         if (error.empty() && tokens.size() % 2 == 0)
-            fail("dangling attribute token '" + tokens.back() + "'");
+            fail("dangling attribute token '" + str(tokens.back()) + "'");
         if (error.empty() && !seen_names_.insert(item.meta.name).second)
             fail("duplicate net name '" + item.meta.name + "'");
     }
 
     while (block_open && !have_end) {
-        if (!next_line(tokens)) {
+        if (!next_line()) {
             fail("truncated net '" + item.meta.name + "': EOF before 'end'");
             break;
         }
@@ -220,7 +229,6 @@ bool NetlistReader::read_item(WorkItem& item)
             have_end = true;
         } else if (tokens[0] == "net") {
             fail("net '" + item.meta.name + "' missing 'end'");
-            pending_ = tokens;
             has_pending_ = true;
             break;
         } else if (tokens[0] == "source") {
@@ -241,20 +249,21 @@ bool NetlistReader::read_item(WorkItem& item)
             for (std::size_t i = 3; i + 1 < tokens.size(); i += 2) {
                 double v = 0.0;
                 if (!parse_double(tokens[i + 1], v))
-                    fail("bad value '" + tokens[i + 1] + "' for '" + tokens[i] + "'");
+                    fail("bad value '" + str(tokens[i + 1]) + "' for '" + str(tokens[i]) + "'");
                 else if (tokens[i] == "cap")
                     cap = v;
                 else if (tokens[i] == "rat")
                     rat = v;
                 else
-                    fail("unknown sink attribute '" + tokens[i] + "'");
+                    fail("unknown sink attribute '" + str(tokens[i]) + "'");
             }
-            if (tokens.size() % 2 == 0) fail("dangling attribute token '" + tokens.back() + "'");
+            if (tokens.size() % 2 == 0)
+                fail("dangling attribute token '" + str(tokens.back()) + "'");
             item.net.sinks.push_back(Point{x, y});
-            item.net.sink_caps.push_back(cap);
-            item.meta.sink_required_arrival_s.push_back(rat);
+            caps_.push_back(cap);
+            rats_.push_back(rat);
         } else {
-            fail("unknown keyword '" + tokens[0] + "'");
+            fail("unknown keyword '" + str(tokens[0]) + "'");
         }
     }
 
@@ -273,30 +282,26 @@ bool NetlistReader::read_item(WorkItem& item)
     if (!error.empty()) {
         // Recover to the next block boundary so one bad block costs one item.
         if (block_open && !have_end && !has_pending_) {
-            std::vector<std::string> skip;
-            while (next_line(skip)) {
-                if (skip[0] == "end") break;
-                if (skip[0] == "net") {
-                    pending_ = skip;
+            while (next_line()) {
+                if (tokens[0] == "end") break;
+                if (tokens[0] == "net") {
                     has_pending_ = true;
                     break;
                 }
             }
         }
-        const std::string name = item.meta.name;
+        std::string name = std::move(item.meta.name);
         item = WorkItem{};
-        item.meta.name = name;
-        item.meta.parse_error = error;
-        (void)block_line;
+        item.meta.name = std::move(name);
+        item.meta.parse_error = std::move(error);
     } else {
-        // Canonicalize all-default optional columns away so a parsed item
+        // All-default optional columns stay empty so a parsed item
         // re-serializes byte-identically.
-        bool any_cap = false;
-        for (double c : item.net.sink_caps) any_cap |= c >= 0.0;
-        if (!any_cap) item.net.sink_caps.clear();
-        bool any_rat = false;
-        for (double r : item.meta.sink_required_arrival_s) any_rat |= r >= 0.0;
-        if (!any_rat) item.meta.sink_required_arrival_s.clear();
+        const auto any_set = [](const std::vector<double>& v) {
+            return std::any_of(v.begin(), v.end(), [](double x) { return x >= 0.0; });
+        };
+        if (any_set(caps_)) item.net.sink_caps = caps_;
+        if (any_set(rats_)) item.meta.sink_required_arrival_s = rats_;
     }
     ++yielded_;
     return true;

@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -62,6 +63,9 @@ public:
     /// Parses the header eagerly; throws std::invalid_argument when the
     /// magic line or design line is missing/malformed.
     explicit NetlistReader(std::istream& in);
+    // tokens_ views point into line_, which a copy or move would not carry.
+    NetlistReader(const NetlistReader&) = delete;
+    NetlistReader& operator=(const NetlistReader&) = delete;
 
     std::size_t pull(std::vector<WorkItem>& out, std::size_t max_items) override;
     std::size_t size_hint() const override { return declared_count_; }
@@ -70,7 +74,9 @@ public:
     std::size_t declared_count() const { return declared_count_; }
 
 private:
-    bool next_line(std::vector<std::string>& tokens);
+    /// Reads the next non-empty token line into tokens_ (or replays the
+    /// pushed-back one); false at end of input.
+    bool next_line();
     bool read_item(WorkItem& item);
 
     std::istream* in_;
@@ -79,10 +85,19 @@ private:
     std::size_t yielded_ = 0;
     std::size_t line_no_ = 0;
     bool done_ = false;
-    /// One pushed-back token line (a stray `net` line seen while recovering
-    /// from a malformed block becomes the next block's first line).
-    std::vector<std::string> pending_;
+    /// The current raw line and its tokens (views into line_).  Both are
+    /// reused for every line, so a clean parse allocates only what the
+    /// items and seen_names_ keep.
+    std::string line_;
+    std::vector<std::string_view> tokens_;
+    /// The current token line is pushed back: a stray `net` line seen while
+    /// recovering from a malformed block becomes the next block's first
+    /// line, so the next next_line() returns it again.
     bool has_pending_ = false;
+    /// Per-sink cap / rat columns of the block being parsed; copied into
+    /// the item only when some entry is set.
+    std::vector<double> caps_;
+    std::vector<double> rats_;
     std::unordered_set<std::string> seen_names_;
 };
 

@@ -1,8 +1,10 @@
 #include "workload/stream.h"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <limits>
+#include <optional>
 
 #include "batch/workspace.h"
 
@@ -78,46 +80,73 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
                                   ? std::numeric_limits<std::size_t>::max()
                                   : stream_opts.chunk_nets;
 
+    // One pool for the whole stream: without one route_batch would build
+    // (and join) a fresh pool for every chunk.
+    PipelineOptions popts = opts;
+    std::optional<ThreadPool> own_pool;
+    if (popts.pool == nullptr) {
+        const int pool_threads = resolve_pool_threads(popts);
+        if (pool_threads > 1) popts.pool = &own_pool.emplace(pool_threads);
+    }
+
     // One set of buffers and per-slot workspaces for the whole stream: the
     // bounded-memory property is exactly their chunk-sized high-water mark.
+    // Two chunks are resident: `items` is being routed while `next` is
+    // pulled.
     std::vector<Workspace> workspaces;
     std::vector<WorkItem> items;
+    std::vector<WorkItem> next;
     std::vector<Net> nets;
     std::vector<std::uint64_t> seeds;
     std::vector<NetRouteResult> results;
+
+    // Pulls the next chunk into `next` on this thread.  route_batch runs it
+    // while the pool routes the current chunk; a throwing source leaves
+    // `next` empty, so the chunk in flight is still delivered and the
+    // source is never pulled again.
+    const std::function<void()> pull_next = [&] {
+        next.clear();
+        const auto t0 = std::chrono::steady_clock::now();
+        try {
+            source.pull(next, chunk);
+        } catch (const std::exception& e) {
+            stats.source_error = std::string("pull: ") + e.what();
+            next.clear();
+        }
+        stats.pull_seconds += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+    };
 
     // Whole-stream compile accounting (ratios are per-chunk in
     // PipelineStats; recompute them over all chunks at the end).
     double total_builds = 0.0;
     std::size_t first_index = 0;
 
-    for (;;) {
-        items.clear();
-        std::size_t pulled = 0;
-        try {
-            pulled = source.pull(items, chunk);
-        } catch (const std::exception& e) {
-            stats.source_error = std::string("pull: ") + e.what();
-            break;
-        }
-        if (pulled == 0) break;
-
+    pull_next();
+    while (!next.empty()) {
+        items.swap(next);
+        // route_batch routes plain nets: lend it the items' nets and take
+        // them back for the visitor, which reads item.net.
         nets.clear();
         seeds.clear();
         nets.reserve(items.size());
         seeds.reserve(items.size());
-        for (const WorkItem& item : items) {
-            nets.push_back(item.net);
+        for (WorkItem& item : items) {
+            nets.push_back(std::move(item.net));
             seeds.push_back(item.meta.diag_seed);
         }
 
         PipelineStats cs;
         try {
-            results = route_batch(nets, seeds, tech, opts, &cs, &workspaces);
+            results = route_batch(nets, seeds, tech, popts, &cs, &workspaces,
+                                  pull_next);
         } catch (const std::exception& e) {
             stats.source_error = std::string("route_batch: ") + e.what();
             break;
         }
+        for (std::size_t i = 0; i < items.size(); ++i)
+            items[i].net = std::move(nets[i]);
 
         // Reader-rejected items: overwrite in place (index-addressed, after
         // the barrier -- deterministic at any thread count) so malformed

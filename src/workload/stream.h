@@ -2,11 +2,19 @@
 // existing route_batch machinery in bounded-memory chunks.
 //
 // route_stream pulls `chunk_nets` items at a time, routes each chunk with
-// route_batch (reusing one persistent set of per-slot Workspaces and one
-// set of chunk buffers across the whole stream), hands the chunk's items +
-// results to a visitor, and drops them -- so peak resident bytes are a
-// function of chunk size x worker slots, never of design size.  A 100k+
-// net design streams through the same arenas a 1k design uses.
+// route_batch (reusing one persistent set of per-slot Workspaces, one
+// worker pool and two chunk buffers across the whole stream), hands the
+// chunk's items + results to a visitor, and drops them -- so peak resident
+// bytes are a function of chunk size x worker slots, never of design size.
+// A 100k+ net design streams through the same arenas a 1k design uses.
+//
+// Pulls overlap routing: while the pool routes chunk k, the streaming
+// (calling) thread pulls chunk k+1 into the spare buffer, so two chunks are
+// resident at once.  Every pull() and every visitor call still runs on the
+// calling thread, and the visitor of chunk k runs after chunk k+1 was
+// pulled.  With one worker thread nothing runs concurrently: chunk k+1 is
+// pulled after chunk k's nets are routed, outside route_batch's timed
+// window.
 //
 // Determinism contracts (inherited from route_batch per chunk, asserted in
 // tests/test_workload.cpp):
@@ -23,7 +31,11 @@
 // Error policy: nothing escapes.  Items carrying a reader parse error are
 // reported as RouteStatus::invalid_input with the parse message in their
 // diagnostic; a source whose pull() throws stops the stream cleanly with
-// the message in StreamStats::source_error.
+// the message in StreamStats::source_error -- every chunk pulled before the
+// throw is still routed and visited, and the source is not pulled again.
+// If route_batch itself throws, the stream stops without visiting that
+// chunk, and the source has already been advanced by one chunk (the pull
+// that overlapped it).
 #ifndef CONG93_WORKLOAD_STREAM_H
 #define CONG93_WORKLOAD_STREAM_H
 
@@ -50,6 +62,10 @@ struct StreamStats {
     std::size_t peak_chunk_nets = 0; ///< largest single chunk
     double seconds = 0.0;            ///< summed route_batch time
     double nets_per_sec = 0.0;
+    /// Summed time spent in source.pull().  Pulls overlapped with routing
+    /// also fall inside `seconds`; only the first pull, and every pull of a
+    /// serial stream, lie outside it.
+    double pull_seconds = 0.0;
     /// Bytes resident in the persistent per-slot workspaces when the stream
     /// finished -- the streaming memory footprint (chunk-bounded, by
     /// construction independent of how many chunks flowed through).
@@ -68,14 +84,16 @@ struct StreamStats {
 
 /// Per-chunk result callback: `first_index` is the stream-global index of
 /// items[0] (results are chunk-local, parallel to items).  Called on the
-/// streaming thread, in chunk order, after the chunk's route_batch barrier.
+/// streaming thread, in chunk order, after the chunk's route_batch barrier
+/// (by which time the next chunk has been pulled).
 using StreamVisitor = std::function<void(
     std::size_t first_index, const std::vector<WorkItem>& items,
     const std::vector<NetRouteResult>& results)>;
 
 /// Routes everything `source` yields.  Request-scoped PipelineOptions
-/// controls (deadline, cancel, admit_cap, memory budget, cache, pool)
-/// apply per chunk, as documented above.
+/// controls (deadline, cancel, admit_cap, memory budget, cache) apply per
+/// chunk, as documented above.  Without opts.pool the stream builds one
+/// pool of resolve_pool_threads(opts) workers for all its chunks.
 StreamStats route_stream(NetSource& source, const Technology& tech,
                          const PipelineOptions& opts = {},
                          const StreamOptions& stream_opts = {},

@@ -6,14 +6,19 @@
 // node walk, the FlatTree pass and the constructor's reported costs --
 // fails the comparison instead of passing unnoticed.  The corner-source
 // net's QMST sum reaches about 2^62.8 at 1024 sinks; at 2048 sinks it no
-// longer fits int64 although validate_net admits the net (ROADMAP item 4).
+// longer fits int64 although validate_net admits the net, so the metric
+// throws and the pipeline routes the net on a diagnosed fallback rung.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <random>
 #include <vector>
 
 #include "atree/generalized.h"
+#include "baseline/spt.h"
+#include "batch/pipeline.h"
 #include "rtree/flat_tree.h"
 #include "rtree/metrics.h"
 #include "rtree/validate.h"
@@ -138,6 +143,40 @@ TEST(ExtremeGeometry, SinksOnTheBoxRim)
     std::mt19937_64 rng(0x0121);
     expect_exact(rim_net(rng, Point{kEdge, -kEdge}, 1200));
     expect_exact(rim_net(rng, Point{0, 0}, 1200));
+}
+
+TEST(ExtremeGeometry, CornerSourceQmstOverflowIsDiagnosedNotWrapped)
+{
+    std::mt19937_64 rng(0xC0C5);
+    const Net net = box_net(rng, Point{-kEdge, -kEdge}, 2048);
+    ASSERT_TRUE(validate_net(net).ok);
+
+    // The star's QMST sum really is beyond int64; both metric forms throw
+    // instead of returning a wrapped value.
+    const RoutingTree star = build_spt(net);
+    EXPECT_TRUE(wide_metrics(star).all_pl >
+                static_cast<Wide>(std::numeric_limits<Length>::max()));
+    EXPECT_THROW(sum_all_node_path_lengths(star), std::overflow_error);
+    EXPECT_THROW(sum_all_node_path_lengths(FlatTree(star)), std::overflow_error);
+
+    // The A-tree prices its tree with the same metric, so it throws too; the
+    // pipeline catches that at the topology stage and takes the ladder.
+    PipelineOptions opts;
+    opts.threads = 1;
+    opts.wiresize = false;
+    opts.moment_check = false;
+    const std::vector<NetRouteResult> r =
+        route_batch(std::vector<Net>{net}, mcm_technology(), opts);
+    ASSERT_EQ(r.size(), 1u);
+    EXPECT_TRUE(is_routed(r[0].status));
+    EXPECT_NE(r[0].status, RouteStatus::ok);
+    ASSERT_FALSE(r[0].diag.events.empty());
+    EXPECT_EQ(r[0].diag.events.front().stage, RouteStage::topology);
+    EXPECT_NE(r[0].diag.events.front().message.find("overflows int64"),
+              std::string::npos);
+    EXPECT_GT(r[0].wirelength, 0);
+    EXPECT_GT(r[0].rph_s, 0.0);  // the RPH t3 term sums the same QMST cost
+    EXPECT_GT(r[0].elmore_max_s, 0.0);
 }
 
 }  // namespace

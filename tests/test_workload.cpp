@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "batch/fault_inject.h"
@@ -518,6 +519,169 @@ TEST(RouteStreamTest, SourceThrowStopsStreamCleanly)
     });
     EXPECT_EQ(seen, 1u);  // the complete chunk was delivered
     EXPECT_NE(st.source_error.find("disk on fire"), std::string::npos);
+}
+
+/// A generated 40-net design with five malformed blocks spliced in: a
+/// pin-count mismatch, a junk coordinate, a duplicate name, a block missing
+/// its `end` (recovered through the pushed-back next `net` line) and a stray
+/// line between blocks.
+std::string netlist_with_parse_errors()
+{
+    const std::string clean = format_netlist(generated_items(31, 40, 500, 4), "mixed");
+    const std::vector<std::string> bad = {
+        "net bad_pin 3\nsource 0 0\nsink 1 1\nend\n",
+        "net bad_coord 2\nsource 0 zz\nsink 1 1\nend\n",
+        "net n2 2\nsource 0 0\nsink 3 3\nend\n",
+        "net no_end 2\nsource 0 0\nsink 1 1\n",
+        "stray 1 2 3\n",
+    };
+    std::istringstream in(clean);
+    std::ostringstream out;
+    std::string line;
+    std::size_t blocks = 0, spliced = 0;
+    while (std::getline(in, line)) {
+        if (line.rfind("design ", 0) == 0) {
+            out << "design mixed " << 40 + bad.size() << '\n';
+            continue;
+        }
+        out << line << '\n';
+        if (line == "end" && ++blocks % 7 == 3 && spliced < bad.size())
+            out << bad[spliced++];
+    }
+    EXPECT_EQ(spliced, bad.size());
+    return out.str();
+}
+
+/// Streams `text` through a NetlistReader; returns the canonical results
+/// followed by the chip roll-up's machine line.
+std::string stream_netlist(const std::string& text, const PipelineOptions& popts,
+                           std::size_t chunk)
+{
+    std::istringstream in(text);
+    NetlistReader reader(in);
+    StreamOptions sopts;
+    sopts.chunk_nets = chunk;
+    const Technology tech = mcm_technology();
+    ChipAggregator agg(tech);
+    std::vector<NetRouteResult> all;
+    const StreamStats st = route_stream(
+        reader, tech, popts, sopts,
+        [&](std::size_t first, const std::vector<WorkItem>& items,
+            const std::vector<NetRouteResult>& results) {
+            agg.add_chunk(first, items, results);
+            all.insert(all.end(), results.begin(), results.end());
+        });
+    EXPECT_TRUE(st.source_error.empty()) << st.source_error;
+    EXPECT_EQ(st.pipeline.nets_invalid, 5u);
+    return format_results(all) + agg.machine_line();
+}
+
+TEST(RouteStreamTest, ExternalPoolMatchesSerialWithParseErrorsAtAnyChunking)
+{
+    const std::string text = netlist_with_parse_errors();
+    ASSERT_EQ(parse_netlist(text).items.size(), 45u);
+
+    ThreadPool pool(4);
+    PipelineOptions pooled;
+    pooled.threads = 4;
+    pooled.pool = &pool;
+    PipelineOptions own;  // route_stream builds its own 4-worker pool
+    own.threads = 4;
+    PipelineOptions serial;
+    serial.threads = 1;
+    for (const std::size_t chunk : {1u, 3u, 4096u, 0u}) {
+        const std::string want = stream_netlist(text, serial, chunk);
+        EXPECT_EQ(stream_netlist(text, pooled, chunk), want) << "chunk=" << chunk;
+        EXPECT_EQ(stream_netlist(text, own, chunk), want) << "chunk=" << chunk;
+    }
+}
+
+/// Records the thread of every pull and how many pulls were made; throws
+/// on pull number `throw_at` (1-based; 0 never throws).
+class RecordingSource : public NetSource {
+public:
+    explicit RecordingSource(NetSource& inner, std::size_t throw_at = 0)
+        : inner_(inner), throw_at_(throw_at)
+    {
+    }
+
+    std::size_t pull(std::vector<WorkItem>& out, std::size_t max_items) override
+    {
+        threads.push_back(std::this_thread::get_id());
+        if (threads.size() == throw_at_) throw std::runtime_error("disk on fire");
+        return inner_.pull(out, max_items);
+    }
+
+    std::vector<std::thread::id> threads;
+
+private:
+    NetSource& inner_;
+    std::size_t throw_at_;
+};
+
+TEST(RouteStreamTest, PullsAndVisitsRunOnTheCallingThread)
+{
+    ThreadPool pool(4);
+    PipelineOptions popts;
+    popts.pool = &pool;
+    GeneratedNetSource gen(3, 40, 500, 4);
+    RecordingSource src(gen);
+    StreamOptions sopts;
+    sopts.chunk_nets = 5;
+    std::vector<std::thread::id> visitors;
+    std::vector<std::size_t> firsts;
+    const StreamStats st = route_stream(
+        src, mcm_technology(), popts, sopts,
+        [&](std::size_t first, const std::vector<WorkItem>&,
+            const std::vector<NetRouteResult>&) {
+            visitors.push_back(std::this_thread::get_id());
+            firsts.push_back(first);
+        });
+    const std::thread::id self = std::this_thread::get_id();
+    EXPECT_EQ(st.chunks, 8u);
+    EXPECT_EQ(src.threads.size(), 9u);  // 8 chunks and the empty last pull
+    for (const std::thread::id t : src.threads) EXPECT_EQ(t, self);
+    ASSERT_EQ(visitors.size(), 8u);
+    for (std::size_t k = 0; k < visitors.size(); ++k) {
+        EXPECT_EQ(visitors[k], self);
+        EXPECT_EQ(firsts[k], 5 * k);
+    }
+    EXPECT_GT(st.pull_seconds, 0.0);
+}
+
+TEST(RouteStreamTest, ThrowOnPrefetchedPullDeliversEveryEarlierChunkOnce)
+{
+    // The 4th pull is the one that overlaps chunk 3's routing: chunks 1-3
+    // must still be visited exactly once, in order, and the source must not
+    // be pulled again after it threw.
+    ThreadPool pool(4);
+    PipelineOptions pooled;
+    pooled.pool = &pool;
+    PipelineOptions serial;
+    serial.threads = 1;
+    for (const PipelineOptions& popts : {pooled, serial}) {
+        GeneratedNetSource gen(9, 40, 500, 4);
+        RecordingSource src(gen, 4);
+        StreamOptions sopts;
+        sopts.chunk_nets = 4;
+        std::vector<std::size_t> firsts;
+        std::size_t seen = 0;
+        StreamStats st;
+        EXPECT_NO_THROW({
+            st = route_stream(src, mcm_technology(), popts, sopts,
+                              [&](std::size_t first, const std::vector<WorkItem>& items,
+                                  const std::vector<NetRouteResult>& r) {
+                                  EXPECT_EQ(items.size(), r.size());
+                                  firsts.push_back(first);
+                                  seen += r.size();
+                              });
+        });
+        EXPECT_EQ(firsts, (std::vector<std::size_t>{0, 4, 8}));
+        EXPECT_EQ(seen, 12u);
+        EXPECT_EQ(st.chunks, 3u);
+        EXPECT_EQ(src.threads.size(), 4u);
+        EXPECT_NE(st.source_error.find("pull: disk on fire"), std::string::npos);
+    }
 }
 
 TEST(RouteStreamTest, PeakMemoryTracksChunkSizeNotDesignSize)
