@@ -17,8 +17,8 @@
 // region, and a `*_reference` twin preserving the seed implementation's
 // full scan over all forest segments.  The two are exactly equivalent (the
 // randomized suite in tests/test_forest_index.cpp asserts it); the reference
-// forms remain as the oracle and as the baseline for BENCH_atree.json, and
-// are defined only in the cong_oracles target (CONG93_BUILD_ORACLES=ON).
+// forms remain as the oracle and are defined only in the cong_oracles target
+// (CONG93_BUILD_ORACLES=ON).
 #ifndef CONG93_ATREE_FOREST_H
 #define CONG93_ATREE_FOREST_H
 

@@ -668,19 +668,11 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         stats->threads = threads;
         stats->pool_threads = serial ? 1 : pool_threads;
         stats->seconds = std::chrono::duration<double>(t1 - t0).count();
-        stats->nets_per_sec =
-            stats->seconds > 0.0
-                ? static_cast<double>(nets.size()) / stats->seconds
-                : 0.0;
         stats->counters = WorkspaceCounters{};
         for (const Workspace& w : ws) stats->counters += w.counters();
-        const double builds_delta =
-            static_cast<double>(stats->counters.tree_builds - builds_before);
-        stats->compiles_per_net =
-            nets.empty() ? 0.0 : builds_delta / static_cast<double>(nets.size());
+        stats->nets = nets.size();
+        stats->compiles = stats->counters.tree_builds - builds_before;
         stats->nets_routed = routed;
-        stats->compiles_per_routed_net =
-            routed == 0 ? 0.0 : builds_delta / static_cast<double>(routed);
         stats->cache_hits = hits;
         stats->cache_misses = miss_groups;
         stats->cache_shared = shared;

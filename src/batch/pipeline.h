@@ -28,7 +28,7 @@
 //
 // Each net's FlatTree is compiled into its slot arena exactly once (stage
 // 2); every downstream stage consumes that compile.  PipelineStats::
-// compiles_per_net counter-verifies it per batch.
+// compiles_per_net() counter-verifies it per batch.
 //
 // Fault isolation (batch/errors.h): a failure in any per-net stage never
 // aborts the batch.  Stages degrade down a ladder --
@@ -204,19 +204,11 @@ struct PipelineStats {
     /// too small to fan out.  Results are byte-identical either way.
     int pool_threads = 1;
     double seconds = 0.0;
-    double nets_per_sec = 0.0;
     WorkspaceCounters counters;  ///< aggregated over the slot workspaces
-    /// FlatTree compilations per net in this batch (tree_builds delta over
-    /// the slot workspaces / net count).  Every consumer stage shares the
-    /// stage-2 compile, so a clean batch without a route cache measures
-    /// exactly 1.0; nets that fail before the compile stage -- and, with a
-    /// cache attached, nets served by result sharing -- pull it below 1.0.
-    double compiles_per_net = 0.0;
-    /// FlatTree compilations per net that actually executed the route
-    /// ladder (cache-served nets excluded from the denominator).  This is
-    /// the share-aware once-compiled invariant: <= 1.0 always, exactly 1.0
-    /// for a clean batch.
-    double compiles_per_routed_net = 0.0;
+    std::uint64_t nets = 0;      ///< nets in the batch
+    /// FlatTree compilations this batch (tree_builds delta over the slot
+    /// workspaces).
+    std::uint64_t compiles = 0;
     /// Nets that executed the route ladder this batch (= batch size minus
     /// cache-served nets).
     std::uint64_t nets_routed = 0;
@@ -262,6 +254,29 @@ struct PipelineStats {
     {
         return nets_fallback + nets_uniform_width + nets_deadline_degraded +
                nets_invalid + nets_cancelled + nets_rejected + nets_failed;
+    }
+
+    // Rates, derived from the counts above so that summing the counts of
+    // several batches (accumulate_pipeline_stats) keeps them exact.
+
+    double nets_per_sec() const
+    {
+        return seconds > 0.0 ? static_cast<double>(nets) / seconds : 0.0;
+    }
+    /// Every consumer stage shares the stage-2 compile, so a clean batch
+    /// without a route cache measures exactly 1.0; nets that fail before the
+    /// compile stage -- and, with a cache attached, nets served by result
+    /// sharing -- pull it below 1.0.
+    double compiles_per_net() const { return ratio(compiles, nets); }
+    /// Cache-served nets excluded from the denominator: the share-aware
+    /// once-compiled invariant, <= 1.0 always and exactly 1.0 for a clean
+    /// batch.
+    double compiles_per_routed_net() const { return ratio(compiles, nets_routed); }
+
+private:
+    static double ratio(std::uint64_t num, std::uint64_t den)
+    {
+        return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
     }
 };
 
@@ -346,8 +361,7 @@ void route_tail_compiled(const FlatTree& ft, std::size_t index,
 
 /// Canonical full-precision serialization (hexfloat) of a result batch,
 /// including each net's status and diagnostic events; equal strings <=>
-/// byte-identical results.  Used by the determinism tests and the
-/// BENCH_pipeline.json identity checks.
+/// byte-identical results.  Used by the determinism tests.
 std::string format_results(const std::vector<NetRouteResult>& results);
 
 }  // namespace cong93

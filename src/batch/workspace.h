@@ -43,7 +43,7 @@ struct WorkspaceCounters {
     /// instead of a compile (batch/pipeline.cpp).  Distinguishes "served"
     /// from "compiled" so per-net compile accounting stays meaningful:
     /// tree_builds ~= nets - results_served on a clean cached batch, and
-    /// PipelineStats::compiles_per_net may legitimately drop below 1.0.
+    /// PipelineStats::compiles_per_net() may legitimately drop below 1.0.
     std::uint64_t results_served = 0;
 
     WorkspaceCounters& operator+=(const WorkspaceCounters& o)

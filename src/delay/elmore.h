@@ -40,8 +40,8 @@ std::vector<double> elmore_all_sinks(const FlatTree& ft, const Technology& tech)
 void elmore_all_sinks(const FlatTree& ft, const Technology& tech,
                       std::vector<double>& cap_scratch, std::vector<double>& out);
 
-/// The seed pointer-walk implementation (equivalence oracle and speedup
-/// baseline for BENCH_pipeline.json); bit-identical to the flat kernel.
+/// The seed pointer-walk implementation, kept as the equivalence oracle;
+/// bit-identical to the flat kernel.
 /// Defined only in the cong_oracles target (CONG93_BUILD_ORACLES=ON).
 std::vector<double> elmore_all_sinks_reference(const RoutingTree& tree,
                                                const Technology& tech);

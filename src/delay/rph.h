@@ -33,9 +33,8 @@ RphTerms rph_terms(const RoutingTree& tree, const Technology& tech);
 /// tree.sinks() order).  Bit-identical to rph_terms_reference.
 RphTerms rph_terms(const FlatTree& ft, const Technology& tech);
 
-/// The seed pointer-walk implementation (equivalence oracle and speedup
-/// baseline for BENCH_pipeline.json).  Defined only in the cong_oracles
-/// target (CONG93_BUILD_ORACLES=ON).
+/// The seed pointer-walk implementation, kept as the equivalence oracle.
+/// Defined only in the cong_oracles target (CONG93_BUILD_ORACLES=ON).
 RphTerms rph_terms_reference(const RoutingTree& tree, const Technology& tech);
 
 /// Total RPH bound t(T) of Eq. 2 (equals rph_terms(...).total()).

@@ -1,6 +1,6 @@
 // Seed full-scan geometric queries over the A-tree forest, preserved as the
 // equivalence oracles for the SegIndex-served production queries (see
-// tests/test_forest_index.cpp) and as the baseline for BENCH_atree.json.
+// tests/test_forest_index.cpp).
 // Built only into the cong_oracles target (CONG93_BUILD_ORACLES=ON).
 #include "atree/forest.h"
 

@@ -20,7 +20,8 @@
 // batch/workspace.h) keeps one FlatTree per worker thread and recompiles it
 // for each net of a batch without touching the allocator once the high-water
 // mark is reached.  builds()/growths() count compilations and capacity
-// growth events so reuse is measurable (see BENCH_pipeline.json), and
+// growth events so reuse is measurable
+// (Pipeline.WorkspaceArenaIsReusedAcrossBatches asserts it), and
 // flat_tree_compiles() counts every build() in the process -- including the
 // throwaway compiles behind RoutingTree convenience overloads that no
 // Workspace sees.

@@ -145,8 +145,6 @@ std::vector<NetId> SessionService::add_batch(SessionId id, NetSource& source,
     std::vector<NetId> ids;
     std::vector<WorkItem> items;
     std::vector<Net> nets;
-    double total_builds = 0.0;
-    std::size_t total_nets = 0;
     for (;;) {
         items.clear();
         if (source.pull(items, chunk) == 0) break;
@@ -156,20 +154,7 @@ std::vector<NetId> SessionService::add_batch(SessionId id, NetSource& source,
         PipelineStats cs;
         const std::vector<NetId> chunk_ids = add_batch(id, nets, &cs);
         ids.insert(ids.end(), chunk_ids.begin(), chunk_ids.end());
-        if (stats != nullptr) {
-            accumulate_pipeline_stats(*stats, cs);
-            total_builds += cs.compiles_per_net * static_cast<double>(nets.size());
-            total_nets += nets.size();
-        }
-    }
-    if (stats != nullptr && total_nets > 0) {
-        stats->compiles_per_net = total_builds / static_cast<double>(total_nets);
-        if (stats->nets_routed > 0)
-            stats->compiles_per_routed_net =
-                total_builds / static_cast<double>(stats->nets_routed);
-        if (stats->seconds > 0.0)
-            stats->nets_per_sec =
-                static_cast<double>(total_nets) / stats->seconds;
+        if (stats != nullptr) accumulate_pipeline_stats(*stats, cs);
     }
     return ids;
 }

@@ -174,8 +174,8 @@ public:
     /// chunk).  The session retains geometry only -- workload metadata is
     /// a roll-up concern (report/chip_report.h), not repair state; items a
     /// reader rejected admit as their cleared geometry and surface as
-    /// invalid_input results.  `stats` aggregates additive counters across
-    /// chunks with whole-stream compile ratios.
+    /// invalid_input results.  `stats` sums the chunks' counts
+    /// (accumulate_pipeline_stats).
     std::vector<NetId> add_batch(NetSource& source, std::size_t chunk_nets = 0,
                                  PipelineStats* stats = nullptr);
 

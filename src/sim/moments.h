@@ -41,9 +41,9 @@ std::vector<std::vector<double>> compute_moments(const RcTree& rc, int order);
 const std::vector<std::vector<double>>& compute_moments(const RcTree& rc, int order,
                                                         MomentWorkspace& ws);
 
-/// The seed implementation (allocates every buffer per call); equivalence
-/// oracle and speedup baseline for BENCH_pipeline.json.  Defined only in
-/// the cong_oracles target (CONG93_BUILD_ORACLES=ON).
+/// The seed implementation (allocates every buffer per call), kept as the
+/// equivalence oracle.  Defined only in the cong_oracles target
+/// (CONG93_BUILD_ORACLES=ON).
 std::vector<std::vector<double>> compute_moments_reference(const RcTree& rc,
                                                            int order);
 

@@ -35,9 +35,8 @@ GrewsaResult grewsa(const WiresizeContext& ctx, Assignment initial);
 
 /// The pre-optimization O(n^2)-per-sweep implementation: every local
 /// refinement re-derives theta/phi (and psi, via a full delay evaluation)
-/// from scratch.  Kept as the equivalence oracle and the speedup baseline
-/// for bench_micro_scaling.  Defined only in the cong_oracles target
-/// (CONG93_BUILD_ORACLES=ON).
+/// from scratch.  Kept as the equivalence oracle.  Defined only in the
+/// cong_oracles target (CONG93_BUILD_ORACLES=ON).
 GrewsaResult grewsa_reference(const WiresizeContext& ctx, Assignment initial);
 
 /// Convenience: GREWSA from the all-minimum-width assignment f_lower.

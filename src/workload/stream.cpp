@@ -50,6 +50,8 @@ void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk)
     total.pool_threads = std::max(total.pool_threads, chunk.pool_threads);
     total.seconds += chunk.seconds;
     total.counters = chunk.counters;  // cumulative over shared workspaces
+    total.nets += chunk.nets;
+    total.compiles += chunk.compiles;
     total.nets_routed += chunk.nets_routed;
     total.cache_hits += chunk.cache_hits;
     total.cache_misses += chunk.cache_misses;
@@ -75,6 +77,7 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
                          const StreamOptions& stream_opts,
                          const StreamVisitor& visit)
 {
+    const auto t_start = std::chrono::steady_clock::now();
     StreamStats stats;
     const std::size_t chunk = stream_opts.chunk_nets == 0
                                   ? std::numeric_limits<std::size_t>::max()
@@ -118,9 +121,6 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
                                   .count();
     };
 
-    // Whole-stream compile accounting (ratios are per-chunk in
-    // PipelineStats; recompute them over all chunks at the end).
-    double total_builds = 0.0;
     std::size_t first_index = 0;
 
     pull_next();
@@ -166,7 +166,6 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
         if (rewrote) tally_outcomes(results, cs);
 
         accumulate_pipeline_stats(stats.pipeline, cs);
-        total_builds += cs.compiles_per_net * static_cast<double>(nets.size());
 
         ++stats.chunks;
         stats.nets += items.size();
@@ -176,19 +175,13 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
         first_index += items.size();
     }
 
-    if (stats.nets > 0) {
-        stats.pipeline.compiles_per_net =
-            total_builds / static_cast<double>(stats.nets);
-        if (stats.pipeline.nets_routed > 0)
-            stats.pipeline.compiles_per_routed_net =
-                total_builds / static_cast<double>(stats.pipeline.nets_routed);
-    }
     stats.seconds = stats.pipeline.seconds;
-    if (stats.seconds > 0.0)
-        stats.nets_per_sec = static_cast<double>(stats.nets) / stats.seconds;
-    stats.pipeline.nets_per_sec = stats.nets_per_sec;
     for (const Workspace& w : workspaces)
         stats.workspace_resident_bytes += w.resident_bytes();
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t_start)
+                            .count();
+    if (wall > 0.0) stats.nets_per_sec = static_cast<double>(stats.nets) / wall;
     return stats;
 }
 

@@ -61,6 +61,8 @@ struct StreamStats {
     std::size_t nets = 0;            ///< items routed (including error items)
     std::size_t peak_chunk_nets = 0; ///< largest single chunk
     double seconds = 0.0;            ///< summed route_batch time
+    /// `nets` over the wall time of the whole route_stream call, pulls and
+    /// visitor included, at any thread count.
     double nets_per_sec = 0.0;
     /// Summed time spent in source.pull().  Pulls overlapped with routing
     /// also fall inside `seconds`; only the first pull, and every pull of a
@@ -74,11 +76,8 @@ struct StreamStats {
     /// the stream stopped after the last complete chunk and this carries
     /// the exception text.  route_stream itself never throws on this path.
     std::string source_error;
-    /// Pipeline counters aggregated across chunks: additive fields (times,
-    /// outcome tallies, cache hits/misses/shared/evictions) are summed;
-    /// point-in-time fields (workspace counters, cache resident_bytes)
-    /// carry the final chunk's value; compile ratios are recomputed over
-    /// the whole stream.
+    /// Pipeline counters aggregated across chunks by
+    /// accumulate_pipeline_stats.
     PipelineStats pipeline;
 };
 
@@ -100,12 +99,10 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
                          const StreamVisitor& visit = {});
 
 /// Folds one route_batch call's stats into a running cross-chunk aggregate:
-/// additive fields (seconds, outcome tallies, cache traffic, telemetry) are
-/// summed, high-water fields (threads) maxed, point-in-time fields
-/// (workspace counters, cache resident_bytes) replaced.  The ratio fields
-/// (nets_per_sec, compiles_per_*) are NOT maintained -- they are per-call
-/// quotients; callers recompute them over the whole stream as route_stream
-/// and the chunked session admission paths do.
+/// counts (seconds, nets, compiles, outcome tallies, cache traffic,
+/// telemetry) are summed, so the derived rates cover every chunk;
+/// high-water fields (threads) are maxed and point-in-time fields
+/// (workspace counters, cache resident_bytes) replaced.
 void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk);
 
 }  // namespace cong93

@@ -8,7 +8,7 @@
 //   * the cong_oracles pointer-walk twins (RcTree construction, simulator
 //     outputs, all five metrics, SVG bytes) when CONG93_BUILD_ORACLES=ON;
 //   * the pipeline's one-compile-per-net guarantee via
-//     PipelineStats::compiles_per_net and the process-wide
+//     PipelineStats::compiles_per_net() and the process-wide
 //     flat_tree_compiles() counter (A-tree construction compiles nothing).
 #include <gtest/gtest.h>
 
@@ -250,12 +250,12 @@ TEST(FlatIr, PipelineCompilesEachNetExactlyOnce)
     opts.threads = 1;
     PipelineStats serial;
     const auto r1 = route_batch(97, 24, kMcmGrid, 9, tech, opts, &serial);
-    EXPECT_EQ(serial.compiles_per_net, 1.0);
+    EXPECT_EQ(serial.compiles_per_net(), 1.0);
 
     opts.threads = 4;
     PipelineStats threaded;
     const auto r4 = route_batch(97, 24, kMcmGrid, 9, tech, opts, &threaded);
-    EXPECT_EQ(threaded.compiles_per_net, 1.0);
+    EXPECT_EQ(threaded.compiles_per_net(), 1.0);
 
     // Still byte-identical across thread counts with the shared compile.
     EXPECT_EQ(format_results(r1), format_results(r4));
@@ -288,7 +288,7 @@ TEST(FlatIr, ProcessWideCompilesEqualAtreeRoutedNets)
     const std::uint64_t compiles = flat_tree_compiles() - before;
     for (const NetRouteResult& r : results) ASSERT_EQ(r.status, RouteStatus::ok);
     EXPECT_EQ(compiles, nets.size());
-    EXPECT_EQ(stats.compiles_per_net, 1.0);
+    EXPECT_EQ(stats.compiles_per_net(), 1.0);
 }
 
 TEST(FlatIr, PipelineCompileCounterIsPerBatchDelta)
@@ -303,7 +303,7 @@ TEST(FlatIr, PipelineCompileCounterIsPerBatchDelta)
         PipelineStats stats;
         route_batch(500 + static_cast<std::uint64_t>(round), 10, kMcmGrid, 7,
                     tech, opts, &stats, &ws);
-        EXPECT_EQ(stats.compiles_per_net, 1.0) << "round " << round;
+        EXPECT_EQ(stats.compiles_per_net(), 1.0) << "round " << round;
     }
 }
 

@@ -153,6 +153,25 @@ TEST(ForestIndex, BitIdenticalConstructionBothPolicies)
             expect_forest_eq(fr, fi);
             expect_log_eq(er, ei);
         }
+        // Corner-source nets keep every sink in one quadrant, so one A-tree
+        // carries the whole net: the harshest case for the reference's
+        // full-rescan queries.
+        for (const int n : {12, 25, 50}) {
+            const Net net = random_corner_nets(93, 1, kMcmGrid, n).front();
+            AtreeOptions ref, idx;
+            ref.policy = idx.policy = policy;
+            ref.mode = Mode::reference;
+            idx.mode = Mode::indexed;
+            const AtreeResult a = build_atree(net, ref);
+            const AtreeResult b = build_atree(net, idx);
+            EXPECT_EQ(format_tree(a.tree), format_tree(b.tree)) << n << " sinks";
+            EXPECT_EQ(a.cost, b.cost);
+            EXPECT_EQ(a.safe_moves, b.safe_moves);
+            EXPECT_EQ(a.heuristic_moves, b.heuristic_moves);
+            EXPECT_EQ(a.sb_total, b.sb_total);
+            EXPECT_EQ(a.qmst_cost, b.qmst_cost);
+            EXPECT_EQ(a.sb_qmst_total, b.sb_qmst_total);
+        }
     }
 }
 

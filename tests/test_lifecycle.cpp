@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -368,6 +369,57 @@ TEST(LifecycleService, QueueCapRejectsOverlappingRequests)
         }
     }
     EXPECT_TRUE(saw_rejection.load());
+
+    // Mixed overload: four clients against queue cap 2, a 2 KiB memory
+    // budget and a virtual-clock deadline plan on every other session.
+    // Every request returns or is refused with OverloadError, and no
+    // admitted net ends on the failed rung.
+    ServiceOptions mixed;
+    mixed.threads = 2;
+    mixed.queue_cap = 2;
+    mixed.memory_budget_bytes = 2 * 1024;
+    mixed.session.pipeline.faults =
+        FaultPlan::parse("seed=5,vdeadline=10,vjitter=20");
+    SessionOptions plain = mixed.session;
+    plain.pipeline.faults = FaultPlan{};
+    SessionService mixed_svc(tech, mixed);
+    const std::vector<Net> common = random_nets(314, 20, kMcmGrid, 6);
+    constexpr int kClients = 4;
+    constexpr int kRequests = 8;
+    std::vector<int> finished(kClients, 0), failed_nets(kClients, 0);
+    std::vector<std::string> errors(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        const SessionId sid = c % 2 ? mixed_svc.open(plain) : mixed_svc.open();
+        clients.emplace_back([&, c, sid] {
+            const auto ci = static_cast<std::size_t>(c);
+            for (int r = 0; r < kRequests; ++r) {
+                std::vector<Net> nets = common;
+                const Coord dx = static_cast<Coord>(900 * c + 13 * r);
+                const Coord dy = static_cast<Coord>(500 * c + 7 * r);
+                for (Net& n : nets) {
+                    n.source = Point{n.source.x + dx, n.source.y + dy};
+                    for (Point& p : n.sinks) p = Point{p.x + dx, p.y + dy};
+                }
+                try {
+                    for (const NetId nid : mixed_svc.add_batch(sid, nets))
+                        if (mixed_svc.result(sid, nid).status == RouteStatus::failed)
+                            ++failed_nets[ci];
+                } catch (const OverloadError&) {
+                    // Backpressure: refused whole, before any work ran.
+                } catch (const std::exception& e) {
+                    errors[ci] = e.what();
+                }
+                ++finished[ci];
+            }
+        });
+    }
+    for (std::thread& t : clients) t.join();
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+        EXPECT_EQ(finished[c], kRequests) << "client " << c;
+        EXPECT_EQ(failed_nets[c], 0) << "client " << c;
+        EXPECT_EQ(errors[c], "") << "client " << c;
+    }
 }
 
 TEST(LifecycleService, QueueCapZeroNeverRejects)

@@ -209,7 +209,11 @@ TEST(FlatKernels, MomentsBitIdenticalToReference)
 TEST(FlatKernels, GrewsaFixpointBitIdenticalToReference)
 {
     const Technology tech = mcm_technology();
-    for (const RoutingTree& tree : random_atrees(25, 4, 14)) {
+    std::vector<RoutingTree> trees = random_atrees(25, 4, 14);
+    // One net each of 12..200 sinks (24..406 segments).
+    for (const int sinks : {12, 25, 50, 100, 200})
+        trees.push_back(random_atrees(1993, 1, sinks).front());
+    for (const RoutingTree& tree : trees) {
         const SegmentDecomposition segs(tree);
         const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
         const GrewsaResult fast = grewsa_from_min(ctx);
@@ -304,7 +308,8 @@ TEST(Pipeline, ParallelByteIdenticalToSerial)
             const auto out = format_results(route_batch(nets, tech, par, &stats));
             EXPECT_EQ(out, base) << "threads=" << threads << " chunk=" << chunk;
             EXPECT_EQ(stats.threads, threads);
-            EXPECT_GT(stats.nets_per_sec, 0.0);
+            EXPECT_EQ(stats.nets_not_ok(), 0u);
+            EXPECT_GT(stats.nets_per_sec(), 0.0);
         }
     }
 }

@@ -63,28 +63,41 @@ TEST(ShardedCache, ShardCountChangesNoOutputByte)
     const std::vector<Net> first = dup_batch(11, 12, 3);
     const std::vector<Net> second = dup_batch(11, 12, 2);  // warm rerun
 
+    // Each shard count runs serially and through an external 4-thread pool;
+    // the cache's entry count and resident bytes must not move either.
+    ThreadPool pool4(4);
     std::string want_first, want_second;
     std::uint64_t want_hits = 0;
+    std::size_t want_size = 0, want_resident = 0;
     for (const std::size_t shards : {1u, 4u, 64u}) {
-        RouteCache cache(0, shards);
-        PipelineOptions opts;
-        opts.threads = 1;
-        opts.cache = &cache;
-        PipelineStats s1, s2;
-        const std::string got_first =
-            format_results(route_batch(first, tech, opts, &s1));
-        const std::string got_second =
-            format_results(route_batch(second, tech, opts, &s2));
-        // Every signature of the warm batch is already interned.
-        EXPECT_EQ(s2.cache_hits, second.size()) << shards << " shards";
-        if (want_first.empty()) {
-            want_first = got_first;
-            want_second = got_second;
-            want_hits = s2.cache_hits;
-        } else {
-            EXPECT_EQ(got_first, want_first) << shards << " shards";
-            EXPECT_EQ(got_second, want_second) << shards << " shards";
-            EXPECT_EQ(s2.cache_hits, want_hits) << shards << " shards";
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+            RouteCache cache(0, shards);
+            PipelineOptions opts;
+            opts.threads = 1;
+            opts.cache = &cache;
+            opts.pool = pool;
+            PipelineStats s1, s2;
+            const std::string got_first =
+                format_results(route_batch(first, tech, opts, &s1));
+            const std::string got_second =
+                format_results(route_batch(second, tech, opts, &s2));
+            const std::string where = std::to_string(shards) + " shards" +
+                                      (pool != nullptr ? ", pooled" : "");
+            // Every signature of the warm batch is already interned.
+            EXPECT_EQ(s2.cache_hits, second.size()) << where;
+            if (want_first.empty()) {
+                want_first = got_first;
+                want_second = got_second;
+                want_hits = s2.cache_hits;
+                want_size = cache.size();
+                want_resident = cache.resident_bytes();
+            } else {
+                EXPECT_EQ(got_first, want_first) << where;
+                EXPECT_EQ(got_second, want_second) << where;
+                EXPECT_EQ(s2.cache_hits, want_hits) << where;
+                EXPECT_EQ(cache.size(), want_size) << where;
+                EXPECT_EQ(cache.resident_bytes(), want_resident) << where;
+            }
         }
     }
 }

@@ -7,6 +7,7 @@
 // chip-level roll-up's delay model + slack arithmetic.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -710,6 +711,39 @@ TEST(RouteStreamTest, PeakMemoryTracksChunkSizeNotDesignSize)
                           << large_st.workspace_resident_bytes;
 }
 
+TEST(RouteStreamTest, NetsPerSecCoversTheWholeCallIncludingPulls)
+{
+    // A source that sleeps in every pull: the stream rate must count that
+    // time on the serial path (pulls outside route_batch) and on the pooled
+    // one (pulls overlapped with routing) alike.
+    class SlowSource : public NetSource {
+    public:
+        explicit SlowSource(NetSource& inner) : inner_(inner) {}
+        std::size_t pull(std::vector<WorkItem>& out, std::size_t max_items) override
+        {
+            std::this_thread::sleep_for(std::chrono::milliseconds(3));
+            return inner_.pull(out, max_items);
+        }
+
+    private:
+        NetSource& inner_;
+    };
+    for (const int threads : {1, 4}) {
+        GeneratedNetSource gen(12, 40, 500, 4);
+        SlowSource src(gen);
+        PipelineOptions popts;
+        popts.threads = threads;
+        StreamOptions sopts;
+        sopts.chunk_nets = 5;
+        const StreamStats st = route_stream(src, mcm_technology(), popts, sopts);
+        ASSERT_EQ(st.nets, 40u);
+        ASSERT_GT(st.nets_per_sec, 0.0);
+        EXPECT_GE(st.pull_seconds, 9 * 0.003) << "threads=" << threads;
+        EXPECT_GE(static_cast<double>(st.nets) / st.nets_per_sec, st.pull_seconds)
+            << "threads=" << threads;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Session / SessionService NetSource admission
 // ---------------------------------------------------------------------------
@@ -729,7 +763,7 @@ TEST(WorkloadSessionTest, SessionNetSourceAdmissionMatchesVectorAdmission)
 
     ASSERT_EQ(ids_s, ids_v);
     EXPECT_EQ(stats.nets_routed, 20u);
-    EXPECT_GT(stats.compiles_per_net, 0.0);
+    EXPECT_GT(stats.compiles_per_net(), 0.0);
     for (const NetId id : ids_v) {
         const std::string a = format_results(
             std::vector<NetRouteResult>{by_vector.result(id)});
@@ -848,6 +882,38 @@ TEST(ChipReportTest, AggregatorComputesSlacksWnsAndWeightedTns)
           " wirelength=", " max_delay_s=", " wns_s=", " tns_s=",
           " ratio_mean=", " ratio_min=", " ratio_max=", " ratio_nets="})
         EXPECT_NE(line.find(key), std::string::npos) << key;
+
+    // A 3000-net design with planted RATs: every tenth net gets a hopeless
+    // 0.1x its bounding-box estimate, every third a loose 1.5x.  Every
+    // routed net yields a measured-vs-estimate ratio inside a physical band,
+    // and the hopeless RATs surface as violations.
+    std::vector<WorkItem> planted = generated_items(72, 3000, kMcmGrid, 6);
+    for (std::size_t i = 0; i < planted.size(); ++i) {
+        const double bb = bounding_box_delay_s(planted[i].net, tech);
+        if (i % 10 == 0) {
+            planted[i].meta.required_arrival_s = 0.1 * bb;
+            planted[i].meta.criticality = 2.0;
+        } else if (i % 3 == 0) {
+            planted[i].meta.required_arrival_s = 1.5 * bb;
+        }
+    }
+    VectorNetSource planted_src(planted);
+    ChipAggregator model(tech, 10);
+    StreamOptions sopts;
+    sopts.chunk_nets = 512;
+    route_stream(planted_src, tech, {}, sopts,
+                 [&](std::size_t first, const std::vector<WorkItem>& it,
+                     const std::vector<NetRouteResult>& r) {
+                     model.add_chunk(first, it, r);
+                 });
+    const ChipSummary& m = model.summary();
+    EXPECT_EQ(m.routed, 3000u);
+    EXPECT_EQ(m.ratio_nets, m.routed);
+    EXPECT_GT(m.ratio_min, 0.0);
+    EXPECT_LT(m.ratio_max, 100.0);
+    EXPECT_GT(m.violations, 0u);
+    EXPECT_LT(m.wns_s, 0.0);
+    EXPECT_LE(m.tns_s, m.wns_s);
 }
 
 TEST(ChipReportTest, BundledExampleDesignRoutesWithoutViolations)
