@@ -92,16 +92,6 @@ void TaskGroup::wait()
     if (!errors.empty()) rethrow_captured(std::move(errors));
 }
 
-void ThreadPool::submit(std::function<void()> job)
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        queue_.push(Task{std::move(job), nullptr});
-        ++in_flight_;
-    }
-    work_cv_.notify_one();
-}
-
 void ThreadPool::submit(TaskGroup& group, std::function<void()> job)
 {
     {
@@ -111,20 +101,8 @@ void ThreadPool::submit(TaskGroup& group, std::function<void()> job)
     {
         std::unique_lock<std::mutex> lock(mutex_);
         queue_.push(Task{std::move(job), &group});
-        ++in_flight_;
     }
     work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle()
-{
-    std::vector<std::exception_ptr> errors;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-        errors.swap(errors_);
-    }
-    if (!errors.empty()) rethrow_captured(std::move(errors));
 }
 
 void ThreadPool::worker_loop()
@@ -146,25 +124,16 @@ void ThreadPool::worker_loop()
             // (aggregated) on its own thread.  Later jobs still run.
             error = std::current_exception();
         }
-        if (task.group != nullptr) {
-            // Completion and errors route to the group.  The notify happens
-            // while the group mutex is held: the waiter owns the (typically
-            // stack-allocated) group and may destroy it the moment wait()
-            // observes in_flight_ == 0, so signalling after unlock could
-            // touch a dead condition variable.
-            std::unique_lock<std::mutex> lock(task.group->mutex_);
-            if (error) task.group->errors_.push_back(error);
-            if (--task.group->in_flight_ == 0)
-                task.group->done_cv_.notify_all();
-        } else if (error) {
-            std::unique_lock<std::mutex> lock(mutex_);
-            errors_.push_back(error);
-        }
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            --in_flight_;
-        }
-        idle_cv_.notify_all();
+        // Completion and errors route to the group.  The notify happens
+        // while the group mutex is held: the waiter owns the (typically
+        // stack-allocated) group and may destroy it the moment wait()
+        // observes in_flight_ == 0, so signalling after unlock could touch a
+        // dead condition variable.  The error is moved, not copied: this
+        // thread keeps no reference that could outlive the waiter's use of
+        // the exception and free it here.
+        std::unique_lock<std::mutex> lock(task.group->mutex_);
+        if (error) task.group->errors_.push_back(std::move(error));
+        if (--task.group->in_flight_ == 0) task.group->done_cv_.notify_all();
     }
 }
 

@@ -17,12 +17,13 @@
 // partition would.  The slot id is passed to the callback, which lets a
 // caller keep one reusable Workspace per slot (see batch/workspace.h).
 //
-// Exceptions thrown by workers are all captured, remaining work is
-// cancelled, and they are rethrown on the submitting thread from
-// wait_idle() / the parallel_for helpers -- a throwing job never terminates
-// the process.  A single failure rethrows the original exception; multiple
-// failures rethrow a BatchError aggregating every captured cause (messages
-// sorted, so the composed text is deterministic for a given failure set).
+// Every job runs under a TaskGroup, the one completion path.  Exceptions
+// thrown by workers are all captured, remaining work is cancelled, and they
+// are rethrown on the submitting thread from TaskGroup::wait() / the
+// parallel_for helpers -- a throwing job never terminates the process.  A
+// single failure rethrows the original exception; multiple failures rethrow
+// a BatchError aggregating every captured cause (messages sorted, so the
+// composed text is deterministic for a given failure set).
 //
 // Thread count resolution: the CONG93_THREADS environment variable when set
 // (<= 0 or 1 forces serial execution), else std::thread::hardware_concurrency.
@@ -95,8 +96,8 @@ private:
     std::vector<std::exception_ptr> errors_;
 };
 
-/// Fixed-size worker pool.  Jobs may be submitted from any thread; the
-/// destructor drains the queue before joining.
+/// Fixed-size worker pool.  Jobs may be submitted from any thread, each
+/// under a TaskGroup; the destructor drains the queue before joining.
 class ThreadPool {
 public:
     /// threads <= 0 resolves to default_thread_count().
@@ -108,24 +109,16 @@ public:
 
     int thread_count() const { return static_cast<int>(workers_.size()); }
 
-    void submit(std::function<void()> job);
-
     /// Submits a job under `group`: its completion and any exception are
-    /// tracked by the group (group.wait()), not by wait_idle()'s pool-wide
-    /// error list.  This is the multiplexing primitive that lets concurrent
-    /// callers share one pool without stealing each other's failures.
+    /// tracked by the group (group.wait()).  This is the multiplexing
+    /// primitive that lets concurrent callers share one pool without
+    /// stealing each other's failures.
     void submit(TaskGroup& group, std::function<void()> job);
-
-    /// Blocks until every submitted job has finished (including jobs of all
-    /// groups).  If exactly one ungrouped job threw since the last wait, its
-    /// exception is rethrown; if several threw, a BatchError aggregating
-    /// them is thrown.  Grouped jobs report through their group instead.
-    void wait_idle();
 
 private:
     struct Task {
         std::function<void()> fn;
-        TaskGroup* group = nullptr;
+        TaskGroup* group = nullptr;  ///< never null
     };
 
     void worker_loop();
@@ -133,11 +126,8 @@ private:
     std::vector<std::thread> workers_;
     std::queue<Task> queue_;
     std::mutex mutex_;
-    std::condition_variable work_cv_;   // signalled on submit / stop
-    std::condition_variable idle_cv_;   // signalled when a job finishes
-    std::size_t in_flight_ = 0;
+    std::condition_variable work_cv_;  // signalled on submit / stop
     bool stop_ = false;
-    std::vector<std::exception_ptr> errors_;  // ungrouped worker exceptions
 };
 
 /// Runs fn(i) for every i in [0, n) on the pool and waits for completion.

@@ -12,7 +12,7 @@
 // schedule-dependent, so wall-triggered degradations are surfaced through
 // the '#'-prefixed telemetry channel (PipelineStats::deadline_wall_degraded)
 // and excluded from the byte-identity contract -- exactly like the cache
-// shard-contention counters.  Bit-reproducible degradation paths come from
+// lock-contention counters.  Bit-reproducible degradation paths come from
 // the virtual clock in batch/fault_inject.h (per-stage injected costs,
 // pure functions of the net index), which tests and CI use instead.
 #ifndef CONG93_BATCH_LIFECYCLE_H

@@ -21,7 +21,6 @@
 #include "rtree/segments.h"
 #include "rtree/validate.h"
 #include "session/route_cache.h"
-#include "session/shard.h"
 #include "sim/rc_tree.h"
 #include "wiresize/combined.h"
 
@@ -355,9 +354,9 @@ struct FlightGroup {
     CachedRoute payload;        ///< published result (clean leaders only)
 };
 
-/// Per-cache-shard leader table: one mutex + condvar stripe aligned with the
-/// cache's own sharding, so single-flight coordination scales with it.
-struct FlightShard {
+/// The batch's leader table: signature hash -> in-flight groups, under one
+/// mutex + condvar.
+struct FlightTable {
     std::mutex m;
     std::condition_variable cv;
     std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<FlightGroup>>>
@@ -394,26 +393,6 @@ bool cacheable_net(const Net& net)
     for (const Point s : net.sinks)
         if (!in_range(s)) return false;
     return true;
-}
-
-void tally_outcomes(const std::vector<NetRouteResult>& out, PipelineStats& stats)
-{
-    for (const NetRouteResult& r : out) {
-        switch (r.status) {
-        case RouteStatus::ok: ++stats.nets_ok; break;
-        case RouteStatus::fallback_brbc:
-        case RouteStatus::fallback_spt: ++stats.nets_fallback; break;
-        case RouteStatus::uniform_width: ++stats.nets_uniform_width; break;
-        case RouteStatus::deadline_degraded:
-            ++stats.nets_deadline_degraded;
-            break;
-        case RouteStatus::invalid_input: ++stats.nets_invalid; break;
-        case RouteStatus::cancelled: ++stats.nets_cancelled; break;
-        case RouteStatus::rejected_overload: ++stats.nets_rejected; break;
-        case RouteStatus::failed: ++stats.nets_failed; break;
-        }
-        stats.fault_events += r.diag.events.size();
-    }
 }
 
 std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
@@ -459,21 +438,20 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         return seeded ? net_seed(diag_seed_base, i) : 0;
     };
 
-    std::uint64_t builds_before = 0;
-    for (const Workspace& w : ws) builds_before += w.counters().tree_builds;
+    WorkspaceCounters counters_before;
+    for (const Workspace& w : ws) counters_before += w.counters();
 
     std::vector<NetRouteResult> out(nets.size());
 
-    // --- Sharded single-flight, executed inside the parallel region -------
-    // Every net is probed against its owning cache shard (a pure read of the
-    // batch-start state), so hit/miss/share decisions are functions of the
-    // signatures alone, not the schedule.  LRU touches and interns are
-    // deferred as epoch events and replayed in net-index order by the
-    // batch-end drain below.
+    // --- Single-flight, executed inside the parallel region ---------------
+    // Every net is probed against the cache (a pure read of the batch-start
+    // state), so hit/miss/share decisions are functions of the signatures
+    // alone, not the schedule.  LRU touches and interns are deferred as
+    // epoch events and replayed in net-index order by the batch-end drain
+    // below.
     const std::uint32_t config =
         cache != nullptr ? cache->config_of(tech, opts) : 0;
-    std::vector<FlightShard> flight(cache != nullptr ? cache->shard_count()
-                                                     : std::size_t{0});
+    FlightTable flight;
     std::vector<SlotFlight> slots_flight(cache != nullptr ? ws.size()
                                                           : std::size_t{0});
 
@@ -483,9 +461,9 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         out[i].diag.net_seed = seed_of(i);
     };
 
-    // Routes net i through the sharded cache.  Leaders route on their own
-    // slot and publish; followers of a still-routing leader park on the
-    // shard condvar.  A leader never parks, so every parked group has a
+    // Routes net i through the cache.  Leaders route on their own slot and
+    // publish; followers of a still-routing leader park on the flight
+    // table's condvar.  A leader never parks, so every parked group has a
     // running leader and the batch always makes progress.  Unclean groups
     // (degraded status or any diagnostic -- messages may embed absolute
     // coordinates, which sharing would mistranslate) share nothing: every
@@ -500,8 +478,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
             return;
         }
         const std::uint64_t hash = sig::hash_of(net, config);
-        const std::size_t si = cache->shard_index(hash);
-        CacheShard::ProbeResult pr = cache->shard(si).probe(hash, config, net);
+        const RouteCache::ProbeResult pr = cache->probe(hash, config, net);
         if (pr.contended) ++sf.contended;
         if (pr.payload != nullptr) {
             serve(i, *pr.payload);
@@ -509,9 +486,8 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
             sf.events.push_back(CacheEpochEvent{i, hash, config, &net, {}, false});
             return;
         }
-        FlightShard& fs = flight[si];
-        std::unique_lock<std::mutex> lk(fs.m);
-        auto& chain = fs.groups[hash];
+        std::unique_lock<std::mutex> lk(flight.m);
+        auto& chain = flight.groups[hash];
         FlightGroup* g = nullptr;
         for (const auto& cand : chain)
             if (sig::nets_equivalent(*cand->rep, net)) {
@@ -533,7 +509,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
                 // publish unclean before propagating.
                 lk.lock();
                 g->state = FlightGroup::State::unclean;
-                fs.cv.notify_all();
+                flight.cv.notify_all();
                 throw;
             }
             ++sf.routed;
@@ -546,7 +522,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
             } else {
                 g->state = FlightGroup::State::unclean;
             }
-            fs.cv.notify_all();
+            flight.cv.notify_all();
             return;
         }
         // Follower.
@@ -555,7 +531,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         if (g->state == FlightGroup::State::routing) {
             ++sf.parked;
             FlightGroup* const waiting = g;
-            fs.cv.wait(lk, [waiting] {
+            flight.cv.wait(lk, [waiting] {
                 return waiting->state != FlightGroup::State::routing;
             });
         }
@@ -640,16 +616,14 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
                 events.push_back(std::move(ev));
             sf.events.clear();
         }
-        for (FlightShard& fs : flight) {
-            for (auto& [hash, chain] : fs.groups) {
-                for (auto& g : chain) {
-                    ++miss_groups;
-                    if (g->state == FlightGroup::State::clean)
-                        events.push_back(CacheEpochEvent{g->min_index, hash,
-                                                         config, g->rep,
-                                                         std::move(g->payload),
-                                                         true});
-                }
+        for (auto& [hash, chain] : flight.groups) {
+            for (auto& g : chain) {
+                ++miss_groups;
+                if (g->state == FlightGroup::State::clean)
+                    events.push_back(CacheEpochEvent{g->min_index, hash, config,
+                                                     g->rep,
+                                                     std::move(g->payload),
+                                                     true});
             }
         }
         evictions = cache->drain(events);
@@ -670,8 +644,8 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         stats->seconds = std::chrono::duration<double>(t1 - t0).count();
         stats->counters = WorkspaceCounters{};
         for (const Workspace& w : ws) stats->counters += w.counters();
+        stats->counters -= counters_before;
         stats->nets = nets.size();
-        stats->compiles = stats->counters.tree_builds - builds_before;
         stats->nets_routed = routed;
         stats->cache_hits = hits;
         stats->cache_misses = miss_groups;
@@ -682,7 +656,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         stats->single_flight_parked = parked;
         stats->deadline_wall_degraded =
             wall_degraded.load(std::memory_order_relaxed);
-        tally_outcomes(out, *stats);
+        stats->tally_outcomes(out);
     }
     // Nothing ran beside the serial loop, so the caller's overlap work runs
     // now, outside [t0, t1]: stats->seconds stays pure route time.
@@ -691,6 +665,27 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
 }
 
 }  // namespace
+
+void PipelineStats::tally_outcomes(const std::vector<NetRouteResult>& results)
+{
+    nets_ok = nets_fallback = nets_uniform_width = nets_deadline_degraded = 0;
+    nets_invalid = nets_cancelled = nets_rejected = nets_failed = 0;
+    fault_events = 0;
+    for (const NetRouteResult& r : results) {
+        switch (r.status) {
+        case RouteStatus::ok: ++nets_ok; break;
+        case RouteStatus::fallback_brbc:
+        case RouteStatus::fallback_spt: ++nets_fallback; break;
+        case RouteStatus::uniform_width: ++nets_uniform_width; break;
+        case RouteStatus::deadline_degraded: ++nets_deadline_degraded; break;
+        case RouteStatus::invalid_input: ++nets_invalid; break;
+        case RouteStatus::cancelled: ++nets_cancelled; break;
+        case RouteStatus::rejected_overload: ++nets_rejected; break;
+        case RouteStatus::failed: ++nets_failed; break;
+        }
+        fault_events += r.diag.events.size();
+    }
+}
 
 int resolve_pool_threads(const PipelineOptions& opts)
 {

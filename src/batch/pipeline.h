@@ -119,15 +119,15 @@ struct PipelineOptions {
     /// and filled by route_batch under a deterministic single-flight rule
     /// executed inside the parallel region: the first arrival of each
     /// canonical signature routes (the leader), later arrivals park on the
-    /// owning cache shard's flight table and are served the leader's
-    /// published result; clean results are interned for later batches via
-    /// the batch-end epoch drain (sorted by net index), so cache contents --
-    /// like format_results output -- are byte-identical with the cache on or
-    /// off, serial or parallel, at any shard count.  Ignored (bypassed
-    /// entirely) when fault injection is enabled: injected faults are keyed
-    /// by net index, which sharing would have to violate.  Not owned; the
-    /// cache may be shared by concurrent route_batch calls (the
-    /// SessionService dispatch path) and must stay alive across the call.
+    /// batch's flight table and are served the leader's published result;
+    /// clean results are interned for later batches via the batch-end epoch
+    /// drain (sorted by net index), so cache contents are byte-identical
+    /// serial or parallel, and format_results output is byte-identical with
+    /// the cache on or off.  Ignored (bypassed entirely) when fault
+    /// injection is enabled: injected faults are keyed by net index, which
+    /// sharing would have to violate.  Not owned; the cache may be shared by
+    /// concurrent route_batch calls (the SessionService dispatch path) and
+    /// must stay alive across the call.
     RouteCache* cache = nullptr;
     /// Optional externally owned worker pool.  When set, the batch fans out
     /// over this pool (slot count = pool->thread_count(); the single-core
@@ -204,11 +204,12 @@ struct PipelineStats {
     /// too small to fan out.  Results are byte-identical either way.
     int pool_threads = 1;
     double seconds = 0.0;
-    WorkspaceCounters counters;  ///< aggregated over the slot workspaces
+    /// This batch's workspace telemetry: the delta of the slot workspaces'
+    /// counters over the call, so reused and fresh workspaces report alike
+    /// and summing the stats of several batches stays exact.
+    /// counters.tree_builds counts the batch's FlatTree compilations.
+    WorkspaceCounters counters;
     std::uint64_t nets = 0;      ///< nets in the batch
-    /// FlatTree compilations this batch (tree_builds delta over the slot
-    /// workspaces).
-    std::uint64_t compiles = 0;
     /// Nets that executed the route ladder this batch (= batch size minus
     /// cache-served nets).
     std::uint64_t nets_routed = 0;
@@ -224,16 +225,17 @@ struct PipelineStats {
     /// history against a private cache; under concurrent sharing it reflects
     /// whatever interleaving actually happened.
     std::uint64_t resident_bytes = 0;
-    /// Cache-shard lock acquisitions this batch that had to wait (probe
-    /// path).  Schedule-dependent telemetry: NOT covered by the determinism
-    /// contract, never part of diffed output.
+    /// Cache-lock acquisitions this batch's probes made that had to wait
+    /// (the name predates the single-lock cache; the end-to-end benchmark
+    /// reads it).  Schedule-dependent telemetry: NOT covered by the
+    /// determinism contract, never part of diffed output.
     std::uint64_t cache_shard_contention = 0;
     /// Followers that blocked on a still-routing single-flight leader.
     /// Schedule-dependent telemetry, like cache_shard_contention (the serial
     /// schedule never parks).
     std::uint64_t single_flight_parked = 0;
 
-    // Outcome tally (reduced serially in index order after the barrier).
+    // Outcome tally (tally_outcomes, run serially after the barrier).
     std::uint64_t nets_ok = 0;
     std::uint64_t nets_fallback = 0;       ///< fallback_brbc + fallback_spt
     std::uint64_t nets_uniform_width = 0;
@@ -267,11 +269,20 @@ struct PipelineStats {
     /// without a route cache measures exactly 1.0; nets that fail before the
     /// compile stage -- and, with a cache attached, nets served by result
     /// sharing -- pull it below 1.0.
-    double compiles_per_net() const { return ratio(compiles, nets); }
+    double compiles_per_net() const { return ratio(counters.tree_builds, nets); }
     /// Cache-served nets excluded from the denominator: the share-aware
     /// once-compiled invariant, <= 1.0 always and exactly 1.0 for a clean
     /// batch.
-    double compiles_per_routed_net() const { return ratio(compiles, nets_routed); }
+    double compiles_per_routed_net() const
+    {
+        return ratio(counters.tree_builds, nets_routed);
+    }
+
+    /// Recounts the outcome tally (nets_ok .. nets_failed, fault_events)
+    /// from a batch's results, replacing what was there.  route_batch calls
+    /// it after the barrier; route_stream calls it again once reader-
+    /// rejected items have been rewritten to invalid_input.
+    void tally_outcomes(const std::vector<NetRouteResult>& results);
 
 private:
     static double ratio(std::uint64_t num, std::uint64_t den)

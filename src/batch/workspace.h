@@ -57,6 +57,17 @@ struct WorkspaceCounters {
         results_served += o.results_served;
         return *this;
     }
+    WorkspaceCounters& operator-=(const WorkspaceCounters& o)
+    {
+        tree_builds -= o.tree_builds;
+        tree_growths -= o.tree_growths;
+        moment_evals -= o.moment_evals;
+        moment_growths -= o.moment_growths;
+        scratch_growths -= o.scratch_growths;
+        arena_rejects -= o.arena_rejects;
+        results_served -= o.results_served;
+        return *this;
+    }
 
     /// Compatibility stub, always 1.0: nets are no longer packed into
     /// lanes.  Kept only because the end-to-end benchmark

@@ -54,7 +54,7 @@ commands:
              session engine: gen/net admit nets, move/add/remove/retech
              repair them in place, route/print/stats inspect
   serve      multi-session service stress: concurrent client threads share
-             one sharded route cache + worker pool, then the transcripts
+             one route cache + worker pool, then the transcripts
              are verified byte-identical against serial session replay
 
 options:
@@ -90,8 +90,6 @@ options:
   --no-cache           session: admit without the hash-consed route cache
   --eco-threshold <t>  session: dirty-sink fraction in [0,1] above which an
                        ECO falls back to a full re-route (default 0.5)
-  --shards <k>         session/serve route-cache shard count (default 0 =
-                       next-pow2(4 x threads); never changes output bytes)
   --sessions <n>       serve: concurrent sessions / client threads (default 2)
   --requests <r>       serve: requests per session script (default 3)
   --chunk-nets <c>     nets per route_stream chunk (batch/chip); 0 keeps
@@ -459,7 +457,6 @@ int run_session(const CliOptions& opts, std::ostream& out,
     sopts.pipeline.memory_budget_bytes = opts.memory_budget;
     sopts.eco_threshold = opts.eco_threshold;
     sopts.cache_capacity = opts.cache_capacity;
-    sopts.cache_shards = opts.shards;
     sopts.use_cache = opts.session_cache;
     Session s(tech, sopts);
 
@@ -634,7 +631,6 @@ int run_serve_overload(const CliOptions& opts, const Technology& tech,
     so.session = base;
     so.threads = opts.threads;
     so.cache_capacity = opts.cache_capacity;
-    so.cache_shards = opts.shards;
     so.queue_cap = opts.queue_cap;
     so.memory_budget_bytes = opts.memory_budget;
     SessionService svc(tech, so);
@@ -697,7 +693,7 @@ int run_serve_overload(const CliOptions& opts, const Technology& tech,
         << "  hits " << st.cache_hits << "  shared " << st.cache_shared
         << "  evictions " << st.cache_evictions << "  parked "
         << st.single_flight_parked << "  contended "
-        << st.cache_shard_contention << '\n'
+        << st.cache_contended << '\n'
         << "# serve overload stats: rejected_overload " << st.rejected_overload
         << "  pressure_evictions " << st.pressure_evictions << '\n'
         << "# serve cache: size " << svc.cache().size() << "  resident_bytes "
@@ -733,7 +729,6 @@ int run_serve(const CliOptions& opts, std::ostream& out)
     base.pipeline.deadline_ms = opts.deadline_ms;
     base.eco_threshold = opts.eco_threshold;
     base.cache_capacity = opts.cache_capacity;
-    base.cache_shards = opts.shards;
     base.use_cache = opts.session_cache;
 
     // Every session admits translated twins of one common base batch, so the
@@ -787,7 +782,6 @@ int run_serve(const CliOptions& opts, std::ostream& out)
     so.session = base;
     so.threads = opts.threads;
     so.cache_capacity = opts.cache_capacity;
-    so.cache_shards = opts.shards;
     SessionService svc(tech, so);
     std::vector<std::string> got(static_cast<std::size_t>(opts.sessions));
     std::vector<std::thread> clients;
@@ -833,7 +827,7 @@ int run_serve(const CliOptions& opts, std::ostream& out)
         identical = identical && match;
         // The serial transcript is the deterministic reference output (equal
         // to the concurrent one whenever the verdict is yes), so the printed
-        // bytes can be diffed across runs, thread counts, and shard counts.
+        // bytes can be diffed across runs and thread counts.
         out << "session " << s << (match ? "" : " MISMATCH") << '\n' << want;
     }
 
@@ -843,12 +837,11 @@ int run_serve(const CliOptions& opts, std::ostream& out)
         << "  hits " << st.cache_hits << "  shared " << st.cache_shared
         << "  evictions " << st.cache_evictions << "  parked "
         << st.single_flight_parked << "  contended "
-        << st.cache_shard_contention << '\n'
+        << st.cache_contended << '\n'
         << "# serve cache: size " << svc.cache().size() << "  resident_bytes "
         << svc.cache().resident_bytes() << '\n';
 
     out << "serve: sessions=" << opts.sessions << " requests=" << opts.requests
-        << " shards=" << svc.cache().shard_count()
         << " identical=" << (identical ? "yes" : "no") << '\n';
     return identical ? 0 : 1;
 }
@@ -892,7 +885,7 @@ CliOptions parse_cli(const std::vector<std::string>& args)
 
     // Numeric parsing is strict and signed-aware: trailing junk, overflow,
     // and a negative value for an unsigned knob all reject with the usage
-    // text, so a typo like `--shards=abc` or `--queue-cap -1` can never be
+    // text, so a typo like `--sessions=abc` or `--queue-cap -1` can never be
     // silently truncated into a huge or zero limit.
     const auto to_int = [](const std::string& flag, const std::string& v) {
         try {
@@ -966,7 +959,6 @@ CliOptions parse_cli(const std::vector<std::string>& args)
         else if (a == "--cache-capacity") opts.cache_capacity = to_size(a, value());
         else if (a == "--no-cache") opts.session_cache = false;
         else if (a == "--eco-threshold") opts.eco_threshold = to_double(a, value());
-        else if (a == "--shards") opts.shards = to_size(a, value());
         else if (a == "--sessions") opts.sessions = static_cast<int>(to_int(a, value()));
         else if (a == "--requests") opts.requests = static_cast<int>(to_int(a, value()));
         else if (a == "--chunk-nets") opts.chunk_nets = to_size(a, value());

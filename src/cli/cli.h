@@ -25,13 +25,13 @@
 //                   diagnostics) and an outcome summary, both byte-identical
 //                   at any thread count
 //   cong93 serve    multi-session service stress: N client threads drive N
-//                   sessions through one SessionService (shared sharded
-//                   route cache + shared worker pool) with deterministic
+//                   sessions through one SessionService (shared route
+//                   cache + shared worker pool) with deterministic
 //                   per-session request scripts (translated-twin admissions
 //                   interleaved with ECO moves), then the same scripts are
 //                   replayed serially through independent Sessions and every
 //                   transcript byte is compared.  [--sessions N]
-//                   [--requests R] [--shards K] [--threads T]
+//                   [--requests R] [--threads T]
 //                   [--cache-capacity N].  Prints the per-session
 //                   transcripts (deterministic), '#'-prefixed
 //                   schedule-dependent telemetry, and a final
@@ -56,10 +56,9 @@
 //                   trailing token is an error too.  A malformed line makes
 //                   the command exit 2.
 //                   [--cache-capacity N] [--no-cache] [--eco-threshold T]
-//                   [--shards K]
 //                   Everything except `stats` is byte-identical with the
 //                   cache on or off, at any --threads count, and at any
-//                   --shards count.
+//                   --cache-capacity.
 //
 // Parsing and execution are separated so both are unit-testable; main() in
 // tools/cong93_main.cpp is a thin wrapper.
@@ -115,7 +114,6 @@ struct CliOptions {
     std::size_t cache_capacity = 0;  ///< route-cache entries (0 = unbounded)
     bool session_cache = true;       ///< --no-cache turns admission caching off
     double eco_threshold = 0.5;      ///< dirty-sink fraction forcing re-route
-    std::size_t shards = 0;          ///< cache shard count (0 = auto from threads)
 
     // Service facade (serve).
     int sessions = 2;  ///< concurrent sessions / client threads

@@ -2,8 +2,95 @@
 
 #include <algorithm>
 #include <bit>
+#include <sstream>
 
 namespace cong93 {
+
+namespace sig {
+
+namespace {
+
+/// 64-bit FNV-1a over explicitly fed words; the only consumer of the
+/// float-quantized caps (equality always re-checks the exact doubles).
+struct Fnv64 {
+    std::uint64_t h = 1469598103934665603ull;
+    void mix(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+std::uint64_t cap_bits(double cap)
+{
+    return std::bit_cast<std::uint64_t>(cap);
+}
+
+}  // namespace
+
+std::uint64_t hash_of(const Net& net, std::uint32_t config)
+{
+    Fnv64 f;
+    f.mix(config);
+    f.mix(net.sinks.size());
+    for (std::size_t i = 0; i < net.sinks.size(); ++i) {
+        const Coord dx = static_cast<Coord>(net.sinks[i].x - net.source.x);
+        const Coord dy = static_cast<Coord>(net.sinks[i].y - net.source.y);
+        f.mix(static_cast<std::uint32_t>(static_cast<std::int32_t>(dx)));
+        f.mix(static_cast<std::uint32_t>(static_cast<std::int32_t>(dy)));
+        // Cap quantized to float here only: sub-float cap differences share
+        // a bucket and are separated by the exact compares below.
+        f.mix(std::bit_cast<std::uint32_t>(
+            static_cast<float>(net.sink_cap(i))));
+    }
+    return f.h;
+}
+
+bool key_matches_net(const CacheKey& key, const Net& net, std::uint32_t config)
+{
+    if (key.config != config || key.sinks.size() != net.sinks.size())
+        return false;
+    for (std::size_t i = 0; i < key.sinks.size(); ++i) {
+        const CacheSink& s = key.sinks[i];
+        if (s.dx != static_cast<Coord>(net.sinks[i].x - net.source.x) ||
+            s.dy != static_cast<Coord>(net.sinks[i].y - net.source.y) ||
+            cap_bits(s.cap) != cap_bits(net.sink_cap(i)))
+            return false;
+    }
+    return true;
+}
+
+bool nets_equivalent(const Net& a, const Net& b)
+{
+    if (a.sinks.size() != b.sinks.size()) return false;
+    for (std::size_t i = 0; i < a.sinks.size(); ++i) {
+        if (static_cast<Coord>(a.sinks[i].x - a.source.x) !=
+                static_cast<Coord>(b.sinks[i].x - b.source.x) ||
+            static_cast<Coord>(a.sinks[i].y - a.source.y) !=
+                static_cast<Coord>(b.sinks[i].y - b.source.y) ||
+            cap_bits(a.sink_cap(i)) != cap_bits(b.sink_cap(i)))
+            return false;
+    }
+    return true;
+}
+
+CacheKey key_of(const Net& net, std::uint32_t config)
+{
+    CacheKey key;
+    key.config = config;
+    key.sinks.reserve(net.sinks.size());
+    for (std::size_t i = 0; i < net.sinks.size(); ++i)
+        key.sinks.push_back(
+            CacheSink{static_cast<Coord>(net.sinks[i].x - net.source.x),
+                      static_cast<Coord>(net.sinks[i].y - net.source.y),
+                      net.sink_cap(i)});
+    key.hash = hash_of(net, config);
+    return key;
+}
+
+}  // namespace sig
 
 namespace {
 
@@ -22,30 +109,26 @@ bool tech_equal(const Technology& a, const Technology& b)
            bits(a.base_width_um) == bits(b.base_width_um);
 }
 
+/// Approximate resident footprint of one interned entry.
+std::size_t entry_bytes(const CacheKey& key, const NetRouteResult& payload)
+{
+    // 64 approximates the list node + hash-chain slot overhead per entry.
+    return 64 + sizeof(CacheKey) + key.sinks.capacity() * sizeof(CacheSink) +
+           sizeof(NetRouteResult) + payload.assignment.size() * sizeof(int);
+}
+
 }  // namespace
 
-RouteCache::RouteCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity)
+CachedRoute make_cached_route(const NetRouteResult& result)
 {
-    std::size_t n = std::bit_ceil(std::max<std::size_t>(shards, 1));
-    // Under a capacity bound every shard must own at least one entry, or a
-    // signature hashing into a zero-capacity shard could never be cached.
-    while (capacity_ != 0 && n > capacity_) n /= 2;
-    mask_ = n - 1;
-    shards_ = std::vector<CacheShard>(n);
-    if (capacity_ != 0) {
-        const std::size_t base = capacity_ / n;
-        const std::size_t rem = capacity_ % n;
-        for (std::size_t i = 0; i < n; ++i)
-            shards_[i].set_capacity(base + (i < rem ? 1 : 0));
-    }
+    auto p = std::make_shared<NetRouteResult>(result);
+    // Canonicalize the interned copy: the per-net identity fields are
+    // re-stamped by whoever serves it.
+    p->diag = NetDiagnostic{};
+    return p;
 }
 
-std::size_t RouteCache::shards_for_threads(int threads)
-{
-    const auto t = static_cast<std::size_t>(std::max(threads, 1));
-    return std::bit_ceil(t * 4);
-}
+RouteCache::RouteCache(std::size_t capacity) : capacity_(capacity) {}
 
 std::uint32_t RouteCache::config_of(const Technology& tech,
                                     const PipelineOptions& opts)
@@ -58,7 +141,7 @@ std::uint32_t RouteCache::config_of(const Technology& tech,
     c.rc_sections_per_edge = opts.rc_sections_per_edge;
     c.max_nodes_per_net = opts.max_nodes_per_net;
 
-    std::lock_guard<std::mutex> lk(config_mutex_);
+    std::lock_guard<std::mutex> lk(m_);
     for (std::size_t i = 0; i < configs_.size(); ++i) {
         const Config& o = configs_[i];
         if (tech_equal(o.tech, c.tech) && o.widths_r == c.widths_r &&
@@ -71,85 +154,150 @@ std::uint32_t RouteCache::config_of(const Technology& tech,
     return static_cast<std::uint32_t>(configs_.size() - 1);
 }
 
+void RouteCache::lock_counting(std::unique_lock<std::mutex>& lk,
+                               bool* contended)
+{
+    if (lk.try_lock()) return;
+    lk.lock();
+    ++stats_.contended;
+    if (contended != nullptr) *contended = true;
+}
+
+RouteCache::List::iterator RouteCache::find_locked(std::uint64_t hash,
+                                                   std::uint32_t config,
+                                                   const Net& net)
+{
+    const auto it = by_hash_.find(hash);
+    if (it == by_hash_.end()) return lru_.end();
+    for (const auto& entry_it : it->second)
+        if (sig::key_matches_net(entry_it->key, net, config)) return entry_it;
+    return lru_.end();
+}
+
+RouteCache::ProbeResult RouteCache::probe(std::uint64_t hash,
+                                          std::uint32_t config, const Net& net)
+{
+    ProbeResult pr;
+    std::unique_lock<std::mutex> lk(m_, std::defer_lock);
+    lock_counting(lk, &pr.contended);
+    const auto e = find_locked(hash, config, net);
+    if (e != lru_.end()) {
+        pr.payload = e->payload;
+        ++stats_.hits;
+    } else {
+        ++stats_.misses;
+    }
+    return pr;
+}
+
+std::uint64_t RouteCache::store_locked(CacheEpochEvent& ev)
+{
+    const auto e = find_locked(ev.hash, ev.config, *ev.net);
+    if (e != lru_.end()) {
+        // Overwrite in place (identical bits by the translation-invariance
+        // contract; concurrent batches can race to intern one signature).
+        resident_ -= e->bytes;
+        e->payload = std::move(ev.payload);
+        e->bytes = entry_bytes(e->key, *e->payload);
+        resident_ += e->bytes;
+        lru_.splice(lru_.begin(), lru_, e);
+        return 0;
+    }
+    lru_.push_front(
+        Entry{sig::key_of(*ev.net, ev.config), std::move(ev.payload), 0});
+    Entry& stored = lru_.front();
+    stored.bytes = entry_bytes(stored.key, *stored.payload);
+    resident_ += stored.bytes;
+    by_hash_[stored.key.hash].push_back(lru_.begin());
+    ++stats_.insertions;
+    std::uint64_t evicted = 0;
+    for (; capacity_ != 0 && lru_.size() > capacity_; ++evicted) pop_lru_locked();
+    return evicted;
+}
+
+void RouteCache::pop_lru_locked()
+{
+    const auto victim = std::prev(lru_.end());
+    auto chain = by_hash_.find(victim->key.hash);
+    std::erase(chain->second, victim);
+    if (chain->second.empty()) by_hash_.erase(chain);
+    resident_ -= victim->bytes;
+    lru_.erase(victim);
+    ++stats_.evictions;
+}
+
 std::uint64_t RouteCache::drain(std::vector<CacheEpochEvent>& events)
 {
     if (events.empty()) return 0;
-    std::vector<std::vector<CacheEpochEvent>> buckets(shards_.size());
-    for (CacheEpochEvent& ev : events)
-        buckets[shard_index(ev.hash)].push_back(std::move(ev));
-    events.clear();
+    // Net indices are unique across touch and insert events (a hit net is
+    // never a flight-group member), so the sort is a total order and the
+    // replay below is exactly the serial net-order cache evolution.
+    std::sort(events.begin(), events.end(),
+              [](const CacheEpochEvent& a, const CacheEpochEvent& b) {
+                  return a.net_index < b.net_index;
+              });
     std::uint64_t evicted = 0;
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        evicted += shards_[i].apply(buckets[i]);
+    std::unique_lock<std::mutex> lk(m_, std::defer_lock);
+    lock_counting(lk, nullptr);
+    for (CacheEpochEvent& ev : events) {
+        if (ev.insert) {
+            evicted += store_locked(ev);
+        } else {
+            const auto e = find_locked(ev.hash, ev.config, *ev.net);
+            if (e != lru_.end()) lru_.splice(lru_.begin(), lru_, e);
+        }
+    }
+    events.clear();
     return evicted;
 }
 
 std::uint64_t RouteCache::evict_to_resident(std::size_t target_bytes)
 {
+    std::unique_lock<std::mutex> lk(m_, std::defer_lock);
+    lock_counting(lk, nullptr);
     std::uint64_t evicted = 0;
-    // Evict from the largest-resident shard each round: a deterministic
-    // order for a deterministic cache state, and the fastest route under
-    // the budget when one shard holds the bulk of the bytes.
-    while (resident_bytes() > target_bytes) {
-        std::size_t worst_shard = shards_.size();
-        std::size_t worst_bytes = 0;
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            const std::size_t b = shards_[i].resident_bytes();
-            if (b > worst_bytes) {
-                worst_bytes = b;
-                worst_shard = i;
-            }
-        }
-        if (worst_shard == shards_.size()) break;  // everything already empty
-        if (shards_[worst_shard].evict_one() == 0) break;
-        ++evicted;
-    }
+    for (; resident_ > target_bytes && !lru_.empty(); ++evicted) pop_lru_locked();
     return evicted;
 }
 
 RouteCacheStats RouteCache::stats() const
 {
-    RouteCacheStats total;
-    for (const CacheShard& s : shards_) {
-        const ShardStats st = s.stats();
-        total.hits += st.hits;
-        total.misses += st.misses;
-        total.insertions += st.insertions;
-        total.evictions += st.evictions;
-        total.contended += st.contended;
-    }
-    return total;
+    std::lock_guard<std::mutex> lk(m_);
+    return stats_;
 }
 
 std::size_t RouteCache::size() const
 {
-    std::size_t n = 0;
-    for (const CacheShard& s : shards_) n += s.size();
-    return n;
+    std::lock_guard<std::mutex> lk(m_);
+    return lru_.size();
 }
 
 std::size_t RouteCache::resident_bytes() const
 {
-    std::size_t n = 0;
-    for (const CacheShard& s : shards_) n += s.resident_bytes();
-    return n;
+    std::lock_guard<std::mutex> lk(m_);
+    return resident_;
 }
 
 void RouteCache::clear()
 {
-    for (CacheShard& s : shards_) s.clear();
+    std::lock_guard<std::mutex> lk(m_);
+    lru_.clear();
+    by_hash_.clear();
+    resident_ = 0;
 }
 
 std::string RouteCache::dump() const
 {
-    std::string out;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        out += "shard ";
-        out += std::to_string(i);
-        out += '\n';
-        shards_[i].dump(out);
+    std::lock_guard<std::mutex> lk(m_);
+    std::ostringstream os;
+    os << std::hexfloat;
+    for (const Entry& e : lru_) {
+        os << std::hex << e.key.hash << std::dec << ' ' << e.key.config << ' '
+           << e.key.sinks.size() << ' ' << e.payload->nodes << ' '
+           << e.payload->segments << ' ' << e.payload->wirelength << ' '
+           << e.payload->wiresized_delay_s << '\n';
     }
-    return out;
+    return os.str();
 }
 
 }  // namespace cong93

@@ -16,143 +16,183 @@
 // quantization can only cause a (handled) hash collision, never a wrong
 // share.  The sink sequence is deliberately NOT sorted: sink order feeds
 // the A-tree construction's tie-breaking, so permuted duplicates occupy
-// distinct entries (see session/shard.h for the sig:: helpers).
+// distinct entries.  The sig:: helpers work straight off a Net, so the hot
+// path neither allocates nor materializes a CacheKey; key_of() builds one
+// only when an entry is actually inserted.
 //
-// Since PR 8 the cache is CONCURRENT and LOCK-STRIPED: the signature hash
-// selects one of `shard_count()` independently mutexed strict-LRU shards
-// (session/shard.h), so parallel workers and concurrent route_batch calls
-// from many sessions probe and fill one shared cache without a global lock.
-// Determinism is preserved by the epoch-drain rule: during a batch's
-// parallel region probes are pure reads of the batch-start state, and every
-// LRU touch/insert is deferred as a CacheEpochEvent applied per shard in
-// net-index order at batch end (drain()).  Cache contents are therefore
-// byte-identical for 1 vs N threads, and output bytes are identical for any
-// shard count (every serve is bit-identical to routing the net).
+// The cache is CONCURRENT: one mutex guards one strict-LRU list, one
+// hash-chain map and one stats block, so parallel workers and concurrent
+// route_batch calls from many sessions probe and fill one shared cache.
+// Two rules make it byte-deterministic under any thread schedule:
+//
+//   1. probe() never reorders the LRU list.  During a batch's parallel
+//      region every lookup is a pure read of the batch-start cache state;
+//      the LRU touch/insert effects are recorded as CacheEpochEvents and
+//      replayed at batch end by drain(), sorted by net index.  Cache
+//      contents therefore evolve exactly as if the batch had run serially
+//      in net order -- 1 thread and N threads leave byte-identical caches.
+//   2. Payloads are shared_ptr<const NetRouteResult>: a probe taken just
+//      before a concurrent batch's drain evicts the entry keeps its payload
+//      alive, and fanning one payload out to many served nets shares one
+//      refcounted allocation instead of copying.
 //
 // Only *clean* results are interned: status == ok and an empty diagnostic
 // (validation notes and fault events may embed absolute coordinates and are
 // per-net anyway).  The batch driver (batch/pipeline.cpp) enforces a
-// deterministic single-flight rule on top, now executed *inside* the
-// parallel region: the first arrival of a signature routes, later arrivals
-// park on the shard's flight table and are served the published payload.
+// deterministic single-flight rule on top, executed *inside* the parallel
+// region: the first arrival of a signature routes, later arrivals park on
+// the batch's flight table and are served the published payload.
 //
-// Eviction is strict LRU per shard; a total entry capacity is split across
-// the shards (shard counts are clamped so no shard gets capacity zero).
+// Eviction is strict LRU over the whole cache under an optional total
+// entry capacity, plus pressure eviction against a resident-bytes budget.
+// Which entries a bound evicts never changes output bytes: every serve is
+// bit-identical to routing the net.
 #ifndef CONG93_SESSION_ROUTE_CACHE_H
 #define CONG93_SESSION_ROUTE_CACHE_H
 
 #include <cstdint>
+#include <list>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "session/shard.h"
+#include "batch/pipeline.h"
 
 namespace cong93 {
 
-/// Cumulative probe telemetry aggregated over the shards (monotone over the
-/// cache's lifetime; per-batch deltas are reported in PipelineStats).
+/// One sink of a canonical signature: position relative to the net source,
+/// load cap carried exactly (-1 encodes "technology default", matching
+/// Net::sink_cap).
+struct CacheSink {
+    Coord dx = 0;
+    Coord dy = 0;
+    double cap = -1.0;
+};
+
+/// Canonical net signature: config fingerprint + exact source-relative sink
+/// sequence, plus the quantized 64-bit hash used for bucketing.
+struct CacheKey {
+    std::uint32_t config = 0;
+    std::uint64_t hash = 0;
+    std::vector<CacheSink> sinks;
+};
+
+/// Immutable interned route payload (diag cleared, net_index/net_seed zero;
+/// servers re-stamp per net).
+using CachedRoute = std::shared_ptr<const NetRouteResult>;
+
+namespace sig {
+
+/// Signature hash of `net` under config id `config`, computed directly from
+/// the net -- no CacheKey materialization, no heap allocation.  Equals
+/// key_of(net, config).hash bit for bit.
+std::uint64_t hash_of(const Net& net, std::uint32_t config);
+
+/// Exact signature equality between a stored key and a candidate net (config,
+/// then sink sequence, caps compared by bit pattern), again without
+/// materializing the candidate's key.  The hash is a bucket, not the
+/// identity.
+bool key_matches_net(const CacheKey& key, const Net& net, std::uint32_t config);
+
+/// Exact signature equality between two nets (same source-relative sink
+/// sequence, caps compared by bit pattern).  Both nets are assumed to hash
+/// under the same config.
+bool nets_equivalent(const Net& a, const Net& b);
+
+/// Materializes the canonical signature (the insert path).
+CacheKey key_of(const Net& net, std::uint32_t config);
+
+}  // namespace sig
+
+/// One deferred LRU mutation, recorded during the parallel region and
+/// applied at batch end in net-index order (the epoch drain).  A touch
+/// (insert == false) moves the probed entry most-recently-used; an insert
+/// interns `payload` under `net`'s signature.  `net` must outlive the drain.
+struct CacheEpochEvent {
+    std::size_t net_index = 0;
+    std::uint64_t hash = 0;
+    std::uint32_t config = 0;
+    const Net* net = nullptr;
+    CachedRoute payload;  ///< insert: the interned result; touch: unused
+    bool insert = false;
+};
+
+/// Cumulative probe telemetry (monotone over the cache's lifetime; per-batch
+/// deltas are reported in PipelineStats).
 struct RouteCacheStats {
-    std::uint64_t hits = 0;        ///< probes/finds that returned an entry
-    std::uint64_t misses = 0;      ///< probes/finds that returned nothing
+    std::uint64_t hits = 0;        ///< probes that returned an entry
+    std::uint64_t misses = 0;      ///< probes that returned nothing
     std::uint64_t insertions = 0;  ///< new entries stored
     std::uint64_t evictions = 0;   ///< entries dropped by the LRU bound
-    std::uint64_t contended = 0;   ///< shard-lock acquisitions that waited
+    std::uint64_t contended = 0;   ///< cache-lock acquisitions that waited
 };
+
+/// Canonicalizes a clean route result into an immutable shared payload:
+/// diag cleared (net_index/net_seed zero), ready for interning/serving.
+CachedRoute make_cached_route(const NetRouteResult& result);
 
 class RouteCache {
 public:
-    /// `capacity` bounds the total entry count (strict LRU per shard; 0
-    /// means unbounded).  `shards` is rounded up to a power of two and, when
-    /// a capacity is set, halved until every shard owns at least one entry;
-    /// the default of one shard preserves the PR-7 single-map strict-LRU
-    /// semantics exactly.  Shard count never changes output bytes -- only
-    /// contention and (under a capacity) the eviction pattern.
-    explicit RouteCache(std::size_t capacity = 0, std::size_t shards = 1);
+    struct ProbeResult {
+        CachedRoute payload;     ///< empty on miss
+        bool contended = false;  ///< the cache lock was held by someone else
+    };
 
-    /// The shard count the service facade sizes a shared cache with:
-    /// next-pow2(threads x 4), so at full fan-out the expected load per
-    /// shard lock stays well under one.
-    static std::size_t shards_for_threads(int threads);
+    /// `capacity` bounds the total entry count (strict LRU; 0 means
+    /// unbounded).
+    explicit RouteCache(std::size_t capacity = 0);
 
     /// Interns the exact (technology, options) pair this cache consultation
-    /// runs under and returns its fingerprint id.  Two
-    /// calls return the same id iff every result-bit-relevant field compares
-    /// bit-identical, so entries written under one configuration can never
-    /// serve a lookup made under another.  Thread-safe.
+    /// runs under and returns its fingerprint id.  Two calls return the same
+    /// id iff every result-bit-relevant field compares bit-identical, so
+    /// entries written under one configuration can never serve a lookup made
+    /// under another.  Thread-safe.
     std::uint32_t config_of(const Technology& tech, const PipelineOptions& opts);
 
-    /// Canonical signature of `net` under config id `config`.
-    static CacheKey key_of(const Net& net, std::uint32_t config)
-    {
-        return sig::key_of(net, config);
-    }
+    /// Read-only lookup of `net` (hash = sig::hash_of(net, config)): returns
+    /// the payload without touching the LRU order (header rule 1) and counts
+    /// a hit or miss.
+    ProbeResult probe(std::uint64_t hash, std::uint32_t config, const Net& net);
 
-    /// Signature hash computed straight off the net -- the allocation-free
-    /// hot path (equal to key_of(net, config).hash).
-    static std::uint64_t hash_of(const Net& net, std::uint32_t config)
-    {
-        return sig::hash_of(net, config);
-    }
-
-    /// Exact signature equality (config, then sink sequence, caps compared
-    /// by bit pattern).  The hash is a bucket, not the identity.
-    static bool same_key(const CacheKey& a, const CacheKey& b)
-    {
-        return sig::same_key(a, b);
-    }
-
-    std::size_t shard_count() const { return shards_.size(); }
-    std::size_t shard_index(std::uint64_t hash) const
-    {
-        return static_cast<std::size_t>(hash) & mask_;
-    }
-    CacheShard& shard(std::size_t i) { return shards_[i]; }
-
-    /// Touching lookup on the owning shard (single-threaded convenience
-    /// path; the batch driver uses shard().probe() + drain() instead).  On a
-    /// hit, the entry becomes most-recently-used and the stored result is
-    /// returned (diag cleared, net_index/net_seed zero -- callers re-stamp
-    /// per served net); the pointer stays valid until the entry is evicted
-    /// or overwritten.
-    const NetRouteResult* find(const CacheKey& key)
-    {
-        return shards_[shard_index(key.hash)].find(key);
-    }
-
-    /// Immediate insert on the owning shard.  `result` must be clean
-    /// (status ok, empty diagnostic).  Re-inserting an existing signature
-    /// overwrites in place.  Returns how many entries this call evicted.
-    std::uint64_t insert(const CacheKey& key, const NetRouteResult& result)
-    {
-        return shards_[shard_index(key.hash)].insert(key, result);
-    }
-
-    /// Epoch drain: buckets `events` by owning shard, sorts each bucket by
-    /// net index, and applies them serially per shard -- the batch-end step
-    /// that makes cache evolution schedule-independent.  Returns the total
-    /// entries evicted.  Consumes `events` (payloads are moved out).
+    /// Epoch drain: sorts `events` by net index and replays them under one
+    /// lock acquisition -- the batch-end step that makes cache evolution
+    /// schedule-independent.  Touch events whose entry has since been
+    /// evicted by a concurrent batch are skipped; insert events overwrite a
+    /// concurrently interned twin in place (the payload bits are identical
+    /// by the translation-invariance contract).  Returns entries evicted.
+    /// Consumes `events` (payloads are moved out).
     std::uint64_t drain(std::vector<CacheEpochEvent>& events);
 
-    /// Pressure eviction: drops LRU entries (round-robin over the shards,
-    /// largest-resident shard first each round) until resident_bytes() <=
-    /// target_bytes or the cache is empty.  Returns entries evicted.  This
-    /// is the memory-budget enforcement path (PipelineOptions::
-    /// memory_budget_bytes, ServiceOptions::memory_budget_bytes): entries go
-    /// before an allocation has to fail.
+    /// Pressure eviction: drops LRU entries, capacity notwithstanding, until
+    /// resident_bytes() <= target_bytes or the cache is empty.  Returns
+    /// entries evicted.  This is the memory-budget enforcement path
+    /// (PipelineOptions::memory_budget_bytes, ServiceOptions::
+    /// memory_budget_bytes): entries go before an allocation has to fail.
     std::uint64_t evict_to_resident(std::size_t target_bytes);
 
-    RouteCacheStats stats() const;  ///< aggregated over shards, by value
+    RouteCacheStats stats() const;
     std::size_t size() const;
     std::size_t capacity() const { return capacity_; }
+    /// Approximate bytes held by the entries.
     std::size_t resident_bytes() const;
     void clear();
 
-    /// Deterministic fingerprint of the full cache contents (shards in
-    /// index order, entries MRU to LRU).  Equal strings <=> identical cache
-    /// state; the serial-vs-parallel tests assert exactly that.
+    /// Deterministic fingerprint of the full cache contents (entries MRU to
+    /// LRU: hash, config, sink count, payload shape).  Equal strings <=>
+    /// identical cache state; the serial-vs-parallel tests assert exactly
+    /// that.
     std::string dump() const;
 
 private:
+    struct Entry {
+        CacheKey key;
+        CachedRoute payload;
+        std::size_t bytes = 0;
+    };
+    using List = std::list<Entry>;
+
     /// Exact fingerprint payload of one interned configuration: every field
     /// a clean net's result bits depend on besides the net itself.
     struct Config {
@@ -164,10 +204,20 @@ private:
         std::size_t max_nodes_per_net = 0;
     };
 
-    std::size_t capacity_;
-    std::size_t mask_ = 0;
-    std::vector<CacheShard> shards_;  ///< sized once; never reallocated
-    mutable std::mutex config_mutex_;
+    void lock_counting(std::unique_lock<std::mutex>& lk, bool* contended);
+    List::iterator find_locked(std::uint64_t hash, std::uint32_t config,
+                               const Net& net);
+    /// Interns an insert event's payload (moved out) and enforces the
+    /// capacity; returns entries evicted.
+    std::uint64_t store_locked(CacheEpochEvent& ev);
+    void pop_lru_locked();
+
+    const std::size_t capacity_;  ///< entries; 0 = unbounded
+    mutable std::mutex m_;        ///< guards everything below
+    List lru_;                    ///< front = most recently used
+    std::unordered_map<std::uint64_t, std::vector<List::iterator>> by_hash_;
+    RouteCacheStats stats_;
+    std::size_t resident_ = 0;    ///< approximate bytes held by entries
     std::vector<Config> configs_;
 };
 

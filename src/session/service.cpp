@@ -35,12 +35,7 @@ SessionService::Admission::~Admission()
 SessionService::SessionService(Technology tech, ServiceOptions opts)
     : tech_(std::move(tech)),
       opts_(std::move(opts)),
-      cache_(opts_.cache_capacity,
-             opts_.cache_shards != 0
-                 ? opts_.cache_shards
-                 : RouteCache::shards_for_threads(
-                       opts_.threads <= 0 ? default_thread_count()
-                                          : opts_.threads)),
+      cache_(opts_.cache_capacity),
       pool_(opts_.threads)
 {
 }
@@ -75,7 +70,7 @@ void SessionService::count_batch(const PipelineStats& stats)
     stats_.cache_hits += stats.cache_hits;
     stats_.cache_shared += stats.cache_shared;
     stats_.cache_evictions += stats.cache_evictions;
-    stats_.cache_shard_contention += stats.cache_shard_contention;
+    stats_.cache_contended += stats.cache_shard_contention;
     stats_.single_flight_parked += stats.single_flight_parked;
 }
 

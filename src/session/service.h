@@ -1,5 +1,5 @@
-// Multi-session service facade: one shared sharded route cache + one worker
-// pool serving concurrent route/ECO requests from independent sessions.
+// Multi-session service facade: one shared route cache + one worker pool
+// serving concurrent route/ECO requests from independent sessions.
 //
 // A SessionService models the serving-stack deployment of the engine: many
 // clients (placement threads, RPC handlers) each own a logical Session, but
@@ -8,8 +8,11 @@
 //
 //   * the shared RouteCache (session/route_cache.h) is attached as each
 //     session's shared_cache, so a duplicate net routed by any session is a
-//     cache hit for every other session -- cross-session result sharing at
-//     shard-lock cost, no global lock;
+//     cache hit for every other session.  The cache sits behind one lock,
+//     taken only on the admission path: once per net for the probe, and
+//     per batch for config_of and the epoch drain (single-flight parks on
+//     a per-batch flight table, not on the cache).  ECO applies never
+//     touch it;
 //   * the shared ThreadPool backs each session's add_batch fan-out
 //     (PipelineOptions::pool).  Concurrent batches multiplex onto the one
 //     pool via per-call TaskGroups (batch/batch.h), so a request waits only
@@ -63,8 +66,6 @@ struct ServiceOptions {
     int threads = 0;
     /// Shared cache entry capacity (0 = unbounded).
     std::size_t cache_capacity = 0;
-    /// Shared cache shard count; 0 = RouteCache::shards_for_threads(threads).
-    std::size_t cache_shards = 0;
     /// Bounded admission queue: at most this many work-bearing requests
     /// (add_batch / add / apply) in flight or waiting on a session slot at
     /// once; request queue_cap + 1 is refused with OverloadError instead of
@@ -87,7 +88,7 @@ struct ServiceStats {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_shared = 0;
     std::uint64_t cache_evictions = 0;
-    std::uint64_t cache_shard_contention = 0;
+    std::uint64_t cache_contended = 0;  ///< cache-lock acquisitions that waited
     std::uint64_t single_flight_parked = 0;
     /// Work-bearing requests refused by the queue cap (OverloadError thrown).
     std::uint64_t rejected_overload = 0;

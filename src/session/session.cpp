@@ -127,10 +127,7 @@ Session::Session(Technology tech, SessionOptions opts)
       tech_(std::move(tech)),
       faults_(opts_.pipeline.faults.enabled ? opts_.pipeline.faults
                                             : FaultPlan::from_env()),
-      cache_(opts_.cache_capacity,
-             opts_.cache_shards != 0
-                 ? opts_.cache_shards
-                 : RouteCache::shards_for_threads(opts_.pipeline.threads))
+      cache_(opts_.cache_capacity)
 {
 }
 

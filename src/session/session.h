@@ -137,10 +137,6 @@ struct SessionOptions {
     double eco_threshold = 0.5;
     /// Entry capacity of the session's route cache (0 = unbounded).
     std::size_t cache_capacity = 0;
-    /// Shard count of the session's route cache.  0 resolves to
-    /// RouteCache::shards_for_threads(pipeline.threads); shard count never
-    /// changes output bytes (see session/route_cache.h).
-    std::size_t cache_shards = 0;
     /// Attach the session's route cache to add_batch admissions (on by
     /// default).  Off admits every net through the ordinary routed path;
     /// results are byte-identical either way (the CI session smoke diffs
@@ -148,8 +144,8 @@ struct SessionOptions {
     bool use_cache = true;
     /// Externally owned cache to use instead of the session's private one
     /// (the SessionService attaches its shared cache here).  Not owned; must
-    /// outlive the session.  cache_capacity/cache_shards then only size the
-    /// unused private cache.
+    /// outlive the session.  cache_capacity then only sizes the unused
+    /// private cache.
     RouteCache* shared_cache = nullptr;
 };
 

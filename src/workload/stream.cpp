@@ -9,49 +9,14 @@
 #include "batch/workspace.h"
 
 namespace cong93 {
-namespace {
-
-/// Recomputes a chunk's outcome tally from its (possibly rewritten)
-/// results; mirrors route_batch's own serial post-barrier reduction.
-void tally_outcomes(const std::vector<NetRouteResult>& results, PipelineStats& stats)
-{
-    stats.nets_ok = 0;
-    stats.nets_fallback = 0;
-    stats.nets_uniform_width = 0;
-    stats.nets_deadline_degraded = 0;
-    stats.nets_invalid = 0;
-    stats.nets_cancelled = 0;
-    stats.nets_rejected = 0;
-    stats.nets_failed = 0;
-    stats.fault_events = 0;
-    for (const NetRouteResult& r : results) {
-        switch (r.status) {
-        case RouteStatus::ok: ++stats.nets_ok; break;
-        case RouteStatus::fallback_brbc:
-        case RouteStatus::fallback_spt: ++stats.nets_fallback; break;
-        case RouteStatus::uniform_width: ++stats.nets_uniform_width; break;
-        case RouteStatus::deadline_degraded:
-            ++stats.nets_deadline_degraded;
-            break;
-        case RouteStatus::invalid_input: ++stats.nets_invalid; break;
-        case RouteStatus::cancelled: ++stats.nets_cancelled; break;
-        case RouteStatus::rejected_overload: ++stats.nets_rejected; break;
-        case RouteStatus::failed: ++stats.nets_failed; break;
-        }
-        stats.fault_events += r.diag.events.size();
-    }
-}
-
-}  // namespace
 
 void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk)
 {
     total.threads = std::max(total.threads, chunk.threads);
     total.pool_threads = std::max(total.pool_threads, chunk.pool_threads);
     total.seconds += chunk.seconds;
-    total.counters = chunk.counters;  // cumulative over shared workspaces
+    total.counters += chunk.counters;
     total.nets += chunk.nets;
-    total.compiles += chunk.compiles;
     total.nets_routed += chunk.nets_routed;
     total.cache_hits += chunk.cache_hits;
     total.cache_misses += chunk.cache_misses;
@@ -163,7 +128,7 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
             results[i] = std::move(r);
             rewrote = true;
         }
-        if (rewrote) tally_outcomes(results, cs);
+        if (rewrote) cs.tally_outcomes(results);
 
         accumulate_pipeline_stats(stats.pipeline, cs);
 

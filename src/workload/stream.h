@@ -99,10 +99,10 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
                          const StreamVisitor& visit = {});
 
 /// Folds one route_batch call's stats into a running cross-chunk aggregate:
-/// counts (seconds, nets, compiles, outcome tallies, cache traffic,
-/// telemetry) are summed, so the derived rates cover every chunk;
-/// high-water fields (threads) are maxed and point-in-time fields
-/// (workspace counters, cache resident_bytes) replaced.
+/// counts (seconds, nets, workspace counters, outcome tallies, cache
+/// traffic, telemetry) are summed, so the derived rates cover every chunk;
+/// high-water fields (threads) are maxed and the point-in-time cache
+/// resident_bytes replaced.
 void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk);
 
 }  // namespace cong93

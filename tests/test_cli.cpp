@@ -55,6 +55,8 @@ TEST(CliParse, Errors)
     EXPECT_THROW(parse({}), std::invalid_argument);
     EXPECT_THROW(parse({"bogus"}), std::invalid_argument);
     EXPECT_THROW(parse({"route", "--unknown"}), std::invalid_argument);
+    // A retired flag is an unknown flag like any other.
+    EXPECT_THROW(parse({"serve", "--shards", "4"}), std::invalid_argument);
     EXPECT_THROW(parse({"route", "--sinks"}), std::invalid_argument);
     EXPECT_THROW(parse({"route", "--sinks", "abc"}), std::invalid_argument);
     EXPECT_THROW(parse({"route", "--sinks", "0"}), std::invalid_argument);
@@ -67,8 +69,7 @@ TEST(CliParse, MalformedNumericsRejectPerFlag)
 {
     // Every numeric lifecycle/capacity flag rejects garbage and (for the
     // unsigned ones) negative values instead of truncating them silently.
-    EXPECT_THROW(parse({"serve", "--shards=abc"}), std::invalid_argument);
-    EXPECT_THROW(parse({"serve", "--shards", "-1"}), std::invalid_argument);
+    EXPECT_THROW(parse({"serve", "--sessions=abc"}), std::invalid_argument);
     EXPECT_THROW(parse({"session", "--cache-capacity", "-5"}),
                  std::invalid_argument);
     EXPECT_THROW(parse({"batch", "--max-nodes", "-1"}), std::invalid_argument);
@@ -86,7 +87,7 @@ TEST(CliParse, MalformedNumericsRejectPerFlag)
     // The rejection message carries the usage text so a CLI user sees the
     // expected spelling without a second invocation.
     try {
-        parse({"serve", "--shards=abc"});
+        parse({"serve", "--sessions=abc"});
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("usage:"), std::string::npos);
@@ -97,17 +98,16 @@ TEST(CliParse, EqualsSpellingAndLifecycleFlags)
 {
     const CliOptions o =
         parse({"serve", "--queue-cap=3", "--memory-budget=65536",
-               "--deadline-ms=2.5", "--shards=4", "--sessions=5"});
+               "--deadline-ms=2.5", "--sessions=5"});
     EXPECT_EQ(o.queue_cap, 3u);
     EXPECT_EQ(o.memory_budget, 65536u);
     EXPECT_DOUBLE_EQ(o.deadline_ms, 2.5);
-    EXPECT_EQ(o.shards, 4u);
     EXPECT_EQ(o.sessions, 5);
 
     // Both spellings parse identically.
     const CliOptions spaced =
         parse({"serve", "--queue-cap", "3", "--memory-budget", "65536",
-               "--deadline-ms", "2.5", "--shards", "4", "--sessions", "5"});
+               "--deadline-ms", "2.5", "--sessions", "5"});
     EXPECT_EQ(spaced.queue_cap, o.queue_cap);
     EXPECT_EQ(spaced.memory_budget, o.memory_budget);
     EXPECT_DOUBLE_EQ(spaced.deadline_ms, o.deadline_ms);

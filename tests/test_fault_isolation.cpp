@@ -366,25 +366,31 @@ TEST(FaultIsolation, SerialAndParallelRunsAreByteIdenticalUnderFaults)
 TEST(ThreadPoolAggregation, AllSubmittedFailuresReachTheSubmitter)
 {
     ThreadPool pool(2);
+    TaskGroup group;
     for (const char* msg : {"boom B", "boom A", "boom C"})
-        pool.submit([msg] { throw std::runtime_error(msg); });
+        pool.submit(group, [msg] { throw std::runtime_error(msg); });
     try {
-        pool.wait_idle();
-        FAIL() << "wait_idle() must throw";
+        group.wait();
+        FAIL() << "group.wait() must throw";
     } catch (const BatchError& e) {
         EXPECT_EQ(e.causes().size(), 3u);
         // Messages are sorted so the aggregate text is deterministic.
         EXPECT_STREQ(e.what(), "3 worker exceptions:\n  boom A\n  boom B\n  boom C");
     }
-    pool.submit([] {});  // the pool stays usable after an aggregate failure
-    EXPECT_NO_THROW(pool.wait_idle());
+    // The pool stays usable after an aggregate failure, and the group is
+    // drained: its next wait sees only the new job.
+    int ran = 0;
+    pool.submit(group, [&ran] { ran = 1; });
+    EXPECT_NO_THROW(group.wait());
+    EXPECT_EQ(ran, 1);
 }
 
 TEST(ThreadPoolAggregation, SingleFailureStillRethrowsTheOriginalType)
 {
     ThreadPool pool(2);
-    pool.submit([] { throw std::invalid_argument("just one"); });
-    EXPECT_THROW(pool.wait_idle(), std::invalid_argument);
+    TaskGroup group;
+    pool.submit(group, [] { throw std::invalid_argument("just one"); });
+    EXPECT_THROW(group.wait(), std::invalid_argument);
 }
 
 TEST(ThreadPoolAggregation, MultiSlotFailuresInParallelForSlotsAggregate)

@@ -217,7 +217,7 @@ TEST(Batch, ThreadPoolRunsEveryJobOnce)
     std::atomic<int> count{0};
     parallel_for_index(pool, 1000, [&](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 1000);
-    // The pool is reusable after wait_idle.
+    // The pool is reusable once a parallel_for has returned.
     parallel_for_index(pool, 10, [&](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 1010);
 }

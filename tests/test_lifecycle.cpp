@@ -1,7 +1,7 @@
 // Request-lifecycle tests: the RouteStatus ladder round-trips through its
 // serialized form with no silent default, cancellation / virtual-clock
 // deadlines / admission caps produce byte-identical degraded outputs at any
-// thread or shard count, wall-clock deadline pressure degrades without
+// thread count, wall-clock deadline pressure degrades without
 // hanging, and the service-level queue cap + memory budget reject and evict
 // instead of growing without bound.
 #include <gtest/gtest.h>
@@ -232,17 +232,17 @@ TEST(LifecycleVirtualClock, JitterSplitsTheBatchAndSparesUnpressuredNets)
     }
 }
 
-TEST(LifecycleVirtualClock, SessionDefersToRouteSingleAtAnyShardCount)
+TEST(LifecycleVirtualClock, SessionDefersToRouteSingleAtAnyThreadCount)
 {
     const Technology tech = mcm_technology();
     const std::vector<Net> nets = random_nets(11, 8, kMcmGrid, 5);
 
     std::string base;
-    for (std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    for (const int threads : {1, 4}) {
         SessionOptions sopts;
         sopts.pipeline.faults =
             FaultPlan::parse("seed=5,vdeadline=10,vjitter=20");
-        sopts.cache_shards = shards;
+        sopts.pipeline.threads = threads;
         Session s(tech, sopts);
         std::string out;
         for (const NetId id : s.add_batch(nets))
@@ -253,7 +253,7 @@ TEST(LifecycleVirtualClock, SessionDefersToRouteSingleAtAnyShardCount)
         const EcoOutcome o = s.apply(0, EcoDelta::make_move(0, Point{7, 9}));
         out += format_results({o.result});
         if (base.empty()) base = out;
-        else EXPECT_EQ(out, base) << "shards=" << shards;
+        else EXPECT_EQ(out, base) << "threads=" << threads;
     }
 }
 

@@ -342,13 +342,15 @@ TEST(Pipeline, WorkspaceArenaIsReusedAcrossBatches)
     route_batch(nets, tech, opts, &first, &ws);
     route_batch(nets, tech, opts, &second, &ws);
 
+    // Counters are per-batch deltas over the reused workspaces.
     EXPECT_EQ(first.counters.tree_builds, nets.size());
-    EXPECT_EQ(second.counters.tree_builds, 2 * nets.size());
+    EXPECT_EQ(second.counters.tree_builds, nets.size());
+    EXPECT_GT(first.counters.tree_growths, 0u);
     // The warmed-up arena never touches the allocator again: no buffer of
     // the second batch outgrew the first batch's high-water mark.
-    EXPECT_EQ(second.counters.tree_growths, first.counters.tree_growths);
-    EXPECT_EQ(second.counters.moment_growths, first.counters.moment_growths);
-    EXPECT_EQ(second.counters.scratch_growths, first.counters.scratch_growths);
+    EXPECT_EQ(second.counters.tree_growths, 0u);
+    EXPECT_EQ(second.counters.moment_growths, 0u);
+    EXPECT_EQ(second.counters.scratch_growths, 0u);
 }
 
 TEST(Pipeline, ReportsConsistentDelays)

@@ -98,8 +98,20 @@ void expect_same_result(const NetRouteResult& got, const NetRouteResult& want)
 }
 
 // ---------------------------------------------------------------------------
-// Canonical signature (RouteCache::key_of)
+// Canonical signature (sig::) and the cache behind route_batch
 // ---------------------------------------------------------------------------
+
+/// Routes `nets` serially through `cache` and returns the batch stats.
+PipelineStats route_through(RouteCache& cache, const std::vector<Net>& nets,
+                            const Technology& tech = mcm_technology(),
+                            PipelineOptions opts = {})
+{
+    opts.threads = 1;
+    opts.cache = &cache;
+    PipelineStats stats;
+    route_batch(nets, tech, opts, &stats);
+    return stats;
+}
 
 TEST(RouteCacheKey, TranslationInvariant)
 {
@@ -110,10 +122,10 @@ TEST(RouteCacheKey, TranslationInvariant)
     std::mt19937_64 rng(5);
     const Net a = random_net(rng, 500, 9);
     const Net b = translated(a, 1234, -321);
-    const CacheKey ka = RouteCache::key_of(a, cfg);
-    const CacheKey kb = RouteCache::key_of(b, cfg);
-    EXPECT_EQ(ka.hash, kb.hash);
-    EXPECT_TRUE(RouteCache::same_key(ka, kb));
+    const CacheKey ka = sig::key_of(a, cfg);
+    EXPECT_EQ(ka.hash, sig::hash_of(b, cfg));
+    EXPECT_TRUE(sig::key_matches_net(ka, b, cfg));
+    EXPECT_TRUE(sig::nets_equivalent(a, b));
 }
 
 TEST(RouteCacheKey, SinkOrderIsPartOfTheSignature)
@@ -128,17 +140,16 @@ TEST(RouteCacheKey, SinkOrderIsPartOfTheSignature)
     const Net a = random_net(rng, 500, 6);
     Net b = a;
     std::swap(b.sinks[0], b.sinks[5]);
-    EXPECT_FALSE(
-        RouteCache::same_key(RouteCache::key_of(a, cfg),
-                             RouteCache::key_of(b, cfg)));
+    EXPECT_FALSE(sig::key_matches_net(sig::key_of(a, cfg), b, cfg));
+    EXPECT_FALSE(sig::nets_equivalent(a, b));
 }
 
 TEST(RouteCacheKey, CapQuantizationCollidesButExactCompareSeparates)
 {
     // Two caps equal after float quantization but different as doubles:
     // the 64-bit hash collides (by design -- quantization keeps the hash
-    // stable under parser noise) while same_key's exact compare still
-    // separates them, so neither is ever served the other's result.
+    // stable under parser noise) while the exact compare still separates
+    // them, so neither is ever served the other's result.
     RouteCache cache;
     const Technology tech = mcm_technology();
     const std::uint32_t cfg = cache.config_of(tech, PipelineOptions{});
@@ -151,19 +162,21 @@ TEST(RouteCacheKey, CapQuantizationCollidesButExactCompareSeparates)
     ASSERT_EQ(static_cast<float>(a.sink_caps[2]),
               static_cast<float>(b.sink_caps[2]));
     ASSERT_NE(a.sink_caps[2], b.sink_caps[2]);
+    EXPECT_EQ(sig::hash_of(a, cfg), sig::hash_of(b, cfg));
+    EXPECT_FALSE(sig::key_matches_net(sig::key_of(a, cfg), b, cfg));
 
-    const CacheKey ka = RouteCache::key_of(a, cfg);
-    const CacheKey kb = RouteCache::key_of(b, cfg);
-    EXPECT_EQ(ka.hash, kb.hash);
-    EXPECT_FALSE(RouteCache::same_key(ka, kb));
-
-    NetRouteResult r;
-    r.nodes = 42;
-    cache.insert(ka, r);
-    EXPECT_NE(cache.find(ka), nullptr);
-    EXPECT_EQ(cache.find(kb), nullptr);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
+    // One batch: b is no single-flight follower of a -- both route.
+    const PipelineStats both = route_through(cache, {a, b}, tech);
+    EXPECT_EQ(both.cache_misses, 2u);
+    EXPECT_EQ(both.cache_shared, 0u);
+    EXPECT_EQ(cache.size(), 2u);
+    // Later batches: each net is served only its own entry.
+    RouteCache only_a;
+    route_through(only_a, {a}, tech);
+    EXPECT_EQ(route_through(only_a, {b}, tech).cache_hits, 0u);
+    EXPECT_EQ(route_through(only_a, {a}, tech).cache_hits, 1u);
+    EXPECT_EQ(only_a.stats().hits, 1u);
+    EXPECT_EQ(only_a.stats().misses, 2u);
 }
 
 TEST(RouteCacheKey, ConfigSeparatesTechAndOptions)
@@ -182,32 +195,45 @@ TEST(RouteCacheKey, ConfigSeparatesTechAndOptions)
 
     std::mt19937_64 rng(8);
     const Net n = random_net(rng, 500, 5);
-    EXPECT_FALSE(RouteCache::same_key(
-        RouteCache::key_of(n, c0),
-        RouteCache::key_of(n, cache.config_of(hot, PipelineOptions{}))));
+    EXPECT_FALSE(sig::key_matches_net(sig::key_of(n, c0), n,
+                                      cache.config_of(hot, PipelineOptions{})));
+
+    // Through route_batch: an entry written under one configuration never
+    // serves another, and each configuration keeps its own entry.
+    EXPECT_EQ(route_through(cache, {n}, mcm).cache_hits, 0u);
+    EXPECT_EQ(route_through(cache, {n}, hot).cache_hits, 0u);
+    EXPECT_EQ(route_through(cache, {n}, mcm, narrow).cache_hits, 0u);
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(route_through(cache, {n}, hot).cache_hits, 1u);
+    EXPECT_EQ(route_through(cache, {n}, mcm).cache_hits, 1u);
 }
 
 TEST(RouteCache, LruEvictsLeastRecentlyUsed)
 {
     RouteCache cache(2);
-    const std::uint32_t cfg =
-        cache.config_of(mcm_technology(), PipelineOptions{});
     std::mt19937_64 rng(9);
-    const CacheKey k1 = RouteCache::key_of(random_net(rng, 500, 3), cfg);
-    const CacheKey k2 = RouteCache::key_of(random_net(rng, 500, 3), cfg);
-    const CacheKey k3 = RouteCache::key_of(random_net(rng, 500, 3), cfg);
+    const Net n1 = random_net(rng, 500, 3);
+    const Net n2 = random_net(rng, 500, 3);
+    const Net n3 = random_net(rng, 500, 3);
 
-    NetRouteResult r;
-    EXPECT_EQ(cache.insert(k1, r), 0u);
-    EXPECT_EQ(cache.insert(k2, r), 0u);
-    ASSERT_NE(cache.find(k1), nullptr);  // k1 is now most recently used
-    EXPECT_EQ(cache.insert(k3, r), 1u);  // evicts k2, the LRU entry
+    EXPECT_EQ(route_through(cache, {n1, n2}).cache_evictions, 0u);
+    EXPECT_EQ(route_through(cache, {n1}).cache_hits, 1u);  // n1 now MRU
+    // Inserting n3 evicts n2, the least recently used entry.
+    EXPECT_EQ(route_through(cache, {n3}).cache_evictions, 1u);
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_NE(cache.find(k1), nullptr);
-    EXPECT_EQ(cache.find(k2), nullptr);
-    EXPECT_NE(cache.find(k3), nullptr);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.stats().insertions, 3u);
+    EXPECT_EQ(route_through(cache, {n1, n3}).cache_hits, 2u);
+    const PipelineStats again = route_through(cache, {n2});
+    EXPECT_EQ(again.cache_hits, 0u);
+    EXPECT_EQ(again.cache_evictions, 1u);
+    EXPECT_EQ(cache.stats().evictions, 2u);
+    EXPECT_EQ(cache.stats().insertions, 4u);
+
+    // Within one batch the epoch drain replays in net order: of three fresh
+    // signatures under capacity 2, the first is the one evicted.
+    RouteCache fresh(2);
+    EXPECT_EQ(route_through(fresh, {n1, n2, n3}).cache_evictions, 1u);
+    EXPECT_EQ(route_through(fresh, {n2, n3}).cache_hits, 2u);
+    EXPECT_EQ(route_through(fresh, {n1}).cache_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

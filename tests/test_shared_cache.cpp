@@ -1,8 +1,8 @@
-// Sharded concurrent route cache + multi-session service facade tests:
-// shard-count invariance of output bytes and counters, serial vs
-// external-pool byte-identity (results AND cache contents via dump()),
-// schedule-independent cache counters, LRU squeeze across shards, fault
-// injection / out-of-bound twins never poisoning the cache, TaskGroup
+// Concurrent route cache + multi-session service facade tests: pool-size
+// invariance of output bytes, warm-rerun hits, entry count and resident
+// bytes, serial vs external-pool byte-identity (results AND cache contents
+// via dump()), schedule-independent cache counters, LRU squeeze,
+// fault injection / out-of-bound twins never poisoning the cache, TaskGroup
 // failure isolation on a shared pool, and the randomized multi-session soak
 // against serial single-session replay.
 #include <gtest/gtest.h>
@@ -54,50 +54,51 @@ std::string fmt1(const NetRouteResult& r)
 }
 
 // ---------------------------------------------------------------------------
-// Shard-count invariance
+// Pool-size invariance
 // ---------------------------------------------------------------------------
 
-TEST(ShardedCache, ShardCountChangesNoOutputByte)
+TEST(SharedCache, ThreadCountChangesNoOutputByte)
 {
     const Technology tech = mcm_technology();
     const std::vector<Net> first = dup_batch(11, 12, 3);
     const std::vector<Net> second = dup_batch(11, 12, 2);  // warm rerun
 
-    // Each shard count runs serially and through an external 4-thread pool;
-    // the cache's entry count and resident bytes must not move either.
+    // Serial, then external 2- and 4-thread pools; the cache's entry count
+    // and resident bytes must not move either.
+    ThreadPool pool2(2);
     ThreadPool pool4(4);
     std::string want_first, want_second;
     std::uint64_t want_hits = 0;
     std::size_t want_size = 0, want_resident = 0;
-    for (const std::size_t shards : {1u, 4u, 64u}) {
-        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
-            RouteCache cache(0, shards);
-            PipelineOptions opts;
-            opts.threads = 1;
-            opts.cache = &cache;
-            opts.pool = pool;
-            PipelineStats s1, s2;
-            const std::string got_first =
-                format_results(route_batch(first, tech, opts, &s1));
-            const std::string got_second =
-                format_results(route_batch(second, tech, opts, &s2));
-            const std::string where = std::to_string(shards) + " shards" +
-                                      (pool != nullptr ? ", pooled" : "");
-            // Every signature of the warm batch is already interned.
-            EXPECT_EQ(s2.cache_hits, second.size()) << where;
-            if (want_first.empty()) {
-                want_first = got_first;
-                want_second = got_second;
-                want_hits = s2.cache_hits;
-                want_size = cache.size();
-                want_resident = cache.resident_bytes();
-            } else {
-                EXPECT_EQ(got_first, want_first) << where;
-                EXPECT_EQ(got_second, want_second) << where;
-                EXPECT_EQ(s2.cache_hits, want_hits) << where;
-                EXPECT_EQ(cache.size(), want_size) << where;
-                EXPECT_EQ(cache.resident_bytes(), want_resident) << where;
-            }
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &pool2, &pool4}) {
+        RouteCache cache;
+        PipelineOptions opts;
+        opts.threads = 1;
+        opts.cache = &cache;
+        opts.pool = pool;
+        PipelineStats s1, s2;
+        const std::string got_first =
+            format_results(route_batch(first, tech, opts, &s1));
+        const std::string got_second =
+            format_results(route_batch(second, tech, opts, &s2));
+        const std::string where =
+            pool != nullptr ? std::to_string(s1.pool_threads) + " threads"
+                            : std::string("serial");
+        // Every signature of the warm batch is already interned.
+        EXPECT_EQ(s2.cache_hits, second.size()) << where;
+        if (want_first.empty()) {
+            want_first = got_first;
+            want_second = got_second;
+            want_hits = s2.cache_hits;
+            want_size = cache.size();
+            want_resident = cache.resident_bytes();
+        } else {
+            EXPECT_EQ(got_first, want_first) << where;
+            EXPECT_EQ(got_second, want_second) << where;
+            EXPECT_EQ(s2.cache_hits, want_hits) << where;
+            EXPECT_EQ(cache.size(), want_size) << where;
+            EXPECT_EQ(cache.resident_bytes(), want_resident) << where;
         }
     }
 }
@@ -106,14 +107,14 @@ TEST(ShardedCache, ShardCountChangesNoOutputByte)
 // Serial vs external-pool byte-identity (results and cache contents)
 // ---------------------------------------------------------------------------
 
-TEST(ShardedCache, SerialAndPooledRunsAreByteIdentical)
+TEST(SharedCache, SerialAndPooledRunsAreByteIdentical)
 {
     const Technology tech = mcm_technology();
     const std::vector<Net> nets = dup_batch(23, 16, 4);
 
     const auto run = [&](ThreadPool* pool, std::string& cache_dump,
                          PipelineStats& stats) {
-        RouteCache cache(0, 16);
+        RouteCache cache;
         PipelineOptions opts;
         opts.threads = 1;
         opts.cache = &cache;
@@ -146,7 +147,7 @@ TEST(ShardedCache, SerialAndPooledRunsAreByteIdentical)
     EXPECT_EQ(format_results(route_batch(nets, tech, off)), serial);
 }
 
-TEST(ShardedCache, ConcurrentBatchesShareOnePoolAndCache)
+TEST(SharedCache, ConcurrentBatchesShareOnePoolAndCache)
 {
     const Technology tech = mcm_technology();
     const std::vector<Net> a = dup_batch(31, 10, 3);
@@ -157,7 +158,7 @@ TEST(ShardedCache, ConcurrentBatchesShareOnePoolAndCache)
     const std::string want_a = format_results(route_batch(a, tech, serial_opts));
     const std::string want_b = format_results(route_batch(b, tech, serial_opts));
 
-    RouteCache cache(0, 16);
+    RouteCache cache;
     ThreadPool pool(4);
     std::string got_a, got_b;
     std::thread ta([&] {
@@ -179,15 +180,15 @@ TEST(ShardedCache, ConcurrentBatchesShareOnePoolAndCache)
 }
 
 // ---------------------------------------------------------------------------
-// LRU squeeze across shards
+// LRU squeeze
 // ---------------------------------------------------------------------------
 
-TEST(ShardedCache, LruSqueezeEvictsButNeverChangesOutput)
+TEST(SharedCache, LruSqueezeEvictsButNeverChangesOutput)
 {
     const Technology tech = mcm_technology();
     const std::vector<Net> nets = dup_batch(59, 40, 2);
 
-    RouteCache cache(8, 4);
+    RouteCache cache(8);
     EXPECT_EQ(cache.capacity(), 8u);
     PipelineOptions opts;
     opts.threads = 1;
@@ -203,25 +204,16 @@ TEST(ShardedCache, LruSqueezeEvictsButNeverChangesOutput)
     EXPECT_EQ(format_results(route_batch(nets, tech, off)), got);
 }
 
-TEST(ShardedCache, ShardCountClampedToCapacity)
-{
-    // 64 requested shards against 2 entries of capacity: every shard must
-    // still own at least one entry.
-    RouteCache cache(2, 64);
-    EXPECT_LE(cache.shard_count(), 2u);
-    EXPECT_EQ(cache.capacity(), 2u);
-}
-
 // ---------------------------------------------------------------------------
 // Nothing unclean is ever interned
 // ---------------------------------------------------------------------------
 
-TEST(ShardedCache, FaultInjectedBatchesNeverIntern)
+TEST(SharedCache, FaultInjectedBatchesNeverIntern)
 {
     const Technology tech = mcm_technology();
     const std::vector<Net> nets = dup_batch(71, 8, 3);
 
-    RouteCache cache(0, 8);
+    RouteCache cache;
     PipelineOptions faulty;
     faulty.threads = 1;
     faulty.cache = &cache;
@@ -240,7 +232,7 @@ TEST(ShardedCache, FaultInjectedBatchesNeverIntern)
     EXPECT_EQ(stats.cache_hits + stats.cache_shared, 0u);
 }
 
-TEST(ShardedCache, OutOfBoundTwinIsNotServedALeaderResult)
+TEST(SharedCache, OutOfBoundTwinIsNotServedALeaderResult)
 {
     const Technology tech = mcm_technology();
     const std::vector<Net> base = random_nets(83, 1, 2000, 5);
@@ -254,7 +246,7 @@ TEST(ShardedCache, OutOfBoundTwinIsNotServedALeaderResult)
     off.threads = 1;
     const std::string want = format_results(route_batch(nets, tech, off));
 
-    RouteCache cache(0, 4);
+    RouteCache cache;
     PipelineOptions opts;
     opts.threads = 1;
     opts.cache = &cache;
@@ -277,7 +269,6 @@ TEST(TaskGroup, FailuresStayWithTheirGroup)
     EXPECT_THROW(bad.wait(), std::runtime_error);
     good.wait();  // must not observe the other group's failure
     EXPECT_EQ(ran, 1);
-    pool.wait_idle();  // grouped errors never leak into the pool-wide list
 }
 
 TEST(TaskGroup, CancelledRunLeavesNoParkedTasks)
@@ -303,7 +294,6 @@ TEST(TaskGroup, CancelledRunLeavesNoParkedTasks)
     parallel_for_slots(pool, 1000, [&](std::size_t i, int) { ++seen[i]; });
     for (std::size_t i = 0; i < seen.size(); ++i)
         EXPECT_EQ(seen[i], 1) << "index " << i;
-    pool.wait_idle();
 }
 
 // ---------------------------------------------------------------------------

@@ -795,6 +795,29 @@ TEST(WorkloadSessionTest, ServiceNetSourceAdmissionChunksThroughBackpressure)
     }
 }
 
+TEST(WorkloadSessionTest, ChunkedAdmissionSumsWorkspaceCounters)
+{
+    // Each chunk routes through its own workspaces; the summed stats must
+    // still count every chunk's compiles, not just the last chunk's.
+    const Technology tech = mcm_technology();
+    const std::vector<Net> nets = random_nets(8, 20, 300, 3);
+
+    Session session(tech);
+    VectorNetSource src(nets);
+    PipelineStats stats;
+    session.add_batch(src, 6, &stats);
+    EXPECT_EQ(stats.counters.tree_builds, 20u);
+    EXPECT_EQ(stats.compiles_per_net(), 1.0);
+
+    SessionService svc(tech);
+    const SessionId sid = svc.open();
+    VectorNetSource svc_src(nets);
+    PipelineStats svc_stats;
+    svc.add_batch(sid, svc_src, 6, &svc_stats);
+    EXPECT_EQ(svc_stats.counters.tree_builds, 20u);
+    EXPECT_EQ(svc_stats.compiles_per_net(), 1.0);
+}
+
 // ---------------------------------------------------------------------------
 // Chip-level roll-up
 // ---------------------------------------------------------------------------
