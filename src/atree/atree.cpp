@@ -26,7 +26,7 @@ RoutingTree forest_to_tree(const Forest& forest, const Net& net, Point offset)
     while (!stack.empty()) {
         const int id = stack.back();
         stack.pop_back();
-        for (const int c : forest.node(id).children) {
+        for (const int c : forest.children(id)) {
             const Point p = forest.node(c).p;
             const Point shifted{static_cast<Coord>(p.x + offset.x),
                                 static_cast<Coord>(p.y + offset.y)};
@@ -50,6 +50,14 @@ RoutingTree forest_to_tree(const Forest& forest, const Net& net, Point offset)
 
 }  // namespace
 
+void run_atree(Forest& forest, MoveEngine& engine, const std::vector<Point>& sinks,
+               const AtreeOptions& options)
+{
+    forest.reset(Point{0, 0}, sinks);
+    engine.reset(forest, options.policy, options.use_safe_moves, options.mode);
+    engine.run();
+}
+
 AtreeResult build_atree(const Net& net, const AtreeOptions& options)
 {
     // Translate the source to the origin (a no-op for quadrant subnets,
@@ -67,9 +75,9 @@ AtreeResult build_atree(const Net& net, const AtreeOptions& options)
         if (!at_origin) shifted.push_back(t);
     }
 
-    Forest forest(Point{0, 0}, at_origin ? net.sinks : shifted);
-    MoveEngine engine(forest, options.policy, options.use_safe_moves, options.mode);
-    engine.run();
+    Forest forest;
+    MoveEngine engine;
+    run_atree(forest, engine, at_origin ? net.sinks : shifted, options);
 
     AtreeResult res{forest_to_tree(forest, net, net.source)};
     res.safe_moves = engine.safe_moves();

@@ -47,6 +47,14 @@ struct AtreeResult {
 /// dominate the source.  Throws std::invalid_argument otherwise.
 AtreeResult build_atree(const Net& net, const AtreeOptions& options = {});
 
+/// The construction core every A-tree entry point shares: restarts `forest`
+/// as F_0 of `sinks` (first quadrant, source at the origin) and runs
+/// `engine` on it until one arborescence remains.  Both objects keep their
+/// storage across calls, so a caller that holds on to them (AtreeScratch,
+/// atree/generalized.h) constructs without allocating once warmed up.
+void run_atree(Forest& forest, MoveEngine& engine, const std::vector<Point>& sinks,
+               const AtreeOptions& options);
+
 }  // namespace cong93
 
 #endif  // CONG93_ATREE_ATREE_H

@@ -19,7 +19,7 @@ namespace {
 
 }  // namespace
 
-Forest::Forest(Point source, const std::vector<Point>& sinks)
+void Forest::reset(Point source, const std::vector<Point>& sinks)
 {
     if (source.x != 0 || source.y != 0)
         throw_with_context("Forest: source must be at the origin", source,
@@ -54,7 +54,13 @@ Forest::Forest(Point source, const std::vector<Point>& sinks)
     }
 
     // The construction adds at most a few nodes per terminal (path corners
-    // and edge splits); reserve for the common case.
+    // and edge splits); reserve for the common case.  Capacity from an
+    // earlier construction is kept.
+    nodes_.clear();
+    roots_.clear();
+    tree_roots_.clear();
+    index_.clear();
+    total_length_ = 0;
     nodes_.reserve(4 * (n + 1));
     roots_.reserve(n + 1);
     tree_roots_.reserve(n + 1);
@@ -94,6 +100,24 @@ int Forest::new_node(Point p, int tree)
     return static_cast<int>(nodes_.size()) - 1;
 }
 
+void Forest::append_child(int parent, int child)
+{
+    NodeRec& par = nodes_[static_cast<std::size_t>(parent)];
+    if (par.last_child < 0)
+        par.first_child = child;
+    else
+        nodes_[static_cast<std::size_t>(par.last_child)].next_sibling = child;
+    par.last_child = child;
+}
+
+std::size_t Forest::capacity_bytes() const
+{
+    return nodes_.capacity() * sizeof(NodeRec) +
+           (roots_.capacity() + tree_roots_.capacity() + sink_nodes_.capacity() +
+            stack_.capacity()) * sizeof(int) +
+           index_.capacity_bytes();
+}
+
 int Forest::root_at(Point p) const
 {
     for (const int rid : roots_)
@@ -114,33 +138,45 @@ Forest::RootQuery Forest::analyze(int root_id) const
         q.mf_west, q.mf_south);
 
     // dx / mx and dy / my (Definition 6).  The reference scan runs the
-    // Definition 5 blocking test for *every* NW/SE root; since the answer is
-    // the (distance, coordinate)-smallest unblocked candidate, sorting the
-    // candidates by that key and taking the first unblocked one gives the
-    // identical result with typically one or two O(log n) gate probes.
-    std::vector<Candidate>& nw = nw_;
-    std::vector<Candidate>& se = se_;
-    nw.clear();
-    se.clear();
-    for (const int rid : roots_) {
-        if (rid == root_id) continue;
-        const NodeRec& rn = node(rid);
-        if (rn.tree == pn.tree) continue;
-        const Point r = rn.p;
-        if (r.x < p.x && r.y > p.y)
-            nw.push_back({{dist_x(p, r), r.y}, r});
-        else if (r.x > p.x && r.y < p.y)
-            se.push_back({{dist_y(p, r), r.x}, r});
-    }
-    std::sort(nw.begin(), nw.end());
-    for (const auto& [key, r] : nw) {
+    // Definition 5 blocking test for *every* NW/SE root; the answer is the
+    // (distance, coordinate)-smallest unblocked candidate, so a min-scan
+    // for the smallest key, then the next key above it while the current
+    // one is blocked, gives the identical result with typically one or two
+    // O(log n) gate probes.  Root points are pairwise distinct, so keys are
+    // unique and "the next key above" is well defined.
+    using Key = std::pair<Length, Coord>;
+    const auto next_candidate = [&](bool nw, const std::optional<Key>& above,
+                                    Key& key, Point& best) {
+        bool found = false;
+        for (const int rid : roots_) {
+            const NodeRec& rn = nodes_[static_cast<std::size_t>(rid)];
+            if (rn.tree == pn.tree) continue;  // also skips root_id itself
+            const Point r = rn.p;
+            Key k{};
+            if (nw && r.x < p.x && r.y > p.y)
+                k = {dist_x(p, r), r.y};
+            else if (!nw && r.x > p.x && r.y < p.y)
+                k = {dist_y(p, r), r.x};
+            else
+                continue;
+            if (above && !(*above < k)) continue;
+            if (!found || k < key) {
+                key = k;
+                best = r;
+                found = true;
+            }
+        }
+        return found;
+    };
+    Key key{};
+    Point r{};
+    for (std::optional<Key> above; next_candidate(true, above, key, r); above = key) {
         if (index_.hits_vertical_gate(r.x, p.y, r.y)) continue;
         q.dx = key.first;
         q.mx = r;
         break;
     }
-    std::sort(se.begin(), se.end());
-    for (const auto& [key, r] : se) {
+    for (std::optional<Key> above; next_candidate(false, above, key, r); above = key) {
         if (index_.hits_horizontal_gate(r.y, p.x, r.x)) continue;
         q.dy = key.first;
         q.my = r;
@@ -176,12 +212,24 @@ int Forest::materialize(Point p, int tree_id)
         const int child_id = static_cast<int>(i);
         const int parent_id = child.parent;
         const int mid = new_node(p, tree_id);  // may invalidate child/par refs
+        // mid takes child's place in the parent's child list.
         NodeRec& m = nodes_[static_cast<std::size_t>(mid)];
+        NodeRec& c = nodes_[i];
         m.parent = parent_id;
-        m.children.push_back(child_id);
-        nodes_[i].parent = mid;
-        auto& pc = nodes_[static_cast<std::size_t>(parent_id)].children;
-        *std::find(pc.begin(), pc.end(), child_id) = mid;
+        m.first_child = m.last_child = child_id;
+        m.next_sibling = c.next_sibling;
+        c.parent = mid;
+        c.next_sibling = -1;
+        NodeRec& pr = nodes_[static_cast<std::size_t>(parent_id)];
+        if (pr.first_child == child_id) {
+            pr.first_child = mid;
+        } else {
+            int prev = pr.first_child;
+            while (nodes_[static_cast<std::size_t>(prev)].next_sibling != child_id)
+                prev = nodes_[static_cast<std::size_t>(prev)].next_sibling;
+            nodes_[static_cast<std::size_t>(prev)].next_sibling = mid;
+        }
+        if (pr.last_child == child_id) pr.last_child = mid;
         return mid;
     }
     {
@@ -200,25 +248,19 @@ void Forest::set_tree(int node_id, int tree_id)
         const int id = stack.back();
         stack.pop_back();
         nodes_[static_cast<std::size_t>(id)].tree = tree_id;
-        for (const int c : nodes_[static_cast<std::size_t>(id)].children)
-            stack.push_back(c);
+        for (const int c : children(id)) stack.push_back(c);
     }
-}
-
-Forest::PathResult Forest::apply_path(int from_root, const std::vector<Point>& waypoints)
-{
-    return apply_path(from_root, waypoints.data(), waypoints.data() + waypoints.size());
 }
 
 Forest::PathResult Forest::apply_path(int from_root,
                                       std::initializer_list<Point> waypoints)
 {
-    return apply_path(from_root, waypoints.begin(), waypoints.end());
-}
-
-Forest::PathResult Forest::apply_path(int from_root, const Point* first,
-                                      const Point* last)
-{
+    if (waypoints.size() > 2) {
+        std::ostringstream os;
+        os << "apply_path: " << waypoints.size()
+           << " waypoints (a move has at most two legs)";
+        throw std::invalid_argument(os.str());
+    }
     NodeRec& start = nodes_.at(static_cast<std::size_t>(from_root));
     if (start.parent != -1) {
         std::ostringstream os;
@@ -229,22 +271,21 @@ Forest::PathResult Forest::apply_path(int from_root, const Point* first,
     const int own_tree = start.tree;
 
     // Walk the legs, truncating at the first contact with another tree.
-    std::vector<Point>& chain = chain_;  // corner / end points, in walking order
-    chain.clear();
+    std::array<Point, 2> chain{};  // corner / end points, in walking order
+    std::size_t links = 0;
     Point cur = start.p;
     int merged_tree = -1;
     Length walked = 0;
-    for (const Point* it = first; it != last; ++it) {
-        const Point wp = *it;
+    for (const Point wp : waypoints) {
         if (wp == cur) continue;
         const Leg leg = make_leg(cur, wp);
         if (const auto hit = first_contact(leg, own_tree)) {
-            chain.push_back(leg.at(hit->first));
+            chain[links++] = leg.at(hit->first);
             walked += hit->first;
             merged_tree = hit->second;
             break;
         }
-        chain.push_back(wp);
+        chain[links++] = wp;
         walked += leg.len;
         cur = wp;
     }
@@ -252,34 +293,34 @@ Forest::PathResult Forest::apply_path(int from_root, const Point* first,
     PathResult res;
     res.prev_root = from_root;
     res.prev_point = start.p;
-    if (chain.empty()) {  // zero-length move
+    if (links == 0) {  // zero-length move
         res.end_node = from_root;
         res.end_point = start.p;
         res.new_root = from_root;
         return res;
     }
-    res.end_point = chain.back();
+    res.end_point = chain[links - 1];
     total_length_ += walked;
 
     // Create the chain of nodes from the far end back toward from_root.
     int far_node;
     const int final_tree = merged_tree >= 0 ? merged_tree : own_tree;
     if (merged_tree >= 0) {
-        far_node = materialize(chain.back(), merged_tree);
+        far_node = materialize(res.end_point, merged_tree);
     } else {
-        far_node = new_node(chain.back(), own_tree);
+        far_node = new_node(res.end_point, own_tree);
     }
     int parent = far_node;
-    for (std::size_t i = chain.size() - 1; i-- > 0;) {
+    for (std::size_t i = links - 1; i-- > 0;) {
         const int mid = new_node(chain[i], final_tree);
         nodes_[static_cast<std::size_t>(mid)].parent = parent;
-        nodes_[static_cast<std::size_t>(parent)].children.push_back(mid);
+        append_child(parent, mid);
         res.added_segs.push_back(Seg(chain[i], chain[i + 1]));
         index_.add(res.added_segs.back(), mid);
         parent = mid;
     }
     nodes_[static_cast<std::size_t>(from_root)].parent = parent;
-    nodes_[static_cast<std::size_t>(parent)].children.push_back(from_root);
+    append_child(parent, from_root);
     res.added_segs.push_back(Seg(res.prev_point, chain.front()));
     index_.add(res.added_segs.back(), from_root);
 

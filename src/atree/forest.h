@@ -22,6 +22,7 @@
 #ifndef CONG93_ATREE_FOREST_H
 #define CONG93_ATREE_FOREST_H
 
+#include <array>
 #include <initializer_list>
 #include <limits>
 #include <optional>
@@ -37,14 +38,62 @@ namespace cong93 {
 /// Sentinel "infinite" distance for missing mx/my/mf (compared, never added).
 inline constexpr Length kInfLen = std::numeric_limits<Length>::max() / 4;
 
+/// Up to two segments stored inline: the geometry one applied path adds.
+class SegPair {
+public:
+    void push_back(const Seg& s) { segs_[n_++] = s; }
+    std::size_t size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    const Seg& operator[](std::size_t i) const { return segs_[i]; }
+    const Seg& back() const { return segs_[n_ - 1]; }
+    const Seg* begin() const { return segs_.data(); }
+    const Seg* end() const { return segs_.data() + n_; }
+
+private:
+    std::array<Seg, 2> segs_{Seg(Point{0, 0}), Seg(Point{0, 0})};
+    std::size_t n_ = 0;
+};
+
 class Forest {
 public:
+    /// A node with an intrusive child list: children() walks first_child
+    /// and the next_sibling links, in the order the children were attached
+    /// (an edge split puts the new node where the split child was).
     struct NodeRec {
         Point p;
         int parent = -1;             ///< parent node id within the arborescence
-        std::vector<int> children;
+        int first_child = -1;
+        int last_child = -1;
+        int next_sibling = -1;       ///< next child of `parent`, -1 at the end
         int tree = -1;               ///< arborescence id
         bool terminal = false;       ///< source or sink of the net
+    };
+
+    /// Range over one node's children (see NodeRec), for range-for loops.
+    class ChildRange {
+    public:
+        class iterator {
+        public:
+            iterator(const std::vector<NodeRec>& nodes, int id) : nodes_(&nodes), id_(id) {}
+            int operator*() const { return id_; }
+            iterator& operator++()
+            {
+                id_ = (*nodes_)[static_cast<std::size_t>(id_)].next_sibling;
+                return *this;
+            }
+            bool operator!=(const iterator& o) const { return id_ != o.id_; }
+
+        private:
+            const std::vector<NodeRec>* nodes_;
+            int id_;
+        };
+        ChildRange(const std::vector<NodeRec>& nodes, int first) : nodes_(&nodes), first_(first) {}
+        iterator begin() const { return {*nodes_, first_}; }
+        iterator end() const { return {*nodes_, -1}; }
+
+    private:
+        const std::vector<NodeRec>* nodes_;
+        int first_;
     };
 
     /// The regional quantities of Definitions 6-7 for a root node p.
@@ -63,10 +112,18 @@ public:
     /// terminals are collapsed: node ids follow the sinks' first occurrences
     /// (source first), and node and root storage is reserved from the sink
     /// count.
-    Forest(Point source, const std::vector<Point>& sinks);
+    Forest(Point source, const std::vector<Point>& sinks) { reset(source, sinks); }
+    /// An empty forest, to be filled by reset().
+    Forest() = default;
+
+    /// Restarts the forest as F_0 for a new net (same contract as the
+    /// constructor), reusing the storage of the previous construction.
+    void reset(Point source, const std::vector<Point>& sinks);
 
     std::size_t node_count() const { return nodes_.size(); }
     const NodeRec& node(int id) const { return nodes_.at(static_cast<std::size_t>(id)); }
+    /// Children of node `id`, in attachment order.
+    ChildRange children(int id) const { return {nodes_, node(id).first_child}; }
     int source_node() const { return source_node_; }
     /// Terminal node at the position of sink i (the constructor's i-th
     /// sink): the first occurrence's node for duplicates, the source node
@@ -103,22 +160,23 @@ public:
         int prev_root = -1;   ///< from_root (no longer a root unless the path
                               ///< had zero length)
         Point prev_point;     ///< from_root's position
-        std::vector<Seg> added_segs;  ///< new edge geometry, one Seg per leg
-                                      ///< piece (empty for zero-length paths)
+        SegPair added_segs;   ///< new edge geometry, one Seg per leg piece
+                              ///< (empty for zero-length paths)
     };
 
-    /// Adds the rectilinear path from root `from_root` through `waypoints`
-    /// (consecutive points axis-aligned).  The path is truncated at its first
+    /// Adds the rectilinear path from root `from_root` through at most two
+    /// `waypoints` (consecutive points axis-aligned; every move of the
+    /// engine is one or two legs).  The path is truncated at its first
     /// contact with another arborescence, where the trees merge; otherwise
     /// the final point becomes the new root of `from_root`'s tree.  Length-0
     /// paths are rejected (returns end_node == from_root, merged == false).
-    PathResult apply_path(int from_root, const std::vector<Point>& waypoints);
-    /// Same, for a braced waypoint list (the move engine's form: no
-    /// waypoint vector is allocated).
     PathResult apply_path(int from_root, std::initializer_list<Point> waypoints);
 
     /// Total wirelength of the forest.
     Length total_length() const { return total_length_; }
+
+    /// Heap bytes held by the forest's storage (capacities).
+    std::size_t capacity_bytes() const;
 
     /// True if point p lies on any arborescence (node or edge interior).
     bool covers(Point p) const;
@@ -141,8 +199,8 @@ public:
         const Leg& leg, int own_tree) const;
 
 private:
-    PathResult apply_path(int from_root, const Point* first, const Point* last);
     int new_node(Point p, int tree);
+    void append_child(int parent, int child);
     /// Node exactly at p on tree `tree_id`, splitting an edge if needed.
     int materialize(Point p, int tree_id);
     void set_tree(int node_id, int tree_id);  // relabel a whole subtree
@@ -152,13 +210,7 @@ private:
     std::vector<int> tree_roots_;  ///< tree id -> root node id (-1 once absorbed)
     std::vector<int> sink_nodes_;  ///< constructor sink index -> terminal node
     SegIndex index_;
-    // Scratch reused across calls.  A Forest belongs to one construction and
-    // is never queried concurrently, so analyze() may reuse its candidate
-    // lists despite being const.
-    std::vector<Point> chain_;                 ///< apply_path corners
-    std::vector<int> stack_;                   ///< set_tree DFS
-    using Candidate = std::pair<std::pair<Length, Coord>, Point>;
-    mutable std::vector<Candidate> nw_, se_;   ///< analyze mx/my candidates
+    std::vector<int> stack_;       ///< set_tree DFS / constructor sort scratch
     int source_node_ = -1;
     Length total_length_ = 0;
 };

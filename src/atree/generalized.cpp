@@ -29,24 +29,143 @@ bool strictly_in_quadrant(Point d, int q)
     return d.x * sx > 0 && d.y * sy > 0;
 }
 
+/// Reflects a source-relative point of quadrant q into (+,+), or back (the
+/// reflection is its own inverse).
+Point reflect(Point d, int q)
+{
+    const auto [sx, sy] = kQuadSign[static_cast<std::size_t>(q)];
+    return Point{static_cast<Coord>(d.x * sx), static_cast<Coord>(d.y * sy)};
+}
+
+/// Quadrant q's sinks reflected into (+,+), in partition order.
+void quadrant_sinks(const QuadrantPartition& part, int q, std::vector<Point>& out)
+{
+    out.clear();
+    for (const RelSink& d : part.quads[static_cast<std::size_t>(q)])
+        out.push_back(reflect(d.p, q));
+}
+
+// The two quadrant representations the assembly grafts: a built quadrant
+// RoutingTree (assemble_quadrants) or the finished scratch forest
+// (emit_atree).
+NodeId root_of(const RoutingTree& t) { return t.root(); }
+int root_of(const Forest& f) { return f.source_node(); }
+const std::vector<NodeId>& children_of(const RoutingTree& t, NodeId id)
+{
+    return t.node(id).children;
+}
+Forest::ChildRange children_of(const Forest& f, int id) { return f.children(id); }
+
+/// Visits (quadrant node, load) for every sink of the quadrant; when
+/// duplicate sinks share a node, the last visit carries the load that node
+/// keeps.
+template <typename Fn>
+void for_each_sink(const RoutingTree& t, const std::vector<RelSink>&, Fn&& fn)
+{
+    for (std::size_t i = 0; i < t.node_count(); ++i)
+        if (t.node(static_cast<NodeId>(i)).is_sink)
+            fn(static_cast<int>(i), t.node(static_cast<NodeId>(i)).sink_cap_f);
+}
+template <typename Fn>
+void for_each_sink(const Forest& f, const std::vector<RelSink>& sinks, Fn&& fn)
+{
+    for (std::size_t k = 0; k < sinks.size(); ++k) fn(f.sink_node(k), sinks[k].cap);
+}
+
+/// The one assembly behind assemble_quadrants and emit_atree.  For every
+/// non-empty quadrant q, `quadrant(q)` yields its first-quadrant tree; the
+/// tree is grafted under the output root in preorder (children in order),
+/// reflected back and translated to absolute coordinates through
+/// `add(parent, point) -> id`, and its sinks are marked through
+/// `mark(id, load)` (marking inside the quadrant keeps sink loads on the
+/// owning branch even when two quadrant trees touch along an axis).  The
+/// coverage pass then checks every net sink against the marked points and
+/// marks the root, with the default load, when a sink sits at the source.
+/// Walks with the graft scratch of `s` (stack, map, marked).
+template <typename Quadrant, typename Add, typename Mark>
+void assemble(const Net& net, const QuadrantPartition& part, Quadrant&& quadrant,
+              Add&& add, Mark&& mark, AtreeScratch& s)
+{
+    std::size_t nodes = 1;
+    s.marked.clear();
+    for (int q = 0; q < 4; ++q) {
+        const auto& sinks = part.quads[static_cast<std::size_t>(q)];
+        if (sinks.empty()) continue;
+        const auto& t = quadrant(q);
+        const auto place = [&](Point p) {
+            const Point r = reflect(p, q);
+            return Point{static_cast<Coord>(r.x + net.source.x),
+                         static_cast<Coord>(r.y + net.source.y)};
+        };
+
+        const int root = root_of(t);
+        s.map.assign(t.node_count(), kNoNode);
+        s.map[static_cast<std::size_t>(root)] = 0;
+        s.stack.assign(1, root);
+        while (!s.stack.empty()) {
+            const int id = s.stack.back();
+            s.stack.pop_back();
+            const auto& n = t.node(id);
+            if (id != root)
+                s.map[static_cast<std::size_t>(id)] =
+                    add(s.map[static_cast<std::size_t>(n.parent)], place(n.p));
+            const std::size_t first = s.stack.size();
+            for (const int c : children_of(t, id)) s.stack.push_back(c);
+            std::reverse(s.stack.begin() + static_cast<std::ptrdiff_t>(first),
+                         s.stack.end());
+        }
+        nodes += t.node_count() - 1;
+
+        for_each_sink(t, sinks, [&](int id, double cap) {
+            mark(s.map[static_cast<std::size_t>(id)], cap);
+            s.marked.push_back(place(t.node(id).p));
+        });
+    }
+
+    // Every sink off the source belongs to a quadrant that marked it; a sink
+    // at the source is marked on the root (the only node there).  The
+    // marked points, sorted, answer each sink with one binary search.
+    std::sort(s.marked.begin(), s.marked.end());
+    bool at_source = false;
+    for (const Point p : net.sinks) {
+        if (p == net.source) {
+            at_source = true;
+            continue;
+        }
+        if (!std::binary_search(s.marked.begin(), s.marked.end(), p)) {
+            std::ostringstream os;
+            os << "build_atree_general: sink at " << p
+               << " missing from the combined tree (net has "
+               << net.sinks.size() << " sinks, tree has " << nodes << " nodes)";
+            throw std::logic_error(os.str());
+        }
+    }
+    if (at_source) mark(0, -1.0);
+}
+
 }  // namespace
 
 QuadrantPartition partition_quadrants(const Net& net)
 {
-    // Work in source-relative coordinates (carrying per-sink caps along).
-    std::vector<RelSink> rel;
-    rel.reserve(net.sinks.size());
-    for (std::size_t i = 0; i < net.sinks.size(); ++i)
-        rel.push_back({Point{static_cast<Coord>(net.sinks[i].x - net.source.x),
-                             static_cast<Coord>(net.sinks[i].y - net.source.y)},
-                       net.sink_cap(i)});
-
-    // Assign each sink to a quadrant.  Interior sinks are unambiguous; axis
-    // sinks join the adjacent quadrant whose nearest interior sink is
-    // closest (preferring lower quadrant index on ties).
     QuadrantPartition part;
-    std::vector<RelSink> axis_sinks;
-    for (const RelSink& d : rel) {
+    std::vector<RelSink> axis;
+    partition_quadrants(net, part, axis);
+    return part;
+}
+
+void partition_quadrants(const Net& net, QuadrantPartition& part,
+                         std::vector<RelSink>& axis_sinks)
+{
+    // Assign each sink, in source-relative coordinates and carrying its cap,
+    // to a quadrant.  Interior sinks are unambiguous; axis sinks join the
+    // adjacent quadrant whose nearest interior sink is closest (preferring
+    // lower quadrant index on ties).
+    for (auto& quad : part.quads) quad.clear();
+    axis_sinks.clear();
+    for (std::size_t i = 0; i < net.sinks.size(); ++i) {
+        const RelSink d{Point{static_cast<Coord>(net.sinks[i].x - net.source.x),
+                              static_cast<Coord>(net.sinks[i].y - net.source.y)},
+                        net.sink_cap(i)};
         if (d.p.x == 0 && d.p.y == 0) continue;  // sink at the source
         bool placed = false;
         for (int q = 0; q < 4 && !placed; ++q) {
@@ -73,21 +192,15 @@ QuadrantPartition partition_quadrants(const Net& net)
         }
         part.quads[static_cast<std::size_t>(best_q)].push_back(d);
     }
-    return part;
 }
 
 Net quadrant_subnet(const QuadrantPartition& part, int q)
 {
-    const auto& sinks = part.quads[static_cast<std::size_t>(q)];
-    const auto [sx, sy] = kQuadSign[static_cast<std::size_t>(q)];
     Net sub;
     sub.source = Point{0, 0};
-    sub.sinks.reserve(sinks.size());
-    sub.sink_caps.reserve(sinks.size());
-    for (const RelSink& d : sinks)
-        sub.sinks.push_back(Point{static_cast<Coord>(d.p.x * sx),
-                                  static_cast<Coord>(d.p.y * sy)});
-    for (const RelSink& d : sinks) sub.sink_caps.push_back(d.cap);
+    quadrant_sinks(part, q, sub.sinks);
+    for (const RelSink& d : part.quads[static_cast<std::size_t>(q)])
+        sub.sink_caps.push_back(d.cap);
     return sub;
 }
 
@@ -101,74 +214,19 @@ AtreeResult assemble_quadrants(const Net& net, const QuadrantPartition& part,
         if (!part.quads[q].empty()) nodes += quads[q]->tree.node_count() - 1;
     combined.reserve(nodes);
 
-    std::vector<NodeId> map;    // quadrant node id -> combined node id
-    std::vector<NodeId> stack;  // preorder DFS
-    for (int q = 0; q < 4; ++q) {
-        if (part.quads[static_cast<std::size_t>(q)].empty()) continue;
-        const AtreeResult& r = *quads[static_cast<std::size_t>(q)];
-        const auto [sx, sy] = kQuadSign[static_cast<std::size_t>(q)];
-
-        // Graft the quadrant tree into the combined tree in preorder,
-        // reflecting back and translating to absolute coordinates.
-        map.assign(r.tree.node_count(), kNoNode);
-        map[static_cast<std::size_t>(r.tree.root())] = combined.root();
-        stack.assign(1, r.tree.root());
-        while (!stack.empty()) {
-            const NodeId id = stack.back();
-            stack.pop_back();
-            const RoutingTree::Node& n = r.tree.node(id);
-            if (id != r.tree.root()) {
-                const Point p{static_cast<Coord>(n.p.x * sx + net.source.x),
-                              static_cast<Coord>(n.p.y * sy + net.source.y)};
-                map[static_cast<std::size_t>(id)] = combined.add_child(
-                    map[static_cast<std::size_t>(n.parent)], p);
-            }
-            for (auto it = n.children.rbegin(); it != n.children.rend(); ++it)
-                stack.push_back(*it);
-        }
-
-        // Mark this quadrant's sinks on the grafted copy (marking inside the
-        // quadrant keeps sink loads on the owning branch even when two
-        // quadrant trees touch along an axis).
-        for (std::size_t i = 0; i < r.tree.node_count(); ++i) {
-            const NodeId id = static_cast<NodeId>(i);
-            if (r.tree.node(id).is_sink)
-                combined.mark_sink(map[i], r.tree.node(id).sink_cap_f);
-        }
-
-        total.safe_moves += r.safe_moves;
-        total.heuristic_moves += r.heuristic_moves;
-        total.sb_total += r.sb_total;
-        total.sb_qmst_total += r.sb_qmst_total;
-    }
-
-    // Verify coverage.  Every sink off the source belongs to a quadrant whose
-    // tree marked it, so it must already be a marked node of the combined
-    // tree; a sink at the source is marked on the root (the only node there)
-    // with the default load.  The marked points, sorted, answer each sink
-    // with one binary search.
-    std::vector<Point> marked;
-    marked.reserve(net.sinks.size());
-    for (std::size_t i = 1; i < combined.node_count(); ++i) {
-        const RoutingTree::Node& n = combined.node(static_cast<NodeId>(i));
-        if (n.is_sink) marked.push_back(n.p);
-    }
-    std::sort(marked.begin(), marked.end());
-    for (const Point s : net.sinks) {
-        if (s == net.source) {
-            if (!combined.node(combined.root()).is_sink)
-                combined.mark_sink(combined.root());
-            continue;
-        }
-        if (!std::binary_search(marked.begin(), marked.end(), s)) {
-            std::ostringstream os;
-            os << "build_atree_general: sink at " << s
-               << " missing from the combined tree (net has "
-               << net.sinks.size() << " sinks, tree has "
-               << combined.node_count() << " nodes)";
-            throw std::logic_error(os.str());
-        }
-    }
+    AtreeScratch scratch;
+    assemble(
+        net, part,
+        [&](int q) -> const RoutingTree& {
+            const AtreeResult& r = *quads[static_cast<std::size_t>(q)];
+            total.safe_moves += r.safe_moves;
+            total.heuristic_moves += r.heuristic_moves;
+            total.sb_total += r.sb_total;
+            total.sb_qmst_total += r.sb_qmst_total;
+            return r.tree;
+        },
+        [&](NodeId parent, Point p) { return combined.add_child(parent, p); },
+        [&](NodeId id, double cap) { combined.mark_sink(id, cap); }, scratch);
 
     total.cost = total_length(combined);
     total.qmst_cost = sum_all_node_path_lengths(combined);
@@ -187,6 +245,52 @@ AtreeResult build_atree_general(const Net& net, const AtreeOptions& options)
         ptrs[static_cast<std::size_t>(q)] = &*built[static_cast<std::size_t>(q)];
     }
     return assemble_quadrants(net, part, ptrs);
+}
+
+std::size_t AtreeScratch::capacity_bytes() const
+{
+    std::size_t n = axis.capacity() * sizeof(RelSink);
+    for (const auto& quad : part.quads) n += quad.capacity() * sizeof(RelSink);
+    n += (sinks.capacity() + marked.capacity()) * sizeof(Point);
+    n += stack.capacity() * sizeof(int) + map.capacity() * sizeof(NodeId);
+    return n + forest.capacity_bytes() + engine.capacity_bytes();
+}
+
+void AtreeScratch::release()
+{
+    const std::uint64_t kept = growths;
+    *this = AtreeScratch();
+    growths = kept;
+}
+
+void emit_atree(const Net& net, AtreeScratch& s, FlatTree& out,
+                const AtreeOptions& options)
+{
+    // Counts a growth however the call ends: a construction that throws
+    // may have grown the buffers too.
+    struct GrowthProbe {
+        AtreeScratch& s;
+        std::size_t before = s.capacity_bytes();
+        ~GrowthProbe()
+        {
+            if (s.capacity_bytes() > before) ++s.growths;
+        }
+    } probe{s};
+
+    partition_quadrants(net, s.part, s.axis);
+    out.begin(net.source);
+    assemble(
+        net, s.part,
+        [&](int q) -> const Forest& {
+            quadrant_sinks(s.part, q, s.sinks);
+            run_atree(s.forest, s.engine, s.sinks, options);
+            return s.forest;
+        },
+        [&](NodeId parent, Point p) { return out.append(parent, p); },
+        [&](NodeId id, double cap) { out.mark_sink(id, cap); }, s);
+    // The price build_atree_general puts on its tree, for its one failure
+    // mode: a QMST cost beyond int64 throws.
+    sum_all_node_path_lengths(out);
 }
 
 }  // namespace cong93

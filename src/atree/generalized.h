@@ -17,13 +17,23 @@
 // quadrants and re-assemble.  build_atree_general composes exactly these
 // three phases; assembling previously built quadrant results is
 // bit-identical to a from-scratch construction.
+//
+// emit_atree is the same construction for callers that only need the
+// compiled tree (the batch pipeline's A-tree rung): each quadrant is built
+// in one reusable forest (AtreeScratch) and grafted straight into a
+// FlatTree in preorder, with no RoutingTree in between.  Both paths run
+// the one assembly in generalized.cpp -- the same graft walk, reflection,
+// sink marking and coverage pass -- over different quadrant and output
+// representations.
 #ifndef CONG93_ATREE_GENERALIZED_H
 #define CONG93_ATREE_GENERALIZED_H
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "atree/atree.h"
+#include "rtree/flat_tree.h"
 
 namespace cong93 {
 
@@ -64,6 +74,10 @@ struct QuadrantPartition {
 /// whose nearest interior sink is closest (preferring the lower quadrant
 /// index on ties).  Deterministic function of the net alone.
 QuadrantPartition partition_quadrants(const Net& net);
+/// Buffer-reuse form: fills `out` (its quadrant lists cleared first), with
+/// `axis` as scratch for the axis sinks.
+void partition_quadrants(const Net& net, QuadrantPartition& out,
+                         std::vector<RelSink>& axis);
 
 /// First-quadrant subproblem of quadrant q: that quadrant's sinks reflected
 /// into (+,+) with the source at the origin, caps carried along.  This is
@@ -83,6 +97,40 @@ AtreeResult assemble_quadrants(const Net& net, const QuadrantPartition& part,
 
 /// Builds a generalized A-tree for a net whose sinks may lie anywhere.
 AtreeResult build_atree_general(const Net& net, const AtreeOptions& options = {});
+
+/// Reusable storage for emit_atree: the partition and quadrant-sink
+/// buffers, the forest and move engine every quadrant is built in, and the
+/// graft walk's scratch.  Everything only grows, so a warmed-up scratch
+/// constructs without allocating.  One scratch serves one thread at a time
+/// (a Workspace holds one per worker slot); contents do not outlive a call.
+struct AtreeScratch {
+    QuadrantPartition part;
+    std::vector<RelSink> axis;       ///< partition_quadrants' axis sinks
+    std::vector<Point> sinks;        ///< current quadrant, reflected into (+,+)
+    Forest forest;
+    MoveEngine engine;
+    std::vector<int> stack;          ///< graft walk
+    std::vector<NodeId> map;         ///< forest node id -> emitted flat index
+    std::vector<Point> marked;       ///< coverage pass
+    /// emit_atree calls that grew the storage (capacity_bytes() rose).
+    std::uint64_t growths = 0;
+
+    /// Heap bytes held by every buffer above (capacities).
+    std::size_t capacity_bytes() const;
+    /// Frees every buffer, keeping the growth count.
+    void release();
+};
+
+/// build_atree_general(net, options), compiled straight into `out`: after
+/// the call `out` holds the combined tree's per-node rows in preorder, and
+/// out.finish() completes exactly the arrays FlatTree::build would compile
+/// from build_atree_general(net, options).tree.  The caller finishes, so it
+/// can vet the node count (out.size()) first.  Throws what
+/// build_atree_general throws, including std::overflow_error when the QMST
+/// cost -- checked on the emitted rows -- overflows int64; `out` is then
+/// unfinished and must be rebuilt before use.
+void emit_atree(const Net& net, AtreeScratch& scratch, FlatTree& out,
+                const AtreeOptions& options = {});
 
 }  // namespace cong93
 

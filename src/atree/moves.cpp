@@ -41,15 +41,30 @@ bool farther_first(const Forest& f, int a, int b)
 
 }  // namespace
 
-MoveEngine::MoveEngine(Forest& forest, HeuristicPolicy policy, bool use_safe_moves,
+void MoveEngine::reset(Forest& forest, HeuristicPolicy policy, bool use_safe_moves,
                        Mode mode)
-    : forest_(&forest), policy_(policy), use_safe_moves_(use_safe_moves),
-      mode_(mode)
 {
+    forest_ = &forest;
+    policy_ = policy;
+    use_safe_moves_ = use_safe_moves;
+    mode_ = mode;
+    cache_.clear();
+    order_.clear();
+    order_ready_ = false;
+    log_.clear();
+    cands_.clear();
+    safe_moves_ = heuristic_moves_ = 0;
+    sb_total_ = sb_qmst_total_ = 0;
     // Sized for the common case: small forests finish within about two
     // moves per root, adding a few nodes per terminal.
     log_.reserve(2 * forest.roots().size());
     if (mode_ == Mode::indexed) cache_.reserve(4 * forest.node_count());
+}
+
+std::size_t MoveEngine::capacity_bytes() const
+{
+    return cache_.capacity() * sizeof(cache_[0]) + order_.capacity() * sizeof(int) +
+           log_.capacity() * sizeof(MoveRecord) + cands_.capacity() * sizeof(Cand);
 }
 
 void MoveEngine::record(MoveRecord rec)
@@ -263,12 +278,8 @@ Length lower_bound_of(const Forest::RootQuery& q)
 
 void MoveEngine::heuristic_move()
 {
-    struct Cand {
-        int root = -1;
-        Point p;
-        Forest::RootQuery q;
-    };
-    std::vector<Cand> cands;
+    std::vector<Cand>& cands = cands_;
+    cands.clear();
     for (const int rid : forest_->roots()) {
         Cand c;
         c.root = rid;

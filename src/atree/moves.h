@@ -68,6 +68,17 @@ public:
     /// construction of Rao et al. (an ablation; the paper's algorithm always
     /// prefers safe moves).
     MoveEngine(Forest& forest, HeuristicPolicy policy, bool use_safe_moves = true,
+               Mode mode = Mode::indexed)
+    {
+        reset(forest, policy, use_safe_moves, mode);
+    }
+    /// An engine bound to no forest, to be started by reset().
+    MoveEngine() = default;
+
+    /// Restarts the engine on `forest` (same contract as the constructor),
+    /// reusing the cache, order, log and candidate storage of the previous
+    /// construction.
+    void reset(Forest& forest, HeuristicPolicy policy, bool use_safe_moves = true,
                Mode mode = Mode::indexed);
 
     /// Performs one move.  Returns false when the forest is already a single
@@ -83,7 +94,17 @@ public:
     Length sb_total() const { return sb_total_; }
     Length sb_qmst_total() const { return sb_qmst_total_; }
 
+    /// Heap bytes held by the engine's storage (capacities).
+    std::size_t capacity_bytes() const;
+
 private:
+    /// A movable root and its query, as heuristic_move() weighs it.
+    struct Cand {
+        int root = -1;
+        Point p;
+        Forest::RootQuery q;
+    };
+
     bool try_safe_move();
     void heuristic_move();
     void record(MoveRecord rec);
@@ -98,10 +119,10 @@ private:
     /// the new geometry or root change could affect.
     void note_path(const Forest::PathResult& pr);
 
-    Forest* forest_;
-    HeuristicPolicy policy_;
-    bool use_safe_moves_;
-    Mode mode_;
+    Forest* forest_ = nullptr;
+    HeuristicPolicy policy_ = HeuristicPolicy::farthest_corner;
+    bool use_safe_moves_ = true;
+    Mode mode_ = Mode::indexed;
     /// Cached root queries (indexed mode), indexed by node id; only roots
     /// are ever cached.
     std::vector<std::optional<Forest::RootQuery>> cache_;
@@ -109,6 +130,7 @@ private:
                               ///< re-sorted per step in reference mode)
     bool order_ready_ = false;
     std::vector<MoveRecord> log_;
+    std::vector<Cand> cands_;  ///< heuristic_move() candidates
     int safe_moves_ = 0;
     int heuristic_moves_ = 0;
     Length sb_total_ = 0;

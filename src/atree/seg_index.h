@@ -43,6 +43,19 @@ public:
         rows_.reserve(segs);
     }
 
+    /// Empties the index, keeping its storage for the next forest.
+    void clear()
+    {
+        cols_.clear();
+        rows_.clear();
+    }
+
+    /// Heap bytes held by both line families (capacities).
+    std::size_t capacity_bytes() const
+    {
+        return (cols_.capacity() + rows_.capacity()) * sizeof(Entry);
+    }
+
     /// Appends a segment (owner = the forest node id whose parent edge, or
     /// whose isolated point, this is; used for tree-id lookups by the caller).
     void add(const Seg& s, int owner);

@@ -31,7 +31,7 @@ namespace {
 /// What stages 0-2 left behind for the report/tail stages.
 struct FrontOutcome {
     bool alive = false;            ///< reached the report stage
-    std::size_t nodes = 0;         ///< RoutingTree node count
+    std::size_t nodes = 0;         ///< node count of the compiled tree
     const Technology* t = nullptr; ///< technology routed against (may be the
                                    ///< per-net NaN-corrupted copy)
 };
@@ -182,20 +182,24 @@ FrontOutcome route_front(const Net& raw, std::size_t index,
     // quality-for-latency dial, so pressure degrades output instead of
     // blocking the pool.  The per-net jitter (virtual clock) is charged
     // up front, which is what lets a plan expire a deterministic subset of
-    // nets before any stage runs.
+    // nets before any stage runs.  The A-tree rung emits its tree straight
+    // into the slot arena (rows only; stage 2 finishes the compile); the
+    // fallback rungs build a RoutingTree that stage 2 compiles.
     clk.charge_jitter();
+    bool atree = false;
     std::optional<RoutingTree> tree;
     const bool cheap = clk.pressured(r);
     if (!cheap) {
         try {
             faults.maybe_throw(index, RouteStage::topology,
                                "injected: A-tree construction fault");
-            tree.emplace(build_atree_general(net).tree);
+            emit_atree(net, ws.atree, ws.flat);
+            atree = true;
         } catch (const std::exception& e) {
             r.diag.note(RouteStage::topology, e.what());
         }
         clk.charge(RouteStage::topology);
-        if (!tree) {
+        if (!atree) {
             try {
                 faults.maybe_throw(index, RouteStage::fallback,
                                    "injected: BRBC fallback fault");
@@ -208,7 +212,7 @@ FrontOutcome route_front(const Net& raw, std::size_t index,
             clk.charge(RouteStage::fallback);
         }
     }
-    if (!tree) {
+    if (!atree && !tree) {
         try {
             tree.emplace(build_spt(net));
             r.status = cheap ? worst(r.status, RouteStatus::deadline_degraded)
@@ -222,12 +226,17 @@ FrontOutcome route_front(const Net& raw, std::size_t index,
 
     // 2. Compile into the arena, behind the OOM guards (the real per-batch
     // cap and, for soak runs, the injected one).
+    const std::size_t nodes = atree ? ws.flat.size() : tree->node_count();
     try {
-        ws.guard_nodes(tree->node_count(), opts.max_nodes_per_net);
+        ws.guard_nodes(nodes, opts.max_nodes_per_net);
         if (faults.fires(index, RouteStage::compile))
-            ws.guard_nodes(tree->node_count(), faults.arena_cap_nodes);
-        ws.flat.build(*tree);
+            ws.guard_nodes(nodes, faults.arena_cap_nodes);
+        if (atree)
+            ws.flat.finish();
+        else
+            ws.flat.build(*tree);
     } catch (const std::exception& e) {
+        if (atree) ws.release_atree();
         r.diag.note(RouteStage::compile, e.what());
         r.status = RouteStatus::failed;
         return fo;
@@ -235,7 +244,7 @@ FrontOutcome route_front(const Net& raw, std::size_t index,
     clk.charge(RouteStage::compile);
 
     fo.alive = true;
-    fo.nodes = tree->node_count();
+    fo.nodes = nodes;
     return fo;
 }
 

@@ -11,10 +11,16 @@
 //   0. validate_net            -- input front-end: canonicalizes duplicate /
 //                                 source-coincident sinks, rejects empty or
 //                                 overflow-scale nets (rtree/validate.h);
-//   1. build_atree_general     -- heuristic A-tree topology (PR 2's indexed
-//                                 construction engine);
-//   2. FlatTree compilation    -- into the slot's arena (guarded by the
-//                                 workspace node cap when one is set);
+//   1. emit_atree              -- heuristic A-tree topology (the indexed
+//                                 construction engine), built in the slot's
+//                                 AtreeScratch and emitted in preorder
+//                                 straight into the slot's FlatTree rows;
+//                                 the BRBC/SPT fallback rungs build a
+//                                 RoutingTree instead;
+//   2. FlatTree compilation    -- in the slot's arena (FlatTree::finish for
+//                                 the A-tree rows, FlatTree::build for a
+//                                 fallback tree), guarded by the workspace
+//                                 node cap when one is set;
 //   3. uniform-width report    -- RPH bound + max sink Elmore delay via the
 //                                 flat kernels, finiteness-checked;
 //   4. grewsa_owsa             -- optimal wiresizing (PR 1's incremental

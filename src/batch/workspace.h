@@ -11,7 +11,9 @@
 //   * a Workspace is owned by exactly one worker slot for the duration of a
 //     parallel_for_slots call -- never shared between concurrent slots;
 //   * buffers only grow; shrinking is never needed because every kernel
-//     (re)sizes or clears what it reads;
+//     (re)sizes or clears what it reads -- except after a net the node cap
+//     refuses on the A-tree rung, whose rows and forest were built before
+//     the cap could see their size (release_atree());
 //   * contents are scratch: nothing read out of a Workspace survives the
 //     net that produced it except through the index-addressed output slot.
 //
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "atree/generalized.h"
 #include "rtree/flat_tree.h"
 #include "sim/moments.h"
 
@@ -38,6 +41,8 @@ struct WorkspaceCounters {
     std::uint64_t moment_evals = 0;    ///< moment-kernel calls
     std::uint64_t moment_growths = 0;  ///< calls that grew the moment scratch
     std::uint64_t scratch_growths = 0; ///< growths of the plain scratch vectors
+    std::uint64_t atree_growths = 0;   ///< A-tree constructions that grew
+                                       ///< the slot's AtreeScratch
     std::uint64_t arena_rejects = 0;   ///< nets rejected by guard_nodes caps
     /// Nets answered by the route cache / single-flight result sharing
     /// instead of a compile (batch/pipeline.cpp).  Distinguishes "served"
@@ -53,6 +58,7 @@ struct WorkspaceCounters {
         moment_evals += o.moment_evals;
         moment_growths += o.moment_growths;
         scratch_growths += o.scratch_growths;
+        atree_growths += o.atree_growths;
         arena_rejects += o.arena_rejects;
         results_served += o.results_served;
         return *this;
@@ -64,6 +70,7 @@ struct WorkspaceCounters {
         moment_evals -= o.moment_evals;
         moment_growths -= o.moment_growths;
         scratch_growths -= o.scratch_growths;
+        atree_growths -= o.atree_growths;
         arena_rejects -= o.arena_rejects;
         results_served -= o.results_served;
         return *this;
@@ -78,8 +85,12 @@ struct WorkspaceCounters {
 
 class Workspace {
 public:
-    /// Reusable compiled-tree storage; rebuild per net with flat.build(tree).
+    /// Reusable compiled-tree storage; rebuild per net with flat.build(tree)
+    /// or, on the A-tree rung, emit_atree(net, atree, flat) + flat.finish().
     FlatTree flat;
+    /// Reusable A-tree construction storage (forest, move engine, partition
+    /// and graft buffers) for emit_atree.
+    AtreeScratch atree;
     /// Reusable moment-engine scratch (sim/moments.h).
     MomentWorkspace moments;
     /// Per-node double scratch (subtree caps etc).
@@ -112,6 +123,16 @@ public:
                                 std::to_string(cap));
     }
 
+    /// Frees the FlatTree and A-tree scratch storage.  The A-tree rung emits
+    /// its rows before guard_nodes sees the node count, so a net the guard
+    /// refuses there calls this: the refused net leaves no oversized buffer
+    /// behind.  Counters are kept.
+    void release_atree()
+    {
+        flat.release();
+        atree.release();
+    }
+
     /// Counts nets this slot answered from the route cache / result sharing
     /// rather than by compiling (the batch driver calls this from its serial
     /// post-pass).
@@ -123,7 +144,7 @@ public:
     /// plus every session's per-slot arenas.
     std::size_t resident_bytes() const
     {
-        std::size_t n = flat_tree_bytes(flat);
+        std::size_t n = flat.capacity_bytes() + atree.capacity_bytes();
         n += moments.subtree.capacity() * sizeof(double);
         n += moments.subtree_pp.capacity() * sizeof(double);
         for (const auto& row : moments.m) n += row.capacity() * sizeof(double);
@@ -141,27 +162,13 @@ public:
         c.moment_evals = moments.evals;
         c.moment_growths = moments.growths;
         c.scratch_growths = scratch_growths_;
+        c.atree_growths = atree.growths;
         c.arena_rejects = arena_rejects_;
         c.results_served = results_served_;
         return c;
     }
 
 private:
-    static std::size_t flat_tree_bytes(const FlatTree& t)
-    {
-        return t.parent().capacity() * sizeof(std::int32_t) +
-               t.edge_length().capacity() * sizeof(Length) +
-               t.path_length().capacity() * sizeof(Length) +
-               t.is_sink().capacity() * sizeof(std::uint8_t) +
-               t.sink_cap().capacity() * sizeof(double) +
-               t.point().capacity() * sizeof(Point) +
-               t.seg_boundary().capacity() * sizeof(std::uint8_t) +
-               t.child_ptr().capacity() * sizeof(std::int32_t) +
-               t.child_idx().capacity() * sizeof(std::int32_t) +
-               t.sinks().capacity() * sizeof(std::int32_t) +
-               t.node_of().capacity() * sizeof(NodeId);
-    }
-
     std::uint64_t scratch_growths_ = 0;
     std::uint64_t arena_rejects_ = 0;
     std::uint64_t results_served_ = 0;

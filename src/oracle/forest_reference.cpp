@@ -19,7 +19,7 @@ void for_each_forest_seg(const std::vector<Forest::NodeRec>& nodes, Fn&& fn)
         const auto& n = nodes[i];
         if (n.parent >= 0)
             fn(Seg(n.p, nodes[static_cast<std::size_t>(n.parent)].p), n.tree);
-        else if (n.children.empty())
+        else if (n.first_child < 0)
             fn(Seg(n.p), n.tree);
     }
 }

@@ -15,16 +15,19 @@ std::uint64_t flat_tree_compiles()
     return g_compiles.load(std::memory_order_relaxed);
 }
 
-void FlatTree::build(const RoutingTree& tree)
+void FlatTree::count_build()
 {
     g_compiles.fetch_add(1, std::memory_order_relaxed);
     ++builds_;
-    const std::size_t n = tree.node_count();
-    if (n > watermark_) {
+    if (size() > watermark_) {
         ++growths_;
-        watermark_ = n;
+        watermark_ = size();
     }
+}
 
+void FlatTree::build(const RoutingTree& tree)
+{
+    const std::size_t n = tree.node_count();
     parent_.resize(n);
     edge_len_.resize(n);
     path_len_.resize(n);
@@ -65,9 +68,22 @@ void FlatTree::build(const RoutingTree& tree)
         seg_boundary_[i] = node.segment_boundary ? 1 : 0;
     }
 
-    // CSR children.  Filling by ascending flat index preserves the original
-    // child order: an earlier child's whole subtree precedes a later child's
-    // in preorder, so siblings appear in child order.
+    link_children();
+
+    // Sinks in ascending-node-id order, matching RoutingTree::sinks().
+    sinks_.clear();
+    for (std::size_t id = 0; id < n; ++id)
+        if (tree.node(static_cast<NodeId>(id)).is_sink)
+            sinks_.push_back(flat_of_[id]);
+    count_build();
+}
+
+void FlatTree::link_children()
+{
+    // Filling by ascending flat index preserves the original child order:
+    // an earlier child's whole subtree precedes a later child's in preorder,
+    // so siblings appear in child order.
+    const std::size_t n = size();
     child_ptr_.assign(n + 1, 0);
     for (std::size_t i = 1; i < n; ++i)
         ++child_ptr_[static_cast<std::size_t>(parent_[i]) + 1];
@@ -78,12 +94,60 @@ void FlatTree::build(const RoutingTree& tree)
         child_idx_[static_cast<std::size_t>(
             csr_cursor_[static_cast<std::size_t>(parent_[i])]++)] =
             static_cast<std::int32_t>(i);
+}
 
-    // Sinks in ascending-node-id order, matching RoutingTree::sinks().
+void FlatTree::begin(Point root)
+{
+    parent_.assign(1, -1);
+    edge_len_.assign(1, 0);
+    path_len_.assign(1, 0);
+    is_sink_.assign(1, 0);
+    sink_cap_.assign(1, -1.0);
+    point_.assign(1, root);
+}
+
+void FlatTree::finish()
+{
+    // Emitted node ids are flat indices: identity maps, no segment
+    // boundaries, sinks in ascending index order.
+    const std::size_t n = size();
+    seg_boundary_.assign(n, 0);
+    node_of_.resize(n);
+    flat_of_.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        node_of_[i] = flat_of_[i] = static_cast<std::int32_t>(i);
+    link_children();
     sinks_.clear();
-    for (std::size_t id = 0; id < n; ++id)
-        if (tree.node(static_cast<NodeId>(id)).is_sink)
-            sinks_.push_back(flat_of_[id]);
+    for (std::size_t i = 0; i < n; ++i)
+        if (is_sink_[i] != 0) sinks_.push_back(static_cast<std::int32_t>(i));
+    count_build();
+}
+
+void FlatTree::release()
+{
+    const std::uint64_t builds = builds_;
+    const std::uint64_t growths = growths_;
+    *this = FlatTree();
+    builds_ = builds;
+    growths_ = growths;
+}
+
+std::size_t FlatTree::capacity_bytes() const
+{
+    return parent_.capacity() * sizeof(std::int32_t) +
+           edge_len_.capacity() * sizeof(Length) +
+           path_len_.capacity() * sizeof(Length) +
+           is_sink_.capacity() * sizeof(std::uint8_t) +
+           sink_cap_.capacity() * sizeof(double) +
+           point_.capacity() * sizeof(Point) +
+           seg_boundary_.capacity() * sizeof(std::uint8_t) +
+           child_ptr_.capacity() * sizeof(std::int32_t) +
+           child_idx_.capacity() * sizeof(std::int32_t) +
+           sinks_.capacity() * sizeof(std::int32_t) +
+           node_of_.capacity() * sizeof(NodeId) +
+           flat_of_.capacity() * sizeof(std::int32_t) +
+           dfs_stack_.capacity() * sizeof(std::int32_t) +
+           csr_cursor_.capacity() * sizeof(std::int32_t);
 }
 
 Length FlatTree::total_length() const

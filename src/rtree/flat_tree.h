@@ -16,15 +16,22 @@
 //   * sinks() lists flat indices in RoutingTree::sinks() order (ascending
 //     node id), so per-sink outputs line up with the reference evaluators.
 //
-// build() reuses the arrays' capacity across calls: a Workspace (see
+// A tree already in preorder can also be emitted row by row, without a
+// RoutingTree: begin() starts it at the root, append() adds each further
+// node after its parent, mark_sink() flags loads, and finish() lays out the
+// children and sinks.  The A-tree rung of the batch pipeline compiles this
+// way (atree/generalized.h, emit_atree); node ids then equal flat
+// indices, so node_of() is the identity.
+//
+// build() and the emission calls reuse the arrays' capacity: a Workspace (see
 // batch/workspace.h) keeps one FlatTree per worker thread and recompiles it
 // for each net of a batch without touching the allocator once the high-water
 // mark is reached.  builds()/growths() count compilations and capacity
 // growth events so reuse is measurable
 // (Pipeline.WorkspaceArenaIsReusedAcrossBatches asserts it), and
-// flat_tree_compiles() counts every build() in the process -- including the
-// throwaway compiles behind RoutingTree convenience overloads that no
-// Workspace sees.
+// flat_tree_compiles() counts every build() and finish() in the process --
+// including the throwaway compiles behind RoutingTree convenience overloads
+// that no Workspace sees.
 #ifndef CONG93_RTREE_FLAT_TREE_H
 #define CONG93_RTREE_FLAT_TREE_H
 
@@ -42,6 +49,44 @@ public:
 
     /// Compiles `tree` into the arrays, reusing existing capacity.
     void build(const RoutingTree& tree);
+
+    /// Row-by-row emission of a tree given in preorder (see the header
+    /// comment).  begin() discards the previous tree and adds the root at
+    /// `root`; append() adds a node at p as the last child of flat node
+    /// `parent` and returns its index.  p must be axis-aligned with the
+    /// parent's point and distinct from it, and `parent` must lie on the
+    /// path from the root to the last appended node, so the rows stay in
+    /// preorder.  Until finish() only the per-node rows are meaningful;
+    /// finish() fills the CSR children, the sink list and the identity node
+    /// maps and counts one build, exactly as build() of the equivalent
+    /// RoutingTree (node ids in preorder) would leave the arrays.
+    void begin(Point root);
+    std::int32_t append(std::int32_t parent, Point p)
+    {
+        const auto i = static_cast<std::int32_t>(parent_.size());
+        const Length len = dist(point_[static_cast<std::size_t>(parent)], p);
+        parent_.push_back(parent);
+        edge_len_.push_back(len);
+        path_len_.push_back(path_len_[static_cast<std::size_t>(parent)] + len);
+        is_sink_.push_back(0);
+        sink_cap_.push_back(-1.0);
+        point_.push_back(p);
+        return i;
+    }
+    /// Marks flat node i as a sink with load cap_f (RoutingTree::mark_sink).
+    void mark_sink(std::int32_t i, double cap_f)
+    {
+        is_sink_[static_cast<std::size_t>(i)] = 1;
+        sink_cap_[static_cast<std::size_t>(i)] = cap_f;
+    }
+    void finish();
+
+    /// Heap bytes held by every array, build-time scratch included
+    /// (capacities: the arrays only shrink through release()).
+    std::size_t capacity_bytes() const;
+    /// Frees every array, keeping the builds()/growths() counts; the next
+    /// compile grows the arrays from empty.
+    void release();
 
     std::size_t size() const { return parent_.size(); }
     bool empty() const { return parent_.empty(); }
@@ -81,12 +126,19 @@ public:
     /// Total wirelength (exact integer sum of edge_length()).
     Length total_length() const;
 
-    /// Number of build() calls over this object's lifetime.
+    /// Number of compilations (build() or finish() calls) over this
+    /// object's lifetime.
     std::uint64_t builds() const { return builds_; }
     /// Number of builds that had to grow the arrays (capacity misses).
     std::uint64_t growths() const { return growths_; }
 
 private:
+    /// Counts one compilation of the current size() nodes.
+    void count_build();
+    /// CSR children from parent_ (in flat order, which keeps child order
+    /// for a preorder layout).
+    void link_children();
+
     std::vector<std::int32_t> parent_;
     std::vector<Length> edge_len_;
     std::vector<Length> path_len_;
@@ -106,8 +158,8 @@ private:
     std::uint64_t growths_ = 0;
 };
 
-/// Number of FlatTree::build calls in this process so far, over every
-/// FlatTree and thread.  Telemetry only (a relaxed atomic, so concurrent
+/// Number of FlatTree compilations (build() or finish()) in this process
+/// so far, over every FlatTree and thread.  Telemetry only (a relaxed atomic, so concurrent
 /// builds are all counted but not ordered); no output depends on it.
 std::uint64_t flat_tree_compiles();
 

@@ -95,6 +95,13 @@ TEST(ForestIndex, MidConstructionEquivalenceMinSb)
 
 // ------------------------------------------------------------ bit-identity
 
+std::vector<int> children_of(const Forest& f, int id)
+{
+    std::vector<int> out;
+    for (const int c : f.children(id)) out.push_back(c);
+    return out;
+}
+
 void expect_forest_eq(const Forest& a, const Forest& b)
 {
     ASSERT_EQ(a.node_count(), b.node_count());
@@ -103,7 +110,8 @@ void expect_forest_eq(const Forest& a, const Forest& b)
         const auto& nb = b.node(static_cast<int>(i));
         EXPECT_EQ(na.p, nb.p) << "node " << i;
         EXPECT_EQ(na.parent, nb.parent) << "node " << i;
-        EXPECT_EQ(na.children, nb.children) << "node " << i;
+        EXPECT_EQ(children_of(a, static_cast<int>(i)), children_of(b, static_cast<int>(i)))
+            << "node " << i;
         EXPECT_EQ(na.tree, nb.tree) << "node " << i;
         EXPECT_EQ(na.terminal, nb.terminal) << "node " << i;
     }
@@ -131,48 +139,99 @@ void expect_log_eq(const MoveEngine& a, const MoveEngine& b)
     EXPECT_EQ(a.sb_qmst_total(), b.sb_qmst_total());
 }
 
-TEST(ForestIndex, BitIdenticalConstructionBothPolicies)
+// The reference-vs-indexed construction cases, one test per policy and
+// size so ctest can spread them over processes.  Every random case draws its
+// sinks from one seed-4242 stream in a fixed order (farthest_corner sizes 5,
+// 12, 40, 200, then min_suboptimality sizes 5, 12, 40, 80), so each test
+// replays the stream up to its own case.
+
+struct StreamCase {
+    HeuristicPolicy policy;
+    int n;
+};
+
+constexpr StreamCase kStreamCases[] = {
+    {HeuristicPolicy::farthest_corner, 5},    {HeuristicPolicy::farthest_corner, 12},
+    {HeuristicPolicy::farthest_corner, 40},   {HeuristicPolicy::farthest_corner, 200},
+    {HeuristicPolicy::min_suboptimality, 5},  {HeuristicPolicy::min_suboptimality, 12},
+    {HeuristicPolicy::min_suboptimality, 40}, {HeuristicPolicy::min_suboptimality, 80},
+};
+
+void expect_stream_case_identical(HeuristicPolicy policy, int n)
 {
     std::mt19937_64 rng(4242);
-    for (const auto policy :
-         {HeuristicPolicy::farthest_corner, HeuristicPolicy::min_suboptimality}) {
-        for (const int n : {5, 12, 40, policy == HeuristicPolicy::farthest_corner
-                                           ? 200
-                                           : 80}) {
-            const Coord grid = static_cast<Coord>(10 * n);
-            const std::vector<Point> sinks = random_sinks(rng, n, grid);
+    for (const StreamCase& c : kStreamCases) {
+        const Coord grid = static_cast<Coord>(10 * c.n);
+        const std::vector<Point> sinks = random_sinks(rng, c.n, grid);
+        if (c.policy != policy || c.n != n) continue;
 
-            Forest fr(Point{0, 0}, sinks);
-            MoveEngine er(fr, policy, true, Mode::reference);
-            er.run();
+        Forest fr(Point{0, 0}, sinks);
+        MoveEngine er(fr, policy, true, Mode::reference);
+        er.run();
 
-            Forest fi(Point{0, 0}, sinks);
-            MoveEngine ei(fi, policy, true, Mode::indexed);
-            ei.run();
+        Forest fi(Point{0, 0}, sinks);
+        MoveEngine ei(fi, policy, true, Mode::indexed);
+        ei.run();
 
-            expect_forest_eq(fr, fi);
-            expect_log_eq(er, ei);
-        }
-        // Corner-source nets keep every sink in one quadrant, so one A-tree
-        // carries the whole net: the harshest case for the reference's
-        // full-rescan queries.
-        for (const int n : {12, 25, 50}) {
-            const Net net = random_corner_nets(93, 1, kMcmGrid, n).front();
-            AtreeOptions ref, idx;
-            ref.policy = idx.policy = policy;
-            ref.mode = Mode::reference;
-            idx.mode = Mode::indexed;
-            const AtreeResult a = build_atree(net, ref);
-            const AtreeResult b = build_atree(net, idx);
-            EXPECT_EQ(format_tree(a.tree), format_tree(b.tree)) << n << " sinks";
-            EXPECT_EQ(a.cost, b.cost);
-            EXPECT_EQ(a.safe_moves, b.safe_moves);
-            EXPECT_EQ(a.heuristic_moves, b.heuristic_moves);
-            EXPECT_EQ(a.sb_total, b.sb_total);
-            EXPECT_EQ(a.qmst_cost, b.qmst_cost);
-            EXPECT_EQ(a.sb_qmst_total, b.sb_qmst_total);
-        }
+        expect_forest_eq(fr, fi);
+        expect_log_eq(er, ei);
+        return;
     }
+    FAIL() << "no stream case with " << n << " sinks";
+}
+
+// Corner-source nets keep every sink in one quadrant, so one A-tree carries
+// the whole net: the harshest case for the reference's full-rescan queries.
+void expect_corner_source_identical(HeuristicPolicy policy)
+{
+    for (const int n : {12, 25, 50}) {
+        const Net net = random_corner_nets(93, 1, kMcmGrid, n).front();
+        AtreeOptions ref, idx;
+        ref.policy = idx.policy = policy;
+        ref.mode = Mode::reference;
+        idx.mode = Mode::indexed;
+        const AtreeResult a = build_atree(net, ref);
+        const AtreeResult b = build_atree(net, idx);
+        EXPECT_EQ(format_tree(a.tree), format_tree(b.tree)) << n << " sinks";
+        EXPECT_EQ(a.cost, b.cost);
+        EXPECT_EQ(a.safe_moves, b.safe_moves);
+        EXPECT_EQ(a.heuristic_moves, b.heuristic_moves);
+        EXPECT_EQ(a.sb_total, b.sb_total);
+        EXPECT_EQ(a.qmst_cost, b.qmst_cost);
+        EXPECT_EQ(a.sb_qmst_total, b.sb_qmst_total);
+    }
+}
+
+TEST(ForestIndex, BitIdenticalFarthestCornerSmall)
+{
+    for (const int n : {5, 12, 40})
+        expect_stream_case_identical(HeuristicPolicy::farthest_corner, n);
+}
+
+TEST(ForestIndex, BitIdenticalFarthestCorner200)
+{
+    expect_stream_case_identical(HeuristicPolicy::farthest_corner, 200);
+}
+
+TEST(ForestIndex, BitIdenticalFarthestCornerCornerSource)
+{
+    expect_corner_source_identical(HeuristicPolicy::farthest_corner);
+}
+
+TEST(ForestIndex, BitIdenticalMinSbSmall)
+{
+    for (const int n : {5, 12, 40})
+        expect_stream_case_identical(HeuristicPolicy::min_suboptimality, n);
+}
+
+TEST(ForestIndex, BitIdenticalMinSb80)
+{
+    expect_stream_case_identical(HeuristicPolicy::min_suboptimality, 80);
+}
+
+TEST(ForestIndex, BitIdenticalMinSbCornerSource)
+{
+    expect_corner_source_identical(HeuristicPolicy::min_suboptimality);
 }
 
 TEST(ForestIndex, BitIdenticalHeuristicOnlyAblation)

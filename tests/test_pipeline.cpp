@@ -351,6 +351,66 @@ TEST(Pipeline, WorkspaceArenaIsReusedAcrossBatches)
     EXPECT_EQ(second.counters.tree_growths, 0u);
     EXPECT_EQ(second.counters.moment_growths, 0u);
     EXPECT_EQ(second.counters.scratch_growths, 0u);
+    // The A-tree rung's forest, engine and partition buffers are slot
+    // arena too.
+    EXPECT_GT(first.counters.atree_growths, 0u);
+    EXPECT_EQ(second.counters.atree_growths, 0u);
+}
+
+TEST(Pipeline, RefusedAtreeNetLeavesNoArenaBehind)
+{
+    // The A-tree rung emits before the node cap sees the count; a refused
+    // net must not leave its oversized rows and forest resident.
+    const Technology tech = mcm_technology();
+    PipelineOptions opts;
+    opts.threads = 1;
+    opts.max_nodes_per_net = 40;
+    std::vector<Workspace> ws;
+    PipelineStats stats;
+    const auto big = route_batch(random_nets(37, 1, kMcmGrid, 120), tech, opts, &stats, &ws);
+    ASSERT_EQ(big.size(), 1u);
+    EXPECT_EQ(big[0].status, RouteStatus::failed);
+    ASSERT_EQ(big[0].diag.events.size(), 1u);
+    EXPECT_EQ(big[0].diag.events[0].stage, RouteStage::compile);
+    EXPECT_EQ(stats.counters.arena_rejects, 1u);
+    ASSERT_EQ(ws.size(), 1u);
+    EXPECT_EQ(ws[0].flat.capacity_bytes(), 0u);
+    EXPECT_EQ(ws[0].atree.capacity_bytes(), 0u);
+
+    // The slot routes the next net as usual.
+    const auto small = route_batch(random_nets(38, 1, kMcmGrid, 4), tech, opts, &stats, &ws);
+    EXPECT_EQ(small[0].status, RouteStatus::ok);
+}
+
+TEST(Pipeline, ResidentBytesCoverEveryFlatArray)
+{
+    // A fresh workspace sized by one compile: resident_bytes() must count
+    // every per-node array the FlatTree holds, the node-id -> flat map and
+    // the CSR cursor scratch included, plus the A-tree scratch.
+    const RoutingTree tree = build_atree_general(random_nets(35, 1, kMcmGrid, 12).front()).tree;
+    Workspace ws;
+    ws.flat.build(tree);
+    const std::size_t n = ws.flat.size();
+    const std::size_t per_node =
+        sizeof(std::int32_t) + sizeof(Length) + sizeof(Length) + sizeof(std::uint8_t) +
+        sizeof(double) + sizeof(Point) + sizeof(std::uint8_t) + sizeof(NodeId) +
+        sizeof(std::int32_t);  // parent .. node_of, flat_of
+    const std::size_t csr = (n + 1) * sizeof(std::int32_t) +      // child_ptr
+                            (n - 1) * sizeof(std::int32_t) +      // child_idx
+                            (n + 1) * sizeof(std::int32_t);       // csr cursor
+    const std::size_t sinks = ws.flat.sinks().size() * sizeof(std::int32_t);
+    EXPECT_GE(ws.flat.capacity_bytes(), n * per_node + csr + sinks);
+    EXPECT_GE(ws.resident_bytes(), ws.flat.capacity_bytes() + ws.atree.capacity_bytes());
+
+    // After a pipelined net the A-tree scratch is part of the count.
+    std::vector<Workspace> slots;
+    PipelineOptions opts;
+    opts.threads = 1;
+    route_batch(random_nets(36, 3, kMcmGrid, 12), mcm_technology(), opts, nullptr, &slots);
+    ASSERT_EQ(slots.size(), 1u);
+    EXPECT_GT(slots[0].atree.capacity_bytes(), 0u);
+    EXPECT_GE(slots[0].resident_bytes(),
+              slots[0].flat.capacity_bytes() + slots[0].atree.capacity_bytes());
 }
 
 TEST(Pipeline, ReportsConsistentDelays)
