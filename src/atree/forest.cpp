@@ -58,17 +58,20 @@ void Forest::reset(Point source, const std::vector<Point>& sinks)
     // earlier construction is kept.
     nodes_.clear();
     roots_.clear();
+    root_points_.clear();
     tree_roots_.clear();
     index_.clear();
     total_length_ = 0;
     nodes_.reserve(4 * (n + 1));
     roots_.reserve(n + 1);
+    root_points_.reserve(n + 1);
     tree_roots_.reserve(n + 1);
     index_.reserve(2 * (n + 1));
 
     source_node_ = new_node(source, 0);
     nodes_.back().terminal = true;
     roots_.push_back(source_node_);
+    root_points_.push_back(source);
     tree_roots_.push_back(source_node_);
     for (std::size_t i = 0; i < n; ++i) {
         const Point s = sinks[i];
@@ -84,6 +87,7 @@ void Forest::reset(Point source, const std::vector<Point>& sinks)
         const int id = new_node(s, tree);
         nodes_.back().terminal = true;
         roots_.push_back(id);
+        root_points_.push_back(s);
         tree_roots_.push_back(id);
         sink_nodes_[i] = id;
     }
@@ -115,81 +119,99 @@ std::size_t Forest::capacity_bytes() const
     return nodes_.capacity() * sizeof(NodeRec) +
            (roots_.capacity() + tree_roots_.capacity() + sink_nodes_.capacity() +
             stack_.capacity()) * sizeof(int) +
+           root_points_.capacity() * sizeof(Point) +
            index_.capacity_bytes();
 }
 
 int Forest::root_at(Point p) const
 {
-    for (const int rid : roots_)
-        if (nodes_[static_cast<std::size_t>(rid)].p == p) return rid;
+    for (std::size_t i = 0; i < root_points_.size(); ++i)
+        if (root_points_[i] == p) return roots_[i];
     return -1;
+}
+
+Forest::RootQuery Forest::analyze(int root_id, MxMyScratch& scratch) const
+{
+    RootQuery q;
+    analyze_df(root_id, q);
+    analyze_mxmy(root_id, q, scratch);
+    return q;
 }
 
 Forest::RootQuery Forest::analyze(int root_id) const
 {
-    const NodeRec& pn = node(root_id);
-    const Point p = pn.p;
-    RootQuery q;
+    MxMyScratch scratch;
+    return analyze(root_id, scratch);
+}
 
+void Forest::analyze_df(int root_id, RootQuery& q) const
+{
     // df / mf via the region-pruned index sweep (Definition 7; edge interiors
     // count, own tree excluded).
+    const NodeRec& pn = node(root_id);
+    q.df = kInfLen;
+    q.mf_west.reset();
+    q.mf_south.reset();
     index_.nearest_dominated(
-        p, [&](int owner) { return node(owner).tree != pn.tree; }, q.df,
+        pn.p, [&](int owner) { return tree_of(owner) != pn.tree; }, q.df,
         q.mf_west, q.mf_south);
+}
 
+void Forest::analyze_mxmy(int root_id, RootQuery& q, MxMyScratch& scratch) const
+{
     // dx / mx and dy / my (Definition 6).  The reference scan runs the
     // Definition 5 blocking test for *every* NW/SE root; the answer is the
-    // (distance, coordinate)-smallest unblocked candidate, so a min-scan
-    // for the smallest key, then the next key above it while the current
-    // one is blocked, gives the identical result with typically one or two
-    // O(log n) gate probes.  Root points are pairwise distinct, so keys are
-    // unique and "the next key above" is well defined.
-    using Key = std::pair<Length, Coord>;
-    const auto next_candidate = [&](bool nw, const std::optional<Key>& above,
-                                    Key& key, Point& best) {
-        bool found = false;
-        for (const int rid : roots_) {
-            const NodeRec& rn = nodes_[static_cast<std::size_t>(rid)];
-            if (rn.tree == pn.tree) continue;  // also skips root_id itself
-            const Point r = rn.p;
-            Key k{};
-            if (nw && r.x < p.x && r.y > p.y)
-                k = {dist_x(p, r), r.y};
-            else if (!nw && r.x > p.x && r.y < p.y)
-                k = {dist_y(p, r), r.x};
-            else
-                continue;
-            if (above && !(*above < k)) continue;
-            if (!found || k < key) {
-                key = k;
-                best = r;
-                found = true;
-            }
+    // (distance, coordinate)-smallest unblocked candidate.  One pass over the
+    // root points collects both candidate sets; each set is then probed
+    // smallest key first, dropping blocked candidates, so a query typically
+    // pays one or two gate probes.  Root points are pairwise distinct, so
+    // keys are unique and the order is strict.  A tree has one root, so
+    // every root but root_id is of another tree, and root_id itself is in
+    // neither region.  The pass is branch-free: each point is written to
+    // both buffers and kept where it belongs.
+    const Point p = node(root_id).p;
+    const std::size_t n = root_points_.size();
+    scratch.nw.resize(n);
+    scratch.se.resize(n);
+    std::size_t nw = 0, se = 0;
+    for (const Point r : root_points_) {
+        scratch.nw[nw] = r;
+        nw += static_cast<std::size_t>((r.x < p.x) & (r.y > p.y));
+        scratch.se[se] = r;
+        se += static_cast<std::size_t>((r.x > p.x) & (r.y < p.y));
+    }
+    scratch.nw.resize(nw);
+    scratch.se.resize(se);
+    // Smallest unblocked candidate under `less`, or nullopt; consumes `cands`.
+    const auto pick = [](std::vector<Point>& cands, auto less,
+                         auto blocked) -> std::optional<Point> {
+        while (!cands.empty()) {
+            const auto it = std::min_element(cands.begin(), cands.end(), less);
+            if (!blocked(*it)) return *it;
+            *it = cands.back();
+            cands.pop_back();
         }
-        return found;
+        return std::nullopt;
     };
-    Key key{};
-    Point r{};
-    for (std::optional<Key> above; next_candidate(true, above, key, r); above = key) {
-        if (index_.hits_vertical_gate(r.x, p.y, r.y)) continue;
-        q.dx = key.first;
-        q.mx = r;
-        break;
-    }
-    for (std::optional<Key> above; next_candidate(false, above, key, r); above = key) {
-        if (index_.hits_horizontal_gate(r.y, p.x, r.x)) continue;
-        q.dy = key.first;
-        q.my = r;
-        break;
-    }
-    return q;
+    // NW key (dist_x, y): larger x first, then smaller y.
+    q.mx = pick(
+        scratch.nw,
+        [](Point a, Point b) { return a.x > b.x || (a.x == b.x && a.y < b.y); },
+        [&](Point r) { return nw_blocked(p, r); });
+    q.dx = q.mx ? dist_x(p, *q.mx) : kInfLen;
+    // SE key (dist_y, x): larger y first, then smaller x.
+    q.my = pick(
+        scratch.se,
+        [](Point a, Point b) { return a.y > b.y || (a.y == b.y && a.x < b.x); },
+        [&](Point r) { return se_blocked(p, r); });
+    q.dy = q.my ? dist_y(p, *q.my) : kInfLen;
 }
 
 std::optional<std::pair<Length, int>> Forest::first_contact(const Leg& leg,
                                                             int own_tree) const
 {
     const auto hit = index_.first_contact(
-        leg, [&](int owner) { return node(owner).tree != own_tree; });
+        leg, [&](int owner) { return tree_of(owner) != own_tree; });
     if (!hit) return std::nullopt;
     // Arborescences are pairwise point-disjoint (they merge on first
     // contact), so the earliest contact point determines a unique tree and
@@ -197,47 +219,55 @@ std::optional<std::pair<Length, int>> Forest::first_contact(const Leg& leg,
     return std::make_pair(hit->first, node(hit->second).tree);
 }
 
-int Forest::materialize(Point p, int tree_id)
+int Forest::materialize(Point p, int owner)
 {
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-        if (nodes_[i].tree == tree_id && nodes_[i].p == p) return static_cast<int>(i);
-    // Split the edge of tree_id whose interior contains p.  The union of
-    // forest points is unchanged, so the segment index needs no update.
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        NodeRec& child = nodes_[i];
-        if (child.tree != tree_id || child.parent < 0) continue;
-        NodeRec& par = nodes_[static_cast<std::size_t>(child.parent)];
-        const Seg edge(par.p, child.p);
-        if (!edge.contains(p)) continue;
-        const int child_id = static_cast<int>(i);
-        const int parent_id = child.parent;
-        const int mid = new_node(p, tree_id);  // may invalidate child/par refs
-        // mid takes child's place in the parent's child list.
-        NodeRec& m = nodes_[static_cast<std::size_t>(mid)];
-        NodeRec& c = nodes_[i];
-        m.parent = parent_id;
-        m.first_child = m.last_child = child_id;
-        m.next_sibling = c.next_sibling;
-        c.parent = mid;
-        c.next_sibling = -1;
-        NodeRec& pr = nodes_[static_cast<std::size_t>(parent_id)];
-        if (pr.first_child == child_id) {
-            pr.first_child = mid;
-        } else {
-            int prev = pr.first_child;
-            while (nodes_[static_cast<std::size_t>(prev)].next_sibling != child_id)
-                prev = nodes_[static_cast<std::size_t>(prev)].next_sibling;
-            nodes_[static_cast<std::size_t>(prev)].next_sibling = mid;
+    // The owner's interval was its parent edge (or its isolated point) when
+    // indexed; later splits only cut that straight run into a chain of
+    // edges upward from the owner, so walking up the chain finds p as a
+    // node or inside exactly one edge.  A tree's edges are interior-disjoint
+    // and its points pairwise distinct, so this is the node a scan for p
+    // over the tree would find.
+    for (int id = owner;;) {
+        const NodeRec& n = nodes_[static_cast<std::size_t>(id)];
+        if (n.p == p) return id;
+        if (n.parent < 0) {
+            std::ostringstream os;
+            os << "Forest::materialize: point " << p << " not on the run of node "
+               << owner << " (forest has " << nodes_.size() << " nodes)";
+            throw std::logic_error(os.str());
         }
-        if (pr.last_child == child_id) pr.last_child = mid;
-        return mid;
+        const Point up = nodes_[static_cast<std::size_t>(n.parent)].p;
+        if (up != p && Seg(n.p, up).contains(p)) return split_edge(id, p);
+        id = n.parent;
     }
-    {
-        std::ostringstream os;
-        os << "Forest::materialize: point " << p << " not on tree " << tree_id
-           << " (forest has " << nodes_.size() << " nodes)";
-        throw std::logic_error(os.str());
+}
+
+int Forest::split_edge(int child_id, Point p)
+{
+    // The union of forest points is unchanged, so the segment index needs no
+    // update.
+    const auto child = static_cast<std::size_t>(child_id);
+    const int parent_id = nodes_[child].parent;
+    const int mid = new_node(p, nodes_[child].tree);  // may invalidate refs
+    // mid takes child's place in the parent's child list.
+    NodeRec& m = nodes_[static_cast<std::size_t>(mid)];
+    NodeRec& c = nodes_[child];
+    m.parent = parent_id;
+    m.first_child = m.last_child = child_id;
+    m.next_sibling = c.next_sibling;
+    c.parent = mid;
+    c.next_sibling = -1;
+    NodeRec& pr = nodes_[static_cast<std::size_t>(parent_id)];
+    if (pr.first_child == child_id) {
+        pr.first_child = mid;
+    } else {
+        int prev = pr.first_child;
+        while (nodes_[static_cast<std::size_t>(prev)].next_sibling != child_id)
+            prev = nodes_[static_cast<std::size_t>(prev)].next_sibling;
+        nodes_[static_cast<std::size_t>(prev)].next_sibling = mid;
     }
+    if (pr.last_child == child_id) pr.last_child = mid;
+    return mid;
 }
 
 void Forest::set_tree(int node_id, int tree_id)
@@ -275,14 +305,18 @@ Forest::PathResult Forest::apply_path(int from_root,
     std::size_t links = 0;
     Point cur = start.p;
     int merged_tree = -1;
+    int contact_owner = -1;  ///< index owner of the contact point
     Length walked = 0;
     for (const Point wp : waypoints) {
         if (wp == cur) continue;
         const Leg leg = make_leg(cur, wp);
-        if (const auto hit = first_contact(leg, own_tree)) {
+        if (const auto hit = index_.first_contact(leg, [&](int owner) {
+                return tree_of(owner) != own_tree;
+            })) {
             chain[links++] = leg.at(hit->first);
             walked += hit->first;
-            merged_tree = hit->second;
+            contact_owner = hit->second;
+            merged_tree = tree_of(contact_owner);
             break;
         }
         chain[links++] = wp;
@@ -306,7 +340,7 @@ Forest::PathResult Forest::apply_path(int from_root,
     int far_node;
     const int final_tree = merged_tree >= 0 ? merged_tree : own_tree;
     if (merged_tree >= 0) {
-        far_node = materialize(res.end_point, merged_tree);
+        far_node = materialize(res.end_point, contact_owner);
     } else {
         far_node = new_node(res.end_point, own_tree);
     }
@@ -327,7 +361,9 @@ Forest::PathResult Forest::apply_path(int from_root,
     if (merged_tree >= 0) {
         set_tree(from_root, merged_tree);
         tree_roots_[static_cast<std::size_t>(own_tree)] = -1;
-        roots_.erase(std::find(roots_.begin(), roots_.end(), from_root));
+        const auto at = std::find(roots_.begin(), roots_.end(), from_root);
+        root_points_.erase(root_points_.begin() + (at - roots_.begin()));
+        roots_.erase(at);
         res.merged = true;
         res.end_node = far_node;
         res.new_root = tree_roots_[static_cast<std::size_t>(merged_tree)];
@@ -335,7 +371,9 @@ Forest::PathResult Forest::apply_path(int from_root,
         // The far end is the new root of from_root's tree.
         nodes_[static_cast<std::size_t>(far_node)].parent = -1;
         tree_roots_[static_cast<std::size_t>(own_tree)] = far_node;
-        *std::find(roots_.begin(), roots_.end(), from_root) = far_node;
+        const auto at = std::find(roots_.begin(), roots_.end(), from_root);
+        root_points_[static_cast<std::size_t>(at - roots_.begin())] = res.end_point;
+        *at = far_node;
         res.end_node = far_node;
         res.new_root = far_node;
     }
@@ -350,7 +388,7 @@ Length Forest::nearest_dominated_dist(Point p, int exclude_tree1,
     index_.nearest_dominated(
         p,
         [&](int owner) {
-            const int t = node(owner).tree;
+            const int t = tree_of(owner);
             return t != exclude_tree1 && t != exclude_tree2;
         },
         best, west, south);

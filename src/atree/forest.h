@@ -12,6 +12,13 @@
 // and truncation of new paths at their first contact with another
 // arborescence.
 //
+// A root query has two independent parts, exposed separately so that
+// MoveEngine can keep them current across moves: the df part (df, mf_west,
+// mf_south; one region-pruned sweep of the segment index) and the mx/my part
+// (dx, dy, mx, my; one pass over the live root points, kept contiguous as
+// root_points(), that collects the NW and SE candidates, then gate probes
+// in increasing key order until one candidate is unblocked).
+//
 // Every geometric query exists in two forms: the default one, served by an
 // append-only spatial segment index (atree/seg_index.h) that prunes by
 // region, and a `*_reference` twin preserving the seed implementation's
@@ -133,6 +140,8 @@ public:
 
     /// Current root node ids, one per arborescence.
     const std::vector<int>& roots() const { return roots_; }
+    /// Point of every root, parallel to roots().
+    const std::vector<Point>& root_points() const { return root_points_; }
     bool single_tree() const { return roots_.size() == 1; }
 
     /// Root node id of the arborescence containing `id`.
@@ -142,8 +151,28 @@ public:
     /// are pairwise distinct).
     int root_at(Point p) const;
 
-    /// Computes dx/dy/df and the m-points for a root node (indexed path).
+    /// Reusable candidate buffers for analyze_mxmy().
+    struct MxMyScratch {
+        std::vector<Point> nw;
+        std::vector<Point> se;
+    };
+
+    /// Computes dx/dy/df and the m-points for a root node (indexed path):
+    /// analyze_df() then analyze_mxmy().
+    RootQuery analyze(int root_id, MxMyScratch& scratch) const;
     RootQuery analyze(int root_id) const;
+    /// Recomputes dx, dy, mx and my of `q` for root `root_id`.
+    void analyze_mxmy(int root_id, RootQuery& q, MxMyScratch& scratch) const;
+    /// Definition 5 blocking tests: is root r, northwest (resp. southeast)
+    /// of p, blocked from p by some forest point?
+    bool nw_blocked(Point p, Point r) const
+    {
+        return index_.hits_vertical_gate(r.x, p.y, r.y);
+    }
+    bool se_blocked(Point p, Point r) const
+    {
+        return index_.hits_horizontal_gate(r.y, p.x, r.x);
+    }
     /// Seed implementation: full scan over every forest segment per query.
     RootQuery analyze_reference(int root_id) const;
 
@@ -199,14 +228,24 @@ public:
         const Leg& leg, int own_tree) const;
 
 private:
+    /// Recomputes df, mf_west and mf_south of `q` for root `root_id`.
+    void analyze_df(int root_id, RootQuery& q) const;
+    /// Tree id of a node id taken from the index (unchecked).
+    int tree_of(int id) const { return nodes_[static_cast<std::size_t>(id)].tree; }
     int new_node(Point p, int tree);
     void append_child(int parent, int child);
-    /// Node exactly at p on tree `tree_id`, splitting an edge if needed.
-    int materialize(Point p, int tree_id);
+    /// Node exactly at p, where p lies on the index interval owned by node
+    /// `owner`: owner itself, a node above it on the same straight run, or
+    /// a new node splitting the edge of that run whose interior holds p.
+    int materialize(Point p, int owner);
+    /// Splits the edge from child_id to its parent at interior point p;
+    /// the new node takes child_id's place among the parent's children.
+    int split_edge(int child_id, Point p);
     void set_tree(int node_id, int tree_id);  // relabel a whole subtree
 
     std::vector<NodeRec> nodes_;
     std::vector<int> roots_;       ///< node ids
+    std::vector<Point> root_points_;  ///< parallel to roots_
     std::vector<int> tree_roots_;  ///< tree id -> root node id (-1 once absorbed)
     std::vector<int> sink_nodes_;  ///< constructor sink index -> terminal node
     SegIndex index_;

@@ -293,4 +293,19 @@ void emit_atree(const Net& net, AtreeScratch& s, FlatTree& out,
     sum_all_node_path_lengths(out);
 }
 
+void emit_quadrants(const Net& net, const QuadrantPartition& part,
+                    const std::array<const AtreeResult*, 4>& quads,
+                    AtreeScratch& s, FlatTree& out)
+{
+    out.begin(net.source);
+    assemble(
+        net, part,
+        [&](int q) -> const RoutingTree& {
+            return quads[static_cast<std::size_t>(q)]->tree;
+        },
+        [&](NodeId parent, Point p) { return out.append(parent, p); },
+        [&](NodeId id, double cap) { out.mark_sink(id, cap); }, s);
+    sum_all_node_path_lengths(out);  // as assemble_quadrants prices it
+}
+
 }  // namespace cong93

@@ -132,6 +132,16 @@ struct AtreeScratch {
 void emit_atree(const Net& net, AtreeScratch& scratch, FlatTree& out,
                 const AtreeOptions& options = {});
 
+/// assemble_quadrants(net, part, quads), compiled straight into `out` with
+/// the same contract as emit_atree: `out` holds the combined tree's rows in
+/// preorder, out.finish() completes exactly the arrays FlatTree::build would
+/// compile from assemble_quadrants(net, part, quads).tree, and the QMST
+/// int64 check runs on the emitted rows.  Only the scratch's graft and
+/// coverage buffers are used.
+void emit_quadrants(const Net& net, const QuadrantPartition& part,
+                    const std::array<const AtreeResult*, 4>& quads,
+                    AtreeScratch& scratch, FlatTree& out);
+
 }  // namespace cong93
 
 #endif  // CONG93_ATREE_GENERALIZED_H

@@ -55,6 +55,7 @@ void MoveEngine::reset(Forest& forest, HeuristicPolicy policy, bool use_safe_mov
     cands_.clear();
     safe_moves_ = heuristic_moves_ = 0;
     sb_total_ = sb_qmst_total_ = 0;
+    full_analyses_ = mxmy_rederivations_ = 0;
     // Sized for the common case: small forests finish within about two
     // moves per root, adding a few nodes per terminal.
     log_.reserve(2 * forest.roots().size());
@@ -63,7 +64,8 @@ void MoveEngine::reset(Forest& forest, HeuristicPolicy policy, bool use_safe_mov
 
 std::size_t MoveEngine::capacity_bytes() const
 {
-    return cache_.capacity() * sizeof(cache_[0]) + order_.capacity() * sizeof(int) +
+    return cache_.capacity() * sizeof(Cached) + order_.capacity() * sizeof(int) +
+           (mxmy_scratch_.nw.capacity() + mxmy_scratch_.se.capacity()) * sizeof(Point) +
            log_.capacity() * sizeof(MoveRecord) + cands_.capacity() * sizeof(Cand);
 }
 
@@ -79,6 +81,7 @@ void MoveEngine::record(MoveRecord rec)
     log_.push_back(rec);
 }
 
+#ifndef CONG93_HAVE_ORACLES
 namespace {
 
 [[noreturn]] void require_oracles()
@@ -88,11 +91,13 @@ namespace {
 }
 
 }  // namespace
+#endif
 
 Forest::RootQuery MoveEngine::query(int root_id)
 {
     if (mode_ == Mode::reference) {
 #ifdef CONG93_HAVE_ORACLES
+        ++full_analyses_;
         return forest_->analyze_reference(root_id);
 #else
         require_oracles();
@@ -100,8 +105,31 @@ Forest::RootQuery MoveEngine::query(int root_id)
     }
     const auto id = static_cast<std::size_t>(root_id);
     if (id >= cache_.size()) cache_.resize(std::max(forest_->node_count(), id + 1));
-    if (!cache_[id]) cache_[id] = forest_->analyze(root_id);
-    return *cache_[id];
+    Cached& c = cache_[id];
+    if (!c.valid) {
+        c.q = forest_->analyze(root_id, mxmy_scratch_);
+        c.valid = true;
+        c.mxmy_stale = false;
+        ++full_analyses_;
+    } else if (c.mxmy_stale) {
+        forest_->analyze_mxmy(root_id, c.q, mxmy_scratch_);
+        c.mxmy_stale = false;
+        ++mxmy_rederivations_;
+    }
+    return c.q;
+}
+
+std::optional<Forest::RootQuery> MoveEngine::peek_query(int root_id) const
+{
+    const auto id = static_cast<std::size_t>(root_id);
+    if (mode_ == Mode::reference || id >= cache_.size() || !cache_[id].valid)
+        return std::nullopt;
+    Forest::RootQuery q = cache_[id].q;
+    if (cache_[id].mxmy_stale) {
+        Forest::MxMyScratch scratch;
+        forest_->analyze_mxmy(root_id, q, scratch);
+    }
+    return q;
 }
 
 const std::vector<int>& MoveEngine::scan_order()
@@ -122,8 +150,25 @@ void MoveEngine::note_path(const Forest::PathResult& pr)
 
     const auto drop = [&](int rid) {
         if (static_cast<std::size_t>(rid) < cache_.size())
-            cache_[static_cast<std::size_t>(rid)].reset();
+            cache_[static_cast<std::size_t>(rid)].valid = false;
     };
+    // An unmerged move leaves the other trees as they were, and every point
+    // of them dominated by the new root p' is dominated by the old root p,
+    // at a distance shorter by d(p, p').  So when p's mf_west and mf_south
+    // are both dominated by p', they are p''s too, and df shrinks by
+    // d(p, p'): the new root inherits its df part and derives only mx/my.
+    std::optional<Forest::RootQuery> inherited;
+    if (!pr.merged && static_cast<std::size_t>(pr.prev_root) < cache_.size()) {
+        const Cached& old = cache_[static_cast<std::size_t>(pr.prev_root)];
+        const Point np = pr.end_point;
+        const auto under = [&](const std::optional<Point>& m) {
+            return m && m->x <= np.x && m->y <= np.y;
+        };
+        if (old.valid && under(old.q.mf_west) && under(old.q.mf_south)) {
+            inherited = old.q;
+            inherited->df -= dist(pr.prev_point, np);
+        }
+    }
     drop(pr.prev_root);
     if (order_ready_) {
         const auto it = std::find(order_.begin(), order_.end(), pr.prev_root);
@@ -140,45 +185,61 @@ void MoveEngine::note_path(const Forest::PathResult& pr)
             pr.new_root);
     }
 
-    // Dirty sweep: a cached query stays valid unless the move could have
-    // touched it.  Geometry is append-only and tree relabels keep every
-    // other root's candidate sets intact, so the only hazards are
-    //   * a new segment with a dominated point within the cached df
-    //     (closer mf, or an equal-distance tie that shifts mf_west/mf_south),
-    //   * a new segment crossing the cached mx/my blocking gate,
-    //   * the moved root having been the cached mx/my,
-    //   * a new root appearing NW/SE within the cached dx/dy (ties included).
-    for (const int rid : forest_->roots()) {  // only roots are ever cached
-        const auto id = static_cast<std::size_t>(rid);
-        if (id >= cache_.size() || !cache_[id]) continue;
-        const Forest::RootQuery& q = *cache_[id];
-        const Point p = forest_->node(rid).p;
-        bool hit = false;
+    // Bring every other cached query up to date.  Geometry only grows, the
+    // new segments belong to a tree other than any remaining cached root's,
+    // and tree relabels leave every such root's candidate sets intact, so:
+    //   * df/mf fold in each new segment's nearest dominated point,
+    //   * a new segment crossing the gate of a cached mx/my that stayed put
+    //     leaves mx/my stale (re-derived on the next query): it is blocked,
+    //   * an unmerged move's new root takes over mx (resp. my) when its key
+    //     is below the cached one and its gate is open: every candidate
+    //     with a smaller key was blocked and still is,
+    //   * a cached mx/my that was the moved root and is not taken over so
+    //     leaves mx/my stale.
+    const Point rn = pr.end_point;  // the new root unless merged
+    const std::vector<int>& ids = forest_->roots();
+    const std::vector<Point>& pts = forest_->root_points();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const auto id = static_cast<std::size_t>(ids[i]);
+        if (id >= cache_.size() || !cache_[id].valid) continue;
+        Cached& c = cache_[id];
+        Forest::RootQuery& q = c.q;
+        const Point p = pts[i];
+        const bool mx_moved = q.mx && *q.mx == pr.prev_point;
+        const bool my_moved = q.my && *q.my == pr.prev_point;
         for (const Seg& s : pr.added_segs) {
-            const auto cand = s.nearest_dominated(p);
-            if (cand && dist(p, *cand) <= q.df) {
-                hit = true;
-                break;
+            if (const auto cand = s.nearest_dominated(p))
+                fold_dominated(*cand, dist(p, *cand), q.df, q.mf_west, q.mf_south);
+            if (!c.mxmy_stale &&
+                ((q.mx && !mx_moved && s.hits_vertical_gate(q.mx->x, p.y, q.mx->y)) ||
+                 (q.my && !my_moved && s.hits_horizontal_gate(q.my->y, p.x, q.my->x))))
+                c.mxmy_stale = true;
+        }
+        if (c.mxmy_stale) continue;
+        bool took_mx = false, took_my = false;
+        if (!pr.merged && rn.x < p.x && rn.y > p.y) {
+            const Length d = dist_x(p, rn);
+            if ((d < q.dx || (d == q.dx && rn.y < q.mx->y)) &&
+                !forest_->nw_blocked(p, rn)) {
+                q.dx = d;
+                q.mx = rn;
+                took_mx = true;
             }
-            if (q.mx && s.hits_vertical_gate(q.mx->x, p.y, q.mx->y)) {
-                hit = true;
-                break;
-            }
-            if (q.my && s.hits_horizontal_gate(q.my->y, p.x, q.my->x)) {
-                hit = true;
-                break;
+        } else if (!pr.merged && rn.x > p.x && rn.y < p.y) {
+            const Length d = dist_y(p, rn);
+            if ((d < q.dy || (d == q.dy && rn.x < q.my->x)) &&
+                !forest_->se_blocked(p, rn)) {
+                q.dy = d;
+                q.my = rn;
+                took_my = true;
             }
         }
-        if (!hit && q.mx && *q.mx == pr.prev_point) hit = true;
-        if (!hit && q.my && *q.my == pr.prev_point) hit = true;
-        if (!hit && !pr.merged) {
-            const Point rn = forest_->node(pr.new_root).p;
-            if (rn.x < p.x && rn.y > p.y && dist_x(p, rn) <= q.dx)
-                hit = true;
-            else if (rn.x > p.x && rn.y < p.y && dist_y(p, rn) <= q.dy)
-                hit = true;
-        }
-        if (hit) cache_[id].reset();
+        if ((mx_moved && !took_mx) || (my_moved && !took_my)) c.mxmy_stale = true;
+    }
+    if (inherited) {
+        const auto id = static_cast<std::size_t>(pr.new_root);
+        if (id >= cache_.size()) cache_.resize(std::max(forest_->node_count(), id + 1));
+        cache_[id] = {*inherited, true, true};
     }
 }
 
@@ -280,11 +341,12 @@ void MoveEngine::heuristic_move()
 {
     std::vector<Cand>& cands = cands_;
     cands.clear();
-    for (const int rid : forest_->roots()) {
+    const std::vector<int>& ids = forest_->roots();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
         Cand c;
-        c.root = rid;
-        c.p = forest_->node(rid).p;
-        c.q = query(rid);
+        c.root = ids[i];
+        c.p = forest_->root_points()[i];
+        c.q = query(c.root);
         if (c.q.df >= kInfLen) continue;  // the origin cannot be moved
         cands.push_back(c);
     }

@@ -9,12 +9,26 @@
 //
 // The engine runs in one of two modes.  `Mode::indexed` (the default) keeps
 // a per-root cache of Forest::analyze results and a maintained
-// farthest-first scan order: each applied path reports the geometry and root
-// changes it made, and only cached queries those changes could affect are
-// dropped, so a step re-analyzes O(affected) roots instead of all of them.
+// farthest-first scan order, and keeps the cached queries current as paths
+// are applied instead of re-deriving them.  Each applied path reports the
+// geometry and root changes it made; for every other cached root
+//   * df/mf fold in each new segment's nearest dominated point with the
+//     same (d, x, y) / (d, y, x) tie-breaks as the full sweep (exact:
+//     geometry only grows, and the new segments belong to another tree),
+//   * an unmerged move's new root replaces mx (resp. my) when its key is
+//     smaller and its gate is open (every smaller key was blocked and
+//     still is),
+//   * otherwise mx/my go stale when a new segment crosses the gate of a
+//     cached mx/my that stayed put, or the cached mx/my was the root that
+//     moved; stale mx/my is re-derived alone on the next query, keeping df.
+// Only the moved root and a merge's surviving root lose their whole query,
+// and an unmerged move's new root inherits the old root's df part when its
+// mf_west and mf_south are dominated by the new root (the other trees are
+// unchanged and every distance shrinks by the move's length), deriving
+// only mx/my.  full_analyses() and mxmy_rederivations() count the work.
 // `Mode::reference` preserves the seed behavior -- re-sort all roots and
 // re-derive every query from a full segment scan on every step (mirroring
-// PR 1's grewsa_reference convention).  Both modes make identical move
+// the grewsa_reference convention).  Both modes make identical move
 // sequences and produce bit-identical forests.
 #ifndef CONG93_ATREE_MOVES_H
 #define CONG93_ATREE_MOVES_H
@@ -94,10 +108,29 @@ public:
     Length sb_total() const { return sb_total_; }
     Length sb_qmst_total() const { return sb_qmst_total_; }
 
+    /// Root queries derived from scratch (analyze, or analyze_reference in
+    /// reference mode) since reset().
+    long full_analyses() const { return full_analyses_; }
+    /// Stale mx/my parts re-derived (indexed mode) since reset().
+    long mxmy_rederivations() const { return mxmy_rederivations_; }
+
+    /// Test access: the query the indexed engine would serve for `root_id`
+    /// from its cache right now (stale mx/my re-derived on the side), or
+    /// nullopt when it caches none for that root (always in reference
+    /// mode).
+    std::optional<Forest::RootQuery> peek_query(int root_id) const;
+
     /// Heap bytes held by the engine's storage (capacities).
     std::size_t capacity_bytes() const;
 
 private:
+    /// A cached root query (indexed mode).
+    struct Cached {
+        Forest::RootQuery q;
+        bool valid = false;       ///< q holds this root's query
+        bool mxmy_stale = false;  ///< q's dx/dy/mx/my need re-deriving
+    };
+
     /// A movable root and its query, as heuristic_move() weighs it.
     struct Cand {
         int root = -1;
@@ -115,8 +148,8 @@ private:
     /// The reference is invalidated by the next applied path.
     const std::vector<int>& scan_order();
     /// Absorbs an applied path into the cache/order bookkeeping: drops the
-    /// moved root, inserts the new one, and invalidates every cached query
-    /// the new geometry or root change could affect.
+    /// moved root (and a merge's survivor), inserts the new one, and brings
+    /// every other cached query up to date (see the header comment).
     void note_path(const Forest::PathResult& pr);
 
     Forest* forest_ = nullptr;
@@ -125,7 +158,8 @@ private:
     Mode mode_ = Mode::indexed;
     /// Cached root queries (indexed mode), indexed by node id; only roots
     /// are ever cached.
-    std::vector<std::optional<Forest::RootQuery>> cache_;
+    std::vector<Cached> cache_;
+    Forest::MxMyScratch mxmy_scratch_;
     std::vector<int> order_;  ///< scan order (maintained in indexed mode,
                               ///< re-sorted per step in reference mode)
     bool order_ready_ = false;
@@ -135,6 +169,8 @@ private:
     int heuristic_moves_ = 0;
     Length sb_total_ = 0;
     Length sb_qmst_total_ = 0;
+    long full_analyses_ = 0;
+    long mxmy_rederivations_ = 0;
 };
 
 }  // namespace cong93

@@ -19,23 +19,17 @@ void SegIndex::insert(Lines& lines, Coord line, Coord lo, Coord hi, int owner)
                               : lines[i].hi;
 }
 
-bool SegIndex::overlaps(const Lines& lines, std::size_t begin, std::size_t end,
-                        Coord lo, Coord hi)
-{
-    // An interval e meets [lo, hi] iff e.lo <= hi and e.hi >= lo; among the
-    // prefix with e.lo <= hi the running max of the high endpoints decides.
-    const auto it = std::partition_point(
-        lines.begin() + static_cast<std::ptrdiff_t>(begin),
-        lines.begin() + static_cast<std::ptrdiff_t>(end),
-        [hi](const Entry& e) { return e.lo <= hi; });
-    const std::size_t n = static_cast<std::size_t>(it - lines.begin());
-    return n > begin && lines[n - 1].max_hi >= lo;
-}
-
 bool SegIndex::overlaps(const Lines& lines, Coord at, Coord lo, Coord hi)
 {
-    const std::size_t end = first_after(lines, at, 0, lines.size());
-    return overlaps(lines, first_at(lines, at, 0, end), end, lo, hi);
+    // An interval e meets [lo, hi] iff e.lo <= hi and e.hi >= lo; among the
+    // prefix of line `at` with e.lo <= hi the running max of the high
+    // endpoints decides.
+    const std::size_t begin = first_at(lines, at, 0, lines.size());
+    const auto it = std::partition_point(
+        lines.begin() + static_cast<std::ptrdiff_t>(begin), lines.end(),
+        [at, hi](const Entry& e) { return e.line == at && e.lo <= hi; });
+    const std::size_t n = static_cast<std::size_t>(it - lines.begin());
+    return n > begin && lines[n - 1].max_hi >= lo;
 }
 
 void SegIndex::add(const Seg& s, int owner)
@@ -46,32 +40,24 @@ void SegIndex::add(const Seg& s, int owner)
         insert(rows_, s.lo().y, s.lo().x, s.hi().x, owner);
 }
 
+bool SegIndex::crosses(const Lines& lines, Coord from, Coord to, Coord c)
+{
+    for (std::size_t i = first_at(lines, from, 0, lines.size());
+         i < lines.size() && lines[i].line < to; ++i)
+        if (lines[i].lo <= c && c <= lines[i].hi) return true;
+    return false;
+}
+
 bool SegIndex::hits_vertical_gate(Coord x, Coord y_lo, Coord y_hi) const
 {
     if (y_lo >= y_hi) return false;
-    if (overlaps(cols_, x, y_lo, y_hi - 1)) return true;
-    for (std::size_t begin = first_at(rows_, y_lo, 0, rows_.size());
-         begin < rows_.size() && rows_[begin].line < y_hi;) {
-        const std::size_t end =
-            first_after(rows_, rows_[begin].line, begin, rows_.size());
-        if (overlaps(rows_, begin, end, x, x)) return true;
-        begin = end;
-    }
-    return false;
+    return overlaps(cols_, x, y_lo, y_hi - 1) || crosses(rows_, y_lo, y_hi, x);
 }
 
 bool SegIndex::hits_horizontal_gate(Coord y, Coord x_lo, Coord x_hi) const
 {
     if (x_lo >= x_hi) return false;
-    if (overlaps(rows_, y, x_lo, x_hi - 1)) return true;
-    for (std::size_t begin = first_at(cols_, x_lo, 0, cols_.size());
-         begin < cols_.size() && cols_[begin].line < x_hi;) {
-        const std::size_t end =
-            first_after(cols_, cols_[begin].line, begin, cols_.size());
-        if (overlaps(cols_, begin, end, y, y)) return true;
-        begin = end;
-    }
-    return false;
+    return overlaps(rows_, y, x_lo, x_hi - 1) || crosses(cols_, x_lo, x_hi, y);
 }
 
 bool SegIndex::covers(Point p) const

@@ -11,9 +11,13 @@
 // first contact along a leg) walk lines outward from the query point and
 // stop as soon as the axis distance alone exceeds the best candidate, so
 // they touch only the geometry near the answer instead of every segment in
-// the forest.  Nets of up to a few hundred sinks put tens to hundreds of
-// entries in a family, where shifting the tail of one flat vector on insert
-// costs less than the per-line heap nodes a tree map would allocate.
+// the forest.  Queries that cross a span of lines (the blocking gates, the
+// perpendicular half of first contact) walk the span's entries once and
+// test each one; lines hold one to three entries, so a per-line search
+// would cost more than it skips.  Nets of up to a few hundred sinks put
+// tens to hundreds of entries in a family, where shifting the tail of one
+// flat vector on insert costs less than the per-line heap nodes a tree map
+// would allocate.
 //
 // The index is append-only: edge *splits* never change the union of forest
 // points and tree *relabels* are resolved through the `owner` node id carried
@@ -33,6 +37,22 @@
 #include "geom/segment.h"
 
 namespace cong93 {
+
+/// Folds candidate point c at L1 distance d into a running nearest-dominated
+/// answer: a strictly closer c replaces it, an equally close one updates the
+/// westmost (min x, then min y) and southmost (min y, then min x) minimizers.
+/// The one tie-break of Definition 7's mf shared by every df computation.
+inline void fold_dominated(Point c, Length d, Length& best,
+                           std::optional<Point>& west, std::optional<Point>& south)
+{
+    if (d < best) {
+        best = d;
+        west = south = c;
+    } else if (d == best && west) {
+        if (c.x < west->x || (c.x == west->x && c.y < west->y)) west = c;
+        if (c.y < south->y || (c.y == south->y && c.x < south->x)) south = c;
+    }
+}
 
 class SegIndex {
 public:
@@ -83,15 +103,6 @@ public:
                            std::optional<Point>& west,
                            std::optional<Point>& south) const
     {
-        const auto update = [&](Point c, Length d) {
-            if (d < best) {
-                best = d;
-                west = south = c;
-            } else if (d == best && west) {
-                if (c.x < west->x || (c.x == west->x && c.y < west->y)) west = c;
-                if (c.y < south->y || (c.y == south->y && c.x < south->x)) south = c;
-            }
-        };
         // Columns at x <= p.x, nearest first.  Once the column offset alone
         // exceeds the best distance no farther column can matter (not even
         // for ties: a pruned candidate is strictly worse than the final best,
@@ -106,7 +117,8 @@ public:
                 if (e.lo > p.y) break;  // sorted by lo: the rest start higher
                 if (!keep(e.owner)) continue;
                 const Coord y = std::min(e.hi, p.y);
-                update(Point{x, y}, ddx + (static_cast<Length>(p.y) - y));
+                fold_dominated(Point{x, y}, ddx + (static_cast<Length>(p.y) - y), best,
+                               west, south);
             }
             end = begin;
         }
@@ -121,7 +133,8 @@ public:
                 if (e.lo > p.x) break;
                 if (!keep(e.owner)) continue;
                 const Coord x = std::min(e.hi, p.x);
-                update(Point{x, y}, ddy + (static_cast<Length>(p.x) - x));
+                fold_dominated(Point{x, y}, ddy + (static_cast<Length>(p.x) - x), best,
+                               west, south);
             }
             end = begin;
         }
@@ -129,8 +142,9 @@ public:
 
     /// First contact of the leg with any interval whose owner passes `keep`:
     /// the smallest t in [1, leg.len] with leg.at(t) on indexed geometry,
-    /// returned with the owner of one interval achieving it.  Lines are
-    /// walked in travel order and abandoned once farther than the best t.
+    /// returned with the owner of one interval containing leg.at(t).  Lines
+    /// are walked in travel order and abandoned once farther than the best
+    /// t.
     template <typename Keep>
     std::optional<std::pair<Length, int>> first_contact(const Leg& leg,
                                                         Keep&& keep) const
@@ -149,39 +163,26 @@ public:
         };
         const auto scan_cross = [&](const Lines& lines, Coord cross, Coord pos0,
                                     int dir) {
-            // Lines perpendicular to the leg, nearest first; the line at the
-            // leg origin only yields t = 0, which first-contact excludes.
-            // Returns false once the line is out of reach.
-            const auto try_line = [&](std::size_t begin, std::size_t end) {
-                const Coord at = lines[begin].line;
-                const Length t = dir > 0 ? static_cast<Length>(at) - pos0
-                                         : static_cast<Length>(pos0) - at;
+            // Entries of the lines perpendicular to the leg, nearest line
+            // first; the line at the leg origin only yields t = 0, which
+            // first contact excludes.  The walk ends at the first line out
+            // of reach: past the leg's end, or no nearer than the best t
+            // (which also ends it right after a hit on this walk).
+            const auto try_entry = [&](const Entry& e) {
+                const Length t = dir > 0 ? static_cast<Length>(e.line) - pos0
+                                         : static_cast<Length>(pos0) - e.line;
                 if (t > leg.len || (best && t >= best->first)) return false;
-                for (std::size_t i = begin; i < end; ++i) {
-                    const Entry& e = lines[i];
-                    if (e.lo > cross) break;
-                    if (e.hi >= cross && keep(e.owner)) {
-                        best = {{t, e.owner}};
-                        break;
-                    }
-                }
-                return true;  // keep walking outward
+                if (e.lo <= cross && cross <= e.hi && keep(e.owner))
+                    best = {{t, e.owner}};
+                return true;
             };
             if (dir > 0) {
-                for (std::size_t begin = first_after(lines, pos0, 0, lines.size());
-                     begin < lines.size();) {
-                    const std::size_t end =
-                        first_after(lines, lines[begin].line, begin, lines.size());
-                    if (!try_line(begin, end)) break;
-                    begin = end;
+                for (std::size_t i = first_after(lines, pos0, 0, lines.size());
+                     i < lines.size() && try_entry(lines[i]); ++i) {
                 }
             } else {
-                for (std::size_t end = first_at(lines, pos0, 0, lines.size());
-                     end > 0;) {
-                    const std::size_t begin =
-                        first_at(lines, lines[end - 1].line, 0, end);
-                    if (!try_line(begin, end)) break;
-                    end = begin;
+                for (std::size_t i = first_at(lines, pos0, 0, lines.size());
+                     i > 0 && try_entry(lines[i - 1]); --i) {
                 }
             }
         };
@@ -231,9 +232,9 @@ private:
     static void insert(Lines& lines, Coord line, Coord lo, Coord hi, int owner);
     /// Does any entry of line `at` meet the closed range [lo, hi]?
     static bool overlaps(const Lines& lines, Coord at, Coord lo, Coord hi);
-    /// Same, for the line occupying [begin, end).
-    static bool overlaps(const Lines& lines, std::size_t begin, std::size_t end,
-                         Coord lo, Coord hi);
+    /// Does any entry on a line in [from, to) contain c?  One walk over the
+    /// span's entries.
+    static bool crosses(const Lines& lines, Coord from, Coord to, Coord c);
 
     Lines cols_;  ///< x -> y-intervals (vertical + degenerate)
     Lines rows_;  ///< y -> x-intervals (horizontal)

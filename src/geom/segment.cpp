@@ -21,41 +21,6 @@ bool Seg::contains(Point p) const
     return false;
 }
 
-std::optional<Point> Seg::nearest_dominated(Point p) const
-{
-    if (horizontal()) {
-        if (lo_.y > p.y) return std::nullopt;
-        const Coord x_hi = std::min(hi_.x, p.x);
-        if (x_hi < lo_.x) return std::nullopt;
-        // Distance (p.x - x) + (p.y - y0) is minimized by the largest x.
-        return Point{x_hi, lo_.y};
-    }
-    if (lo_.x > p.x) return std::nullopt;
-    const Coord y_hi = std::min(hi_.y, p.y);
-    if (y_hi < lo_.y) return std::nullopt;
-    return Point{lo_.x, y_hi};
-}
-
-bool Seg::hits_vertical_gate(Coord x, Coord y_lo, Coord y_hi) const
-{
-    if (y_lo >= y_hi) return false;
-    if (vertical()) {
-        // Column must match; closed y-range [lo.y, hi.y] vs half-open gate.
-        return lo_.x == x && lo_.y < y_hi && hi_.y >= y_lo;
-    }
-    // Horizontal: single row lo_.y, columns [lo_.x, hi_.x].
-    return lo_.y >= y_lo && lo_.y < y_hi && lo_.x <= x && x <= hi_.x;
-}
-
-bool Seg::hits_horizontal_gate(Coord y, Coord x_lo, Coord x_hi) const
-{
-    if (x_lo >= x_hi) return false;
-    if (horizontal()) {
-        return lo_.y == y && lo_.x < x_hi && hi_.x >= x_lo;
-    }
-    return lo_.x >= x_lo && lo_.x < x_hi && lo_.y <= y && y <= hi_.y;
-}
-
 bool Seg::intersects(const Seg& other) const
 {
     const auto overlap = [](Coord a1, Coord a2, Coord b1, Coord b2) {

@@ -6,6 +6,7 @@
 #ifndef CONG93_GEOM_SEGMENT_H
 #define CONG93_GEOM_SEGMENT_H
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -37,16 +38,44 @@ public:
     /// Nearest point of the segment's portion dominated by p (Definition 7
     /// support).  Returns nullopt when no segment point is dominated by p.
     /// Within one axis-parallel segment the L1-nearest dominated point is
-    /// unique, so a single point is returned.
-    std::optional<Point> nearest_dominated(Point p) const;
+    /// unique, so a single point is returned.  (This and the two gate tests
+    /// are inline: the A-tree move engine runs them per root per move.)
+    std::optional<Point> nearest_dominated(Point p) const
+    {
+        if (horizontal()) {
+            if (lo_.y > p.y) return std::nullopt;
+            const Coord x_hi = std::min(hi_.x, p.x);
+            if (x_hi < lo_.x) return std::nullopt;
+            // Distance (p.x - x) + (p.y - y0) is minimized by the largest x.
+            return Point{x_hi, lo_.y};
+        }
+        if (lo_.x > p.x) return std::nullopt;
+        const Coord y_hi = std::min(hi_.y, p.y);
+        if (y_hi < lo_.y) return std::nullopt;
+        return Point{lo_.x, y_hi};
+    }
 
     /// True when the segment contains a point r with r.x == x and
     /// y_lo <= r.y < y_hi (half-open, Definition 5 blocking test).
-    bool hits_vertical_gate(Coord x, Coord y_lo, Coord y_hi) const;
+    bool hits_vertical_gate(Coord x, Coord y_lo, Coord y_hi) const
+    {
+        if (y_lo >= y_hi) return false;
+        if (vertical()) {
+            // Column must match; closed y-range [lo.y, hi.y] vs half-open gate.
+            return lo_.x == x && lo_.y < y_hi && hi_.y >= y_lo;
+        }
+        // Horizontal: single row lo_.y, columns [lo_.x, hi_.x].
+        return lo_.y >= y_lo && lo_.y < y_hi && lo_.x <= x && x <= hi_.x;
+    }
 
     /// True when the segment contains a point r with r.y == y and
     /// x_lo <= r.x < x_hi.
-    bool hits_horizontal_gate(Coord y, Coord x_lo, Coord x_hi) const;
+    bool hits_horizontal_gate(Coord y, Coord x_lo, Coord x_hi) const
+    {
+        if (x_lo >= x_hi) return false;
+        if (horizontal()) return lo_.y == y && lo_.x < x_hi && hi_.x >= x_lo;
+        return lo_.x >= x_lo && lo_.x < x_hi && lo_.y <= y && y <= hi_.y;
+    }
 
     /// Does this segment intersect the closed axis-parallel segment [a,b]?
     bool intersects(const Seg& other) const;

@@ -19,13 +19,12 @@ namespace cong93 {
 
 namespace {
 
+/// FNV-1a step over a whole 64-bit word.  The stem hash only buckets
+/// stems; the exact content compare decides every match, so a word-wise mix
+/// (one multiply per word, not eight) is as correct and far cheaper.
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v)
 {
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xffu;
-        h *= 1099511628211ull;
-    }
-    return h;
+    return (h ^ v) * 1099511628211ull;
 }
 
 std::uint64_t dbl_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -178,47 +177,49 @@ bool Session::fault_would_fire(std::uint64_t request) const
            faults_.fires(i, RouteStage::moment_check);
 }
 
-void Session::capture_bounds(const WiresizeContext& ctx,
-                             const Assignment& lower, const Assignment& upper,
-                             std::vector<StemBounds>& out)
-{
-    out.clear();
-    std::vector<std::pair<std::size_t, std::size_t>> stems;
-    if (!stem_ranges(ctx, stems)) return;  // no reuse, never wrong bits
-    out.reserve(stems.size());
-    for (const auto& [b, e] : stems) {
-        StemBounds sb;
-        stem_content(ctx, b, e, sb.content, sb.hash);
-        sb.lower.assign(lower.begin() + static_cast<std::ptrdiff_t>(b),
-                        lower.begin() + static_cast<std::ptrdiff_t>(e));
-        sb.upper.assign(upper.begin() + static_cast<std::ptrdiff_t>(b),
-                        upper.begin() + static_cast<std::ptrdiff_t>(e));
-        out.push_back(std::move(sb));
-    }
-}
-
 bool Session::recompute(Entry& e, NetId id, std::uint64_t request, bool warm)
 {
     NetRouteResult r;
     r.diag.net_index = id;
+    // The quadrant trees are grafted straight into the workspace's FlatTree
+    // (the arrays FlatTree::build would compile from assemble_quadrants).
+    // e.net equals the validated net here: the repair state is captured and
+    // kept only while validation leaves no notes.
+    std::array<const AtreeResult*, 4> ptrs{nullptr, nullptr, nullptr, nullptr};
+    std::size_t nodes = 1;
+    for (std::size_t q = 0; q < 4; ++q) {
+        if (e.part.quads[q].empty()) continue;
+        ptrs[q] = &*e.quads[q];
+        nodes += ptrs[q]->tree.node_count() - 1;
+    }
     try {
-        ws_.guard_nodes(e.nodes, opts_.pipeline.max_nodes_per_net);
-        ws_.flat.build(e.tree);
+        ws_.guard_nodes(nodes, opts_.pipeline.max_nodes_per_net);
+        emit_quadrants(e.net, e.part, ptrs, ws_.atree, ws_.flat);
+        ws_.flat.finish();
     } catch (const std::exception&) {
         return false;
     }
-    if (!route_report_compiled(ws_.flat, e.nodes, e.tech, ws_, r)) return false;
+    if (!route_report_compiled(ws_.flat, nodes, e.tech, ws_, r)) return false;
 
     std::vector<StemBounds> pending;
     if (opts_.pipeline.wiresize) {
         const std::vector<StemBounds>& prior = e.bounds;
         const WiresizeSolver solver =
             [&pending, &prior, warm](const WiresizeContext& ctx) {
+                // Every stem's content, taken once: it keys the warm start
+                // below and, with the bounds, becomes the next request's
+                // prior.  A non-contiguous context keeps no stems (no
+                // reuse, never wrong bits).
+                std::vector<std::pair<std::size_t, std::size_t>> stems;
+                const bool contiguous = stem_ranges(ctx, stems);
+                std::vector<StemBounds> next(contiguous ? stems.size() : 0);
+                for (std::size_t j = 0; j < next.size(); ++j)
+                    stem_content(ctx, stems[j].first, stems[j].second,
+                                 next[j].content, next[j].hash);
                 Assignment lower, upper;
                 bool seeded = false;
                 if (warm && !prior.empty()) {
-                    std::vector<std::pair<std::size_t, std::size_t>> stems;
-                    if (stem_ranges(ctx, stems)) {
+                    if (contiguous) {
                         const std::size_t n = ctx.segment_count();
                         lower = min_assignment(n);
                         upper = max_assignment(n, ctx.width_count());
@@ -228,15 +229,13 @@ bool Session::recompute(Entry& e, NetId id, std::uint64_t request, bool warm)
                         for (std::size_t p = 0; p < prior.size(); ++p)
                             by_hash[prior[p].hash].push_back(p);
                         std::vector<std::size_t> dirty;
-                        std::vector<std::uint64_t> content;
-                        std::uint64_t hash = 0;
-                        for (const auto& [b, se] : stems) {
-                            stem_content(ctx, b, se, content, hash);
+                        for (std::size_t j = 0; j < stems.size(); ++j) {
+                            const auto [b, se] = stems[j];
                             const StemBounds* match = nullptr;
-                            const auto it = by_hash.find(hash);
+                            const auto it = by_hash.find(next[j].hash);
                             if (it != by_hash.end()) {
                                 for (const std::size_t p : it->second)
-                                    if (prior[p].content == content) {
+                                    if (prior[p].content == next[j].content) {
                                         match = &prior[p];
                                         break;
                                     }
@@ -284,7 +283,13 @@ bool Session::recompute(Entry& e, NetId id, std::uint64_t request, bool warm)
                 res.delay = o.delay;
                 res.assignments_examined = o.assignments_examined;
                 res.owsa_calls = o.calls;
-                capture_bounds(ctx, lower, upper, pending);
+                for (std::size_t j = 0; j < next.size(); ++j) {
+                    const auto b = static_cast<std::ptrdiff_t>(stems[j].first);
+                    const auto se = static_cast<std::ptrdiff_t>(stems[j].second);
+                    next[j].lower.assign(lower.begin() + b, lower.begin() + se);
+                    next[j].upper.assign(upper.begin() + b, upper.begin() + se);
+                }
+                pending = std::move(next);
                 return res;
             };
         route_tail_compiled(ws_.flat, static_cast<std::size_t>(request),
@@ -316,19 +321,13 @@ void Session::full_route(Entry& e, NetId id, std::uint64_t request)
             try {
                 QuadrantPartition part = partition_quadrants(v.net);
                 std::array<std::optional<AtreeResult>, 4> quads;
-                std::array<const AtreeResult*, 4> ptrs{nullptr, nullptr,
-                                                       nullptr, nullptr};
                 for (int q = 0; q < 4; ++q) {
                     const auto qi = static_cast<std::size_t>(q);
                     if (part.quads[qi].empty()) continue;
                     quads[qi] = build_atree(quadrant_subnet(part, q));
-                    ptrs[qi] = &*quads[qi];
                 }
-                AtreeResult assembled = assemble_quadrants(v.net, part, ptrs);
                 e.part = std::move(part);
                 e.quads = std::move(quads);
-                e.tree = std::move(assembled.tree);
-                e.nodes = e.tree.node_count();
                 built = true;
             } catch (const std::exception&) {
                 built = false;
@@ -463,9 +462,10 @@ EcoOutcome Session::apply(NetId id, const EcoDelta& delta)
         return o;
     }
 
-    // Dirty quadrants are rebuilt in place: if anything below throws, the
-    // full path reroutes the net and either recaptures the repair state or
-    // leaves it uncaptured, so a half-updated e.quads is never read.
+    // Dirty quadrants are rebuilt in place: if anything below (or their
+    // assembly in recompute) throws, the full path reroutes the net and
+    // either recaptures the repair state or leaves it uncaptured, so a
+    // half-updated e.quads is never read.
     bool built = false;
     try {
         for (std::size_t q = 0; q < 4; ++q) {
@@ -476,14 +476,7 @@ EcoOutcome Session::apply(NetId id, const EcoDelta& delta)
                 e.quads[q] = build_atree(
                     quadrant_subnet(part, static_cast<int>(q)));
         }
-        std::array<const AtreeResult*, 4> ptrs{nullptr, nullptr, nullptr,
-                                               nullptr};
-        for (std::size_t q = 0; q < 4; ++q)
-            if (e.quads[q].has_value()) ptrs[q] = &*e.quads[q];
-        AtreeResult assembled = assemble_quadrants(v.net, part, ptrs);
         e.part = std::move(part);
-        e.tree = std::move(assembled.tree);
-        e.nodes = e.tree.node_count();
         built = true;
     } catch (const std::exception&) {
         built = false;

@@ -17,8 +17,9 @@
 //      `eco_threshold` of the sinks the repair degenerates to a full
 //      re-route (rebuilding everything incremental repair would rebuild),
 //      so the threshold bounds repair cost without ever changing results.
-//   3. The repaired A-tree recompiles into the session's reusable Workspace
-//      arena and re-reports through the shared pipeline stages
+//   3. The quadrant A-trees are grafted straight into the session's
+//      reusable Workspace arena (emit_quadrants: no combined RoutingTree)
+//      and re-report through the shared pipeline stages
 //      (batch/pipeline.h: route_report_compiled / route_tail_compiled).
 //   4. Wiresizing warm-starts: the GREWSA lower/upper fixpoints are cached
 //      per *stem* (root segment subtree), keyed by the stem's exact content
@@ -222,8 +223,6 @@ private:
         // Repair state (valid only when captured):
         QuadrantPartition part;
         std::array<std::optional<AtreeResult>, 4> quads;
-        RoutingTree tree{Point{0, 0}};
-        std::size_t nodes = 0;
         std::vector<StemBounds> bounds;
     };
 
@@ -234,15 +233,12 @@ private:
     /// Full route of e.net via route_single + eager state capture; used by
     /// add() and every fallback path.
     void full_route(Entry& e, NetId id, std::uint64_t request);
-    /// Compile e.tree into the workspace and run report + tail stages with
+    /// Graft e.quads into the workspace's FlatTree (emit_quadrants) and run
+    /// report + tail stages with
     /// `warm` selecting the warm-started wiresize solver.  Returns false
     /// when the pipeline demoted the net (state is then dropped and the
     /// caller falls back to full_route for the authoritative result).
     bool recompute(Entry& e, NetId id, std::uint64_t request, bool warm);
-    /// Snapshot per-stem GREWSA bounds of `ctx` into e.bounds.
-    static void capture_bounds(const WiresizeContext& ctx,
-                               const Assignment& lower, const Assignment& upper,
-                               std::vector<StemBounds>& out);
 
     SessionOptions opts_;
     Technology tech_;

@@ -15,16 +15,16 @@ public:
     {
         const std::size_t n = ctx.segment_count();
         current_.assign(n, 0);
-        subtree_.resize(n);
+        size_.assign(n, 1);
         pinnable_.assign(n, true);
         a_min_.assign(n, 0.0);
         b_min_.assign(n, 0.0);
         const double r0 = ctx.tech().r_grid();
         const double c0 = ctx.tech().c_grid();
         const double w0 = ctx.widths()[0];
+        const auto& cp = ctx.seg_child_ptr();
         // Children have larger indices than parents: accumulate bottom-up.
         for (std::size_t i = n; i-- > 0;) {
-            subtree_[i].push_back(static_cast<int>(i));
             pinnable_[i] = lower[i] == 0;
             // Delay contribution of T_SS(i) with every width pinned to W1 is
             // linear in the upstream resistance: D_i(R) = A_i + R*B_i with
@@ -35,12 +35,10 @@ public:
             // re-walking the subtree (delta evaluation: consecutive
             // enumeration states differ only in one stem width).
             double b_child = 0.0, a_child = 0.0;
-            const auto& cp = ctx.seg_child_ptr();
             for (std::int32_t k = cp[i]; k < cp[i + 1]; ++k) {
                 const std::size_t ci =
                     static_cast<std::size_t>(ctx.seg_child_idx()[static_cast<std::size_t>(k)]);
-                subtree_[i].insert(subtree_[i].end(), subtree_[ci].begin(),
-                                   subtree_[ci].end());
+                size_[i] += size_[ci];
                 pinnable_[i] = pinnable_[i] && pinnable_[ci];
                 b_child += b_min_[ci];
                 a_child += a_min_[ci];
@@ -50,6 +48,26 @@ public:
             b_min_[i] = c0 * w0 * l + tc + b_child;
             a_min_[i] = r0 * c0 * l * (l + 1.0) / 2.0 +
                         (r0 * l / w0) * (tc + b_child) + a_child;
+        }
+        // T_SS(i) as one run of a preorder (children in seg_child order):
+        // order_[first_[i] .. first_[i] + size_[i]).  Parents precede
+        // children, so one forward pass places every child run.
+        first_.assign(n, 0);
+        order_.assign(n, 0);
+        std::size_t next_root = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (ctx.seg_parent()[i] == kNoSegment) {
+                first_[i] = next_root;
+                next_root += size_[i];
+            }
+            order_[first_[i]] = static_cast<int>(i);
+            std::size_t at = first_[i] + 1;
+            for (std::int32_t k = cp[i]; k < cp[i + 1]; ++k) {
+                const std::size_t ci =
+                    static_cast<std::size_t>(ctx.seg_child_idx()[static_cast<std::size_t>(k)]);
+                first_[ci] = at;
+                at += size_[ci];
+            }
         }
     }
 
@@ -91,8 +109,14 @@ private:
             throw std::logic_error("owsa: incompatible width windows");
         if (k_hi > k_lo) ++branching_calls_;
 
+        // The best widths over T_SS(i) are snapshot into saved_[base ..
+        // base + m); nested calls stack their snapshots above it and pop
+        // them before returning (indices, not pointers: saved_ may grow).
+        const int* sub = order_.data() + first_[i];
+        const std::size_t m = size_[i];
+        const std::size_t base = saved_.size();
+        saved_.resize(base + m);
         double best = std::numeric_limits<double>::infinity();
-        std::vector<int> best_widths;  // snapshot of current_ over subtree_[i]
         for (int k = k_lo; k <= k_hi; ++k) {
             current_[i] = k;
             double d;
@@ -101,8 +125,8 @@ private:
                 // subtree to the minimum width -- evaluate in closed form
                 // instead of recursing (this is what makes N(n,2) = O(n)).
                 d = eval_pinned_min(i, r_in);
-                for (const int s : subtree_[i])
-                    current_[static_cast<std::size_t>(s)] = 0;
+                for (std::size_t j = 0; j < m; ++j)
+                    current_[static_cast<std::size_t>(sub[j])] = 0;
             } else {
                 const double r_next =
                     r_in + ctx_->tech().r_grid() * ctx_->seg_length()[i] /
@@ -116,14 +140,14 @@ private:
             }
             if (d < best) {
                 best = d;
-                best_widths.clear();
-                for (const int s : subtree_[i])
-                    best_widths.push_back(current_[static_cast<std::size_t>(s)]);
+                for (std::size_t j = 0; j < m; ++j)
+                    saved_[base + j] = current_[static_cast<std::size_t>(sub[j])];
             }
         }
         // Restore the winning subtree assignment.
-        for (std::size_t j = 0; j < subtree_[i].size(); ++j)
-            current_[static_cast<std::size_t>(subtree_[i][j])] = best_widths[j];
+        for (std::size_t j = 0; j < m; ++j)
+            current_[static_cast<std::size_t>(sub[j])] = saved_[base + j];
+        saved_.resize(base);
         return best;
     }
 
@@ -139,7 +163,10 @@ private:
     const Assignment* lower_;
     const Assignment* upper_;
     Assignment current_;
-    std::vector<std::vector<int>> subtree_;
+    std::vector<std::size_t> size_;   ///< segments in T_SS(i)
+    std::vector<std::size_t> first_;  ///< T_SS(i)'s run in order_
+    std::vector<int> order_;          ///< every subtree as a contiguous run
+    std::vector<int> saved_;          ///< stacked best-width snapshots
     std::vector<bool> pinnable_;
     std::vector<double> a_min_;  ///< pinned-min linear form: D(R) = A + R*B
     std::vector<double> b_min_;

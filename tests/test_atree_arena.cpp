@@ -1,9 +1,11 @@
-// emit_atree (atree/generalized.h) against the RoutingTree construction:
-// the rows it emits, once finished, must be exactly the arrays FlatTree
-// compiles from build_atree_general(net).tree, on one AtreeScratch and one
-// FlatTree reused across nets that grow, shrink and throw.
+// emit_atree and emit_quadrants (atree/generalized.h) against the
+// RoutingTree construction: the rows they emit, once finished, must be
+// exactly the arrays FlatTree compiles from build_atree_general(net).tree
+// (resp. assemble_quadrants' tree), on one AtreeScratch and one FlatTree
+// reused across nets that grow, shrink and throw.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -169,6 +171,57 @@ TEST(AtreeArena, WarmScratchStopsGrowing)
     EXPECT_EQ(scratch.growths, growths);
     EXPECT_EQ(flat.growths(), flat_growths);
     EXPECT_EQ(scratch.capacity_bytes(), bytes);
+}
+
+/// Builds the A-tree of every non-empty quadrant into `built` and returns
+/// the per-quadrant pointers assemble_quadrants/emit_quadrants take.
+std::array<const AtreeResult*, 4> build_quadrants(const QuadrantPartition& part,
+                                                  std::vector<AtreeResult>& built)
+{
+    built.clear();
+    built.reserve(4);
+    std::array<const AtreeResult*, 4> ptrs{nullptr, nullptr, nullptr, nullptr};
+    for (int q = 0; q < 4; ++q) {
+        if (part.quads[static_cast<std::size_t>(q)].empty()) continue;
+        built.push_back(build_atree(quadrant_subnet(part, q)));
+        ptrs[static_cast<std::size_t>(q)] = &built.back();
+    }
+    return ptrs;
+}
+
+/// emit_quadrants over built quadrant trees against FlatTree-compiling
+/// assemble_quadrants' combined tree.
+void expect_quadrants_emitted_eq(const Net& net, AtreeScratch& scratch,
+                                 FlatTree& flat, const char* what)
+{
+    const QuadrantPartition part = partition_quadrants(net);
+    std::vector<AtreeResult> built;
+    const auto ptrs = build_quadrants(part, built);
+    emit_quadrants(net, part, ptrs, scratch, flat);
+    flat.finish();
+    expect_flat_eq(flat, FlatTree(assemble_quadrants(net, part, ptrs).tree), what);
+}
+
+TEST(AtreeArena, QuadrantTreesEmitLikeTheAssembledTree)
+{
+    AtreeScratch scratch;
+    FlatTree flat;
+    for (const Net& net : mixed_nets(78))
+        expect_quadrants_emitted_eq(net, scratch, flat, "random");
+    Net net;
+    net.source = Point{50, 50};
+    net.sinks = {{50, 80}, {20, 50}, {50, 10}, {90, 50}, {70, 70},
+                 {70, 70}, {50, 50}, {30, 20}, {90, 10}, {60, 50}};
+    net.sink_caps = {1e-15, -1.0, 2e-15, 3e-15, 4e-15, 5e-15, 6e-15, 7e-15, 8e-15, 9e-15};
+    expect_quadrants_emitted_eq(net, scratch, flat, "hand-made");
+
+    // The combined QMST cost overflows int64 although no quadrant's does.
+    const Net bad = overflowing_net();
+    const QuadrantPartition part = partition_quadrants(bad);
+    std::vector<AtreeResult> built;
+    const auto ptrs = build_quadrants(part, built);
+    EXPECT_THROW(emit_quadrants(bad, part, ptrs, scratch, flat), std::overflow_error);
+    expect_quadrants_emitted_eq(mixed_nets(79).front(), scratch, flat, "after a throw");
 }
 
 TEST(AtreeArena, EmissionCountsOneBuildAtFinish)

@@ -119,20 +119,22 @@ void expect_forest_eq(const Forest& a, const Forest& b)
     EXPECT_EQ(a.total_length(), b.total_length());
 }
 
+void expect_record_eq(const MoveRecord& ra, const MoveRecord& rb, std::size_t i)
+{
+    EXPECT_EQ(ra.type, rb.type) << "move " << i;
+    EXPECT_EQ(ra.from1, rb.from1) << "move " << i;
+    EXPECT_EQ(ra.from2, rb.from2) << "move " << i;
+    EXPECT_EQ(ra.to, rb.to) << "move " << i;
+    EXPECT_EQ(ra.added, rb.added) << "move " << i;
+    EXPECT_EQ(ra.sb, rb.sb) << "move " << i;
+    EXPECT_EQ(ra.sb_qmst, rb.sb_qmst) << "move " << i;
+}
+
 void expect_log_eq(const MoveEngine& a, const MoveEngine& b)
 {
     ASSERT_EQ(a.log().size(), b.log().size());
-    for (std::size_t i = 0; i < a.log().size(); ++i) {
-        const MoveRecord& ra = a.log()[i];
-        const MoveRecord& rb = b.log()[i];
-        EXPECT_EQ(ra.type, rb.type) << "move " << i;
-        EXPECT_EQ(ra.from1, rb.from1) << "move " << i;
-        EXPECT_EQ(ra.from2, rb.from2) << "move " << i;
-        EXPECT_EQ(ra.to, rb.to) << "move " << i;
-        EXPECT_EQ(ra.added, rb.added) << "move " << i;
-        EXPECT_EQ(ra.sb, rb.sb) << "move " << i;
-        EXPECT_EQ(ra.sb_qmst, rb.sb_qmst) << "move " << i;
-    }
+    for (std::size_t i = 0; i < a.log().size(); ++i)
+        expect_record_eq(a.log()[i], b.log()[i], i);
     EXPECT_EQ(a.safe_moves(), b.safe_moves());
     EXPECT_EQ(a.heuristic_moves(), b.heuristic_moves());
     EXPECT_EQ(a.sb_total(), b.sb_total());
@@ -157,27 +159,66 @@ constexpr StreamCase kStreamCases[] = {
     {HeuristicPolicy::min_suboptimality, 40}, {HeuristicPolicy::min_suboptimality, 80},
 };
 
-void expect_stream_case_identical(HeuristicPolicy policy, int n)
+/// The sinks of the stream case with this policy and size.
+std::vector<Point> stream_case_sinks(HeuristicPolicy policy, int n)
 {
     std::mt19937_64 rng(4242);
     for (const StreamCase& c : kStreamCases) {
         const Coord grid = static_cast<Coord>(10 * c.n);
-        const std::vector<Point> sinks = random_sinks(rng, c.n, grid);
-        if (c.policy != policy || c.n != n) continue;
-
-        Forest fr(Point{0, 0}, sinks);
-        MoveEngine er(fr, policy, true, Mode::reference);
-        er.run();
-
-        Forest fi(Point{0, 0}, sinks);
-        MoveEngine ei(fi, policy, true, Mode::indexed);
-        ei.run();
-
-        expect_forest_eq(fr, fi);
-        expect_log_eq(er, ei);
-        return;
+        std::vector<Point> sinks = random_sinks(rng, c.n, grid);
+        if (c.policy == policy && c.n == n) return sinks;
     }
-    FAIL() << "no stream case with " << n << " sinks";
+    ADD_FAILURE() << "no stream case with " << n << " sinks";
+    return {};
+}
+
+void expect_stream_case_identical(HeuristicPolicy policy, int n)
+{
+    const std::vector<Point> sinks = stream_case_sinks(policy, n);
+    ASSERT_FALSE(sinks.empty());
+
+    Forest fr(Point{0, 0}, sinks);
+    MoveEngine er(fr, policy, true, Mode::reference);
+    er.run();
+
+    Forest fi(Point{0, 0}, sinks);
+    MoveEngine ei(fi, policy, true, Mode::indexed);
+    ei.run();
+
+    expect_forest_eq(fr, fi);
+    expect_log_eq(er, ei);
+}
+
+/// Step-range form of expect_stream_case_identical, so that ctest can spread
+/// one long reference construction over several processes: runs the
+/// indexed engine to step `from`, copies its forest, then steps a reference
+/// engine on the copy beside the indexed one up to step `to` (to the end
+/// when `to` is negative) and compares the forests and the two log slices.
+/// The reference engine keeps no state between steps besides its log, so
+/// starting it mid-construction replays the same moves.
+void expect_stream_steps_identical(HeuristicPolicy policy, int n, int from, int to)
+{
+    const std::vector<Point> sinks = stream_case_sinks(policy, n);
+    ASSERT_FALSE(sinks.empty());
+    Forest fi(Point{0, 0}, sinks);
+    MoveEngine ei(fi, policy, true, Mode::indexed);
+    for (int k = 0; k < from; ++k) ASSERT_TRUE(ei.step()) << "forest done at step " << k;
+
+    Forest fr = fi;
+    MoveEngine er(fr, policy, true, Mode::reference);
+    for (int k = from; to < 0 || k < to; ++k) {
+        const bool moved = ei.step();
+        ASSERT_EQ(er.step(), moved) << "step " << k;
+        if (!moved) {
+            ASSERT_LT(to, 0) << "forest done at step " << k << ", before " << to;
+            break;
+        }
+    }
+    expect_forest_eq(fr, fi);
+    const std::size_t offset = static_cast<std::size_t>(from);
+    ASSERT_EQ(ei.log().size(), offset + er.log().size());
+    for (std::size_t i = 0; i < er.log().size(); ++i)
+        expect_record_eq(er.log()[i], ei.log()[offset + i], offset + i);
 }
 
 // Corner-source nets keep every sink in one quadrant, so one A-tree carries
@@ -208,9 +249,32 @@ TEST(ForestIndex, BitIdenticalFarthestCornerSmall)
         expect_stream_case_identical(HeuristicPolicy::farthest_corner, n);
 }
 
-TEST(ForestIndex, BitIdenticalFarthestCorner200)
+// The 200-sink farthest_corner case takes 619 moves; the reference engine's
+// cost per move grows with the forest, so the ranges below shrink until the
+// late moves, where few roots are left.  Together they cover every move.
+TEST(ForestIndex, BitIdenticalFarthestCorner200Steps0To240)
 {
-    expect_stream_case_identical(HeuristicPolicy::farthest_corner, 200);
+    expect_stream_steps_identical(HeuristicPolicy::farthest_corner, 200, 0, 240);
+}
+
+TEST(ForestIndex, BitIdenticalFarthestCorner200Steps240To320)
+{
+    expect_stream_steps_identical(HeuristicPolicy::farthest_corner, 200, 240, 320);
+}
+
+TEST(ForestIndex, BitIdenticalFarthestCorner200Steps320To370)
+{
+    expect_stream_steps_identical(HeuristicPolicy::farthest_corner, 200, 320, 370);
+}
+
+TEST(ForestIndex, BitIdenticalFarthestCorner200Steps370To520)
+{
+    expect_stream_steps_identical(HeuristicPolicy::farthest_corner, 200, 370, 520);
+}
+
+TEST(ForestIndex, BitIdenticalFarthestCorner200Steps520ToEnd)
+{
+    expect_stream_steps_identical(HeuristicPolicy::farthest_corner, 200, 520, -1);
 }
 
 TEST(ForestIndex, BitIdenticalFarthestCornerCornerSource)
@@ -272,6 +336,78 @@ TEST(ForestIndex, BuildAtreeGeneralModeEquality)
             EXPECT_EQ(a.sb_qmst_total, b.sb_qmst_total);
         }
     }
+}
+
+// ------------------------------------------------------- cache currency
+
+/// Steps an indexed engine to completion and, after every step, checks each
+/// query the engine would serve from its cache against the full-scan
+/// reference on the forest as it stands.  Final-log comparisons miss a
+/// stale query that happens not to change a move; this does not.  Returns
+/// the engine's mx/my re-derivations.
+long expect_cache_current(const std::vector<Point>& sinks, HeuristicPolicy policy,
+                          bool use_safe_moves)
+{
+    Forest f(Point{0, 0}, sinks);
+    MoveEngine engine(f, policy, use_safe_moves);
+    int checked = 0;
+    while (engine.step()) {
+        for (const int rid : f.roots()) {
+            const auto q = engine.peek_query(rid);
+            if (!q) continue;
+            expect_query_eq(*q, f.analyze_reference(rid), "cached query");
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 0);
+    return engine.mxmy_rederivations();
+}
+
+TEST(ForestIndex, CachedQueriesMatchReferenceEveryStep)
+{
+    long rederivations = 0;
+    for (const auto policy :
+         {HeuristicPolicy::farthest_corner, HeuristicPolicy::min_suboptimality}) {
+        SCOPED_TRACE(policy == HeuristicPolicy::farthest_corner ? "farthest_corner"
+                                                                : "min_suboptimality");
+        std::mt19937_64 rng(2024);
+        rederivations += expect_cache_current(random_sinks(rng, 40, 400), policy, true);
+        // A dense grid makes distance ties common, exercising the mf
+        // tie-breaks of the df fold.
+        rederivations += expect_cache_current(random_sinks(rng, 60, 30), policy, true);
+        for (const int n : {5, 12, 40})
+            rederivations +=
+                expect_cache_current(stream_case_sinks(policy, n), policy, true);
+        rederivations += expect_cache_current(
+            random_corner_nets(93, 1, kMcmGrid, 50).front().sinks, policy, true);
+        rederivations += expect_cache_current(random_sinks(rng, 25, 300), policy, false);
+    }
+    EXPECT_GT(rederivations, 0);  // the lazy mx/my path was checked too
+}
+
+/// Every applied path leaves at most one root without a cached query (its
+/// new root, or a merge's survivor), so full analyses stay near the initial
+/// root count plus the moves made; stale mx/my parts are re-derived alone.
+void expect_analyses_bounded(const std::vector<Point>& sinks, HeuristicPolicy policy)
+{
+    Forest f(Point{0, 0}, sinks);
+    const long initial_roots = static_cast<long>(f.roots().size());
+    MoveEngine engine(f, policy);
+    engine.run();
+    EXPECT_GT(engine.full_analyses(), 0);
+    EXPECT_LE(engine.full_analyses(),
+              initial_roots + static_cast<long>(engine.log().size()));
+    EXPECT_GT(engine.mxmy_rederivations(), 0);
+}
+
+TEST(ForestIndex, FullAnalysesBoundedByRootsPlusMoves)
+{
+    expect_analyses_bounded(stream_case_sinks(HeuristicPolicy::farthest_corner, 200),
+                            HeuristicPolicy::farthest_corner);
+    for (const auto policy :
+         {HeuristicPolicy::farthest_corner, HeuristicPolicy::min_suboptimality})
+        expect_analyses_bounded(random_corner_nets(93, 1, kMcmGrid, 50).front().sinks,
+                                policy);
 }
 
 // --------------------------------------------------------------- satellites
