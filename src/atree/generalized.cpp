@@ -45,6 +45,14 @@ void quadrant_sinks(const QuadrantPartition& part, int q, std::vector<Point>& ou
         out.push_back(reflect(d.p, q));
 }
 
+/// Source-relative point d of quadrant q, reflected back and made absolute.
+Point place(Point d, int q, Point source)
+{
+    const Point r = reflect(d, q);
+    return Point{static_cast<Coord>(r.x + source.x),
+                 static_cast<Coord>(r.y + source.y)};
+}
+
 // The two quadrant representations the assembly grafts: a built quadrant
 // RoutingTree (assemble_quadrants) or the finished scratch forest
 // (emit_atree).
@@ -72,59 +80,50 @@ void for_each_sink(const Forest& f, const std::vector<RelSink>& sinks, Fn&& fn)
     for (std::size_t k = 0; k < sinks.size(); ++k) fn(f.sink_node(k), sinks[k].cap);
 }
 
-/// The one assembly behind assemble_quadrants and emit_atree.  For every
-/// non-empty quadrant q, `quadrant(q)` yields its first-quadrant tree; the
-/// tree is grafted under the output root in preorder (children in order),
-/// reflected back and translated to absolute coordinates through
-/// `add(parent, point) -> id`, and its sinks are marked through
-/// `mark(id, load)` (marking inside the quadrant keeps sink loads on the
-/// owning branch even when two quadrant trees touch along an axis).  The
-/// coverage pass then checks every net sink against the marked points and
-/// marks the root, with the default load, when a sink sits at the source.
-/// Walks with the graft scratch of `s` (stack, map, marked).
-template <typename Quadrant, typename Add, typename Mark>
-void assemble(const Net& net, const QuadrantPartition& part, Quadrant&& quadrant,
-              Add&& add, Mark&& mark, AtreeScratch& s)
+// The one assembly behind assemble_quadrants and emit_atree: a graft per
+// non-empty quadrant, then one coverage pass.
+
+/// Grafts quadrant q's first-quadrant tree `t` under the output root in
+/// preorder (children in order), reflected back and translated to absolute
+/// coordinates through `add(parent, point) -> id`, and marks its sinks
+/// through `mark(id, load)` (marking inside the quadrant keeps sink loads
+/// on the owning branch even when two quadrant trees touch along an axis),
+/// recording each marked point for the coverage pass.  Walks with the
+/// graft scratch of `s` (stack, map, marked).
+template <typename Tree, typename Add, typename Mark>
+void graft(const Net& net, int q, const Tree& t, const std::vector<RelSink>& sinks,
+           Add&& add, Mark&& mark, AtreeScratch& s)
 {
-    std::size_t nodes = 1;
-    s.marked.clear();
-    for (int q = 0; q < 4; ++q) {
-        const auto& sinks = part.quads[static_cast<std::size_t>(q)];
-        if (sinks.empty()) continue;
-        const auto& t = quadrant(q);
-        const auto place = [&](Point p) {
-            const Point r = reflect(p, q);
-            return Point{static_cast<Coord>(r.x + net.source.x),
-                         static_cast<Coord>(r.y + net.source.y)};
-        };
-
-        const int root = root_of(t);
-        s.map.assign(t.node_count(), kNoNode);
-        s.map[static_cast<std::size_t>(root)] = 0;
-        s.stack.assign(1, root);
-        while (!s.stack.empty()) {
-            const int id = s.stack.back();
-            s.stack.pop_back();
-            const auto& n = t.node(id);
-            if (id != root)
-                s.map[static_cast<std::size_t>(id)] =
-                    add(s.map[static_cast<std::size_t>(n.parent)], place(n.p));
-            const std::size_t first = s.stack.size();
-            for (const int c : children_of(t, id)) s.stack.push_back(c);
-            std::reverse(s.stack.begin() + static_cast<std::ptrdiff_t>(first),
-                         s.stack.end());
-        }
-        nodes += t.node_count() - 1;
-
-        for_each_sink(t, sinks, [&](int id, double cap) {
-            mark(s.map[static_cast<std::size_t>(id)], cap);
-            s.marked.push_back(place(t.node(id).p));
-        });
+    const int root = root_of(t);
+    s.map.assign(t.node_count(), kNoNode);
+    s.map[static_cast<std::size_t>(root)] = 0;
+    s.stack.assign(1, root);
+    while (!s.stack.empty()) {
+        const int id = s.stack.back();
+        s.stack.pop_back();
+        const auto& n = t.node(id);
+        if (id != root)
+            s.map[static_cast<std::size_t>(id)] = add(
+                s.map[static_cast<std::size_t>(n.parent)], place(n.p, q, net.source));
+        const std::size_t first = s.stack.size();
+        for (const int c : children_of(t, id)) s.stack.push_back(c);
+        std::reverse(s.stack.begin() + static_cast<std::ptrdiff_t>(first),
+                     s.stack.end());
     }
+    for_each_sink(t, sinks, [&](int id, double cap) {
+        mark(s.map[static_cast<std::size_t>(id)], cap);
+        s.marked.push_back(place(t.node(id).p, q, net.source));
+    });
+}
 
-    // Every sink off the source belongs to a quadrant that marked it; a sink
-    // at the source is marked on the root (the only node there).  The
-    // marked points, sorted, answer each sink with one binary search.
+/// The coverage pass over a tree of `nodes` nodes: every sink off the
+/// source belongs to a quadrant that marked it; a sink at the source is
+/// marked on the root (the only node there), with the default load.  The
+/// marked points, sorted, answer each sink with one binary search; a
+/// missing sink throws std::logic_error.
+template <typename Mark>
+void cover(const Net& net, std::size_t nodes, Mark&& mark, AtreeScratch& s)
+{
     std::sort(s.marked.begin(), s.marked.end());
     bool at_source = false;
     for (const Point p : net.sinks) {
@@ -214,19 +213,21 @@ AtreeResult assemble_quadrants(const Net& net, const QuadrantPartition& part,
         if (!part.quads[q].empty()) nodes += quads[q]->tree.node_count() - 1;
     combined.reserve(nodes);
 
+    const auto add = [&](NodeId parent, Point p) {
+        return combined.add_child(parent, p);
+    };
+    const auto mark = [&](NodeId id, double cap) { combined.mark_sink(id, cap); };
     AtreeScratch scratch;
-    assemble(
-        net, part,
-        [&](int q) -> const RoutingTree& {
-            const AtreeResult& r = *quads[static_cast<std::size_t>(q)];
-            total.safe_moves += r.safe_moves;
-            total.heuristic_moves += r.heuristic_moves;
-            total.sb_total += r.sb_total;
-            total.sb_qmst_total += r.sb_qmst_total;
-            return r.tree;
-        },
-        [&](NodeId parent, Point p) { return combined.add_child(parent, p); },
-        [&](NodeId id, double cap) { combined.mark_sink(id, cap); }, scratch);
+    for (std::size_t q = 0; q < 4; ++q) {
+        if (part.quads[q].empty()) continue;
+        const AtreeResult& r = *quads[q];
+        total.safe_moves += r.safe_moves;
+        total.heuristic_moves += r.heuristic_moves;
+        total.sb_total += r.sb_total;
+        total.sb_qmst_total += r.sb_qmst_total;
+        graft(net, static_cast<int>(q), r.tree, part.quads[q], add, mark, scratch);
+    }
+    cover(net, combined.node_count(), mark, scratch);
 
     total.cost = total_length(combined);
     total.qmst_cost = sum_all_node_path_lengths(combined);
@@ -264,7 +265,7 @@ void AtreeScratch::release()
 }
 
 void emit_atree(const Net& net, AtreeScratch& s, FlatTree& out,
-                const AtreeOptions& options)
+                const AtreeOptions& options, const AtreeRows* prior)
 {
     // Counts a growth however the call ends: a construction that throws
     // may have grown the buffers too.
@@ -279,33 +280,57 @@ void emit_atree(const Net& net, AtreeScratch& s, FlatTree& out,
 
     partition_quadrants(net, s.part, s.axis);
     out.begin(net.source);
-    assemble(
-        net, s.part,
-        [&](int q) -> const Forest& {
-            quadrant_sinks(s.part, q, s.sinks);
-            run_atree(s.forest, s.engine, s.sinks, options);
-            return s.forest;
-        },
-        [&](NodeId parent, Point p) { return out.append(parent, p); },
-        [&](NodeId id, double cap) { out.mark_sink(id, cap); }, s);
+    s.marked.clear();
+    const auto add = [&](NodeId parent, Point p) { return out.append(parent, p); };
+    const auto mark = [&](NodeId id, double cap) { out.mark_sink(id, cap); };
+    for (std::size_t q = 0; q < 4; ++q) {
+        const auto begin = static_cast<std::int32_t>(out.size());
+        s.quad_begin[q] = begin;
+        const auto& sinks = s.part.quads[q];
+        if (sinks.empty()) continue;
+        if (prior != nullptr && prior->part.quads[q] == sinks) {
+            // Same sinks, same quadrant tree: append the stored rows.
+            for (const AtreeRow& row : prior->quads[q]) {
+                const Point p{static_cast<Coord>(row.d.x + net.source.x),
+                              static_cast<Coord>(row.d.y + net.source.y)};
+                const std::int32_t id =
+                    out.append(row.parent < 0 ? 0 : begin + row.parent, p);
+                if (!row.sink) continue;
+                out.mark_sink(id, row.cap);
+                s.marked.push_back(p);
+            }
+            continue;
+        }
+        quadrant_sinks(s.part, static_cast<int>(q), s.sinks);
+        run_atree(s.forest, s.engine, s.sinks, options);
+        graft(net, static_cast<int>(q), s.forest, sinks, add, mark, s);
+    }
+    s.quad_begin[4] = static_cast<std::int32_t>(out.size());
+    cover(net, out.size(), mark, s);
     // The price build_atree_general puts on its tree, for its one failure
     // mode: a QMST cost beyond int64 throws.
     sum_all_node_path_lengths(out);
 }
 
-void emit_quadrants(const Net& net, const QuadrantPartition& part,
-                    const std::array<const AtreeResult*, 4>& quads,
-                    AtreeScratch& s, FlatTree& out)
+void AtreeRows::capture(const AtreeScratch& s, const FlatTree& tree)
 {
-    out.begin(net.source);
-    assemble(
-        net, part,
-        [&](int q) -> const RoutingTree& {
-            return quads[static_cast<std::size_t>(q)]->tree;
-        },
-        [&](NodeId parent, Point p) { return out.append(parent, p); },
-        [&](NodeId id, double cap) { out.mark_sink(id, cap); }, s);
-    sum_all_node_path_lengths(out);  // as assemble_quadrants prices it
+    const Point source = tree.point()[0];
+    part = s.part;
+    for (std::size_t q = 0; q < 4; ++q) {
+        const std::int32_t begin = s.quad_begin[q];
+        std::vector<AtreeRow>& rows = quads[q];
+        rows.clear();
+        for (std::int32_t i = begin; i < s.quad_begin[q + 1]; ++i) {
+            const auto k = static_cast<std::size_t>(i);
+            const std::int32_t parent = tree.parent()[k];
+            const Point p = tree.point()[k];
+            rows.push_back(AtreeRow{
+                parent == 0 ? -1 : parent - begin,
+                Point{static_cast<Coord>(p.x - source.x),
+                      static_cast<Coord>(p.y - source.y)},
+                tree.is_sink()[k] != 0, tree.sink_cap()[k]});
+        }
+    }
 }
 
 }  // namespace cong93

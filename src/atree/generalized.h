@@ -10,12 +10,8 @@
 // monotone, hence rectilinearly shortest.
 //
 // The three phases are exposed separately -- partition_quadrants /
-// quadrant_subnet / assemble_quadrants -- because the quadrants are
-// independent subproblems: a sink edit that leaves a quadrant's partitioned
-// sink list unchanged leaves that quadrant's A-tree unchanged, so an
-// incremental caller (session/session.h) can rebuild only the affected
-// quadrants and re-assemble.  build_atree_general composes exactly these
-// three phases; assembling previously built quadrant results is
+// quadrant_subnet / assemble_quadrants -- and build_atree_general composes
+// exactly these three; assembling previously built quadrant results is
 // bit-identical to a from-scratch construction.
 //
 // emit_atree is the same construction for callers that only need the
@@ -25,6 +21,13 @@
 // the one assembly in generalized.cpp -- the same graft walk, reflection,
 // sink marking and coverage pass -- over different quadrant and output
 // representations.
+//
+// The quadrants are independent subproblems: a sink edit that leaves a
+// quadrant's partitioned sink list unchanged leaves that quadrant's A-tree
+// unchanged.  emit_atree records the contiguous row range each quadrant
+// occupies, an incremental caller (session/session.h) keeps those rows as
+// AtreeRows, and a later emit_atree replays every quadrant whose sink list
+// still matches by a linear copy instead of rebuilding it.
 #ifndef CONG93_ATREE_GENERALIZED_H
 #define CONG93_ATREE_GENERALIZED_H
 
@@ -102,7 +105,8 @@ AtreeResult build_atree_general(const Net& net, const AtreeOptions& options = {}
 /// buffers, the forest and move engine every quadrant is built in, and the
 /// graft walk's scratch.  Everything only grows, so a warmed-up scratch
 /// constructs without allocating.  One scratch serves one thread at a time
-/// (a Workspace holds one per worker slot); contents do not outlive a call.
+/// (a Workspace holds one per worker slot); contents do not outlive a call,
+/// except that `part` and `quad_begin` describe the last emission.
 struct AtreeScratch {
     QuadrantPartition part;
     std::vector<RelSink> axis;       ///< partition_quadrants' axis sinks
@@ -112,6 +116,9 @@ struct AtreeScratch {
     std::vector<int> stack;          ///< graft walk
     std::vector<NodeId> map;         ///< forest node id -> emitted flat index
     std::vector<Point> marked;       ///< coverage pass
+    /// Rows of quadrant q in the last emission: [quad_begin[q],
+    /// quad_begin[q + 1]) (empty for an empty quadrant; row 0 is the root).
+    std::array<std::int32_t, 5> quad_begin{};
     /// emit_atree calls that grew the storage (capacity_bytes() rose).
     std::uint64_t growths = 0;
 
@@ -119,6 +126,27 @@ struct AtreeScratch {
     std::size_t capacity_bytes() const;
     /// Frees every buffer, keeping the growth count.
     void release();
+};
+
+/// One emitted row of a quadrant, translation-free: the parent is a row
+/// index inside the same quadrant (-1 for the net source) and the point is
+/// relative to the net source.
+struct AtreeRow {
+    std::int32_t parent = -1;
+    Point d;
+    bool sink = false;
+    double cap = -1.0;  ///< sink load (FlatTree::sink_cap)
+};
+
+/// The quadrant rows of a prior emit_atree emission, for replay: the
+/// partition it emitted from and each quadrant's rows in emission order.
+struct AtreeRows {
+    QuadrantPartition part;
+    std::array<std::vector<AtreeRow>, 4> quads;
+
+    /// Copies the emission emit_atree last wrote into `tree` through
+    /// `scratch` (its partition and quadrant row ranges), reusing capacity.
+    void capture(const AtreeScratch& scratch, const FlatTree& tree);
 };
 
 /// build_atree_general(net, options), compiled straight into `out`: after
@@ -129,18 +157,14 @@ struct AtreeScratch {
 /// build_atree_general throws, including std::overflow_error when the QMST
 /// cost -- checked on the emitted rows -- overflows int64; `out` is then
 /// unfinished and must be rebuilt before use.
+///
+/// `prior`, when given, must come from an emission with the same options:
+/// each quadrant whose partitioned sink list equals prior->part's is
+/// appended from its stored rows, which is what building it would emit.
+/// The coverage pass and the QMST check still run on the whole tree.
 void emit_atree(const Net& net, AtreeScratch& scratch, FlatTree& out,
-                const AtreeOptions& options = {});
-
-/// assemble_quadrants(net, part, quads), compiled straight into `out` with
-/// the same contract as emit_atree: `out` holds the combined tree's rows in
-/// preorder, out.finish() completes exactly the arrays FlatTree::build would
-/// compile from assemble_quadrants(net, part, quads).tree, and the QMST
-/// int64 check runs on the emitted rows.  Only the scratch's graft and
-/// coverage buffers are used.
-void emit_quadrants(const Net& net, const QuadrantPartition& part,
-                    const std::array<const AtreeResult*, 4>& quads,
-                    AtreeScratch& scratch, FlatTree& out);
+                const AtreeOptions& options = {},
+                const AtreeRows* prior = nullptr);
 
 }  // namespace cong93
 

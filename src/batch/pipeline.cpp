@@ -51,39 +51,31 @@ struct BatchLifecycle {
 /// clock the counter is charged the plan's injected per-stage costs (plus a
 /// deterministic per-net jitter), so which nets expire is a pure function of
 /// the net index -- bit-reproducible at any thread count.  The wall path is
-/// inherently schedule-dependent and only feeds telemetry.  A default-
-/// constructed clock is inert (route_tail_compiled, the session ECO path).
+/// inherently schedule-dependent and only feeds telemetry.
 struct NetClock {
-    const BatchLifecycle* lc = nullptr;
+    const BatchLifecycle& lc;
     std::size_t index = 0;
     std::uint64_t ticks = 0;
     bool noted = false;
 
-    NetClock() = default;
     NetClock(const BatchLifecycle& lifecycle, std::size_t net_index)
-        : lc(&lifecycle), index(net_index)
+        : lc(lifecycle), index(net_index)
     {
     }
 
-    bool vclock() const
-    {
-        return lc != nullptr && lc->plan != nullptr && lc->plan->virtual_clock();
-    }
+    bool vclock() const { return lc.plan != nullptr && lc.plan->virtual_clock(); }
 
     void charge(RouteStage stage)
     {
-        if (vclock()) ticks += lc->plan->vcost_of(stage);
+        if (vclock()) ticks += lc.plan->vcost_of(stage);
     }
 
     void charge_jitter()
     {
-        if (vclock()) ticks += lc->plan->vjitter_of(index);
+        if (vclock()) ticks += lc.plan->vjitter_of(index);
     }
 
-    bool cancelled() const
-    {
-        return lc != nullptr && lc->cancel != nullptr && lc->cancel->cancelled();
-    }
+    bool cancelled() const { return lc.cancel != nullptr && lc.cancel->cancelled(); }
 
     /// True when this net is deadline-pressured.  The first observation
     /// stamps a lifecycle diagnostic on `r` (deterministic text for the
@@ -91,23 +83,22 @@ struct NetClock {
     /// schedule-dependent and counted in the telemetry channel instead).
     bool pressured(NetRouteResult& r)
     {
-        if (lc == nullptr) return false;
-        if (vclock() && ticks > lc->plan->vdeadline_ticks) {
+        if (vclock() && ticks > lc.plan->vdeadline_ticks) {
             if (!noted) {
                 noted = true;
                 r.diag.note(RouteStage::lifecycle,
                             "virtual deadline exceeded: " +
                                 std::to_string(ticks) + " ticks > budget " +
-                                std::to_string(lc->plan->vdeadline_ticks));
+                                std::to_string(lc.plan->vdeadline_ticks));
             }
             return true;
         }
-        if (lc->wall.expired()) {
+        if (lc.wall.expired()) {
             if (!noted) {
                 noted = true;
                 r.diag.note(RouteStage::lifecycle, "wall deadline exceeded");
-                if (lc->wall_degraded != nullptr)
-                    lc->wall_degraded->fetch_add(1, std::memory_order_relaxed);
+                if (lc.wall_degraded != nullptr)
+                    lc.wall_degraded->fetch_add(1, std::memory_order_relaxed);
             }
             return true;
         }
@@ -145,14 +136,15 @@ void mark_rejected(NetRouteResult& r, std::size_t index, std::uint64_t diag_seed
 }
 
 /// Stages 0-2 (validate -> topology ladder -> compile) of one net, compiling
-/// into the slot arena `ws.flat`.  Catches std::exception at every stage and
-/// degrades (see pipeline.h); writes only `r` and the slot's workspace, so
-/// isolation holds by construction.
+/// into the slot arena `ws.flat`; the A-tree rung replays the unchanged
+/// quadrants of `prior` when given.  Catches std::exception at every stage
+/// and degrades (see pipeline.h); writes only `r` and the slot's workspace,
+/// so isolation holds by construction.
 FrontOutcome route_front(const Net& raw, std::size_t index,
                          std::uint64_t diag_seed, const Technology& tech,
                          const PipelineOptions& opts, const FaultPlan& faults,
                          NetClock& clk, Workspace& ws, NetRouteResult& r,
-                         Technology& corrupted_storage)
+                         Technology& corrupted_storage, const AtreeRows* prior)
 {
     FrontOutcome fo;
     r.diag.net_index = index;
@@ -193,7 +185,7 @@ FrontOutcome route_front(const Net& raw, std::size_t index,
         try {
             faults.maybe_throw(index, RouteStage::topology,
                                "injected: A-tree construction fault");
-            emit_atree(net, ws.atree, ws.flat);
+            emit_atree(net, ws.atree, ws.flat, {}, prior);
             atree = true;
         } catch (const std::exception& e) {
             r.diag.note(RouteStage::topology, e.what());
@@ -256,7 +248,7 @@ FrontOutcome route_front(const Net& raw, std::size_t index,
 void route_tail(const FlatTree& ft, std::size_t index, const Technology& t,
                 const PipelineOptions& opts, const FaultPlan& faults,
                 NetClock& clk, Workspace& ws, NetRouteResult& r,
-                const WiresizeSolver& solver = {})
+                const WiresizeSolver& solver)
 {
     RouteStage stage = RouteStage::wiresize;
     try {
@@ -308,11 +300,13 @@ void route_tail(const FlatTree& ft, std::size_t index, const Technology& t,
 }
 
 /// One net straight through the ladder against the slot arena.  Stage
-/// composition is identical to the seed single-function ladder.
+/// composition is identical to the seed single-function ladder; `reuse`
+/// only saves work (route_single's hook).
 NetRouteResult route_net(const Net& raw, std::size_t index,
                          std::uint64_t diag_seed, const Technology& tech,
                          const PipelineOptions& opts, const FaultPlan& faults,
-                         const BatchLifecycle& lc, Workspace& ws)
+                         const BatchLifecycle& lc, Workspace& ws,
+                         const RouteReuse& reuse = {})
 {
     NetRouteResult r;
     NetClock clk(lc, index);
@@ -322,7 +316,7 @@ NetRouteResult route_net(const Net& raw, std::size_t index,
     }
     Technology corrupted;
     const FrontOutcome fo = route_front(raw, index, diag_seed, tech, opts,
-                                        faults, clk, ws, r, corrupted);
+                                        faults, clk, ws, r, corrupted, reuse.atree);
     if (!fo.alive) return r;
     if (clk.cancelled()) {
         mark_cancelled(r, index, diag_seed);
@@ -337,7 +331,8 @@ NetRouteResult route_net(const Net& raw, std::size_t index,
         if (clk.pressured(r))
             r.status = worst(r.status, RouteStatus::deadline_degraded);
         else
-            route_tail(ws.flat, index, *fo.t, opts, faults, clk, ws, r);
+            route_tail(ws.flat, index, *fo.t, opts, faults, clk, ws, r,
+                       reuse.solver);
     }
     return r;
 }
@@ -710,7 +705,8 @@ int resolve_pool_threads(const PipelineOptions& opts)
 
 NetRouteResult route_single(const Net& net, std::size_t index,
                             std::uint64_t diag_seed, const Technology& tech,
-                            const PipelineOptions& opts, Workspace& ws)
+                            const PipelineOptions& opts, Workspace& ws,
+                            const RouteReuse& reuse)
 {
     const FaultPlan faults =
         opts.faults.enabled ? opts.faults : FaultPlan::from_env();
@@ -720,7 +716,7 @@ NetRouteResult route_single(const Net& net, std::size_t index,
     lc.wall = Deadline::after_ms(opts.deadline_ms);
     lc.plan = &faults;
     lc.wall_degraded = &wall_degraded;
-    return route_net(net, index, diag_seed, tech, opts, faults, lc, ws);
+    return route_net(net, index, diag_seed, tech, opts, faults, lc, ws, reuse);
 }
 
 bool route_report_compiled(const FlatTree& ft, std::size_t nodes,
@@ -751,17 +747,6 @@ bool route_report_compiled(const FlatTree& ft, std::size_t nodes,
         r.status = RouteStatus::failed;
         return false;
     }
-}
-
-void route_tail_compiled(const FlatTree& ft, std::size_t index,
-                         const Technology& t, const PipelineOptions& opts,
-                         const FaultPlan& faults, Workspace& ws,
-                         NetRouteResult& r, const WiresizeSolver& solver)
-{
-    // The session ECO path bit-compares against route_single, whose deadline
-    // behavior it does not replicate; repairs run with an inert clock.
-    NetClock clk;
-    route_tail(ft, index, t, opts, faults, clk, ws, r, solver);
 }
 
 std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,

@@ -14,7 +14,9 @@
 //   1. emit_atree              -- heuristic A-tree topology (the indexed
 //                                 construction engine), built in the slot's
 //                                 AtreeScratch and emitted in preorder
-//                                 straight into the slot's FlatTree rows;
+//                                 straight into the slot's FlatTree rows
+//                                 (replaying a caller's unchanged quadrant
+//                                 rows, see RouteReuse);
 //                                 the BRBC/SPT fallback rungs build a
 //                                 RoutingTree instead;
 //   2. FlatTree compilation    -- in the slot's arena (FlatTree::finish for
@@ -343,22 +345,34 @@ std::vector<NetRouteResult> route_batch(std::uint64_t seed, int count, Coord gri
                                         PipelineStats* stats = nullptr,
                                         std::vector<Workspace>* workspaces = nullptr);
 
+/// Wiresizing solver hook: maps a compiled context to a CombinedResult.  An
+/// empty function means grewsa_owsa.  A solver must be bit-identical to
+/// grewsa_owsa on its inputs for the pipeline's determinism contracts to
+/// extend through it (the session engine's warm-started solver is; see
+/// session/session.h).
+using WiresizeSolver = std::function<CombinedResult(const WiresizeContext&)>;
+
+/// What an incremental caller lends route_single from its previous route of
+/// the same net: the A-tree rows emit_atree may replay for unchanged
+/// quadrants, and a wiresizing solver.  Neither changes the result; both
+/// only save work.  Not owned.
+struct RouteReuse {
+    const AtreeRows* atree = nullptr;  ///< prior emission (emit_atree)
+    WiresizeSolver solver;             ///< empty: grewsa_owsa
+};
+
 /// Routes one net through the exact per-net ladder route_batch runs
 /// (validate -> topology -> compile -> report -> wiresize -> moment check),
 /// against the caller's workspace.  The fault plan resolves exactly as in
 /// route_batch (explicit options, else $CONG93_FAULT_INJECT).  This is the
 /// from-scratch reference the session engine's incremental results are
-/// bit-compared against.
+/// bit-compared against, and -- through `reuse` -- the session's one route:
+/// after a clean A-tree route, ws.atree and ws.flat hold the emission a
+/// caller can keep as AtreeRows for the next call.
 NetRouteResult route_single(const Net& net, std::size_t index,
                             std::uint64_t diag_seed, const Technology& tech,
-                            const PipelineOptions& opts, Workspace& ws);
-
-/// Wiresizing solver hook for route_tail_compiled: maps a compiled context
-/// to a CombinedResult.  An empty function means grewsa_owsa.  A solver must
-/// be bit-identical to grewsa_owsa on its inputs for the pipeline's
-/// determinism contracts to extend through it (the session engine's
-/// warm-started solver is; see session/session.h).
-using WiresizeSolver = std::function<CombinedResult(const WiresizeContext&)>;
+                            const PipelineOptions& opts, Workspace& ws,
+                            const RouteReuse& reuse = {});
 
 /// Stage 3 (uniform-width report) against an already-compiled FlatTree:
 /// fills nodes/wirelength/rph/elmore of `r`, finiteness-checked; returns
@@ -367,14 +381,6 @@ using WiresizeSolver = std::function<CombinedResult(const WiresizeContext&)>;
 bool route_report_compiled(const FlatTree& ft, std::size_t nodes,
                            const Technology& t, Workspace& ws,
                            NetRouteResult& r);
-
-/// Stages 4-5 (wiresize + moment cross-check) against an already-compiled
-/// FlatTree, with the wiresizing solver pluggable.  Identical composition to
-/// the route_batch tail; a failure demotes `r` to the uniform_width rung.
-void route_tail_compiled(const FlatTree& ft, std::size_t index,
-                         const Technology& t, const PipelineOptions& opts,
-                         const FaultPlan& faults, Workspace& ws,
-                         NetRouteResult& r, const WiresizeSolver& solver = {});
 
 /// Canonical full-precision serialization (hexfloat) of a result batch,
 /// including each net's status and diagnostic events; equal strings <=>

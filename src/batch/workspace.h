@@ -15,7 +15,9 @@
 //     refuses on the A-tree rung, whose rows and forest were built before
 //     the cap could see their size (release_atree());
 //   * contents are scratch: nothing read out of a Workspace survives the
-//     net that produced it except through the index-addressed output slot.
+//     net that produced it except through the index-addressed output slot,
+//     or a copy its caller takes right after route_single (the session's
+//     AtreeRows::capture).
 //
 // counters() aggregates reuse telemetry (compilations vs capacity growths)
 // so benchmarks and tests can prove buffers are actually being reused: on a

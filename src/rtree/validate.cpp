@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 namespace cong93 {
 
@@ -101,8 +100,30 @@ NetValidation validate_net(const Net& net)
         return v;
     }
 
+    // Duplicates by one sort over (point, index) of the sinks off the
+    // source: in a run of equal points only the first index is kept.  A
+    // second sort puts the flags back in index order.
+    struct Key {
+        Point p;
+        std::size_t index;
+        bool dup;
+    };
+    std::vector<Key> keys;
+    keys.reserve(net.sinks.size());
+    for (std::size_t i = 0; i < net.sinks.size(); ++i)
+        if (net.sinks[i] != net.source) keys.push_back(Key{net.sinks[i], i, false});
+    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+        return a.p < b.p || (a.p == b.p && a.index < b.index);
+    });
+    for (std::size_t k = 1; k < keys.size(); ++k)
+        keys[k].dup = keys[k].p == keys[k - 1].p;
+    std::sort(keys.begin(), keys.end(),
+              [](const Key& a, const Key& b) { return a.index < b.index; });
+
     v.net.source = net.source;
-    std::unordered_set<Point, PointHash> seen;
+    v.net.sinks.reserve(keys.size());
+    v.net.sink_caps.reserve(keys.size());
+    std::size_t k = 0;
     for (std::size_t i = 0; i < net.sinks.size(); ++i) {
         const Point s = net.sinks[i];
         if (!coord_in_range(s)) {
@@ -116,7 +137,7 @@ NetValidation validate_net(const Net& net)
                               " coincident with the source");
             continue;
         }
-        if (!seen.insert(s).second) {
+        if (keys[k++].dup) {
             v.notes.push_back("collapsed duplicate sink " + std::to_string(i) +
                               " at " + describe(s));
             continue;

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "atree/atree.h"
 #include "rtree/validate.h"
 #include "wiresize/grewsa.h"
 #include "workload/net_source.h"
@@ -144,7 +143,7 @@ const Session::Entry& Session::entry(NetId id) const
     return entries_[id];
 }
 
-PipelineOptions Session::route_options(const Technology&) const
+PipelineOptions Session::route_options() const
 {
     PipelineOptions p = opts_.pipeline;
     p.faults = faults_;
@@ -152,8 +151,8 @@ PipelineOptions Session::route_options(const Technology&) const
     // Lifecycle knobs apply to batch admission (add_batch), not to the
     // per-request ECO path: an incremental repair is bit-compared against
     // route_single, an exactness contract wall-deadline pressure would
-    // break.  The deterministic virtual clock still applies -- it defers
-    // every request to route_single via fault_would_fire.
+    // break.  The deterministic virtual clock still applies -- under it
+    // fault_would_fire holds for every request, so none keeps state.
     p.deadline_ms = 0.0;
     p.cancel = nullptr;
     p.admit_cap = 0;
@@ -164,9 +163,9 @@ PipelineOptions Session::route_options(const Technology&) const
 bool Session::fault_would_fire(std::uint64_t request) const
 {
     if (!faults_.enabled) return false;
-    // A virtual deadline clock charges per-stage costs route_single's ladder
-    // knows how to honor and the incremental fast path does not; defer every
-    // request to route_single so the stored result stays authoritative.
+    // A virtual deadline clock charges every stage of every request, so
+    // whether a net is pressured depends on more than its own faults: no
+    // request keeps repair state under it.
     if (faults_.virtual_clock()) return true;
     const std::size_t i = static_cast<std::size_t>(request);
     return faults_.fires(i, RouteStage::topology) ||
@@ -177,170 +176,111 @@ bool Session::fault_would_fire(std::uint64_t request) const
            faults_.fires(i, RouteStage::moment_check);
 }
 
-bool Session::recompute(Entry& e, NetId id, std::uint64_t request, bool warm)
+CombinedResult Session::warm_solve(const WiresizeContext& ctx,
+                                   const std::vector<StemBounds>& prior,
+                                   std::vector<StemBounds>& pending)
 {
-    NetRouteResult r;
-    r.diag.net_index = id;
-    // The quadrant trees are grafted straight into the workspace's FlatTree
-    // (the arrays FlatTree::build would compile from assemble_quadrants).
-    // e.net equals the validated net here: the repair state is captured and
-    // kept only while validation leaves no notes.
-    std::array<const AtreeResult*, 4> ptrs{nullptr, nullptr, nullptr, nullptr};
-    std::size_t nodes = 1;
-    for (std::size_t q = 0; q < 4; ++q) {
-        if (e.part.quads[q].empty()) continue;
-        ptrs[q] = &*e.quads[q];
-        nodes += ptrs[q]->tree.node_count() - 1;
-    }
-    try {
-        ws_.guard_nodes(nodes, opts_.pipeline.max_nodes_per_net);
-        emit_quadrants(e.net, e.part, ptrs, ws_.atree, ws_.flat);
-        ws_.flat.finish();
-    } catch (const std::exception&) {
-        return false;
-    }
-    if (!route_report_compiled(ws_.flat, nodes, e.tech, ws_, r)) return false;
-
-    std::vector<StemBounds> pending;
-    if (opts_.pipeline.wiresize) {
-        const std::vector<StemBounds>& prior = e.bounds;
-        const WiresizeSolver solver =
-            [&pending, &prior, warm](const WiresizeContext& ctx) {
-                // Every stem's content, taken once: it keys the warm start
-                // below and, with the bounds, becomes the next request's
-                // prior.  A non-contiguous context keeps no stems (no
-                // reuse, never wrong bits).
-                std::vector<std::pair<std::size_t, std::size_t>> stems;
-                const bool contiguous = stem_ranges(ctx, stems);
-                std::vector<StemBounds> next(contiguous ? stems.size() : 0);
-                for (std::size_t j = 0; j < next.size(); ++j)
-                    stem_content(ctx, stems[j].first, stems[j].second,
-                                 next[j].content, next[j].hash);
-                Assignment lower, upper;
-                bool seeded = false;
-                if (warm && !prior.empty()) {
-                    if (contiguous) {
-                        const std::size_t n = ctx.segment_count();
-                        lower = min_assignment(n);
-                        upper = max_assignment(n, ctx.width_count());
-                        std::unordered_map<std::uint64_t,
-                                           std::vector<std::size_t>>
-                            by_hash;
-                        for (std::size_t p = 0; p < prior.size(); ++p)
-                            by_hash[prior[p].hash].push_back(p);
-                        std::vector<std::size_t> dirty;
-                        for (std::size_t j = 0; j < stems.size(); ++j) {
-                            const auto [b, se] = stems[j];
-                            const StemBounds* match = nullptr;
-                            const auto it = by_hash.find(next[j].hash);
-                            if (it != by_hash.end()) {
-                                for (const std::size_t p : it->second)
-                                    if (prior[p].content == next[j].content) {
-                                        match = &prior[p];
-                                        break;
-                                    }
-                            }
-                            if (match != nullptr) {
-                                std::copy(match->lower.begin(),
-                                          match->lower.end(),
-                                          lower.begin() +
-                                              static_cast<std::ptrdiff_t>(b));
-                                std::copy(match->upper.begin(),
-                                          match->upper.end(),
-                                          upper.begin() +
-                                              static_cast<std::ptrdiff_t>(b));
-                            } else {
-                                for (std::size_t i = b; i < se; ++i)
-                                    dirty.push_back(i);
-                            }
-                        }
-                        // Unchanged stems sit at their cached GREWSA
-                        // fixpoints; sweeping only the dirty stems from
-                        // all-min / all-max reaches bit-identical global
-                        // fixpoints (per-stem independence, incremental.h).
-                        if (!dirty.empty()) {
-                            IncrementalDelayEngine lo(ctx, std::move(lower));
-                            lo.sweep_to_fixpoint(dirty, ctx.width_count() - 1);
-                            lower = lo.assignment();
-                            IncrementalDelayEngine hi(ctx, std::move(upper));
-                            hi.sweep_to_fixpoint(dirty, ctx.width_count() - 1);
-                            upper = hi.assignment();
-                        }
-                        seeded = true;
+    // Every stem's content, taken once: it keys the warm start below
+    // and, with the bounds, becomes the next request's prior.  A
+    // non-contiguous context keeps no stems (no reuse, never wrong
+    // bits).
+    std::vector<std::pair<std::size_t, std::size_t>> stems;
+    const bool contiguous = stem_ranges(ctx, stems);
+    std::vector<StemBounds> next(contiguous ? stems.size() : 0);
+    for (std::size_t j = 0; j < next.size(); ++j)
+        stem_content(ctx, stems[j].first, stems[j].second, next[j].content,
+                     next[j].hash);
+    Assignment lower, upper;
+    if (contiguous && !prior.empty()) {
+        const std::size_t n = ctx.segment_count();
+        lower = min_assignment(n);
+        upper = max_assignment(n, ctx.width_count());
+        std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash;
+        for (std::size_t p = 0; p < prior.size(); ++p)
+            by_hash[prior[p].hash].push_back(p);
+        std::vector<std::size_t> dirty;
+        for (std::size_t j = 0; j < stems.size(); ++j) {
+            const auto [b, se] = stems[j];
+            const StemBounds* match = nullptr;
+            const auto it = by_hash.find(next[j].hash);
+            if (it != by_hash.end()) {
+                for (const std::size_t p : it->second)
+                    if (prior[p].content == next[j].content) {
+                        match = &prior[p];
+                        break;
                     }
-                }
-                if (!seeded) {
-                    lower = grewsa_from_min(ctx).assignment;
-                    upper = grewsa_from_max(ctx).assignment;
-                }
-
-                CombinedResult res;
-                res.lower_bounds = lower;
-                res.upper_bounds = upper;
-                res.bounds_tight = lower == upper;
-                const OwsaResult o = owsa_bounded(ctx, lower, upper);
-                res.assignment = o.assignment;
-                res.delay = o.delay;
-                res.assignments_examined = o.assignments_examined;
-                res.owsa_calls = o.calls;
-                for (std::size_t j = 0; j < next.size(); ++j) {
-                    const auto b = static_cast<std::ptrdiff_t>(stems[j].first);
-                    const auto se = static_cast<std::ptrdiff_t>(stems[j].second);
-                    next[j].lower.assign(lower.begin() + b, lower.begin() + se);
-                    next[j].upper.assign(upper.begin() + b, upper.begin() + se);
-                }
-                pending = std::move(next);
-                return res;
-            };
-        route_tail_compiled(ws_.flat, static_cast<std::size_t>(request),
-                            e.tech, route_options(e.tech), faults_, ws_, r,
-                            solver);
-        if (r.status != RouteStatus::ok) return false;
+            }
+            if (match != nullptr) {
+                std::copy(match->lower.begin(), match->lower.end(),
+                          lower.begin() + static_cast<std::ptrdiff_t>(b));
+                std::copy(match->upper.begin(), match->upper.end(),
+                          upper.begin() + static_cast<std::ptrdiff_t>(b));
+            } else {
+                for (std::size_t i = b; i < se; ++i) dirty.push_back(i);
+            }
+        }
+        // Unchanged stems sit at their cached GREWSA fixpoints; sweeping
+        // only the dirty stems from all-min / all-max reaches
+        // bit-identical global fixpoints (per-stem independence,
+        // incremental.h).
+        if (!dirty.empty()) {
+            IncrementalDelayEngine lo(ctx, std::move(lower));
+            lo.sweep_to_fixpoint(dirty, ctx.width_count() - 1);
+            lower = lo.assignment();
+            IncrementalDelayEngine hi(ctx, std::move(upper));
+            hi.sweep_to_fixpoint(dirty, ctx.width_count() - 1);
+            upper = hi.assignment();
+        }
+    } else {
+        lower = grewsa_from_min(ctx).assignment;
+        upper = grewsa_from_max(ctx).assignment;
     }
 
-    e.result = std::move(r);
-    e.bounds = std::move(pending);
-    e.captured = true;
-    return true;
+    CombinedResult res;
+    res.lower_bounds = lower;
+    res.upper_bounds = upper;
+    res.bounds_tight = lower == upper;
+    const OwsaResult o = owsa_bounded(ctx, lower, upper);
+    res.assignment = o.assignment;
+    res.delay = o.delay;
+    res.assignments_examined = o.assignments_examined;
+    res.owsa_calls = o.calls;
+    for (std::size_t j = 0; j < next.size(); ++j) {
+        const auto b = static_cast<std::ptrdiff_t>(stems[j].first);
+        const auto se = static_cast<std::ptrdiff_t>(stems[j].second);
+        next[j].lower.assign(lower.begin() + b, lower.begin() + se);
+        next[j].upper.assign(upper.begin() + b, upper.begin() + se);
+    }
+    pending = std::move(next);
+    return res;
 }
 
-void Session::full_route(Entry& e, NetId id, std::uint64_t request)
+bool Session::route(Entry& e, NetId id, std::uint64_t request, bool repair)
 {
-    e.captured = false;
-    e.bounds.clear();
-
-    // Clean fast path: replicate route_single's unfaulted ladder while
-    // capturing the repair state.  Any deviation -- a fault scheduled for
-    // this request, validation notes, a construction exception, a demoted
-    // stage -- abandons the capture and defers to route_single itself, so
-    // the stored result is authoritative in every case.
-    if (!fault_would_fire(request)) {
-        const NetValidation v = validate_net(e.net);
-        if (v.ok && v.notes.empty()) {
-            bool built = false;
-            try {
-                QuadrantPartition part = partition_quadrants(v.net);
-                std::array<std::optional<AtreeResult>, 4> quads;
-                for (int q = 0; q < 4; ++q) {
-                    const auto qi = static_cast<std::size_t>(q);
-                    if (part.quads[qi].empty()) continue;
-                    quads[qi] = build_atree(quadrant_subnet(part, q));
-                }
-                e.part = std::move(part);
-                e.quads = std::move(quads);
-                built = true;
-            } catch (const std::exception&) {
-                built = false;
-            }
-            if (built && recompute(e, id, request, /*warm=*/false)) return;
-        }
+    if (!repair) e.bounds.clear();
+    // A request a fault fires for keeps no state, even when the fault
+    // leaves no trace (say, an arena cap above the node count), and so
+    // takes no reuse either.
+    const bool keep = !fault_would_fire(request);
+    std::vector<StemBounds> pending;
+    RouteReuse reuse;
+    if (keep) {
+        if (repair) reuse.atree = &e.rows;
+        reuse.solver = [&](const WiresizeContext& ctx) {
+            return warm_solve(ctx, e.bounds, pending);
+        };
     }
-
-    e.captured = false;
-    e.bounds.clear();
-    e.result = route_single(e.net, static_cast<std::size_t>(request), 0,
-                            e.tech, route_options(e.tech), ws_);
+    e.result = route_single(e.net, static_cast<std::size_t>(request), 0, e.tech,
+                            route_options(), ws_, reuse);
     e.result.diag.net_index = id;
+    e.captured = keep && e.result.status == RouteStatus::ok && e.result.diag.empty();
+    if (e.captured) {
+        e.rows.capture(ws_.atree, ws_.flat);
+        e.bounds = std::move(pending);
+    } else {
+        e.bounds.clear();
+    }
+    return e.captured;
 }
 
 NetId Session::add(Net net)
@@ -350,7 +290,7 @@ NetId Session::add(Net net)
     Entry& e = entries_.back();
     e.net = std::move(net);
     e.tech = tech_;
-    full_route(e, id, requests_++);
+    route(e, id, requests_++, /*repair=*/false);
     return id;
 }
 
@@ -418,75 +358,44 @@ EcoOutcome Session::apply(NetId id, const EcoDelta& delta)
     const NetValidation v = validate_net(e.net);
     if (fault_would_fire(request) || !v.ok || !v.notes.empty() ||
         !e.captured) {
-        full_route(e, id, request);
+        route(e, id, request, /*repair=*/false);
         o.result = e.result;
         return o;
     }
 
     if (delta.kind == EcoDelta::Kind::retech) {
-        // Topology is technology-independent: reuse the stored A-tree and
-        // re-run only the analysis stages.  The cached stem bounds are
-        // tech-specific and must not seed the new solve.
+        // Topology is technology-independent: every quadrant replays.  The
+        // cached stem bounds are tech-specific and must not seed the new
+        // solve.
         e.bounds.clear();
-        if (recompute(e, id, request, /*warm=*/false)) {
-            o.incremental = true;
-        } else {
-            full_route(e, id, request);
-        }
-        o.result = e.result;
-        return o;
-    }
-
-    // Sink deltas: re-partition and rebuild only the quadrants whose
-    // partitioned sink list changed (axis-sink homing can dirty a quadrant
-    // the edited sink never touched; the vector compare catches that).
-    QuadrantPartition part = partition_quadrants(v.net);
-    std::size_t dirty_sinks = 0, dirty_quads = 0;
-    std::array<bool, 4> dirty{false, false, false, false};
-    for (std::size_t q = 0; q < 4; ++q) {
-        if (part.quads[q] == e.part.quads[q]) continue;
-        dirty[q] = true;
-        ++dirty_quads;
-        dirty_sinks += part.quads[q].size();
-    }
-    o.dirty_quadrants = dirty_quads;
-    o.dirty_sinks = dirty_sinks;
-
-    const std::size_t total = part.total_sinks();
-    if (total > 0 && static_cast<double>(dirty_sinks) /
-                             static_cast<double>(total) >
-                         opts_.eco_threshold) {
-        o.threshold_fallback = true;
-        full_route(e, id, request);
-        o.result = e.result;
-        return o;
-    }
-
-    // Dirty quadrants are rebuilt in place: if anything below (or their
-    // assembly in recompute) throws, the full path reroutes the net and
-    // either recaptures the repair state or leaves it uncaptured, so a
-    // half-updated e.quads is never read.
-    bool built = false;
-    try {
-        for (std::size_t q = 0; q < 4; ++q) {
-            if (!dirty[q]) continue;
-            if (part.quads[q].empty())
-                e.quads[q].reset();
-            else
-                e.quads[q] = build_atree(
-                    quadrant_subnet(part, static_cast<int>(q)));
-        }
-        e.part = std::move(part);
-        built = true;
-    } catch (const std::exception&) {
-        built = false;
-    }
-
-    if (built && recompute(e, id, request, /*warm=*/true)) {
-        o.incremental = true;
     } else {
-        full_route(e, id, request);
+        // Sink deltas: count the quadrants whose partitioned sink list
+        // changed (axis-sink homing can dirty a quadrant the edited sink
+        // never touched; the vector compare catches that).  The partition
+        // goes into the workspace's A-tree scratch, which route_single
+        // overwrites with the same partition.
+        QuadrantPartition& part = ws_.atree.part;
+        partition_quadrants(v.net, part, ws_.atree.axis);
+        for (std::size_t q = 0; q < 4; ++q) {
+            if (part.quads[q] == e.rows.part.quads[q]) continue;
+            ++o.dirty_quadrants;
+            o.dirty_sinks += part.quads[q].size();
+        }
+        const std::size_t total = part.total_sinks();
+        if (total > 0 && static_cast<double>(o.dirty_sinks) /
+                                 static_cast<double>(total) >
+                             opts_.eco_threshold) {
+            o.threshold_fallback = true;
+            route(e, id, request, /*repair=*/false);
+            o.result = e.result;
+            return o;
+        }
     }
+
+    // The repair is route_single replaying the clean quadrants; a result
+    // that comes out unclean is re-routed without reuse.
+    o.incremental = route(e, id, request, /*repair=*/true);
+    if (!o.incremental) route(e, id, request, /*repair=*/false);
     o.result = e.result;
     return o;
 }

@@ -11,16 +11,18 @@
 //   1. The delta mutates the stored net (move_sink / add_sink / remove_sink
 //      / retech).
 //   2. The mutated net is re-partitioned into source quadrants
-//      (atree/generalized.h).  Quadrants whose partitioned sink list is
-//      unchanged keep their cached per-quadrant A-tree verbatim; only dirty
-//      quadrants rebuild.  When the dirty quadrants hold more than
-//      `eco_threshold` of the sinks the repair degenerates to a full
-//      re-route (rebuilding everything incremental repair would rebuild),
-//      so the threshold bounds repair cost without ever changing results.
-//   3. The quadrant A-trees are grafted straight into the session's
-//      reusable Workspace arena (emit_quadrants: no combined RoutingTree)
-//      and re-report through the shared pipeline stages
-//      (batch/pipeline.h: route_report_compiled / route_tail_compiled).
+//      (atree/generalized.h) and compared with the partition of the stored
+//      rows: quadrants whose partitioned sink list changed are dirty.  When
+//      the dirty quadrants hold more than `eco_threshold` of the sinks the
+//      repair degenerates to a full re-route, so the threshold bounds
+//      repair cost without ever changing results.
+//   3. The repair is route_single itself (batch/pipeline.h), lent the
+//      net's stored A-tree rows and a warm-started solver through
+//      RouteReuse: emit_atree appends every clean quadrant from its stored
+//      rows by a linear copy and builds only the dirty ones, and every
+//      later stage is the pipeline's own.  add() and every fallback make
+//      the same call without rows.  After a clean result the session keeps
+//      the rows the call left in its Workspace (AtreeRows::capture).
 //   4. Wiresizing warm-starts: the GREWSA lower/upper fixpoints are cached
 //      per *stem* (root segment subtree), keyed by the stem's exact content
 //      (parent structure, length/cap bit patterns).  Stems whose content is
@@ -36,12 +38,12 @@
 //
 // Fault taxonomy (PR 4) applies per request: every add()/apply() consumes
 // one request index against the session's fault plan; a request any of
-// whose stages would fire is routed through the ordinary faulty pipeline
-// path (route_single) and the net's repair state is dropped, so degraded
-// results carry the exact diagnostics the batch pipeline would emit.
-// Validation is handled the same way: a net that validate_net would
-// annotate (duplicate/coincident sinks) or reject always takes the
-// route_single path.
+// whose stages would fire is routed without reuse and the net's repair
+// state is dropped, so degraded results carry the exact diagnostics the
+// batch pipeline would emit.  Repair state is kept only after a clean
+// result (status ok, no diagnostic) of a request no fault fires for, so a
+// net that validate_net annotates (duplicate/coincident sinks) or rejects
+// is always routed from scratch.
 //
 // A Session is single-threaded by design (one Workspace, mutable repair
 // state); concurrent use needs one Session per thread.  Batch admission
@@ -51,9 +53,7 @@
 #ifndef CONG93_SESSION_SESSION_H
 #define CONG93_SESSION_SESSION_H
 
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "atree/generalized.h"
@@ -154,8 +154,8 @@ class Session {
 public:
     explicit Session(Technology tech, SessionOptions opts = {});
 
-    /// Admits one net: full route (bit-identical to route_single) plus
-    /// eager capture of the repair state (quadrant trees, stem bounds).
+    /// Admits one net: full route (route_single) plus eager capture of the
+    /// repair state (quadrant rows, stem bounds).
     NetId add(Net net);
 
     /// Admits a batch through route_batch with the session's route cache
@@ -221,24 +221,26 @@ private:
         NetRouteResult result;
         bool captured = false;
         // Repair state (valid only when captured):
-        QuadrantPartition part;
-        std::array<std::optional<AtreeResult>, 4> quads;
-        std::vector<StemBounds> bounds;
+        AtreeRows rows;
+        std::vector<StemBounds> bounds;  ///< empty: wiresizing starts cold
     };
 
     Entry& entry(NetId id);
     const Entry& entry(NetId id) const;
-    PipelineOptions route_options(const Technology& tech) const;
+    PipelineOptions route_options() const;
     bool fault_would_fire(std::uint64_t request) const;
-    /// Full route of e.net via route_single + eager state capture; used by
-    /// add() and every fallback path.
-    void full_route(Entry& e, NetId id, std::uint64_t request);
-    /// Graft e.quads into the workspace's FlatTree (emit_quadrants) and run
-    /// report + tail stages with
-    /// `warm` selecting the warm-started wiresize solver.  Returns false
-    /// when the pipeline demoted the net (state is then dropped and the
-    /// caller falls back to full_route for the authoritative result).
-    bool recompute(Entry& e, NetId id, std::uint64_t request, bool warm);
+    /// Routes e.net with route_single as `request`.  A repair lends it
+    /// e.rows and warm-starts wiresizing from e.bounds; otherwise the route
+    /// is cold (add() and every fallback).  Keeps the new rows and bounds
+    /// when the result is clean and returns whether it was.
+    bool route(Entry& e, NetId id, std::uint64_t request, bool repair);
+    /// The warm-started wiresizing solver (bit-identical to grewsa_owsa):
+    /// stems whose content matches a `prior` stem start at its cached
+    /// fixpoints, no prior means a cold start, and every stem's new bounds
+    /// land in `pending`.
+    static CombinedResult warm_solve(const WiresizeContext& ctx,
+                                     const std::vector<StemBounds>& prior,
+                                     std::vector<StemBounds>& pending);
 
     SessionOptions opts_;
     Technology tech_;

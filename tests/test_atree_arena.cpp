@@ -1,11 +1,10 @@
-// emit_atree and emit_quadrants (atree/generalized.h) against the
-// RoutingTree construction: the rows they emit, once finished, must be
-// exactly the arrays FlatTree compiles from build_atree_general(net).tree
-// (resp. assemble_quadrants' tree), on one AtreeScratch and one FlatTree
-// reused across nets that grow, shrink and throw.
+// emit_atree (atree/generalized.h) against the RoutingTree construction:
+// the rows it emits, once finished, must be exactly the arrays FlatTree
+// compiles from build_atree_general(net).tree, on one AtreeScratch and one
+// FlatTree reused across nets that grow, shrink and throw -- and replaying
+// a prior emission's unchanged quadrants must emit what building them does.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -173,55 +172,85 @@ TEST(AtreeArena, WarmScratchStopsGrowing)
     EXPECT_EQ(scratch.capacity_bytes(), bytes);
 }
 
-/// Builds the A-tree of every non-empty quadrant into `built` and returns
-/// the per-quadrant pointers assemble_quadrants/emit_quadrants take.
-std::array<const AtreeResult*, 4> build_quadrants(const QuadrantPartition& part,
-                                                  std::vector<AtreeResult>& built)
+/// Emits `net` into the shared scratch/arena replaying the rows of an
+/// emission of `prior_net`, and compares the arrays with a from-scratch
+/// emission of `net`.  Returns the number of quadrants the two nets share
+/// (non-empty and with equal partitioned sink lists: the replayed ones).
+std::size_t expect_replayed_eq(const Net& prior_net, const Net& net,
+                               AtreeScratch& scratch, FlatTree& flat,
+                               const char* what)
 {
-    built.clear();
-    built.reserve(4);
-    std::array<const AtreeResult*, 4> ptrs{nullptr, nullptr, nullptr, nullptr};
-    for (int q = 0; q < 4; ++q) {
-        if (part.quads[static_cast<std::size_t>(q)].empty()) continue;
-        built.push_back(build_atree(quadrant_subnet(part, q)));
-        ptrs[static_cast<std::size_t>(q)] = &built.back();
-    }
-    return ptrs;
-}
-
-/// emit_quadrants over built quadrant trees against FlatTree-compiling
-/// assemble_quadrants' combined tree.
-void expect_quadrants_emitted_eq(const Net& net, AtreeScratch& scratch,
-                                 FlatTree& flat, const char* what)
-{
-    const QuadrantPartition part = partition_quadrants(net);
-    std::vector<AtreeResult> built;
-    const auto ptrs = build_quadrants(part, built);
-    emit_quadrants(net, part, ptrs, scratch, flat);
+    emit_atree(prior_net, scratch, flat);
     flat.finish();
-    expect_flat_eq(flat, FlatTree(assemble_quadrants(net, part, ptrs).tree), what);
+    AtreeRows rows;
+    rows.capture(scratch, flat);
+
+    emit_atree(net, scratch, flat, {}, &rows);
+    flat.finish();
+    AtreeScratch fresh_scratch;
+    FlatTree fresh;
+    emit_atree(net, fresh_scratch, fresh);
+    fresh.finish();
+    expect_flat_eq(flat, fresh, what);
+
+    const QuadrantPartition part = partition_quadrants(net);
+    std::size_t shared = 0;
+    for (std::size_t q = 0; q < 4; ++q)
+        if (!part.quads[q].empty() && part.quads[q] == rows.part.quads[q]) ++shared;
+    return shared;
 }
 
-TEST(AtreeArena, QuadrantTreesEmitLikeTheAssembledTree)
+/// `net` with sink k moved to `to` and the whole net shifted by (dx, dy):
+/// the quadrants k's move leaves alone keep their source-relative sinks.
+Net edited(Net net, std::size_t k, Point to, Coord dx, Coord dy)
+{
+    net.sinks[k] = to;
+    net.source = Point{static_cast<Coord>(net.source.x + dx),
+                       static_cast<Coord>(net.source.y + dy)};
+    for (Point& p : net.sinks)
+        p = Point{static_cast<Coord>(p.x + dx), static_cast<Coord>(p.y + dy)};
+    return net;
+}
+
+TEST(AtreeArena, ReplayedQuadrantsEmitLikeAFreshEmission)
 {
     AtreeScratch scratch;
     FlatTree flat;
-    for (const Net& net : mixed_nets(78))
-        expect_quadrants_emitted_eq(net, scratch, flat, "random");
+    std::mt19937_64 rng(78);
+    std::uniform_int_distribution<Coord> coord(0, kMcmGrid);
+    std::size_t shared = 0;
+    for (const Net& net : mixed_nets(78)) {
+        const std::size_t k = rng() % net.sinks.size();
+        const Net prior = edited(net, k, Point{coord(rng), coord(rng)},
+                                 static_cast<Coord>(rng() % 7) - 3, 5);
+        shared += expect_replayed_eq(prior, net, scratch, flat, "random");
+        // The net as its own prior replays every quadrant.
+        expect_replayed_eq(net, net, scratch, flat, "self");
+    }
+    EXPECT_GT(shared, 0u);
+
+    // Hand-made: axis sinks, a duplicate pair and a sink on the source.  The
+    // prior, shifted, has the (+,-) sink elsewhere in its quadrant, so (+,+)
+    // and (-,-) replay while (+,-) builds.
     Net net;
     net.source = Point{50, 50};
     net.sinks = {{50, 80}, {20, 50}, {50, 10}, {90, 50}, {70, 70},
                  {70, 70}, {50, 50}, {30, 20}, {90, 10}, {60, 50}};
     net.sink_caps = {1e-15, -1.0, 2e-15, 3e-15, 4e-15, 5e-15, 6e-15, 7e-15, 8e-15, 9e-15};
-    expect_quadrants_emitted_eq(net, scratch, flat, "hand-made");
+    const Net prior = edited(net, 8, Point{80, 20}, -7, 3);
+    EXPECT_EQ(expect_replayed_eq(prior, net, scratch, flat, "hand-made"), 2u);
 
-    // The combined QMST cost overflows int64 although no quadrant's does.
+    // The combined QMST cost overflows int64 although no quadrant's does:
+    // replaying the (+,+) quadrant and building the (-,-) one still throws.
     const Net bad = overflowing_net();
-    const QuadrantPartition part = partition_quadrants(bad);
-    std::vector<AtreeResult> built;
-    const auto ptrs = build_quadrants(part, built);
-    EXPECT_THROW(emit_quadrants(bad, part, ptrs, scratch, flat), std::overflow_error);
-    expect_quadrants_emitted_eq(mixed_nets(79).front(), scratch, flat, "after a throw");
+    Net half = bad;
+    half.sinks.pop_back();
+    emit_atree(half, scratch, flat);
+    flat.finish();
+    AtreeRows rows;
+    rows.capture(scratch, flat);
+    EXPECT_THROW(emit_atree(bad, scratch, flat, {}, &rows), std::overflow_error);
+    expect_replayed_eq(prior, net, scratch, flat, "after a throw");
 }
 
 TEST(AtreeArena, EmissionCountsOneBuildAtFinish)

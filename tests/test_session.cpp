@@ -596,35 +596,63 @@ TEST(Session, AddBatchCapturesLazilyAndServesDuplicates)
 
 TEST(Session, FaultedRequestsMatchRouteSingle)
 {
-    const Technology tech = mcm_technology();
-    SessionOptions opts;
-    opts.pipeline.faults =
-        FaultPlan::parse("seed=11,wiresize=0.4,nan=0.3,topology=0.3");
-    Session s(tech, opts);
+    // The second plan adds faults that fire without leaving a trace: a BRBC
+    // fault on a net whose A-tree succeeded, and an arena cap above the
+    // net's node count (about 25 here).  Such a request's result is clean,
+    // yet it must keep no repair state.
+    const struct {
+        const char* spec;
+        bool silent;  ///< the plan fires on some request with a clean result
+    } plans[] = {
+        {"seed=11,wiresize=0.4,nan=0.3,topology=0.3", false},
+        {"seed=11,wiresize=0.4,nan=0.3,topology=0.3,fallback=0.4,moment=0.2,"
+         "arena-cap=64@0.3",
+         true},
+    };
+    for (const auto& plan : plans) {
+        SCOPED_TRACE(plan.spec);
+        const Technology tech = mcm_technology();
+        SessionOptions opts;
+        opts.pipeline.faults = FaultPlan::parse(plan.spec);
+        Session s(tech, opts);
 
-    Net net = interior_net(67, 12);
-    const NetId id = s.add(net);  // request 0
-    expect_same_result(s.result(id),
-                       from_scratch(net, 0, tech, opts.pipeline));
+        Net net = interior_net(67, 12);
+        const NetId id = s.add(net);  // request 0
+        expect_same_result(s.result(id),
+                           from_scratch(net, 0, tech, opts.pipeline));
 
-    Technology t = tech;
-    std::mt19937_64 rng(68);
-    bool saw_fault = false;
-    for (int step = 0; step < 8; ++step) {
-        const EcoDelta d = EcoDelta::make_move(
-            rng() % net.sinks.size(), Point{static_cast<Coord>(rng() % 4000),
-                                            static_cast<Coord>(rng() % 4000)});
-        apply_delta(net, t, d);
-        const EcoOutcome o = s.apply(id, d);
-        // Contract: the result is what the ordinary pipeline produces for
-        // this request index under the same fault plan -- injected faults
-        // and all.
-        expect_same_result(
-            o.result, from_scratch(net, o.request, tech, opts.pipeline));
-        saw_fault = saw_fault || !o.result.diag.empty() ||
-                    o.result.status != RouteStatus::ok;
+        Technology t = tech;
+        std::mt19937_64 rng(68);
+        bool saw_fault = false;
+        bool saw_silent = false;
+        for (int step = 0; step < 8; ++step) {
+            const EcoDelta d = EcoDelta::make_move(
+                rng() % net.sinks.size(), Point{static_cast<Coord>(rng() % 4000),
+                                                static_cast<Coord>(rng() % 4000)});
+            apply_delta(net, t, d);
+            const EcoOutcome o = s.apply(id, d);
+            // Contract: the result is what the ordinary pipeline produces for
+            // this request index under the same fault plan -- injected faults
+            // and all.
+            expect_same_result(
+                o.result, from_scratch(net, o.request, tech, opts.pipeline));
+            const bool clean =
+                o.result.diag.empty() && o.result.status == RouteStatus::ok;
+            saw_fault = saw_fault || !clean;
+            bool fired = false;
+            for (const RouteStage stage :
+                 {RouteStage::topology, RouteStage::fallback, RouteStage::compile,
+                  RouteStage::report, RouteStage::wiresize, RouteStage::moment_check})
+                fired = fired || opts.pipeline.faults.fires(
+                                     static_cast<std::size_t>(o.request), stage);
+            if (fired) {
+                EXPECT_FALSE(s.captured(id)) << "request " << o.request;
+                saw_silent = saw_silent || clean;
+            }
+        }
+        EXPECT_TRUE(saw_fault);  // the chosen rates make at least one fire
+        EXPECT_EQ(saw_silent, plan.silent);
     }
-    EXPECT_TRUE(saw_fault);  // the chosen rates make at least one fire
 }
 
 TEST(Session, RemovingEveryUsableSinkDegradesLikeThePipeline)

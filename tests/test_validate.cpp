@@ -236,6 +236,40 @@ TEST(ValidateNet, CollapsesDuplicateSinksKeepingFirstCap)
     EXPECT_NE(v.notes[0].find("duplicate sink 2"), std::string::npos);
 }
 
+TEST(ValidateNet, InterleavedDropsAndDuplicatesNoteInIndexOrder)
+{
+    // Source-coincident sinks, a duplicate pair and a triple, interleaved;
+    // the duplicates' points sort before and after the source's.
+    Net net;
+    net.source = Point{5, 5};
+    net.sinks = {Point{9, 1}, Point{5, 5}, Point{2, 8}, Point{9, 1},
+                 Point{2, 8}, Point{5, 5}, Point{7, 7}, Point{2, 8}};
+    net.sink_caps = {1e-13, 2e-13, 3e-13, 4e-13, 5e-13, 6e-13, 7e-13, 8e-13};
+    const NetValidation v = validate_net(net);
+    ASSERT_TRUE(v.ok);
+    const std::vector<std::string> want_notes = {
+        "dropped sink 1 coincident with the source",
+        "collapsed duplicate sink 3 at (9,1)",
+        "collapsed duplicate sink 4 at (2,8)",
+        "dropped sink 5 coincident with the source",
+        "collapsed duplicate sink 7 at (2,8)",
+    };
+    EXPECT_EQ(v.notes, want_notes);
+    EXPECT_EQ(v.net.sinks, (std::vector<Point>{Point{9, 1}, Point{2, 8}, Point{7, 7}}));
+    // Each kept sink carries its first occurrence's cap.
+    EXPECT_EQ(v.net.sink_caps, (std::vector<double>{1e-13, 3e-13, 7e-13}));
+
+    // An out-of-range sink rejects the net after the notes of the sinks
+    // before it, and nothing after it is looked at.
+    net.sinks.insert(net.sinks.begin() + 5, Point{kMaxRoutableCoord + 1, 0});
+    net.sink_caps.insert(net.sink_caps.begin() + 5, 1e-13);
+    const NetValidation bad = validate_net(net);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.notes, (std::vector<std::string>(want_notes.begin(),
+                                                   want_notes.begin() + 3)));
+    EXPECT_EQ(bad.error, "sink 5 at (268435457,0) exceeds the routable coordinate range");
+}
+
 TEST(ValidateNet, RejectsZeroLengthNet)
 {
     Net net;
