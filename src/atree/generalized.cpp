@@ -333,4 +333,13 @@ void AtreeRows::capture(const AtreeScratch& s, const FlatTree& tree)
     }
 }
 
+std::size_t AtreeRows::capacity_bytes() const
+{
+    std::size_t n = 0;
+    for (std::size_t q = 0; q < 4; ++q)
+        n += part.quads[q].capacity() * sizeof(RelSink) +
+             quads[q].capacity() * sizeof(AtreeRow);
+    return n;
+}
+
 }  // namespace cong93

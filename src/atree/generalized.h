@@ -147,6 +147,8 @@ struct AtreeRows {
     /// Copies the emission emit_atree last wrote into `tree` through
     /// `scratch` (its partition and quadrant row ranges), reusing capacity.
     void capture(const AtreeScratch& scratch, const FlatTree& tree);
+    /// Heap bytes held by the partition and the rows (capacities).
+    std::size_t capacity_bytes() const;
 };
 
 /// build_atree_general(net, options), compiled straight into `out`: after

@@ -84,12 +84,11 @@ options:
                        bounds concurrently in-flight requests and refuses
                        the rest up front (0 = unbounded)
   --memory-budget <b>  resident-bytes budget over route cache + workspace
-                       arenas; LRU cache entries are pressure-evicted until
-                       the total fits (0 = no budget)
+                       arenas (serve: + per-net session state); LRU cache
+                       entries are pressure-evicted until the total fits
+                       (0 = no budget)
   --cache-capacity <n> session route-cache entry cap (default 0 = unbounded)
   --no-cache           session: admit without the hash-consed route cache
-  --eco-threshold <t>  session: dirty-sink fraction in [0,1] above which an
-                       ECO falls back to a full re-route (default 0.5)
   --sessions <n>       serve: concurrent sessions / client threads (default 2)
   --requests <r>       serve: requests per session script (default 3)
   --chunk-nets <c>     nets per route_stream chunk (batch/chip); 0 keeps
@@ -455,7 +454,6 @@ int run_session(const CliOptions& opts, std::ostream& out,
     sopts.pipeline.deadline_ms = opts.deadline_ms;
     sopts.pipeline.admit_cap = opts.queue_cap;
     sopts.pipeline.memory_budget_bytes = opts.memory_budget;
-    sopts.eco_threshold = opts.eco_threshold;
     sopts.cache_capacity = opts.cache_capacity;
     sopts.use_cache = opts.session_cache;
     Session s(tech, sopts);
@@ -556,9 +554,7 @@ int run_session(const CliOptions& opts, std::ostream& out,
                 const EcoOutcome o = s.apply(id, d);
                 out << "eco " << id << ' ' << cmd
                     << " inc=" << (o.incremental ? 1 : 0)
-                    << " tf=" << (o.threshold_fallback ? 1 : 0)
-                    << " dq=" << o.dirty_quadrants << " ds=" << o.dirty_sinks
-                    << '\n'
+                    << " dq=" << o.dirty_quadrants << '\n'
                     << result_line(id, o.result);
             } else if (cmd == "route") {
                 const NetId id = index("net id");
@@ -727,7 +723,6 @@ int run_serve(const CliOptions& opts, std::ostream& out)
     base.pipeline.max_nodes_per_net = opts.max_nodes;
     base.pipeline.faults = FaultPlan::parse(opts.fault_spec);
     base.pipeline.deadline_ms = opts.deadline_ms;
-    base.eco_threshold = opts.eco_threshold;
     base.cache_capacity = opts.cache_capacity;
     base.use_cache = opts.session_cache;
 
@@ -769,7 +764,6 @@ int run_serve(const CliOptions& opts, std::ostream& out)
                     const EcoOutcome o = apply(id, script_move(opts, s, r));
                     t += "eco " + std::to_string(id) +
                          " move inc=" + std::to_string(o.incremental ? 1 : 0) +
-                         " tf=" + std::to_string(o.threshold_fallback ? 1 : 0) +
                          "\n" + result_line(id, o.result);
                 }
             }
@@ -958,7 +952,6 @@ CliOptions parse_cli(const std::vector<std::string>& args)
         else if (a == "--memory-budget") opts.memory_budget = to_size(a, value());
         else if (a == "--cache-capacity") opts.cache_capacity = to_size(a, value());
         else if (a == "--no-cache") opts.session_cache = false;
-        else if (a == "--eco-threshold") opts.eco_threshold = to_double(a, value());
         else if (a == "--sessions") opts.sessions = static_cast<int>(to_int(a, value()));
         else if (a == "--requests") opts.requests = static_cast<int>(to_int(a, value()));
         else if (a == "--chunk-nets") opts.chunk_nets = to_size(a, value());
@@ -976,8 +969,6 @@ CliOptions parse_cli(const std::vector<std::string>& args)
         throw std::invalid_argument("--driver-scale must be finite and positive");
     if (opts.max_nodes > 0 && opts.max_nodes < 2)
         throw std::invalid_argument("--max-nodes must be 0 or >= 2");
-    if (opts.eco_threshold < 0.0 || opts.eco_threshold > 1.0)
-        throw std::invalid_argument("--eco-threshold must be in [0,1]");
     if (opts.deadline_ms < 0.0)
         throw std::invalid_argument("--deadline-ms must be >= 0\n" + cli_usage());
     if (opts.sessions < 1) throw std::invalid_argument("--sessions must be >= 1");

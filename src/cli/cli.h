@@ -55,7 +55,13 @@
 //                   [1, 4096], scales positive, caps finite; a stray
 //                   trailing token is an error too.  A malformed line makes
 //                   the command exit 2.
-//                   [--cache-capacity N] [--no-cache] [--eco-threshold T]
+//                   [--cache-capacity N] [--no-cache]
+//                   Each ECO prints `eco <id> <kind> inc=0|1 dq=<n>` and
+//                   the net's result line: inc=1 when the repair replayed
+//                   the net's stored quadrant rows and came out clean, dq
+//                   the quadrants whose sink list changed (0 unless inc=1).
+//                   Every ECO is one route; its result line is what
+//                   route_single gives the mutated net.
 //                   Everything except `stats` is byte-identical with the
 //                   cache on or off, at any --threads count, and at any
 //                   --cache-capacity.
@@ -113,7 +119,6 @@ struct CliOptions {
     // Session (ECO) engine.
     std::size_t cache_capacity = 0;  ///< route-cache entries (0 = unbounded)
     bool session_cache = true;       ///< --no-cache turns admission caching off
-    double eco_threshold = 0.5;      ///< dirty-sink fraction forcing re-route
 
     // Service facade (serve).
     int sessions = 2;  ///< concurrent sessions / client threads

@@ -1,12 +1,10 @@
 #include "session/service.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "workload/net_source.h"
 #include "workload/stream.h"
 
 namespace cong93 {
@@ -99,9 +97,10 @@ void SessionService::enforce_budget()
     if (opts_.memory_budget_bytes == 0) return;
     const std::size_t resident = resident_bytes();
     if (resident <= opts_.memory_budget_bytes) return;
-    // Arenas never shrink, so the cache is the evictable pool: bring its
-    // resident bytes down by the overage (saturating at zero, i.e. a budget
-    // smaller than the arenas alone empties the cache and stops there).
+    // Sessions keep their arenas and nets, so the cache is the evictable
+    // pool: bring its resident bytes down by the overage (saturating at
+    // zero, i.e. a budget smaller than the sessions alone empties the cache
+    // and stops there).
     const std::size_t overage = resident - opts_.memory_budget_bytes;
     const std::size_t cache_now = cache_.resident_bytes();
     const std::size_t target = cache_now > overage ? cache_now - overage : 0;
@@ -134,24 +133,10 @@ std::vector<NetId> SessionService::add_batch(SessionId id, NetSource& source,
                                              std::size_t chunk_nets,
                                              PipelineStats* stats)
 {
-    const std::size_t chunk = chunk_nets == 0
-                                  ? std::numeric_limits<std::size_t>::max()
-                                  : chunk_nets;
-    std::vector<NetId> ids;
-    std::vector<WorkItem> items;
-    std::vector<Net> nets;
-    for (;;) {
-        items.clear();
-        if (source.pull(items, chunk) == 0) break;
-        nets.clear();
-        nets.reserve(items.size());
-        for (WorkItem& item : items) nets.push_back(std::move(item.net));
-        PipelineStats cs;
-        const std::vector<NetId> chunk_ids = add_batch(id, nets, &cs);
-        ids.insert(ids.end(), chunk_ids.begin(), chunk_ids.end());
-        if (stats != nullptr) accumulate_pipeline_stats(*stats, cs);
-    }
-    return ids;
+    return admit_chunks(source, chunk_nets, stats,
+                        [&](const std::vector<Net>& nets, PipelineStats* cs) {
+                            return add_batch(id, nets, cs);
+                        });
 }
 
 NetId SessionService::add(SessionId id, Net net)

@@ -72,10 +72,10 @@ struct ServiceOptions {
     /// queueing unboundedly.  0 = unbounded (the PR-8 behavior).
     std::size_t queue_cap = 0;
     /// Global resident-bytes budget spanning the shared cache plus every
-    /// session's workspace arenas.  After each work-bearing request the
-    /// service pressure-evicts LRU cache entries until the total fits
-    /// (arenas never shrink, so the cache is the evictable pool).  0 = no
-    /// budget.
+    /// session's resident bytes (workspace arenas and per-net state).  After
+    /// each work-bearing request the service pressure-evicts LRU cache
+    /// entries until the total fits (sessions keep their arenas and nets,
+    /// so the cache is the evictable pool).  0 = no budget.
     std::size_t memory_budget_bytes = 0;
 };
 
@@ -113,9 +113,10 @@ public:
     std::vector<NetId> add_batch(SessionId id, const std::vector<Net>& nets,
                                  PipelineStats* stats = nullptr);
 
-    /// Chunked admission from a workload source (0 = one chunk): each
-    /// chunk takes its own admission ticket and session-slot acquisition
-    /// through the vector overload, so backpressure (queue_cap ->
+    /// Chunked admission from a workload source (0 = one chunk;
+    /// admit_chunks, workload/stream.h): each chunk takes its own
+    /// admission ticket and session-slot acquisition through the vector
+    /// overload, so backpressure (queue_cap ->
     /// OverloadError) and the resident-bytes budget apply per chunk -- a
     /// 100k-net design never needs a 100k-net admission window.  Chunks
     /// admitted before a mid-stream refusal stay admitted; the
@@ -140,8 +141,9 @@ public:
     ServiceStats stats() const;
 
     /// Approximate resident bytes of everything the memory budget covers:
-    /// the shared cache plus every open session's workspace arenas.  Locks
-    /// each slot briefly (one at a time) to read its arena sizes.
+    /// the shared cache plus every open session's Session::resident_bytes()
+    /// (arenas and per-net state).  Locks each slot briefly (one at a time)
+    /// to read its O(1) running total.
     std::size_t resident_bytes();
 
 private:
@@ -175,8 +177,8 @@ private:
 
     /// Memory-budget enforcement, run after every work-bearing request:
     /// when resident_bytes() exceeds the budget, pressure-evicts LRU cache
-    /// entries until the total fits (or the cache is empty -- arenas are
-    /// not evictable).  No-op without a budget.
+    /// entries until the total fits (or the cache is empty -- session
+    /// state is not evictable).  No-op without a budget.
     void enforce_budget();
 
     Technology tech_;

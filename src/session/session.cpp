@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
-#include "rtree/validate.h"
 #include "wiresize/grewsa.h"
 #include "workload/net_source.h"
 #include "workload/stream.h"
@@ -255,32 +253,62 @@ CombinedResult Session::warm_solve(const WiresizeContext& ctx,
     return res;
 }
 
-bool Session::route(Entry& e, NetId id, std::uint64_t request, bool repair)
+EcoOutcome Session::route(Entry& e, NetId id)
 {
-    if (!repair) e.bounds.clear();
+    EcoOutcome o;
+    o.request = requests_++;
     // A request a fault fires for keeps no state, even when the fault
     // leaves no trace (say, an arena cap above the node count), and so
     // takes no reuse either.
-    const bool keep = !fault_would_fire(request);
+    const bool keep = !fault_would_fire(o.request);
+    const bool lent = keep && e.captured;
     std::vector<StemBounds> pending;
     RouteReuse reuse;
     if (keep) {
-        if (repair) reuse.atree = &e.rows;
+        if (lent) reuse.atree = &e.rows;
         reuse.solver = [&](const WiresizeContext& ctx) {
             return warm_solve(ctx, e.bounds, pending);
         };
     }
-    e.result = route_single(e.net, static_cast<std::size_t>(request), 0, e.tech,
-                            route_options(), ws_, reuse);
+    e.result = route_single(e.net, static_cast<std::size_t>(o.request), 0,
+                            e.tech, route_options(), ws_, reuse);
     e.result.diag.net_index = id;
     e.captured = keep && e.result.status == RouteStatus::ok && e.result.diag.empty();
     if (e.captured) {
+        // A clean result came off the A-tree rung, so ws_.atree.part is
+        // this route's partition: count the quadrants whose sink list
+        // differs from the lent rows'.
+        o.incremental = lent;
+        if (lent)
+            for (std::size_t q = 0; q < 4; ++q)
+                if (ws_.atree.part.quads[q] != e.rows.part.quads[q])
+                    ++o.dirty_quadrants;
         e.rows.capture(ws_.atree, ws_.flat);
         e.bounds = std::move(pending);
     } else {
         e.bounds.clear();
     }
-    return e.captured;
+    recount(e);
+    return o;
+}
+
+std::size_t Session::Entry::heap_bytes() const
+{
+    std::size_t n = net.sinks.capacity() * sizeof(Point) +
+                    net.sink_caps.capacity() * sizeof(double) +
+                    result.assignment.values().capacity() * sizeof(int) +
+                    rows.capacity_bytes() + bounds.capacity() * sizeof(StemBounds);
+    for (const StemBounds& b : bounds)
+        n += b.content.capacity() * sizeof(std::uint64_t) +
+             (b.lower.capacity() + b.upper.capacity()) * sizeof(int);
+    return n;
+}
+
+void Session::recount(Entry& e)
+{
+    const std::size_t now = e.heap_bytes();
+    entry_bytes_ = entry_bytes_ - e.bytes + now;
+    e.bytes = now;
 }
 
 NetId Session::add(Net net)
@@ -290,7 +318,7 @@ NetId Session::add(Net net)
     Entry& e = entries_.back();
     e.net = std::move(net);
     e.tech = tech_;
-    route(e, id, requests_++, /*repair=*/false);
+    route(e, id);
     return id;
 }
 
@@ -315,6 +343,7 @@ std::vector<NetId> Session::add_batch(const std::vector<Net>& nets,
         e.result = std::move(results[i]);
         e.result.diag.net_index = id;
         e.captured = false;  // repair state materializes on first apply()
+        recount(e);
         ids.push_back(id);
     }
     return ids;
@@ -323,79 +352,21 @@ std::vector<NetId> Session::add_batch(const std::vector<Net>& nets,
 std::vector<NetId> Session::add_batch(NetSource& source, std::size_t chunk_nets,
                                       PipelineStats* stats)
 {
-    const std::size_t chunk = chunk_nets == 0
-                                  ? std::numeric_limits<std::size_t>::max()
-                                  : chunk_nets;
-    std::vector<NetId> ids;
-    std::vector<WorkItem> items;
-    std::vector<Net> nets;
-    for (;;) {
-        items.clear();
-        if (source.pull(items, chunk) == 0) break;
-        nets.clear();
-        nets.reserve(items.size());
-        for (WorkItem& item : items) nets.push_back(std::move(item.net));
-        PipelineStats cs;
-        const std::vector<NetId> chunk_ids = add_batch(nets, &cs);
-        ids.insert(ids.end(), chunk_ids.begin(), chunk_ids.end());
-        if (stats != nullptr) accumulate_pipeline_stats(*stats, cs);
-    }
-    return ids;
+    return admit_chunks(source, chunk_nets, stats,
+                        [this](const std::vector<Net>& nets, PipelineStats* cs) {
+                            return add_batch(nets, cs);
+                        });
 }
 
 EcoOutcome Session::apply(NetId id, const EcoDelta& delta)
 {
     Entry& e = entry(id);
     apply_delta(e.net, e.tech, delta);
-    const std::uint64_t request = requests_++;
-
-    EcoOutcome o;
-    o.request = request;
-
-    // Fault scheduled for this request, net that validation would annotate,
-    // or no repair state yet: the full path handles all of them (and
-    // rebuilds the repair state whenever the result comes out clean).
-    const NetValidation v = validate_net(e.net);
-    if (fault_would_fire(request) || !v.ok || !v.notes.empty() ||
-        !e.captured) {
-        route(e, id, request, /*repair=*/false);
-        o.result = e.result;
-        return o;
-    }
-
-    if (delta.kind == EcoDelta::Kind::retech) {
-        // Topology is technology-independent: every quadrant replays.  The
-        // cached stem bounds are tech-specific and must not seed the new
-        // solve.
-        e.bounds.clear();
-    } else {
-        // Sink deltas: count the quadrants whose partitioned sink list
-        // changed (axis-sink homing can dirty a quadrant the edited sink
-        // never touched; the vector compare catches that).  The partition
-        // goes into the workspace's A-tree scratch, which route_single
-        // overwrites with the same partition.
-        QuadrantPartition& part = ws_.atree.part;
-        partition_quadrants(v.net, part, ws_.atree.axis);
-        for (std::size_t q = 0; q < 4; ++q) {
-            if (part.quads[q] == e.rows.part.quads[q]) continue;
-            ++o.dirty_quadrants;
-            o.dirty_sinks += part.quads[q].size();
-        }
-        const std::size_t total = part.total_sinks();
-        if (total > 0 && static_cast<double>(o.dirty_sinks) /
-                                 static_cast<double>(total) >
-                             opts_.eco_threshold) {
-            o.threshold_fallback = true;
-            route(e, id, request, /*repair=*/false);
-            o.result = e.result;
-            return o;
-        }
-    }
-
-    // The repair is route_single replaying the clean quadrants; a result
-    // that comes out unclean is re-routed without reuse.
-    o.incremental = route(e, id, request, /*repair=*/true);
-    if (!o.incremental) route(e, id, request, /*repair=*/false);
+    // Topology is technology-independent, so a retech replays every
+    // quadrant, but the cached stem bounds are tech-specific and must not
+    // seed the new solve.
+    if (delta.kind == EcoDelta::Kind::retech) e.bounds.clear();
+    EcoOutcome o = route(e, id);
     o.result = e.result;
     return o;
 }

@@ -10,19 +10,18 @@
 //
 //   1. The delta mutates the stored net (move_sink / add_sink / remove_sink
 //      / retech).
-//   2. The mutated net is re-partitioned into source quadrants
-//      (atree/generalized.h) and compared with the partition of the stored
-//      rows: quadrants whose partitioned sink list changed are dirty.  When
-//      the dirty quadrants hold more than `eco_threshold` of the sinks the
-//      repair degenerates to a full re-route, so the threshold bounds
-//      repair cost without ever changing results.
-//   3. The repair is route_single itself (batch/pipeline.h), lent the
-//      net's stored A-tree rows and a warm-started solver through
-//      RouteReuse: emit_atree appends every clean quadrant from its stored
-//      rows by a linear copy and builds only the dirty ones, and every
-//      later stage is the pipeline's own.  add() and every fallback make
-//      the same call without rows.  After a clean result the session keeps
-//      the rows the call left in its Workspace (AtreeRows::capture).
+//   2. A retech drops the net's cached stem bounds (they are
+//      technology-specific); sink deltas keep them.
+//   3. One route_single call (batch/pipeline.h) routes the mutated net.
+//      When the net holds repair state and no fault fires for the request,
+//      the call is lent the stored A-tree rows and a warm-started solver
+//      through RouteReuse: emit_atree appends every quadrant whose
+//      partitioned sink list is unchanged from its stored rows by a linear
+//      copy and builds only the dirty ones, and every later stage is the
+//      pipeline's own.  A replay is never more work than a rebuild, so
+//      there is no full-re-route fork: add() makes the same call, just
+//      without rows.  After a clean result the session keeps the rows the
+//      call left in its Workspace (AtreeRows::capture).
 //   4. Wiresizing warm-starts: the GREWSA lower/upper fixpoints are cached
 //      per *stem* (root segment subtree), keyed by the stem's exact content
 //      (parent structure, length/cap bit patterns).  Stems whose content is
@@ -43,7 +42,7 @@
 // batch pipeline would emit.  Repair state is kept only after a clean
 // result (status ok, no diagnostic) of a request no fault fires for, so a
 // net that validate_net annotates (duplicate/coincident sinks) or rejects
-// is always routed from scratch.
+// ends without it, and its next request routes without rows.
 //
 // A Session is single-threaded by design (one Workspace, mutable repair
 // state); concurrent use needs one Session per thread.  Batch admission
@@ -114,14 +113,15 @@ struct EcoOutcome {
     /// The repaired net's result; bit-identical to route_single() of the
     /// mutated net under the session options.
     NetRouteResult result;
-    /// True when the incremental path ran (quadrant repair or topology
-    /// reuse); false when the request fell back to a full re-route.
+    /// True when the route was lent the net's stored A-tree rows and its
+    /// result came out clean (an incremental repair); false for a net
+    /// without repair state, a faulted request, or a degraded, annotated
+    /// or invalid result.
     bool incremental = false;
-    /// True when the fallback was forced by the dirty-sink threshold.
-    bool threshold_fallback = false;
-    std::size_t dirty_quadrants = 0;  ///< quadrants rebuilt (sink deltas)
-    std::size_t dirty_sinks = 0;      ///< sinks inside rebuilt quadrants
-    std::uint64_t request = 0;        ///< fault-plan request index consumed
+    /// Quadrants whose partitioned sink list differs from the stored rows
+    /// (rebuilt, or emptied); 0 unless incremental.
+    std::size_t dirty_quadrants = 0;
+    std::uint64_t request = 0;  ///< fault-plan request index consumed
 };
 
 struct SessionOptions {
@@ -130,12 +130,6 @@ struct SessionOptions {
     /// add_batch only.  The fault plan resolves once, at construction
     /// (explicit plan, else $CONG93_FAULT_INJECT).
     PipelineOptions pipeline;
-    /// Dirty-sink fraction (sinks in rebuilt quadrants / total sinks) above
-    /// which apply() re-routes from scratch instead of repairing.  The
-    /// comparison is strict (> threshold falls back), so 1.0 never falls
-    /// back and 0.0 repairs only when a delta leaves every quadrant's sink
-    /// list unchanged (retech does exactly that).
-    double eco_threshold = 0.5;
     /// Entry capacity of the session's route cache (0 = unbounded).
     std::size_t cache_capacity = 0;
     /// Attach the session's route cache to add_batch admissions (on by
@@ -168,7 +162,7 @@ public:
 
     /// Admits everything a workload source yields, pulled in
     /// `chunk_nets`-item chunks through the vector overload (0 = one
-    /// chunk).  The session retains geometry only -- workload metadata is
+    /// chunk; admit_chunks, workload/stream.h).  The session retains geometry only -- workload metadata is
     /// a roll-up concern (report/chip_report.h), not repair state; items a
     /// reader rejected admit as their cleared geometry and surface as
     /// invalid_input results.  `stats` sums the chunks' counts
@@ -190,7 +184,7 @@ public:
     /// The net's latest result (admission or last apply).
     const NetRouteResult& result(NetId id) const { return entry(id).result; }
     /// Whether the net currently holds repair state (false right after
-    /// add_batch, or after a degraded/faulted request).
+    /// add_batch, or after a faulted request or an unclean result).
     bool captured(NetId id) const { return entry(id).captured; }
 
     /// The cache add_batch consults: the service-shared one when attached,
@@ -201,10 +195,17 @@ public:
     }
     const SessionOptions& options() const { return opts_; }
 
-    /// Approximate bytes resident in this session's workspace arenas
-    /// (capacities; arenas never shrink).  The SessionService memory budget
-    /// sums this over every session plus the shared cache.
-    std::size_t resident_bytes() const { return ws_.resident_bytes(); }
+    /// Approximate bytes resident in this session: its workspace arenas
+    /// plus every net's state (geometry, result assignment, stored A-tree
+    /// rows, stem bounds), all by capacity.  The per-net part is a running
+    /// total kept where an entry changes, so the call is O(1).  The
+    /// SessionService memory budget sums this over every session plus the
+    /// shared cache.
+    std::size_t resident_bytes() const
+    {
+        return ws_.resident_bytes() + entries_.capacity() * sizeof(Entry) +
+               entry_bytes_;
+    }
 
 private:
     /// Cached GREWSA fixpoint bounds of one stem, keyed by exact content.
@@ -223,17 +224,23 @@ private:
         // Repair state (valid only when captured):
         AtreeRows rows;
         std::vector<StemBounds> bounds;  ///< empty: wiresizing starts cold
+        std::size_t bytes = 0;  ///< heap_bytes() as last counted (recount)
+
+        /// Heap bytes the entry holds beyond sizeof(Entry), by capacity.
+        std::size_t heap_bytes() const;
     };
 
     Entry& entry(NetId id);
     const Entry& entry(NetId id) const;
     PipelineOptions route_options() const;
     bool fault_would_fire(std::uint64_t request) const;
-    /// Routes e.net with route_single as `request`.  A repair lends it
-    /// e.rows and warm-starts wiresizing from e.bounds; otherwise the route
-    /// is cold (add() and every fallback).  Keeps the new rows and bounds
-    /// when the result is clean and returns whether it was.
-    bool route(Entry& e, NetId id, std::uint64_t request, bool repair);
+    /// Routes e.net with route_single as the next request.  Unless a fault
+    /// fires for it, the call warm-starts wiresizing from e.bounds and, when
+    /// the net is captured, is lent e.rows.  Keeps the new rows and bounds
+    /// when the result is clean.  The outcome carries no result.
+    EcoOutcome route(Entry& e, NetId id);
+    /// Folds e's current heap_bytes() into the running entry_bytes_.
+    void recount(Entry& e);
     /// The warm-started wiresizing solver (bit-identical to grewsa_owsa):
     /// stems whose content matches a `prior` stem start at its cached
     /// fixpoints, no prior means a cold start, and every stem's new bounds
@@ -248,6 +255,7 @@ private:
     RouteCache cache_;
     Workspace ws_;
     std::vector<Entry> entries_;
+    std::size_t entry_bytes_ = 0;  ///< sum of every entry's heap_bytes()
     std::uint64_t requests_ = 0;
 };
 

@@ -37,6 +37,30 @@ void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk)
     total.deadline_wall_degraded += chunk.deadline_wall_degraded;
 }
 
+std::vector<std::size_t> admit_chunks(NetSource& source, std::size_t chunk_nets,
+                                      PipelineStats* stats,
+                                      const ChunkAdmit& admit)
+{
+    const std::size_t chunk = chunk_nets == 0
+                                  ? std::numeric_limits<std::size_t>::max()
+                                  : chunk_nets;
+    std::vector<std::size_t> ids;
+    std::vector<WorkItem> items;
+    std::vector<Net> nets;
+    for (;;) {
+        items.clear();
+        if (source.pull(items, chunk) == 0) break;
+        nets.clear();
+        nets.reserve(items.size());
+        for (WorkItem& item : items) nets.push_back(std::move(item.net));
+        PipelineStats cs;
+        const std::vector<std::size_t> chunk_ids = admit(nets, &cs);
+        ids.insert(ids.end(), chunk_ids.begin(), chunk_ids.end());
+        if (stats != nullptr) accumulate_pipeline_stats(*stats, cs);
+    }
+    return ids;
+}
+
 StreamStats route_stream(NetSource& source, const Technology& tech,
                          const PipelineOptions& opts,
                          const StreamOptions& stream_opts,

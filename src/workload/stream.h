@@ -105,6 +105,21 @@ StreamStats route_stream(NetSource& source, const Technology& tech,
 /// resident_bytes replaced.
 void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk);
 
+/// One chunk of nets admitted somewhere (a session, a service): returns the
+/// ids it assigned and fills the chunk's stats.
+using ChunkAdmit = std::function<std::vector<std::size_t>(
+    const std::vector<Net>& nets, PipelineStats* stats)>;
+
+/// Chunked admission: pulls `source` dry in `chunk_nets`-item chunks (0 =
+/// one chunk), hands each chunk's geometry to `admit` and returns every id
+/// it assigned, in order.  Metadata is dropped -- items a reader rejected
+/// admit as their cleared geometry.  `stats` (optional) sums the chunks'
+/// stats (accumulate_pipeline_stats).  What `admit` throws propagates;
+/// chunks admitted before it stay admitted.
+std::vector<std::size_t> admit_chunks(NetSource& source, std::size_t chunk_nets,
+                                      PipelineStats* stats,
+                                      const ChunkAdmit& admit);
+
 }  // namespace cong93
 
 #endif  // CONG93_WORKLOAD_STREAM_H

@@ -3,9 +3,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "batch/pipeline.h"
+#include "batch/workspace.h"
 #include "cli/cli.h"
 #include "netgen/netgen.h"
 #include "rtree/io.h"
+#include "session/session.h"
+#include "tech/technology.h"
 
 namespace cong93 {
 namespace {
@@ -57,6 +61,8 @@ TEST(CliParse, Errors)
     EXPECT_THROW(parse({"route", "--unknown"}), std::invalid_argument);
     // A retired flag is an unknown flag like any other.
     EXPECT_THROW(parse({"serve", "--shards", "4"}), std::invalid_argument);
+    EXPECT_THROW(parse({"session", "--eco-threshold", "0.5"}),
+                 std::invalid_argument);
     EXPECT_THROW(parse({"route", "--sinks"}), std::invalid_argument);
     EXPECT_THROW(parse({"route", "--sinks", "abc"}), std::invalid_argument);
     EXPECT_THROW(parse({"route", "--sinks", "0"}), std::invalid_argument);
@@ -260,6 +266,64 @@ TEST(CliRun, SessionScriptReplay)
     EXPECT_THROW(run_cli(o, err, &bad), std::invalid_argument);
     CliOptions no_in = parse({"session"});
     EXPECT_THROW(run_cli(no_in, err), std::invalid_argument);
+}
+
+TEST(CliRun, SessionEcoLinesEqualFullReroute)
+{
+    // Every ECO is one route that must equal a full re-route: each `eco`
+    // result line of the CI session script is compared with route_single
+    // of the mutated net under the same request index.
+    const std::string script =
+        "gen 32 8 29\n"
+        "gen 32 8 29\n"
+        "net 2000 2000 100 100 3900 3900 150 3800\n"
+        "move 64 0 250 175\n"
+        "add 64 3500 200 2e-12\n"
+        "add 64 1200 900\n"
+        "remove 64 1\n"
+        "retech 64 cmos20 4\n"
+        "move 3 2 1800 2200\n";
+    const CliOptions o = parse({"session", "--in", "unused"});
+    std::ostringstream out;
+    ASSERT_EQ(run_cli(o, out, &script), 0);
+    std::vector<std::string> got;
+    std::istringstream is(out.str());
+    for (std::string line; std::getline(is, line);)
+        if (line.rfind("eco ", 0) == 0 && std::getline(is, line))
+            got.push_back(line);
+
+    // The session's nets: two batches of the same generated nets (ids
+    // 0..63), then the explicit net 64.
+    const std::vector<Net> gen = random_nets(29, 32, o.grid, 8);
+    std::vector<Net> nets = gen;
+    nets.insert(nets.end(), gen.begin(), gen.end());
+    Net explicit_net;
+    explicit_net.source = Point{2000, 2000};
+    explicit_net.sinks = {Point{100, 100}, Point{3900, 3900}, Point{150, 3800}};
+    nets.push_back(explicit_net);
+    std::vector<Technology> techs(nets.size(), mcm_technology());
+    const struct {
+        std::size_t id;
+        EcoDelta delta;
+    } edits[] = {
+        {64, EcoDelta::make_move(0, Point{250, 175})},
+        {64, EcoDelta::make_add(Point{3500, 200}, 2e-12)},
+        {64, EcoDelta::make_add(Point{1200, 900})},
+        {64, EcoDelta::make_remove(1)},
+        {64, EcoDelta::make_retech(cmos_2000nm().with_driver_scale(4.0))},
+        {3, EcoDelta::make_move(2, Point{1800, 2200})},
+    };
+    std::vector<std::string> want;
+    Workspace ws;
+    std::size_t request = 1;  // request 0 admitted net 64
+    for (const auto& e : edits) {
+        apply_delta(nets[e.id], techs[e.id], e.delta);
+        std::string line = format_results(std::vector<NetRouteResult>{route_single(
+            nets[e.id], request++, 0, techs[e.id], PipelineOptions{}, ws)});
+        line.pop_back();  // the trailing newline
+        want.push_back(std::to_string(e.id) + line.substr(line.find(' ')));
+    }
+    EXPECT_EQ(got, want);
 }
 
 TEST(CliRun, AllAlgorithmsRoute)

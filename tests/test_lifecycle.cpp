@@ -466,6 +466,31 @@ TEST(LifecycleService, GenerousBudgetEvictsNothing)
     EXPECT_EQ(svc.stats().pressure_evictions, 0u);
 }
 
+TEST(LifecycleService, ResidentBytesCountCapturedNets)
+{
+    // The budget sees per-net session state (geometry, result, stored
+    // A-tree rows, stem bounds), not just workspace arenas: translated
+    // twins of one net route exactly like it, so the arenas stop growing
+    // after the first, yet every captured twin raises the resident bytes.
+    const Technology tech = mcm_technology();
+    ServiceOptions so;
+    so.threads = 1;
+    SessionService svc(tech, so);
+    const SessionId id = svc.open();
+    const Net base = random_nets(19, 1, kMcmGrid, 12).front();
+    svc.add(id, base);
+    std::size_t prev = svc.resident_bytes();
+    for (Coord k = 1; k <= 4; ++k) {
+        Net twin = base;
+        twin.source = Point{base.source.x + 10 * k, base.source.y};
+        for (Point& p : twin.sinks) p = Point{p.x + 10 * k, p.y};
+        svc.add(id, twin);
+        const std::size_t now = svc.resident_bytes();
+        EXPECT_GT(now, prev) << "twin " << k;
+        prev = now;
+    }
+}
+
 TEST(LifecyclePipeline, MemoryBudgetEvictsAttachedCacheAfterDrain)
 {
     const Technology tech = mcm_technology();

@@ -2,7 +2,7 @@
 // invariance, sink order, cap quantization collisions), LRU bookkeeping,
 // cache-on/off and serial/parallel byte-identity of route_batch, ECO repair
 // bit-identity against from-scratch route_single for every delta kind,
-// threshold-fallback boundaries, fault injection on the request path, and
+// lopsided and annotated repairs, fault injection on the request path, and
 // delta type-checking.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "batch/pipeline.h"
 #include "batch/workspace.h"
 #include "netgen/netgen.h"
+#include "rtree/flat_tree.h"
 #include "session/route_cache.h"
 #include "session/session.h"
 #include "tech/technology.h"
@@ -386,9 +387,7 @@ TEST(Session, SkewedMoveRepairsOneQuadrantIncrementally)
     apply_delta(net, t, mv);
     const EcoOutcome o = s.apply(id, mv);
     EXPECT_TRUE(o.incremental);
-    EXPECT_FALSE(o.threshold_fallback);
     EXPECT_EQ(o.dirty_quadrants, 1u);
-    EXPECT_EQ(o.dirty_sinks, 3u);
     expect_same_result(o.result,
                        from_scratch(net, o.request, tech, PipelineOptions{}));
 
@@ -529,39 +528,64 @@ TEST(Session, RetechReusesTopologyAndMatchesFromScratch)
                        from_scratch(mutated, o2.request, hot, PipelineOptions{}));
 }
 
-TEST(Session, ThresholdBoundaries)
+TEST(Session, LopsidedQuadrantEditRepairsIncrementally)
 {
+    // An edit inside the quadrant that holds most of the sinks rebuilds
+    // that quadrant and replays the three small ones: still one route,
+    // still a repair, and still the from-scratch result.
     const Technology tech = mcm_technology();
-    const Net net = interior_net(65, 16);
+    Net net = skewed_net(65, 20, 2);  // (+,+) holds sinks 0..19 of 26
+    Session s(tech);
+    const NetId id = s.add(net);
+    ASSERT_TRUE(s.captured(id));
 
-    // threshold 0.0: any dirty sink falls back to a full re-route.
-    SessionOptions strict;
-    strict.eco_threshold = 0.0;
-    Session never(tech, strict);
-    const NetId a = never.add(net);
-    EcoOutcome o = never.apply(a, EcoDelta::make_move(0, Point{1, 1}));
-    EXPECT_TRUE(o.threshold_fallback);
-    EXPECT_FALSE(o.incremental);
-    // ... but retech dirties no quadrant, so even 0.0 repairs in place.
-    o = never.apply(a, EcoDelta::make_retech(tech));
-    EXPECT_FALSE(o.threshold_fallback);
-    EXPECT_TRUE(o.incremental);
-
-    // threshold 1.0 (strict >): even an every-quadrant edit repairs.
-    SessionOptions lax;
-    lax.eco_threshold = 1.0;
-    Session always(tech, lax);
-    const NetId b = always.add(net);
-    o = always.apply(b, EcoDelta::make_move(0, Point{3999, 3999}));
-    EXPECT_FALSE(o.threshold_fallback);
-    EXPECT_TRUE(o.incremental);
-
-    // Either way the result equals the from-scratch route.
-    Net mutated = net;
     Technology t = tech;
-    apply_delta(mutated, t, EcoDelta::make_move(0, Point{3999, 3999}));
+    for (const Point to : {Point{2500, 2600}, Point{3900, 2001}}) {
+        const EcoDelta mv = EcoDelta::make_move(0, to);
+        apply_delta(net, t, mv);
+        const EcoOutcome o = s.apply(id, mv);
+        EXPECT_TRUE(o.incremental);
+        EXPECT_EQ(o.dirty_quadrants, 1u);
+        expect_same_result(o.result,
+                           from_scratch(net, o.request, tech, PipelineOptions{}));
+        EXPECT_TRUE(s.captured(id));
+    }
+}
+
+TEST(Session, AnnotatedRepairRoutesOnceAndDropsRepairState)
+{
+    // Moving a sink onto another one makes validate_net collapse the pair
+    // and note it.  The captured net's one route is lent its stored rows;
+    // the annotated result equals route_single's and keeps no repair
+    // state, so the next edit routes without rows and captures again.
+    const Technology tech = mcm_technology();
+    Net net = interior_net(71, 16);
+    Session s(tech);
+    const NetId id = s.add(net);
+    ASSERT_TRUE(s.captured(id));
+
+    Technology t = tech;
+    const EcoDelta onto = EcoDelta::make_move(0, net.sinks[1]);
+    apply_delta(net, t, onto);
+    const std::uint64_t compiles = flat_tree_compiles();
+    const EcoOutcome o = s.apply(id, onto);
+    EXPECT_EQ(flat_tree_compiles() - compiles, 1u);  // one route, no retry
+    EXPECT_FALSE(o.result.diag.empty());
+    EXPECT_EQ(o.result.diag.events.front().stage, RouteStage::validate);
+    EXPECT_FALSE(o.incremental);
+    EXPECT_EQ(o.dirty_quadrants, 0u);
     expect_same_result(o.result,
-                       from_scratch(mutated, o.request, tech, PipelineOptions{}));
+                       from_scratch(net, o.request, tech, PipelineOptions{}));
+    EXPECT_FALSE(s.captured(id));
+
+    const EcoDelta away = EcoDelta::make_move(0, Point{1234, 3210});
+    apply_delta(net, t, away);
+    const EcoOutcome next = s.apply(id, away);
+    EXPECT_FALSE(next.incremental);
+    EXPECT_EQ(next.dirty_quadrants, 0u);
+    expect_same_result(next.result,
+                       from_scratch(net, next.request, tech, PipelineOptions{}));
+    EXPECT_TRUE(s.captured(id));
 }
 
 TEST(Session, AddBatchCapturesLazilyAndServesDuplicates)
