@@ -47,11 +47,10 @@ void run()
             d_st += measure_delay(steiners[static_cast<std::size_t>(i)], tech,
                                   SimMethod::two_pole, bench::kPaperThreshold)
                         .mean;
-            const SegmentDecomposition segs(atrees[static_cast<std::size_t>(i)]);
-            const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+            const FlatTree ft(atrees[static_cast<std::size_t>(i)]);
+            const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
             const CombinedResult sized = grewsa_owsa(ctx);
-            d_ws += measure_delay_wiresized(segs, tech, ctx.widths(),
-                                            sized.assignment, SimMethod::two_pole,
+            d_ws += measure_delay_wiresized(ctx, sized.assignment, SimMethod::two_pole,
                                             bench::kPaperThreshold)
                         .mean;
         }

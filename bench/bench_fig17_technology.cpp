@@ -47,12 +47,10 @@ void run()
             const Technology tech = base.with_driver_scale(scale);
             double d_atree = 0, d_steiner = 0;
             for (std::size_t i = 0; i < nets.size(); ++i) {
-                const SegmentDecomposition segs(atrees[i]);
-                const WiresizeContext ctx(segs, tech,
-                                          WidthSet::uniform_steps(kWidths));
+                const FlatTree ft(atrees[i]);
+                const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(kWidths));
                 const CombinedResult sized = grewsa_owsa(ctx);
-                d_atree += measure_delay_wiresized(segs, tech, ctx.widths(),
-                                                   sized.assignment,
+                d_atree += measure_delay_wiresized(ctx, sized.assignment,
                                                    SimMethod::two_pole,
                                                    bench::kPaperThreshold)
                                .mean;

@@ -5,7 +5,6 @@
 #include "bench_common.h"
 #include "report/table.h"
 #include "rtree/io.h"
-#include "rtree/segments.h"
 #include "sim/delay_measure.h"
 #include "sim/transient.h"
 #include "tech/technology.h"
@@ -25,26 +24,21 @@ void run()
     const NodeId mid = t.add_child(t.root(), Point{1000, 2000});
     t.mark_sink(t.add_child(mid, Point{0, 2000}));
     t.mark_sink(t.add_child(mid, Point{2000, 2000}));
-    const SegmentDecomposition segs(t);
-    const WidthSet widths({1.0, 2.0});
+    const FlatTree ft(t);
+    const WiresizeContext ctx(ft, tech, WidthSet({1.0, 2.0}));
 
-    const std::size_t stem = static_cast<std::size_t>(segs.roots()[0]);
-    Assignment uniform(segs.count(), 0);
-    Assignment wide_stem(segs.count(), 0);
+    const std::size_t stem = static_cast<std::size_t>(ctx.seg_roots()[0]);
+    Assignment uniform(ctx.segment_count(), 0);
+    Assignment wide_stem(ctx.segment_count(), 0);
     wide_stem[stem] = 1;
 
-    const WiresizeContext ctx(segs, tech, widths);
-    const auto d1 = measure_delay_wiresized(segs, tech, widths, uniform,
-                                            SimMethod::two_pole,
+    const auto d1 = measure_delay_wiresized(ctx, uniform, SimMethod::two_pole,
                                             bench::kPaperThreshold);
-    const auto d2 = measure_delay_wiresized(segs, tech, widths, wide_stem,
-                                            SimMethod::two_pole,
+    const auto d2 = measure_delay_wiresized(ctx, wide_stem, SimMethod::two_pole,
                                             bench::kPaperThreshold);
-    const auto tr1 = measure_delay_wiresized(segs, tech, widths, uniform,
-                                             SimMethod::transient,
+    const auto tr1 = measure_delay_wiresized(ctx, uniform, SimMethod::transient,
                                              bench::kPaperThreshold);
-    const auto tr2 = measure_delay_wiresized(segs, tech, widths, wide_stem,
-                                             SimMethod::transient,
+    const auto tr2 = measure_delay_wiresized(ctx, wide_stem, SimMethod::transient,
                                              bench::kPaperThreshold);
 
     std::cout << "\nT-tree (stem 2000 grids, branches 1000 grids each):\n";
@@ -56,8 +50,8 @@ void run()
     tab.print(std::cout);
 
     // Sampled responses at the left sink.
-    const RcTree rc1 = RcTree::from_wiresized_tree(segs, tech, widths, uniform);
-    const RcTree rc2 = RcTree::from_wiresized_tree(segs, tech, widths, wide_stem);
+    const RcTree rc1 = RcTree::from_wiresized_flat(ctx, uniform);
+    const RcTree rc2 = RcTree::from_wiresized_flat(ctx, wide_stem);
     const auto w1 = transient_waveforms(rc1, {rc1.sink_nodes()[0]}, 0.98);
     const auto w2 = transient_waveforms(rc2, {rc2.sink_nodes()[0]}, 0.98);
     std::cout << "\nStep response at a sink (V vs ns):\n";

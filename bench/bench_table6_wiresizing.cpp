@@ -24,15 +24,14 @@ void run()
     const Technology tech = mcm_technology();
     const auto nets = random_nets(2006, bench::kNetsPerConfig, kMcmGrid, 16);
 
-    std::vector<SegmentDecomposition> trees;
+    std::vector<FlatTree> trees;
     trees.reserve(nets.size());
-    std::vector<RoutingTree> storage;
-    storage.reserve(nets.size());
     double avg_segments = 0.0;
     for (const Net& net : nets) {
-        storage.push_back(build_atree_general(net).tree);
-        trees.emplace_back(storage.back());
-        avg_segments += static_cast<double>(trees.back().count());
+        trees.emplace_back(build_atree_general(net).tree);
+        avg_segments += static_cast<double>(
+            WiresizeContext(trees.back(), tech, WidthSet::uniform_steps(1))
+                .segment_count());
     }
     avg_segments /= static_cast<double>(nets.size());
     std::cout << "average segments per tree: " << fmt_fixed(avg_segments, 2) << "\n\n";
@@ -54,10 +53,9 @@ void run()
         // run to run regardless of threading).
         const std::vector<NetResult> per_net =
             batch_map<NetResult>(trees.size(), [&](std::size_t ni) {
-                const auto& segs = trees[ni];
-                const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(r));
+                const WiresizeContext ctx(trees[ni], tech, WidthSet::uniform_steps(r));
                 NetResult res;
-                res.d_none = ctx.delay(min_assignment(segs.count()));
+                res.d_none = ctx.delay(min_assignment(ctx.segment_count()));
                 GrewsaResult lo, hi;
                 OwsaResult ow;
                 CombinedResult comb;

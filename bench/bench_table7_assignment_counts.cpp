@@ -24,15 +24,14 @@ void run()
     const Technology tech = mcm_technology();
     const auto nets = random_nets(2006, bench::kNetsPerConfig, kMcmGrid, 16);
 
-    std::vector<RoutingTree> storage;
-    storage.reserve(nets.size());
-    std::vector<SegmentDecomposition> trees;
+    std::vector<FlatTree> trees;
     trees.reserve(nets.size());
     double avg_segments = 0.0;
     for (const Net& net : nets) {
-        storage.push_back(build_atree_general(net).tree);
-        trees.emplace_back(storage.back());
-        avg_segments += static_cast<double>(trees.back().count());
+        trees.emplace_back(build_atree_general(net).tree);
+        avg_segments += static_cast<double>(
+            WiresizeContext(trees.back(), tech, WidthSet::uniform_steps(1))
+                .segment_count());
     }
     avg_segments /= static_cast<double>(nets.size());
     std::cout << "average segments per tree: " << fmt_fixed(avg_segments, 2)
@@ -42,10 +41,10 @@ void run()
                  "GREWSA-OWSA", "avg choices/seg OWSA", "avg choices/seg G-O"});
     for (int r = 2; r <= 6; ++r) {
         double exh = 0, mono = 0, owsa_cnt = 0, comb_cnt = 0, comb_choices = 0;
-        for (const auto& segs : trees) {
-            const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(r));
-            exh += exhaustive_assignment_count(segs.count(), r);
-            mono += monotone_assignment_count(segs, r);
+        for (const FlatTree& ft : trees) {
+            const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(r));
+            exh += exhaustive_assignment_count(ctx.segment_count(), r);
+            mono += monotone_assignment_count(ctx);
             owsa_cnt += static_cast<double>(owsa(ctx).assignments_examined);
             const CombinedResult c = grewsa_owsa(ctx);
             comb_cnt += static_cast<double>(c.assignments_examined);

@@ -41,14 +41,11 @@ void run()
         const std::vector<NetResult> per_net =
             batch_map<NetResult>(nets.size(), [&](std::size_t ni) {
                 const Net& net = nets[ni];
-                const RoutingTree atree = build_atree_general(net).tree;
-                const SegmentDecomposition segs(atree);
-                const WiresizeContext ctx(segs, tech,
-                                          WidthSet::uniform_steps(kWidths));
+                const FlatTree ft(build_atree_general(net).tree);
+                const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(kWidths));
                 const CombinedResult sized = grewsa_owsa(ctx);
                 NetResult res;
-                res.sized = measure_delay_wiresized(segs, tech, ctx.widths(),
-                                                    sized.assignment,
+                res.sized = measure_delay_wiresized(ctx, sized.assignment,
                                                     SimMethod::two_pole,
                                                     bench::kPaperThreshold)
                                 .mean;

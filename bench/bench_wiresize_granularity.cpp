@@ -35,10 +35,9 @@ void run()
                                Length{500}, Length{250}}) {
         double delay = 0.0, seg_count = 0.0, runtime = 0.0;
         for (const RoutingTree& tree : trees) {
-            const RoutingTree fine = subdivide_edges(tree, piece);
-            const SegmentDecomposition segs(fine);
-            seg_count += static_cast<double>(segs.count());
-            const WiresizeContext ctx(segs, tech, widths);
+            const FlatTree fine(subdivide_edges(tree, piece));
+            const WiresizeContext ctx(fine, tech, widths);
+            seg_count += static_cast<double>(ctx.segment_count());
             CombinedResult res;
             runtime += bench::time_seconds([&] { res = grewsa_owsa(ctx); });
             delay += res.delay;

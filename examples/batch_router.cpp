@@ -64,15 +64,15 @@ int main(int argc, char** argv)
     const std::vector<NetResult> results =
         batch_map<NetResult>(nets.size(), [&](std::size_t i) {
             const AtreeResult routed = build_atree_general(nets[i]);
-            const SegmentDecomposition segs(routed.tree);
-            const WiresizeContext ctx(segs, tech, widths);
+            const FlatTree ft(routed.tree);
+            const WiresizeContext ctx(ft, tech, widths);
             const CombinedResult sized = grewsa_owsa(ctx);
             NetResult r;
             r.cost = routed.cost;
             r.radius = radius(routed.tree);
             r.before = measure_delay(routed.tree, tech).mean;
             r.after =
-                measure_delay_wiresized(segs, tech, widths, sized.assignment).mean;
+                measure_delay_wiresized(ctx, sized.assignment).mean;
             return r;
         });
     double total_before = 0.0, total_after = 0.0;

@@ -23,9 +23,10 @@ int main(int argc, char** argv)
     const Technology tech = mcm_technology();
 
     const RoutingTree tree = build_htree(levels, 1024, Point{2000, 2000});
-    const SegmentDecomposition segs(tree);
+    const FlatTree ft(tree);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     std::cout << "H-tree: " << levels << " levels, " << tree.sinks().size()
-              << " sinks, " << segs.count() << " segments, wirelength "
+              << " sinks, " << ctx.segment_count() << " segments, wirelength "
               << total_length(tree) << " grids\n\n";
 
     const auto skew = [](const DelayReport& d) {
@@ -35,10 +36,8 @@ int main(int argc, char** argv)
     };
 
     const DelayReport uniform = measure_delay(tree, tech);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
     const CombinedResult sized = grewsa_owsa(ctx);
-    const DelayReport wide =
-        measure_delay_wiresized(segs, tech, ctx.widths(), sized.assignment);
+    const DelayReport wide = measure_delay_wiresized(ctx, sized.assignment);
 
     TextTable t({"metric", "uniform width", "wiresized (GREWSA-OWSA)"});
     t.add_row({"mean sink delay (ns)", fmt_ns(uniform.mean), fmt_ns(wide.mean)});
@@ -49,11 +48,12 @@ int main(int argc, char** argv)
 
     // Width wavefront from the driver: widths along a root-to-leaf path.
     std::cout << "\nwidths along one root-to-leaf path:";
-    int seg = segs.roots()[0];
+    const std::vector<std::int32_t>& child_ptr = ctx.seg_child_ptr();
+    std::int32_t seg = ctx.seg_roots()[0];
     for (;;) {
         std::cout << ' ' << ctx.widths()[sized.assignment[static_cast<std::size_t>(seg)]];
-        if (segs[static_cast<std::size_t>(seg)].children.empty()) break;
-        seg = segs[static_cast<std::size_t>(seg)].children.front();
+        if (child_ptr[seg] == child_ptr[seg + 1]) break;  // a leaf segment
+        seg = ctx.seg_child_idx()[child_ptr[seg]];
     }
     std::cout << "\n\nSymmetry keeps the skew at zero while wiresizing cuts the "
                  "delay -- the Fisher/Kung observation the paper generalizes "

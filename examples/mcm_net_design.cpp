@@ -48,17 +48,17 @@ int main(int argc, char** argv)
     t.print(std::cout);
 
     // Wire-size the A-tree with the Table 6 width menu.
-    const SegmentDecomposition segs(atree);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(6));
+    const FlatTree ft(atree);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(6));
     const CombinedResult sized = grewsa_owsa(ctx);
     const DelayReport before = measure_delay(atree, tech);
     const DelayReport after =
-        measure_delay_wiresized(segs, tech, ctx.widths(), sized.assignment);
+        measure_delay_wiresized(ctx, sized.assignment);
     std::cout << "\nwiresized A-tree (widths {W1..6W1}, W1 = "
               << tech.base_width_um << " um):\n  mean delay " << fmt_ns(before.mean)
               << " ns -> " << fmt_ns(after.mean) << " ns ("
               << fmt_pct_delta(before.mean, after.mean) << ")\n  widths per segment:";
-    for (std::size_t i = 0; i < segs.count(); ++i)
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i)
         std::cout << ' ' << ctx.widths()[sized.assignment[i]];
     std::cout << '\n';
     return 0;

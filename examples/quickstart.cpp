@@ -30,19 +30,20 @@ int main()
               << " safe / " << routed.heuristic_moves << " heuristic moves\n";
 
     // 3. Wiresizing: optimal widths from {W1, 2W1, 3W1, 4W1} via GREWSA-OWSA.
-    const SegmentDecomposition segments(routed.tree);
-    const WiresizeContext ctx(segments, tech, WidthSet::uniform_steps(4));
+    //    The context compiles the segments from the FlatTree and must not
+    //    outlive it.
+    const FlatTree ft(routed.tree);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     const CombinedResult sized = grewsa_owsa(ctx);
     std::cout << "wiresizing: RPH bound "
-              << ctx.delay(min_assignment(segments.count())) * 1e9 << " ns -> "
-              << sized.delay * 1e9 << " ns (" << segments.count()
+              << ctx.delay(min_assignment(ctx.segment_count())) * 1e9 << " ns -> "
+              << sized.delay * 1e9 << " ns (" << ctx.segment_count()
               << " segments, bounds " << (sized.bounds_tight ? "tight" : "loose")
               << ")\n";
 
     // 4. Simulate with the two-pole model (50% threshold step delays).
     const DelayReport before = measure_delay(routed.tree, tech);
-    const DelayReport after =
-        measure_delay_wiresized(segments, tech, ctx.widths(), sized.assignment);
+    const DelayReport after = measure_delay_wiresized(ctx, sized.assignment);
     std::cout << "simulated mean sink delay: " << before.mean * 1e9 << " ns -> "
               << after.mean * 1e9 << " ns\n";
     return 0;

@@ -47,13 +47,13 @@ int main(int argc, char** argv)
     save("brbc05", to_svg(build_brbc(net, 0.5)));
 
     // Wiresized A-tree: stroke width follows the optimal assignment.
-    const SegmentDecomposition segs(atree);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+    const FlatTree ft(atree);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     const CombinedResult sized = grewsa_owsa(ctx);
-    std::vector<double> norm(segs.count());
-    for (std::size_t i = 0; i < segs.count(); ++i)
+    std::vector<double> norm(ctx.segment_count());
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i)
         norm[i] = ctx.widths()[sized.assignment[i]];
-    save("atree_wiresized", to_svg_wiresized(segs, norm));
+    save("atree_wiresized", to_svg_wiresized(ft, ctx.seg_tail_flat(), norm));
 
     std::cout << "\nOpen the .svg files in a browser; the wiresized A-tree "
                  "shows the monotone width wavefront radiating from the red "

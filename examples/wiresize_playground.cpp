@@ -26,12 +26,13 @@ int main(int argc, char** argv)
     std::mt19937_64 rng(123);
     const Net net = random_net(rng, kMcmGrid, sinks);
     const RoutingTree tree = build_atree_general(net).tree;
-    const SegmentDecomposition segs(tree);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(r));
+    const FlatTree ft(tree);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(r));
+    const std::size_t n = ctx.segment_count();
 
-    std::cout << segs.count() << " segments; assignment space: "
-              << fmt_sci(exhaustive_assignment_count(segs.count(), r), 2)
-              << " raw, " << fmt_sci(monotone_assignment_count(segs, r), 2)
+    std::cout << n << " segments; assignment space: "
+              << fmt_sci(exhaustive_assignment_count(n, r), 2)
+              << " raw, " << fmt_sci(monotone_assignment_count(ctx), 2)
               << " monotone\n\n";
 
     const GrewsaResult lo = grewsa_from_min(ctx);
@@ -41,7 +42,7 @@ int main(int argc, char** argv)
 
     TextTable t({"algorithm", "RPH delay (ns)", "sweeps/calls", "examined"});
     t.add_row({"uniform minimum width",
-               fmt_ns(ctx.delay(min_assignment(segs.count())), 3), "-", "-"});
+               fmt_ns(ctx.delay(min_assignment(n)), 3), "-", "-"});
     t.add_row({"GREWSA from f_lower", fmt_ns(lo.delay, 3), std::to_string(lo.sweeps),
                "-"});
     t.add_row({"GREWSA from f_upper", fmt_ns(hi.delay, 3), std::to_string(hi.sweeps),
@@ -56,11 +57,11 @@ int main(int argc, char** argv)
     // Show the monotone width profile along each source-to-leaf chain.
     std::cout << "\nwidth profile per source-to-leaf path (stem -> leaf):\n";
     std::vector<std::vector<int>> leaf_paths;
-    for (std::size_t i = 0; i < segs.count(); ++i) {
-        if (!segs[i].children.empty()) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (ctx.seg_child_ptr()[i] != ctx.seg_child_ptr()[i + 1]) continue;
         std::vector<int> path;
         for (int s = static_cast<int>(i); s != kNoSegment;
-             s = segs[static_cast<std::size_t>(s)].parent)
+             s = ctx.seg_parent()[static_cast<std::size_t>(s)])
             path.insert(path.begin(), s);
         leaf_paths.push_back(path);
     }
@@ -68,7 +69,8 @@ int main(int argc, char** argv)
         std::cout << "  ";
         for (const int s : path)
             std::cout << ctx.widths()[comb.assignment[static_cast<std::size_t>(s)]]
-                      << "(l=" << segs[static_cast<std::size_t>(s)].length << ") ";
+                      << "(l=" << static_cast<Length>(ctx.seg_length()[static_cast<std::size_t>(s)])
+                      << ") ";
         std::cout << '\n';
     }
     std::cout << "\nEvery profile is non-increasing: the monotone property "

@@ -140,11 +140,23 @@ std::string read_input(const CliOptions& opts, const std::string* input_text)
     return buf.str();
 }
 
+/// The nets of `route`/`flow`: generated, or parsed from the legacy net
+/// list.  Throws std::invalid_argument for an input with no nets and for a
+/// net validate_net rejects; valid nets are returned as given, without
+/// validate's canonicalization.
 std::vector<Net> load_nets(const CliOptions& opts, const std::string* input_text)
 {
-    if (opts.input_path.empty() && !input_text)
-        return random_nets(opts.seed, opts.random_count, opts.grid, opts.sinks);
-    return parse_nets(read_input(opts, input_text));
+    const std::vector<Net> nets =
+        opts.input_path.empty() && !input_text
+            ? random_nets(opts.seed, opts.random_count, opts.grid, opts.sinks)
+            : parse_nets(read_input(opts, input_text));
+    if (nets.empty()) throw std::invalid_argument("no nets in input");
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+        const NetValidation v = validate_net(nets[i]);
+        if (!v.ok)
+            throw std::invalid_argument("net " + std::to_string(i) + ": " + v.error);
+    }
+    return nets;
 }
 
 /// Splits a concatenation of tree blocks and parses each.

@@ -1,9 +1,9 @@
 // Seed pointer-walk WiresizeContext evaluation paths, preserved as the
 // equivalence oracles for the flat kernels in wiresize/delay_eval.cpp.
-// They walk the originating SegmentDecomposition, so they require a
-// legacy-built context (segs() throws for flat-built ones).  Built only
-// into the cong_oracles target (CONG93_BUILD_ORACLES=ON).
-#include "wiresize/delay_eval.h"
+// They walk the SegmentDecomposition passed in, which must decompose the
+// tree the context was compiled from.  Built only into the cong_oracles
+// target (CONG93_BUILD_ORACLES=ON).
+#include "oracle/segments_reference.h"
 
 #include <stdexcept>
 
@@ -36,78 +36,82 @@ std::vector<double> upstream_resistance_reference(const SegmentDecomposition& se
 
 }  // namespace
 
-double WiresizeContext::delay_reference(const Assignment& a) const
+double delay_reference(const WiresizeContext& ctx, const SegmentDecomposition& segs,
+                       const Assignment& a)
 {
-    if (a.size() != segment_count())
+    if (a.size() != ctx.segment_count())
         throw std::invalid_argument("WiresizeContext::delay: bad assignment size");
-    const double r0 = tech_->r_grid();
-    const double c0 = tech_->c_grid();
+    const double r0 = ctx.tech().r_grid();
+    const double c0 = ctx.tech().c_grid();
     const std::vector<double> rin =
-        upstream_resistance_reference(segs(), *tech_, widths_, a);
+        upstream_resistance_reference(segs, ctx.tech(), ctx.widths(), a);
 
     double total = 0.0;
-    for (std::size_t i = 0; i < segment_count(); ++i) {
-        const double l = static_cast<double>(segs()[i].length);
-        const double w = widths_[a[i]];
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i) {
+        const double l = static_cast<double>(segs[i].length);
+        const double w = ctx.widths()[a[i]];
         total += rin[i] * c0 * w * l + r0 * c0 * l * (l + 1.0) / 2.0;
-        total += (rin[i] + r0 * l / w) * tail_cap_[i];
+        total += (rin[i] + r0 * l / w) * ctx.tail_cap(i);
     }
     return total;
 }
 
-WiresizeContext::Terms WiresizeContext::terms_reference(const Assignment& a) const
+WiresizeContext::Terms terms_reference(const WiresizeContext& ctx,
+                                       const SegmentDecomposition& segs,
+                                       const Assignment& a)
 {
-    const double rd = tech_->driver_resistance_ohm;
-    const double r0 = tech_->r_grid();
-    const double c0 = tech_->c_grid();
+    const double rd = ctx.tech().driver_resistance_ohm;
+    const double r0 = ctx.tech().r_grid();
+    const double c0 = ctx.tech().c_grid();
     const std::vector<double> rin =
-        upstream_resistance_reference(segs(), *tech_, widths_, a);
+        upstream_resistance_reference(segs, ctx.tech(), ctx.widths(), a);
 
-    Terms t;
-    for (std::size_t i = 0; i < segment_count(); ++i) {
-        const double l = static_cast<double>(segs()[i].length);
-        const double w = widths_[a[i]];
+    WiresizeContext::Terms t;
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i) {
+        const double l = static_cast<double>(segs[i].length);
+        const double w = ctx.widths()[a[i]];
         t.t1 += rd * c0 * w * l;
         // Upstream *wire* resistance seen by this segment's start.
         const double a_up = (rin[i] - rd) / r0;  // Σ l_a / w_a over ancestors
-        t.t2 += (a_up * r0 + r0 * l / w) * tail_cap_[i];
+        t.t2 += (a_up * r0 + r0 * l / w) * ctx.tail_cap(i);
         t.t3 += r0 * c0 * l * (l + 1.0) / 2.0 + r0 * a_up * c0 * w * l;
-        t.t4 += rd * tail_cap_[i];
+        t.t4 += rd * ctx.tail_cap(i);
     }
     return t;
 }
 
-WiresizeContext::ThetaPhi WiresizeContext::theta_phi_fast_reference(
-    const Assignment& a, std::size_t i) const
+WiresizeContext::ThetaPhi theta_phi_fast_reference(const WiresizeContext& ctx,
+                                                   const SegmentDecomposition& segs,
+                                                   const Assignment& a, std::size_t i)
 {
-    const double rd = tech_->driver_resistance_ohm;
-    const double r0 = tech_->r_grid();
-    const double c0 = tech_->c_grid();
+    const double rd = ctx.tech().driver_resistance_ohm;
+    const double r0 = ctx.tech().r_grid();
+    const double c0 = ctx.tech().c_grid();
 
     // A_i = Σ_{ancestors} l_a / w_a.
     double a_up = 0.0;
-    for (int p = segs()[i].parent; p != kNoSegment;
-         p = segs()[static_cast<std::size_t>(p)].parent) {
-        a_up += static_cast<double>(segs()[static_cast<std::size_t>(p)].length) /
-                widths_[a[static_cast<std::size_t>(p)]];
+    for (int p = segs[i].parent; p != kNoSegment;
+         p = segs[static_cast<std::size_t>(p)].parent) {
+        a_up += static_cast<double>(segs[static_cast<std::size_t>(p)].length) /
+                ctx.widths()[a[static_cast<std::size_t>(p)]];
     }
 
     // Σ_{strict descendants} w_d * l_d, via one subtree walk.
     double wire_below = 0.0;
-    std::vector<int> stack(segs()[i].children.begin(), segs()[i].children.end());
+    std::vector<int> stack(segs[i].children.begin(), segs[i].children.end());
     while (!stack.empty()) {
         const int d = stack.back();
         stack.pop_back();
-        wire_below += widths_[a[static_cast<std::size_t>(d)]] *
-                      static_cast<double>(segs()[static_cast<std::size_t>(d)].length);
-        for (const int c : segs()[static_cast<std::size_t>(d)].children)
+        wire_below += ctx.widths()[a[static_cast<std::size_t>(d)]] *
+                      static_cast<double>(segs[static_cast<std::size_t>(d)].length);
+        for (const int c : segs[static_cast<std::size_t>(d)].children)
             stack.push_back(c);
     }
 
-    ThetaPhi tp;
-    const double l = static_cast<double>(segs()[i].length);
+    WiresizeContext::ThetaPhi tp;
+    const double l = static_cast<double>(segs[i].length);
     tp.theta = c0 * l * (rd + r0 * a_up);
-    tp.phi = r0 * l * (down_cap_[i] + c0 * wire_below);
+    tp.phi = r0 * l * (ctx.downstream_sink_cap(i) + c0 * wire_below);
     return tp;
 }
 

@@ -1,7 +1,9 @@
-// Seed pointer-walk RC netlist builder, preserved as the equivalence oracle
-// for RcTree::from_flat_tree.  Built only into the cong_oracles target
-// (CONG93_BUILD_ORACLES=ON).
-#include "sim/rc_tree.h"
+// Seed pointer-walk RC netlist builders, preserved as the equivalence
+// oracles for RcTree::from_flat_tree and RcTree::from_wiresized_flat.  Built
+// only into the cong_oracles target (CONG93_BUILD_ORACLES=ON).
+#include <stdexcept>
+
+#include "oracle/segments_reference.h"
 
 #include <algorithm>
 
@@ -61,10 +63,58 @@ RcTree RcTree::from_routing_tree_reference(const RoutingTree& tree,
                 n.sink_cap_f >= 0.0 ? n.sink_cap_f : tech.sink_load_f;
     }
 
-    RcTree rc(std::move(nodes));
+    std::vector<int> sinks;
     for (const NodeId s : tree.sinks())
-        rc.sink_nodes_.push_back(rc_of[static_cast<std::size_t>(s)]);
-    return rc;
+        sinks.push_back(rc_of[static_cast<std::size_t>(s)]);
+    return RcTree(std::move(nodes), std::move(sinks));
+}
+
+RcTree from_wiresized_tree_reference(const SegmentDecomposition& segs,
+                                     const Technology& tech, const WidthSet& widths,
+                                     const Assignment& assignment,
+                                     int sections_per_edge, bool with_inductance)
+{
+    if (assignment.size() != segs.count())
+        throw std::invalid_argument("RcTree: assignment size mismatch");
+
+    std::vector<RcTree::RcNode> nodes(1);
+    nodes[0].parent = -1;
+    nodes[0].r_ohm = tech.driver_resistance_ohm;
+
+    const RoutingTree& tree = segs.tree();
+    std::vector<int> rc_of_tail(segs.count(), -1);
+    std::vector<int> rc_of_tree_node(tree.node_count(), -1);
+    rc_of_tree_node[static_cast<std::size_t>(tree.root())] = 0;
+
+    for (std::size_t i = 0; i < segs.count(); ++i) {
+        const WireSegment& s = segs[i];
+        const int from = s.parent == kNoSegment
+                             ? 0
+                             : rc_of_tail[static_cast<std::size_t>(s.parent)];
+        const double w = widths[assignment[i]];
+        const double l = static_cast<double>(s.length);
+        const int sections =
+            static_cast<int>(std::min<Length>(s.length, sections_per_edge));
+        // Wire inductance is taken width-independent (loop inductance varies
+        // only logarithmically with conductor width).
+        const int end = append_wire(nodes, from, tech.r_grid() * l / w,
+                                    tech.c_grid() * l * w,
+                                    with_inductance ? tech.l_grid() * l : 0.0,
+                                    sections);
+        rc_of_tail[i] = end;
+        rc_of_tree_node[static_cast<std::size_t>(s.tail)] = end;
+        if (s.tail_is_sink)
+            nodes[static_cast<std::size_t>(end)].c_f +=
+                s.tail_sink_cap_f >= 0.0 ? s.tail_sink_cap_f : tech.sink_load_f;
+    }
+
+    std::vector<int> sinks;
+    for (const NodeId s : tree.sinks()) {
+        const int idx = rc_of_tree_node[static_cast<std::size_t>(s)];
+        if (idx < 0) throw std::logic_error("RcTree: sink is not a segment tail");
+        sinks.push_back(idx);
+    }
+    return RcTree(std::move(nodes), std::move(sinks));
 }
 
 }  // namespace cong93

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "geom/text_number.h"
 #include "rtree/metrics.h"
 
 namespace cong93 {
@@ -107,12 +109,25 @@ std::vector<std::vector<std::string>> token_lines(const std::string& text)
     return lines;
 }
 
-Coord to_coord(const std::string& s)
+// Whole-token readers with the netlist's number rules (geom/text_number.h);
+// every malformed token throws std::invalid_argument naming it.
+std::int32_t to_int32(const std::string& s, const char* what)
 {
-    std::size_t used = 0;
-    const long v = std::stol(s, &used);
-    if (used != s.size()) throw std::invalid_argument("bad coordinate: " + s);
-    return static_cast<Coord>(v);
+    std::int32_t v = 0;
+    if (!parse_int32(s, v)) throw std::invalid_argument(std::string("bad ") + what + ": " + s);
+    return v;
+}
+
+double to_cap(const std::string& s)
+{
+    double v = 0.0;
+    if (!parse_double(s, v)) throw std::invalid_argument("bad capacitance: " + s);
+    return v;
+}
+
+Point to_point(const std::string& x, const std::string& y)
+{
+    return Point{to_int32(x, "coordinate"), to_int32(y, "coordinate")};
 }
 
 }  // namespace
@@ -124,7 +139,7 @@ std::string format_net(const Net& net)
     os << "source " << net.source.x << ' ' << net.source.y << '\n';
     for (std::size_t i = 0; i < net.sinks.size(); ++i) {
         os << "sink " << net.sinks[i].x << ' ' << net.sinks[i].y;
-        if (net.sink_cap(i) >= 0.0) os << ' ' << net.sink_cap(i);
+        if (net.sink_cap(i) >= 0.0) os << ' ' << fmt_double(net.sink_cap(i));
         os << '\n';
     }
     os << "end\n";
@@ -154,13 +169,13 @@ std::vector<Net> parse_nets(const std::string& text)
         } else if (kw == "source") {
             if (!in_net || tokens.size() != 3)
                 throw std::invalid_argument("parse_net: bad 'source' line");
-            cur.source = Point{to_coord(tokens[1]), to_coord(tokens[2])};
+            cur.source = to_point(tokens[1], tokens[2]);
             have_source = true;
         } else if (kw == "sink") {
             if (!in_net || tokens.size() < 3 || tokens.size() > 4)
                 throw std::invalid_argument("parse_net: bad 'sink' line");
-            cur.sinks.push_back(Point{to_coord(tokens[1]), to_coord(tokens[2])});
-            cur.sink_caps.push_back(tokens.size() == 4 ? std::stod(tokens[3]) : -1.0);
+            cur.sinks.push_back(to_point(tokens[1], tokens[2]));
+            cur.sink_caps.push_back(tokens.size() == 4 ? to_cap(tokens[3]) : -1.0);
         } else if (kw == "end") {
             if (!in_net || !have_source || cur.sinks.empty())
                 throw std::invalid_argument("parse_net: incomplete net");
@@ -190,7 +205,7 @@ std::string format_tree(const RoutingTree& tree)
         const auto& n = tree.node(static_cast<NodeId>(i));
         os << "node " << i << ' ' << n.p.x << ' ' << n.p.y << ' ' << n.parent << ' '
            << (n.is_sink ? 1 : 0);
-        if (n.is_sink && n.sink_cap_f >= 0.0) os << ' ' << n.sink_cap_f;
+        if (n.is_sink && n.sink_cap_f >= 0.0) os << ' ' << fmt_double(n.sink_cap_f);
         os << '\n';
     }
     os << "end\n";
@@ -208,12 +223,16 @@ RoutingTree parse_tree(const std::string& text)
         const auto& t = lines[li];
         if (t[0] != "node" || t.size() < 6 || t.size() > 7)
             throw std::invalid_argument("parse_tree: bad node line");
-        const std::size_t id = static_cast<std::size_t>(std::stol(t[1]));
-        const Point p{to_coord(t[2]), to_coord(t[3])};
-        const int parent = static_cast<int>(std::stol(t[4]));
+        std::size_t id = 0;
+        if (!parse_count(t[1], id)) throw std::invalid_argument("bad node id: " + t[1]);
+        const Point p = to_point(t[2], t[3]);
+        const std::int32_t parent = to_int32(t[4], "parent index");
+        if (t[5] != "0" && t[5] != "1")
+            throw std::invalid_argument("bad sink flag: " + t[5]);
         const bool is_sink = t[5] == "1";
+        const double cap = t.size() == 7 ? to_cap(t[6]) : -1.0;
         if (id == 0) {
-            if (parent != -1)
+            if (parent != -1 || tree)
                 throw std::invalid_argument("parse_tree: node 0 must be the root");
             tree.emplace(p);
         } else {
@@ -222,10 +241,7 @@ RoutingTree parse_tree(const std::string& text)
                 throw std::invalid_argument("parse_tree: ids must be topological");
             tree->add_child(static_cast<NodeId>(parent), p);
         }
-        if (is_sink) {
-            const double cap = t.size() == 7 ? std::stod(t[6]) : -1.0;
-            tree->mark_sink(static_cast<NodeId>(id), cap);
-        }
+        if (is_sink) tree->mark_sink(static_cast<NodeId>(id), cap);
     }
     if (!tree) throw std::invalid_argument("parse_tree: empty tree");
     return *tree;

@@ -26,8 +26,10 @@ std::string describe(const RoutingTree& tree);
 ///   sink <x> <y> [cap_farad]
 ///   ...
 ///   end
-/// Lines starting with '#' are comments.  parse_net throws
-/// std::invalid_argument on malformed input.
+/// Lines starting with '#' are comments.  Numbers follow the netlist's rules
+/// (geom/text_number.h): coordinates in int32 range, finite caps, and caps
+/// written in shortest round-trip form, so parse(format(x)) == x bit for
+/// bit.  parse_net throws std::invalid_argument on malformed input.
 std::string format_net(const Net& net);
 Net parse_net(const std::string& text);
 /// Several nets concatenated.
@@ -40,6 +42,7 @@ std::vector<Net> parse_nets(const std::string& text);
 ///   ...
 ///   end
 /// Ids must be 0..n-1 with parents preceding children; node 0 is the source.
+/// The sink flag is 0 or 1; numbers follow the net format's rules.
 std::string format_tree(const RoutingTree& tree);
 RoutingTree parse_tree(const std::string& text);
 

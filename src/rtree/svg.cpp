@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <sstream>
 
+#include "rtree/segments.h"
+
 namespace cong93 {
 
 namespace {
@@ -92,26 +94,28 @@ std::string to_svg(const RoutingTree& tree, const SvgOptions& options)
     return to_svg(FlatTree(tree), options);
 }
 
-std::string to_svg_wiresized(const SegmentDecomposition& segs,
+std::string to_svg_wiresized(const FlatTree& ft,
+                             const std::vector<std::int32_t>& seg_tail,
                              const std::vector<double>& norm_widths,
                              const SvgOptions& options)
 {
-    if (norm_widths.size() != segs.count())
+    if (norm_widths.size() != seg_tail.size())
         throw std::invalid_argument("to_svg_wiresized: width count mismatch");
-    const FlatTree ft(segs.tree());
     const Mapper m(ft, options);
     std::ostringstream os;
     emit_header(os, m);
 
     // Map each tree edge to its segment's width: walk each segment's chain
-    // from tail to head along the flat parent array.
+    // from its tail up to its head, the first non-trivial ancestor.
     std::vector<double> edge_width(ft.size(), options.base_stroke);
     const std::int32_t* parent = ft.parent().data();
-    for (std::size_t si = 0; si < segs.count(); ++si) {
+    for (std::size_t si = 0; si < seg_tail.size(); ++si) {
         const double w = options.base_stroke * norm_widths[si];
-        const std::int32_t head = ft.flat_of(segs[si].head);
-        for (std::int32_t f = ft.flat_of(segs[si].tail); f != head; f = parent[f])
+        std::int32_t f = seg_tail[si];
+        do {
             edge_width[static_cast<std::size_t>(f)] = w;
+            f = parent[f];
+        } while (!is_nontrivial(ft, f));
     }
     const Point* pt = ft.point().data();
     for (std::size_t fi = 1; fi < ft.size(); ++fi)

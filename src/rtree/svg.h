@@ -10,11 +10,11 @@
 #ifndef CONG93_RTREE_SVG_H
 #define CONG93_RTREE_SVG_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "rtree/flat_tree.h"
-#include "rtree/segments.h"
 
 namespace cong93 {
 
@@ -31,10 +31,13 @@ std::string to_svg(const FlatTree& ft, const SvgOptions& options = {});
 /// Shim: compiles the tree, then delegates to the flat renderer.
 std::string to_svg(const RoutingTree& tree, const SvgOptions& options = {});
 
-/// Wiresized rendering: `norm_widths[i]` is segment i's normalized width
-/// (e.g. `widths[assignment[i]]` from a wiresizing result); each segment's
-/// stroke is scaled by it.
-std::string to_svg_wiresized(const SegmentDecomposition& segs,
+/// Wiresized rendering: `seg_tail[i]` is the flat index of segment i's
+/// tail (WiresizeContext::seg_tail_flat()) and `norm_widths[i]` its
+/// normalized width (e.g. `widths[assignment[i]]` from a wiresizing
+/// result); each segment's stroke is scaled by it.  A segment runs from its
+/// tail up to the nearest non-trivial ancestor (Section 2.2).
+std::string to_svg_wiresized(const FlatTree& ft,
+                             const std::vector<std::int32_t>& seg_tail,
                              const std::vector<double>& norm_widths,
                              const SvgOptions& options = {});
 

@@ -44,16 +44,6 @@ DelayReport measure_delay(const RoutingTree& tree, const Technology& tech,
     return measure_delay(FlatTree(tree), tech, method, threshold, with_inductance);
 }
 
-DelayReport measure_delay_wiresized(const SegmentDecomposition& segs,
-                                    const Technology& tech, const WidthSet& widths,
-                                    const Assignment& assignment, SimMethod method,
-                                    double threshold, bool with_inductance)
-{
-    return measure(
-        RcTree::from_wiresized_tree(segs, tech, widths, assignment, 16, with_inductance),
-        method, threshold);
-}
-
 DelayReport measure_delay_wiresized(const WiresizeContext& ctx,
                                     const Assignment& assignment, SimMethod method,
                                     double threshold, bool with_inductance)

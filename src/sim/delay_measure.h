@@ -32,16 +32,8 @@ DelayReport measure_delay(const RoutingTree& tree, const Technology& tech,
                           SimMethod method = SimMethod::two_pole,
                           double threshold = 0.5, bool with_inductance = false);
 
-/// Delay of a wiresized tree.
-DelayReport measure_delay_wiresized(const SegmentDecomposition& segs,
-                                    const Technology& tech, const WidthSet& widths,
-                                    const Assignment& assignment,
-                                    SimMethod method = SimMethod::two_pole,
-                                    double threshold = 0.5,
-                                    bool with_inductance = false);
-
-/// Delay of a wiresized net via a flat-built WiresizeContext (no
-/// SegmentDecomposition involved); bit-identical to the overload above.
+/// Delay of a wiresized net, described by its WiresizeContext (technology
+/// and widths included) and the per-segment width assignment.
 DelayReport measure_delay_wiresized(const WiresizeContext& ctx,
                                     const Assignment& assignment,
                                     SimMethod method = SimMethod::two_pole,

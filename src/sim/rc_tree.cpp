@@ -5,7 +5,8 @@
 
 namespace cong93 {
 
-RcTree::RcTree(std::vector<RcNode> nodes) : nodes_(std::move(nodes))
+RcTree::RcTree(std::vector<RcNode> nodes, std::vector<int> sink_nodes)
+    : nodes_(std::move(nodes)), sink_nodes_(std::move(sink_nodes))
 {
     if (nodes_.empty()) throw std::invalid_argument("RcTree: empty");
     if (nodes_[0].parent != -1) throw std::invalid_argument("RcTree: node 0 not root");
@@ -15,6 +16,9 @@ RcTree::RcTree(std::vector<RcNode> nodes) : nodes_(std::move(nodes))
         if (nodes_[i].r_ohm <= 0.0)
             throw std::invalid_argument("RcTree: non-positive resistance");
     }
+    for (const int s : sink_nodes_)
+        if (s < 0 || static_cast<std::size_t>(s) >= nodes_.size())
+            throw std::invalid_argument("RcTree: sink node out of range");
     parent_.resize(nodes_.size());
     r_.resize(nodes_.size());
     c_.resize(nodes_.size());
@@ -85,10 +89,11 @@ RcTree RcTree::from_flat_tree(const FlatTree& ft, const Technology& tech,
                 sc[i] >= 0.0 ? sc[i] : tech.sink_load_f;
     }
 
-    RcTree rc(std::move(nodes));
+    std::vector<int> sinks;
+    sinks.reserve(ft.sinks().size());
     for (const std::int32_t s : ft.sinks())
-        rc.sink_nodes_.push_back(rc_of[static_cast<std::size_t>(s)]);
-    return rc;
+        sinks.push_back(rc_of[static_cast<std::size_t>(s)]);
+    return RcTree(std::move(nodes), std::move(sinks));
 }
 
 RcTree RcTree::from_routing_tree(const RoutingTree& tree, const Technology& tech,
@@ -97,64 +102,13 @@ RcTree RcTree::from_routing_tree(const RoutingTree& tree, const Technology& tech
     return from_flat_tree(FlatTree(tree), tech, sections_per_edge, with_inductance);
 }
 
-RcTree RcTree::from_wiresized_tree(const SegmentDecomposition& segs,
-                                   const Technology& tech, const WidthSet& widths,
-                                   const Assignment& assignment, int sections_per_edge,
-                                   bool with_inductance)
-{
-    if (assignment.size() != segs.count())
-        throw std::invalid_argument("RcTree: assignment size mismatch");
-
-    std::vector<RcNode> nodes(1);
-    nodes[0].parent = -1;
-    nodes[0].r_ohm = tech.driver_resistance_ohm;
-
-    const RoutingTree& tree = segs.tree();
-    std::vector<int> rc_of_tail(segs.count(), -1);
-    std::vector<int> rc_of_tree_node(tree.node_count(), -1);
-    rc_of_tree_node[static_cast<std::size_t>(tree.root())] = 0;
-
-    for (std::size_t i = 0; i < segs.count(); ++i) {
-        const WireSegment& s = segs[i];
-        const int from = s.parent == kNoSegment
-                             ? 0
-                             : rc_of_tail[static_cast<std::size_t>(s.parent)];
-        const double w = widths[assignment[i]];
-        const double l = static_cast<double>(s.length);
-        const int sections =
-            static_cast<int>(std::min<Length>(s.length, sections_per_edge));
-        // Wire inductance is taken width-independent (loop inductance varies
-        // only logarithmically with conductor width).
-        const int end = append_wire(nodes, from, tech.r_grid() * l / w,
-                                    tech.c_grid() * l * w,
-                                    with_inductance ? tech.l_grid() * l : 0.0,
-                                    sections);
-        rc_of_tail[i] = end;
-        rc_of_tree_node[static_cast<std::size_t>(s.tail)] = end;
-        if (s.tail_is_sink)
-            nodes[static_cast<std::size_t>(end)].c_f +=
-                s.tail_sink_cap_f >= 0.0 ? s.tail_sink_cap_f : tech.sink_load_f;
-    }
-
-    RcTree rc(std::move(nodes));
-    for (const NodeId s : tree.sinks()) {
-        const int idx = rc_of_tree_node[static_cast<std::size_t>(s)];
-        if (idx < 0) throw std::logic_error("RcTree: sink is not a segment tail");
-        rc.sink_nodes_.push_back(idx);
-    }
-    return rc;
-}
-
 RcTree RcTree::from_wiresized_flat(const WiresizeContext& ctx,
                                    const Assignment& assignment,
                                    int sections_per_edge, bool with_inductance)
 {
-    if (ctx.flat() == nullptr)
-        throw std::logic_error(
-            "RcTree::from_wiresized_flat: context was not built from a FlatTree");
     if (assignment.size() != ctx.segment_count())
         throw std::invalid_argument("RcTree: assignment size mismatch");
-    const FlatTree& ft = *ctx.flat();
+    const FlatTree& ft = ctx.flat();
     const Technology& tech = ctx.tech();
     const WidthSet& widths = ctx.widths();
 
@@ -162,8 +116,8 @@ RcTree RcTree::from_wiresized_flat(const WiresizeContext& ctx,
     nodes[0].parent = -1;
     nodes[0].r_ohm = tech.driver_resistance_ohm;
 
-    // Same segment order, arithmetic, and tail-cap resolution as
-    // from_wiresized_tree; segment tails are tracked by flat node index.
+    // One wire per segment, in segment order (parents first); segment tails
+    // are tracked by flat node index.
     std::vector<int> rc_of_tail(ctx.segment_count(), -1);
     std::vector<int> rc_of_flat(ft.size(), -1);
     if (!ft.empty()) rc_of_flat[0] = 0;
@@ -188,13 +142,14 @@ RcTree RcTree::from_wiresized_flat(const WiresizeContext& ctx,
             nodes[static_cast<std::size_t>(end)].c_f += ctx.tail_cap(i);
     }
 
-    RcTree rc(std::move(nodes));
+    std::vector<int> sinks;
+    sinks.reserve(ft.sinks().size());
     for (const std::int32_t s : ft.sinks()) {
         const int idx = rc_of_flat[static_cast<std::size_t>(s)];
         if (idx < 0) throw std::logic_error("RcTree: sink is not a segment tail");
-        rc.sink_nodes_.push_back(idx);
+        sinks.push_back(idx);
     }
-    return rc;
+    return RcTree(std::move(nodes), std::move(sinks));
 }
 
 double RcTree::total_capacitance() const

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "rtree/flat_tree.h"
-#include "rtree/segments.h"
 #include "tech/technology.h"
-#include "wiresize/assignment.h"
 #include "wiresize/delay_eval.h"
 
 namespace cong93 {
@@ -32,9 +30,10 @@ public:
         double l_h = 0.0;       ///< inductance in series with r_ohm (RLC mode)
     };
 
-    /// Raw construction (tests / hand-built ladders).  Node 0 must be the
-    /// root with r_ohm = driver resistance; children must follow parents.
-    explicit RcTree(std::vector<RcNode> nodes);
+    /// Raw construction (tests / hand-built ladders, and the builders
+    /// below).  Node 0 must be the root with r_ohm = driver resistance;
+    /// children must follow parents.  `sink_nodes` becomes sink_nodes().
+    explicit RcTree(std::vector<RcNode> nodes, std::vector<int> sink_nodes = {});
 
     /// Builds the RC tree of a uniform-width compiled tree (the analysis
     /// IR).  `sections_per_edge` bounds the number of L-sections per wire
@@ -58,17 +57,10 @@ public:
                                               int sections_per_edge = 16,
                                               bool with_inductance = false);
 
-    /// Builds the RC tree of a wiresized routing tree.
-    static RcTree from_wiresized_tree(const SegmentDecomposition& segs,
-                                      const Technology& tech, const WidthSet& widths,
-                                      const Assignment& assignment,
-                                      int sections_per_edge = 16,
-                                      bool with_inductance = false);
-
-    /// Builds the RC tree of a wiresized net from a flat-built
-    /// WiresizeContext (uses its segment arrays and originating FlatTree;
-    /// throws std::logic_error for a SegmentDecomposition-built context).
-    /// Bit-identical to from_wiresized_tree on the same net.
+    /// Builds the RC tree of a wiresized net from its WiresizeContext (the
+    /// segment arrays, technology and widths, plus the originating FlatTree
+    /// for the sink order).  Each segment is one wire of width
+    /// ctx.widths()[assignment[i]].
     static RcTree from_wiresized_flat(const WiresizeContext& ctx,
                                       const Assignment& assignment,
                                       int sections_per_edge = 16,

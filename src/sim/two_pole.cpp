@@ -1,9 +1,7 @@
 #include "sim/two_pole.h"
 
-#include <algorithm>
 #include <cmath>
 #include <complex>
-#include <numeric>
 #include <stdexcept>
 
 #include "sim/moments.h"
@@ -83,19 +81,6 @@ std::vector<double> two_pole_sink_delays(const RcTree& rc, double threshold)
         out.push_back(two_pole_threshold_delay(tp, threshold));
     }
     return out;
-}
-
-double two_pole_mean_sink_delay(const RcTree& rc, double threshold)
-{
-    const auto v = two_pole_sink_delays(rc, threshold);
-    if (v.empty()) return 0.0;
-    return std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
-}
-
-double two_pole_max_sink_delay(const RcTree& rc, double threshold)
-{
-    const auto v = two_pole_sink_delays(rc, threshold);
-    return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
 }
 
 PoleFit fit_pade12(double m1, double m2, double m3)

@@ -31,9 +31,6 @@ double two_pole_threshold_delay(const TwoPole& tp, double threshold);
 /// Two-pole delays at every sink node (tree.sinks() order).
 std::vector<double> two_pole_sink_delays(const RcTree& rc, double threshold = 0.5);
 
-double two_pole_mean_sink_delay(const RcTree& rc, double threshold = 0.5);
-double two_pole_max_sink_delay(const RcTree& rc, double threshold = 0.5);
-
 // ---------------------------------------------------------------------------
 // Pade[1/2] extension (AWE-lite).  The classic two-pole fit forces a zero
 // initial slope and overestimates the delay of electrically-near sinks; the

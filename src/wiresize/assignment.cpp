@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "wiresize/delay_eval.h"
+
 namespace cong93 {
 
 WidthSet::WidthSet(std::vector<double> multipliers) : w_(std::move(multipliers))
@@ -34,10 +36,10 @@ Assignment max_assignment(std::size_t segment_count, int r)
     return Assignment(segment_count, r - 1);
 }
 
-bool is_monotone(const SegmentDecomposition& segs, const Assignment& a)
+bool is_monotone(const WiresizeContext& ctx, const Assignment& a)
 {
-    for (std::size_t i = 0; i < segs.count(); ++i) {
-        const int parent = segs[i].parent;
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i) {
+        const std::int32_t parent = ctx.seg_parent()[i];
         if (parent != kNoSegment &&
             a[i] > a[static_cast<std::size_t>(parent)])
             return false;

@@ -3,15 +3,15 @@
 // A WidthSet holds the r admissible physical widths W1 < W2 < ... < Wr as
 // multipliers of the technology base width W1 (so the paper's Table 6 set
 // {W1, 2W1, ..., rW1} is {1, 2, ..., r}).  An Assignment maps each wire
-// segment of a SegmentDecomposition to a width index.
+// segment of a WiresizeContext to a width index.
 #ifndef CONG93_WIRESIZE_ASSIGNMENT_H
 #define CONG93_WIRESIZE_ASSIGNMENT_H
 
 #include <vector>
 
-#include "rtree/segments.h"
-
 namespace cong93 {
+
+class WiresizeContext;
 
 /// Admissible normalized widths, strictly increasing, all >= 1.
 class WidthSet {
@@ -37,7 +37,7 @@ Assignment max_assignment(std::size_t segment_count, int r);
 
 /// Monotone property check (Definition 10): no segment is wider than any of
 /// its ancestors.
-bool is_monotone(const SegmentDecomposition& segs, const Assignment& a);
+bool is_monotone(const WiresizeContext& ctx, const Assignment& a);
 
 /// True when a[i] >= b[i] for every segment (Definition 12).
 bool dominates(const Assignment& a, const Assignment& b);

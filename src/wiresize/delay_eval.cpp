@@ -4,39 +4,14 @@
 
 namespace cong93 {
 
-WiresizeContext::WiresizeContext(const SegmentDecomposition& segs,
-                                 const Technology& tech, WidthSet widths)
-    : segs_(&segs), tech_(&tech), widths_(std::move(widths))
-{
-    const std::size_t n = segs.count();
-    tail_cap_.resize(n, 0.0);
-    tail_is_sink_.resize(n, 0);
-    seg_parent_.resize(n);
-    seg_length_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const WireSegment& s = segs[i];
-        if (s.tail_is_sink)
-            tail_cap_[i] = s.tail_sink_cap_f >= 0.0 ? s.tail_sink_cap_f
-                                                    : tech.sink_load_f;
-        tail_is_sink_[i] = s.tail_is_sink ? 1 : 0;
-        seg_parent_[i] = s.parent;
-        seg_length_[i] = static_cast<double>(s.length);
-    }
-    seg_roots_.reserve(segs.roots().size());
-    for (const int r : segs.roots())
-        seg_roots_.push_back(static_cast<std::int32_t>(r));
-    finish_compile();
-}
-
 WiresizeContext::WiresizeContext(const FlatTree& ft, const Technology& tech,
                                  WidthSet widths)
     : ft_(&ft), tech_(&tech), widths_(std::move(widths))
 {
-    // Extract the segment tree straight from the compiled IR, replicating
-    // SegmentDecomposition's stack DFS exactly -- children pushed in order
-    // and popped LIFO -- so segment indices, parent links, and child order
-    // (and therefore every downstream accumulation) match the pointer-walk
-    // decomposition bit for bit.
+    // Extract the segment tree straight from the compiled IR, in the
+    // reference decomposition's stack-DFS order (rtree/segments.h) --
+    // children pushed in order and popped LIFO -- so segment indices, parent
+    // links and child order match it bit for bit.
     struct Item {
         std::int32_t start;     // non-trivial node the segment hangs from
         std::int32_t first;     // first node along the segment
@@ -64,7 +39,8 @@ WiresizeContext::WiresizeContext(const FlatTree& ft, const Technology& tech,
         const Length len = pl[static_cast<std::size_t>(cur)] -
                            pl[static_cast<std::size_t>(it.start)];
         if (len <= 0)
-            throw std::logic_error("SegmentDecomposition: non-positive segment");
+            throw std::logic_error(
+                "WiresizeContext: non-positive segment in the FlatTree compile");
 
         const auto idx = static_cast<std::int32_t>(seg_parent_.size());
         seg_parent_.push_back(it.parent_seg);
@@ -82,11 +58,7 @@ WiresizeContext::WiresizeContext(const FlatTree& ft, const Technology& tech,
         for (std::int32_t k = cp[cur]; k < cp[cur + 1]; ++k)
             stack.push_back({cur, ci[k], idx});
     }
-    finish_compile();
-}
 
-void WiresizeContext::finish_compile()
-{
     const std::size_t n = seg_parent_.size();
     // CSR child adjacency.  Counting by ascending segment index preserves
     // the decomposition's child order (children are appended in creation
@@ -114,14 +86,6 @@ void WiresizeContext::finish_compile()
         down_cap_[i] = c;
     }
     rin_scratch_.resize(n);
-}
-
-const SegmentDecomposition& WiresizeContext::segs() const
-{
-    if (segs_ == nullptr)
-        throw std::logic_error(
-            "WiresizeContext::segs: context was built from a FlatTree");
-    return *segs_;
 }
 
 void WiresizeContext::upstream_resistance(const Assignment& a) const

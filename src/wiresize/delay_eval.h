@@ -12,16 +12,16 @@
 // the constant t4.
 //
 // The context holds the segment tree in flat structure-of-arrays form
-// (parent index, pre-cast double length, CSR children).  It can be compiled
-// two ways with bit-identical arrays:
-//   * from a SegmentDecomposition (the seed path, kept for the standalone
-//     Table 6/8 studies and the oracles), or
-//   * directly from a compiled FlatTree -- the analysis IR -- replicating
-//     the decomposition's stack-DFS discovery order exactly, so the batch
-//     pipeline never re-derives the pointer tree.
-// The primary delay/theta-phi kernels walk the dense arrays with reusable
-// internal scratch; the seed pointer-walk implementations survive as
-// *_reference twins in the cong_oracles target (CONG93_BUILD_ORACLES).
+// (parent index, pre-cast double length, CSR children), compiled once from
+// the FlatTree -- the analysis IR -- in the stack-DFS discovery order of the
+// paper's reference decomposition (rtree/segments.h), so no pointer tree is
+// ever re-derived.  A context stores pointers to its FlatTree and
+// Technology: both must outlive it.
+//
+// The delay/theta-phi kernels walk the dense arrays with reusable internal
+// scratch; the seed pointer-walk implementations survive as *_reference
+// twins over the reference decomposition in oracle/segments_reference.h
+// (cong_oracles target, CONG93_BUILD_ORACLES).
 // Because of the internal scratch a WiresizeContext must not be shared by
 // two threads concurrently; batch drivers construct one context per net per
 // worker.
@@ -31,6 +31,7 @@
 #include <cstdint>
 
 #include "rtree/flat_tree.h"
+#include "rtree/segments.h"
 #include "tech/technology.h"
 #include "wiresize/assignment.h"
 
@@ -39,19 +40,11 @@ namespace cong93 {
 /// Precomputed per-net data shared by every wiresizing algorithm.
 class WiresizeContext {
 public:
-    WiresizeContext(const SegmentDecomposition& segs, const Technology& tech,
-                    WidthSet widths);
-
-    /// Compiles the segment arrays straight from the analysis IR; no
-    /// SegmentDecomposition (and no RoutingTree walk) is involved.
+    /// Compiles the segment arrays straight from the analysis IR.
     WiresizeContext(const FlatTree& ft, const Technology& tech, WidthSet widths);
 
-    /// The originating SegmentDecomposition; only available when the context
-    /// was built from one (throws for flat-built contexts).
-    const SegmentDecomposition& segs() const;
-    /// The originating FlatTree, or nullptr when built from a
-    /// SegmentDecomposition.
-    const FlatTree* flat() const { return ft_; }
+    /// The originating FlatTree.
+    const FlatTree& flat() const { return *ft_; }
     const Technology& tech() const { return *tech_; }
     const WidthSet& widths() const { return widths_; }
     int width_count() const { return widths_.count(); }
@@ -69,22 +62,15 @@ public:
     const std::vector<double>& seg_length() const { return seg_length_; }
     const std::vector<std::int32_t>& seg_child_ptr() const { return seg_child_ptr_; }
     const std::vector<std::int32_t>& seg_child_idx() const { return seg_child_idx_; }
-    /// Indices of the segments incident on the source, in discovery order
-    /// (== SegmentDecomposition::roots()).
+    /// Indices of the segments incident on the source, in discovery order.
     const std::vector<std::int32_t>& seg_roots() const { return seg_roots_; }
     /// Whether segment i's tail is a sink.
     const std::vector<std::uint8_t>& tail_is_sink() const { return tail_is_sink_; }
-    /// Flat node index of segment i's tail; only filled for flat-built
-    /// contexts (empty otherwise).
+    /// Flat node index of segment i's tail.
     const std::vector<std::int32_t>& seg_tail_flat() const { return seg_tail_flat_; }
 
     /// Exact t(T) of Eq. 9 for the assignment, in seconds (flat kernel).
     double delay(const Assignment& a) const;
-
-    /// The seed pointer-walk implementation; bit-identical to delay().
-    /// Defined only in the cong_oracles target (CONG93_BUILD_ORACLES=ON) and
-    /// only valid on a SegmentDecomposition-built context.
-    double delay_reference(const Assignment& a) const;
 
     /// The t1..t4 terms of Eq. 10-13 (flat kernel).
     struct Terms {
@@ -92,10 +78,6 @@ public:
         double total() const { return t1 + t2 + t3 + t4; }
     };
     Terms terms(const Assignment& a) const;
-
-    /// The seed pointer-walk implementation; bit-identical to terms()
-    /// (cong_oracles only).
-    Terms terms_reference(const Assignment& a) const;
 
     /// Grid-node-level reference implementation (tests only).
     double delay_bruteforce(const Assignment& a) const;
@@ -114,10 +96,6 @@ public:
     /// Flat kernel (dense parent walk + CSR descendant walk).
     ThetaPhi theta_phi_fast(const Assignment& a, std::size_t i) const;
 
-    /// The seed pointer-walk implementation; bit-identical to
-    /// theta_phi_fast() (cong_oracles only).
-    ThetaPhi theta_phi_fast_reference(const Assignment& a, std::size_t i) const;
-
     /// Width index in [0, max_idx] minimizing theta*w + phi/w (ties -> the
     /// narrowest width).  This is the paper's local refinement operation.
     int locally_optimal_width(const Assignment& a, std::size_t i, int max_idx) const;
@@ -125,12 +103,7 @@ public:
 private:
     /// Accumulated upstream resistances R_in per segment into rin_scratch_.
     void upstream_resistance(const Assignment& a) const;
-    /// CSR + downstream-cap compilation shared by both constructors (runs
-    /// after seg_parent_/seg_length_/tail_cap_/tail_is_sink_ are filled).
-    void finish_compile();
-
-    const SegmentDecomposition* segs_ = nullptr;
-    const FlatTree* ft_ = nullptr;
+    const FlatTree* ft_;
     const Technology* tech_;
     WidthSet widths_;
     std::vector<double> tail_cap_;

@@ -1,59 +1,16 @@
 #include "workload/netlist.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <istream>
-#include <limits>
 #include <sstream>
 #include <string>
+
+#include "geom/text_number.h"
 
 namespace cong93 {
 namespace {
 
 constexpr const char* kMagic = "# cong93 netlist v1";
-
-/// Shortest round-trip decimal form (so parse(format(x)) == x bit-for-bit).
-std::string fmt_double(double v)
-{
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof buf, v);
-    return std::string(buf, res.ptr);
-}
-
-/// Finite doubles only: std::from_chars also accepts "nan" and "inf", which
-/// no crit/rat/cap attribute may carry.
-bool parse_double(std::string_view tok, double& out)
-{
-    const char* first = tok.data();
-    const char* last = tok.data() + tok.size();
-    const auto res = std::from_chars(first, last, out);
-    return res.ec == std::errc{} && res.ptr == last && std::isfinite(out);
-}
-
-bool parse_coord(std::string_view tok, Coord& out)
-{
-    long long v = 0;
-    const char* first = tok.data();
-    const char* last = tok.data() + tok.size();
-    const auto res = std::from_chars(first, last, v);
-    if (res.ec != std::errc{} || res.ptr != last) return false;
-    if (v < std::numeric_limits<Coord>::min() || v > std::numeric_limits<Coord>::max())
-        return false;
-    out = static_cast<Coord>(v);
-    return true;
-}
-
-bool parse_count(std::string_view tok, std::size_t& out)
-{
-    unsigned long long v = 0;
-    const char* first = tok.data();
-    const char* last = tok.data() + tok.size();
-    const auto res = std::from_chars(first, last, v);
-    if (res.ec != std::errc{} || res.ptr != last) return false;
-    out = static_cast<std::size_t>(v);
-    return true;
-}
 
 bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r' || c == '\n'; }
 
@@ -235,13 +192,13 @@ bool NetlistReader::read_item(WorkItem& item)
             if (error.empty() && have_source) fail("duplicate source line");
             have_source = true;
             Coord x = 0, y = 0;
-            if (tokens.size() != 3 || !parse_coord(tokens[1], x) || !parse_coord(tokens[2], y))
+            if (tokens.size() != 3 || !parse_int32(tokens[1], x) || !parse_int32(tokens[2], y))
                 fail("bad source line");
             else
                 item.net.source = Point{x, y};
         } else if (tokens[0] == "sink") {
             Coord x = 0, y = 0;
-            if (tokens.size() < 3 || !parse_coord(tokens[1], x) || !parse_coord(tokens[2], y)) {
+            if (tokens.size() < 3 || !parse_int32(tokens[1], x) || !parse_int32(tokens[2], y)) {
                 fail("bad sink line");
                 continue;
             }

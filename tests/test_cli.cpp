@@ -176,6 +176,36 @@ TEST(CliRun, RouteFromNetText)
     EXPECT_NE(out.str().find(" 1 |"), std::string::npos);
 }
 
+TEST(CliRun, RouteAndFlowRejectEmptyInput)
+{
+    // An input without nets has no aggregate to report.
+    const std::string empty = "# no nets\n";
+    for (const char* cmd : {"route", "flow"}) {
+        CliOptions o = parse({cmd, "--in", "x"});
+        std::ostringstream out;
+        EXPECT_THROW(run_cli(o, out, &empty), std::invalid_argument) << cmd;
+    }
+}
+
+TEST(CliRun, RouteAndFlowRejectInvalidNets)
+{
+    // sink.x - source.x overflows int32 here; validate_net rejects the net
+    // (as batch does), so route and flow name it instead of routing it.
+    const std::string far =
+        "net\nsource 0 0\nsink 5 5\nend\n"
+        "net\nsource -2000000000 0\nsink 2000000000 7\nend\n";
+    for (const char* cmd : {"route", "flow"}) {
+        CliOptions o = parse({cmd, "--in", "x"});
+        std::ostringstream out;
+        try {
+            run_cli(o, out, &far);
+            ADD_FAILURE() << cmd << " routed an invalid net";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("net 1: ", 0), 0u) << e.what();
+        }
+    }
+}
+
 TEST(CliRun, FlowReportsGain)
 {
     CliOptions o = parse({"flow", "--random", "2", "--sinks", "6", "--widths", "3"});

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "atree/critical.h"
 #include "atree/generalized.h"
@@ -32,13 +33,13 @@ TEST(BottomUp, NeverBeatsOwsaAndOftenLoses)
     int strictly_worse = 0;
     for (const Net& net : nets) {
         const RoutingTree tree = build_atree_general(net).tree;
-        const SegmentDecomposition segs(tree);
-        const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+        const FlatTree ft(tree);
+        const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
         const BottomUpResult bu = bottom_up_wiresize(ctx);
         const OwsaResult o = owsa(ctx);
         EXPECT_GE(bu.delay, o.delay * (1.0 - 1e-9));
         if (bu.delay > o.delay * (1.0 + 1e-9)) ++strictly_worse;
-        EXPECT_TRUE(is_monotone(segs, bu.assignment));
+        EXPECT_TRUE(is_monotone(ctx, bu.assignment));
     }
     EXPECT_GT(strictly_worse, 5) << "bottom-up DP should usually be suboptimal";
 }
@@ -49,10 +50,10 @@ TEST(BottomUp, StillBetterThanNoWiresizing)
     const auto nets = random_nets(2222, 10, kMcmGrid, 8);
     for (const Net& net : nets) {
         const RoutingTree tree = build_atree_general(net).tree;
-        const SegmentDecomposition segs(tree);
-        const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(3));
+        const FlatTree ft(tree);
+        const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(3));
         const BottomUpResult bu = bottom_up_wiresize(ctx);
-        EXPECT_LE(bu.delay, ctx.delay(min_assignment(segs.count())) * (1.0 + 1e-9));
+        EXPECT_LE(bu.delay, ctx.delay(min_assignment(ctx.segment_count())) * (1.0 + 1e-9));
     }
 }
 
@@ -226,6 +227,41 @@ TEST(Io, NetParseErrors)
     EXPECT_THROW(parse_net("bogus\n"), std::invalid_argument);
     EXPECT_THROW(parse_net("net\nsource a b\nsink 1 2\nend\n"),
                  std::invalid_argument);
+    // Numbers follow the netlist's rules: int32 coordinates, finite caps,
+    // whole tokens; anything else is std::invalid_argument.
+    for (const char* bad : {"sink 4294967301 7", "sink 2147483648 7",
+                            "sink 99999999999999999999999 7", "sink 1.5 7",
+                            "sink 1 7x", "sink 1 7 nan", "sink 1 7 inf",
+                            "sink 1 7 -inf", "sink 1 7 1e999", "sink 1 7 2e-12f"}) {
+        EXPECT_THROW(parse_net(std::string("net\nsource 0 0\n") + bad + "\nend\n"),
+                     std::invalid_argument)
+            << bad;
+    }
+    EXPECT_EQ(parse_net("net\nsource 0 0\nsink -2147483648 2147483647\nend\n")
+                  .sinks.front(),
+              (Point{std::numeric_limits<Coord>::min(), std::numeric_limits<Coord>::max()}));
+}
+
+TEST(Io, CapsRoundTripBitExact)
+{
+    // Shortest round-trip formatting: format -> parse gives the same bits.
+    const Net net{{0, 0},
+                  {{10, 0}, {0, 10}, {7, 7}},
+                  {1.234567891e-12, -1.0, 0.1 + 0.2}};
+    const Net back = parse_net(format_net(net));
+    ASSERT_EQ(back.sink_caps.size(), net.sink_caps.size());
+    EXPECT_EQ(back.sink_caps[0], net.sink_caps[0]);
+    EXPECT_LT(back.sink_caps[1], 0.0);
+    EXPECT_EQ(back.sink_caps[2], net.sink_caps[2]);
+    EXPECT_EQ(format_net(back), format_net(net));
+
+    RoutingTree t(Point{0, 0});
+    t.mark_sink(t.add_child(t.root(), Point{5, 0}), 1.234567891e-12);
+    t.mark_sink(t.add_child(t.root(), Point{0, 5}), 0.1 + 0.2);
+    const RoutingTree tb = parse_tree(format_tree(t));
+    EXPECT_EQ(tb.node(1).sink_cap_f, 1.234567891e-12);
+    EXPECT_EQ(tb.node(2).sink_cap_f, 0.1 + 0.2);
+    EXPECT_EQ(format_tree(tb), format_tree(t));
 }
 
 TEST(Io, TreeRoundTrip)
@@ -247,6 +283,16 @@ TEST(Io, TreeParseErrors)
     EXPECT_THROW(parse_tree("tree\nnode 0 0 0 5 0\nend\n"), std::invalid_argument);
     EXPECT_THROW(parse_tree("tree\nnode 0 0 0 -1 0\nnode 2 1 0 0 0\nend\n"),
                  std::invalid_argument);
+    // A parent index beyond int32 range (4294967296 truncates to 0).
+    EXPECT_THROW(parse_tree("tree\nnode 0 0 0 -1 0\nnode 1 1 0 4294967296 1\nend\n"),
+                 std::invalid_argument);
+    for (const char* bad : {"node 1 4294967297 0 0 1", "node 1 1 0 0 1 nan",
+                            "node 1 1 0 0 1 inf", "node 1 1 0 0 2", "node x 1 0 0 1",
+                            "node 1 1 0 0 1 1e-12junk", "node 0 1 0 -1 1"}) {
+        EXPECT_THROW(parse_tree(std::string("tree\nnode 0 0 0 -1 0\n") + bad + "\nend\n"),
+                     std::invalid_argument)
+            << bad;
+    }
 }
 
 // -------------------------------------------------------------------- graft

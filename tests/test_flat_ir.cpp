@@ -3,8 +3,10 @@
 // FlatTree, and this file pins each ported consumer to its predecessor with
 // exact comparisons -- no epsilons anywhere:
 //   * RoutingTree shims vs the native FlatTree overloads (always built);
-//   * flat-built WiresizeContext vs the SegmentDecomposition-built one,
-//     array by array and through every evaluation entry point;
+//   * WiresizeContext's FlatTree compile vs the reference
+//     SegmentDecomposition, array by array (always built), and its
+//     evaluation entry points and wiresized RC tree vs the pointer-walk
+//     oracles over that decomposition;
 //   * the cong_oracles pointer-walk twins (RcTree construction, simulator
 //     outputs, all five metrics, SVG bytes) when CONG93_BUILD_ORACLES=ON;
 //   * the pipeline's one-compile-per-net guarantee via
@@ -13,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "batch/pipeline.h"
 #include "batch/workspace.h"
 #include "netgen/netgen.h"
+#include "oracle/segments_reference.h"
 #include "report/table.h"
 #include "rtree/flat_tree.h"
 #include "rtree/metrics.h"
@@ -124,7 +126,7 @@ TEST(FlatIr, SummarizeNetMatchesMetrics)
 }
 
 // ---------------------------------------------------------------------------
-// Flat-built WiresizeContext vs the SegmentDecomposition-built one
+// WiresizeContext's FlatTree compile vs the reference SegmentDecomposition
 // ---------------------------------------------------------------------------
 
 TEST(FlatIr, WiresizeContextFlatBuildMatchesLegacyArrays)
@@ -133,40 +135,43 @@ TEST(FlatIr, WiresizeContextFlatBuildMatchesLegacyArrays)
     for (const RoutingTree& tree : random_atrees(306, 5, 12)) {
         const FlatTree ft(tree);
         const SegmentDecomposition segs(tree);
-        const WiresizeContext legacy(segs, tech, WidthSet::uniform_steps(4));
-        const WiresizeContext flat(ft, tech, WidthSet::uniform_steps(4));
+        const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
+        EXPECT_EQ(&ctx.flat(), &ft);
 
-        ASSERT_EQ(flat.segment_count(), legacy.segment_count());
-        EXPECT_EQ(flat.seg_parent(), legacy.seg_parent());
-        EXPECT_EQ(flat.seg_length(), legacy.seg_length());
-        EXPECT_EQ(flat.seg_child_ptr(), legacy.seg_child_ptr());
-        EXPECT_EQ(flat.seg_child_idx(), legacy.seg_child_idx());
-        EXPECT_EQ(flat.seg_roots(), legacy.seg_roots());
-        EXPECT_EQ(flat.tail_is_sink(), legacy.tail_is_sink());
-        for (std::size_t i = 0; i < flat.segment_count(); ++i) {
-            EXPECT_EQ(flat.tail_cap(i), legacy.tail_cap(i)) << "segment " << i;
-            EXPECT_EQ(flat.downstream_sink_cap(i), legacy.downstream_sink_cap(i))
+        ASSERT_EQ(ctx.segment_count(), segs.count());
+        EXPECT_EQ(ctx.seg_roots(),
+                  std::vector<std::int32_t>(segs.roots().begin(), segs.roots().end()));
+        const std::vector<double> down = segs.downstream_sink_cap(tech.sink_load_f);
+        const std::vector<std::int32_t>& cp = ctx.seg_child_ptr();
+        for (std::size_t i = 0; i < segs.count(); ++i) {
+            const WireSegment& s = segs[i];
+            EXPECT_EQ(ctx.seg_parent()[i], s.parent) << "segment " << i;
+            EXPECT_EQ(ctx.seg_length()[i], static_cast<double>(s.length)) << "segment " << i;
+            EXPECT_EQ(std::vector<std::int32_t>(ctx.seg_child_idx().begin() + cp[i],
+                                                ctx.seg_child_idx().begin() + cp[i + 1]),
+                      std::vector<std::int32_t>(s.children.begin(), s.children.end()))
                 << "segment " << i;
-        }
+            EXPECT_EQ(ctx.tail_is_sink()[i] != 0, s.tail_is_sink) << "segment " << i;
+            const double tail_cap =
+                s.tail_is_sink ? (s.tail_sink_cap_f >= 0.0 ? s.tail_sink_cap_f
+                                                           : tech.sink_load_f)
+                               : 0.0;
+            EXPECT_EQ(ctx.tail_cap(i), tail_cap) << "segment " << i;
+            EXPECT_EQ(ctx.downstream_sink_cap(i), down[i]) << "segment " << i;
 
-        // Provenance accessors: exactly one origin each.
-        EXPECT_EQ(flat.flat(), &ft);
-        EXPECT_EQ(legacy.flat(), nullptr);
-        EXPECT_EQ(&legacy.segs(), &segs);
-        EXPECT_THROW(flat.segs(), std::logic_error);
-        EXPECT_FALSE(flat.seg_tail_flat().empty());
-        EXPECT_TRUE(legacy.seg_tail_flat().empty());
-
-        // seg_tail_flat points at the actual tail nodes: a sink tail is a
-        // sink node, and the tail's path length equals the segment's span.
-        for (std::size_t i = 0; i < flat.segment_count(); ++i) {
-            const auto tail = static_cast<std::size_t>(flat.seg_tail_flat()[i]);
-            ASSERT_LT(tail, ft.size());
-            EXPECT_EQ(flat.tail_is_sink()[i] != 0, ft.is_sink()[tail] != 0);
+            // Tails are the decomposition's tail nodes, and the head that
+            // to_svg_wiresized derives -- the tail's nearest non-trivial
+            // ancestor -- is the decomposition's head.
+            const std::int32_t tail = ctx.seg_tail_flat()[i];
+            EXPECT_EQ(tail, ft.flat_of(s.tail)) << "segment " << i;
+            std::int32_t head = ft.parent()[static_cast<std::size_t>(tail)];
+            while (!is_nontrivial(ft, head)) head = ft.parent()[static_cast<std::size_t>(head)];
+            EXPECT_EQ(head, ft.flat_of(s.head)) << "segment " << i;
         }
     }
 }
 
+#ifdef CONG93_HAVE_ORACLES
 TEST(FlatIr, WiresizeContextFlatBuildMatchesLegacyEvaluation)
 {
     const Technology tech = mcm_technology();
@@ -174,9 +179,8 @@ TEST(FlatIr, WiresizeContextFlatBuildMatchesLegacyEvaluation)
         for (const RoutingTree& tree : random_atrees(seed, 2, 14)) {
             const FlatTree ft(tree);
             const SegmentDecomposition segs(tree);
-            const WiresizeContext legacy(segs, tech, WidthSet::uniform_steps(4));
-            const WiresizeContext flat(ft, tech, WidthSet::uniform_steps(4));
-            const std::size_t n = flat.segment_count();
+            const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
+            const std::size_t n = ctx.segment_count();
 
             std::mt19937_64 rng(seed * 1000003);
             for (int trial = 0; trial < 4; ++trial) {
@@ -184,28 +188,28 @@ TEST(FlatIr, WiresizeContextFlatBuildMatchesLegacyEvaluation)
                 for (std::size_t i = 0; i < n; ++i)
                     a[i] = static_cast<int>(rng() % 4);
 
-                EXPECT_EQ(flat.delay(a), legacy.delay(a));
-                const auto tf = flat.terms(a);
-                const auto tl = legacy.terms(a);
+                EXPECT_EQ(ctx.delay(a), delay_reference(ctx, segs, a));
+                const auto tf = ctx.terms(a);
+                const auto tl = terms_reference(ctx, segs, a);
                 EXPECT_EQ(tf.t1, tl.t1);
                 EXPECT_EQ(tf.t2, tl.t2);
                 EXPECT_EQ(tf.t3, tl.t3);
                 EXPECT_EQ(tf.t4, tl.t4);
                 for (std::size_t i = 0; i < n; ++i) {
-                    const auto pf = flat.theta_phi_fast(a, i);
-                    const auto pl = legacy.theta_phi_fast(a, i);
+                    const auto pf = ctx.theta_phi_fast(a, i);
+                    const auto pl = theta_phi_fast_reference(ctx, segs, a, i);
                     EXPECT_EQ(pf.theta, pl.theta) << "segment " << i;
                     EXPECT_EQ(pf.phi, pl.phi) << "segment " << i;
-                    EXPECT_EQ(flat.locally_optimal_width(a, i, 3),
-                              legacy.locally_optimal_width(a, i, 3));
+                    // The local refinement's argmin over the reference
+                    // theta/phi (ties to the narrowest width).
+                    int best = 0;
+                    for (int k = 1; k <= 3; ++k)
+                        if (pl.theta * ctx.widths()[k] + pl.phi / ctx.widths()[k] <
+                            pl.theta * ctx.widths()[best] + pl.phi / ctx.widths()[best])
+                            best = k;
+                    EXPECT_EQ(ctx.locally_optimal_width(a, i, 3), best) << "segment " << i;
                 }
             }
-
-            // The full combined optimization reaches the same fixpoint.
-            const CombinedResult cf = grewsa_owsa(flat);
-            const CombinedResult cl = grewsa_owsa(legacy);
-            EXPECT_EQ(cf.assignment, cl.assignment);
-            EXPECT_EQ(cf.delay, cl.delay);
         }
     }
 }
@@ -217,27 +221,23 @@ TEST(FlatIr, WiresizedRcTreeFlatMatchesLegacy)
         const FlatTree ft(tree);
         const SegmentDecomposition segs(tree);
         const WidthSet widths = WidthSet::uniform_steps(4);
-        const WiresizeContext flat(ft, tech, widths);
-        const WiresizeContext legacy(segs, tech, widths);
-        const Assignment a = grewsa_owsa(flat).assignment;
+        const WiresizeContext ctx(ft, tech, widths);
+        const Assignment a = grewsa_owsa(ctx).assignment;
 
         for (const bool rlc : {false, true}) {
             expect_rc_equal(
-                RcTree::from_wiresized_flat(flat, a, 8, rlc),
-                RcTree::from_wiresized_tree(segs, tech, widths, a, 8, rlc));
+                RcTree::from_wiresized_flat(ctx, a, 8, rlc),
+                from_wiresized_tree_reference(segs, tech, widths, a, 8, rlc));
         }
-        // from_wiresized_flat needs the originating FlatTree.
-        EXPECT_THROW(RcTree::from_wiresized_flat(legacy, a), std::logic_error);
 
-        for (const SimMethod m : {SimMethod::two_pole, SimMethod::transient}) {
-            const DelayReport df = measure_delay_wiresized(flat, a, m);
-            const DelayReport dl = measure_delay_wiresized(segs, tech, widths, a, m);
-            EXPECT_EQ(df.sink_delays, dl.sink_delays);
-            EXPECT_EQ(df.mean, dl.mean);
-            EXPECT_EQ(df.max, dl.max);
-        }
+        const RcTree ref = from_wiresized_tree_reference(segs, tech, widths, a);
+        EXPECT_EQ(measure_delay_wiresized(ctx, a, SimMethod::two_pole).sink_delays,
+                  two_pole_sink_delays(ref));
+        EXPECT_EQ(measure_delay_wiresized(ctx, a, SimMethod::transient).sink_delays,
+                  transient_sink_delays(ref));
     }
 }
+#endif  // CONG93_HAVE_ORACLES
 
 // ---------------------------------------------------------------------------
 // Pipeline: the stage-2 compile is the only compile

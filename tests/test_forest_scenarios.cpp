@@ -11,7 +11,6 @@
 #include "atree/generalized.h"
 #include "netgen/netgen.h"
 #include "rtree/metrics.h"
-#include "rtree/segments.h"
 #include "rtree/transform.h"
 #include "rtree/validate.h"
 #include "tech/technology.h"
@@ -224,8 +223,9 @@ TEST(Transform, SubdivideMakesShortSegmentsAndKeepsGeometry)
     EXPECT_EQ(sum_all_node_path_lengths(fine), sum_all_node_path_lengths(tree));
     EXPECT_TRUE(spans_net(fine, net));
     EXPECT_TRUE(validate_structure(fine).empty());
-    const SegmentDecomposition segs(fine);
-    for (std::size_t i = 0; i < segs.count(); ++i) EXPECT_LE(segs[i].length, 64);
+    const FlatTree ft(fine);
+    const WiresizeContext ctx(ft, mcm_technology(), WidthSet::uniform_steps(1));
+    for (const double length : ctx.seg_length()) EXPECT_LE(length, 64.0);
 }
 
 TEST(Transform, SubdivideRejectsBadPiece)
@@ -256,8 +256,10 @@ TEST(Transform, SimplifyKeepsForcedBoundaries)
     t.mark_sink(t.add_child(mid, Point{0, 9}));
     const RoutingTree s = simplify(t);
     EXPECT_EQ(s.node_count(), 3u);  // the boundary node survives
-    const SegmentDecomposition segs(s);
-    EXPECT_EQ(segs.count(), 2u);
+    const FlatTree ft(s);
+    EXPECT_EQ(WiresizeContext(ft, mcm_technology(), WidthSet::uniform_steps(1))
+                  .segment_count(),
+              2u);
 }
 
 TEST(Transform, SameGeometryIgnoresRepresentation)
@@ -281,15 +283,14 @@ TEST(Transform, SubdividedWiresizingNeverWorse)
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{2000, 600}, {300, 2500}, {1500, 1500}}};
     const RoutingTree tree = build_atree_general(net).tree;
-    const SegmentDecomposition coarse(tree);
-    const RoutingTree fine_tree = subdivide_edges(tree, 250);
-    const SegmentDecomposition fine(fine_tree);
+    const FlatTree coarse(tree);
+    const FlatTree fine(subdivide_edges(tree, 250));
     const WidthSet ws = WidthSet::uniform_steps(3);
     const WiresizeContext cc(coarse, tech, ws);
     const WiresizeContext cf(fine, tech, ws);
     // Uniform-width delay is identical at any granularity.
-    EXPECT_NEAR(cc.delay(min_assignment(coarse.count())),
-                cf.delay(min_assignment(fine.count())), 1e-20);
+    EXPECT_NEAR(cc.delay(min_assignment(cc.segment_count())),
+                cf.delay(min_assignment(cf.segment_count())), 1e-20);
 }
 
 }  // namespace

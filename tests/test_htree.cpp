@@ -4,7 +4,6 @@
 
 #include "netgen/htree.h"
 #include "rtree/metrics.h"
-#include "rtree/segments.h"
 #include "rtree/validate.h"
 #include "sim/delay_measure.h"
 #include "tech/technology.h"
@@ -53,22 +52,23 @@ TEST(Htree, ZeroSkewUniformAndWiresized)
     };
     EXPECT_LT(skew(uniform), 1e-6 * uniform.mean);
 
-    const SegmentDecomposition segs(t);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(3));
+    const FlatTree ft(t);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(3));
     const CombinedResult sized = grewsa_owsa(ctx);
-    const DelayReport wide =
-        measure_delay_wiresized(segs, tech, ctx.widths(), sized.assignment);
+    const DelayReport wide = measure_delay_wiresized(ctx, sized.assignment);
     EXPECT_LT(skew(wide), 1e-6 * wide.mean);
     EXPECT_LT(wide.mean, uniform.mean);
 
     // Symmetric segments get identical widths: group by depth from root.
-    std::vector<int> depth(segs.count(), 0);
-    for (std::size_t i = 0; i < segs.count(); ++i)
-        if (segs[i].parent != kNoSegment)
-            depth[i] = depth[static_cast<std::size_t>(segs[i].parent)] + 1;
-    for (std::size_t i = 0; i < segs.count(); ++i) {
-        for (std::size_t j = i + 1; j < segs.count(); ++j) {
-            if (depth[i] == depth[j] && segs[i].length == segs[j].length) {
+    const std::size_t n = ctx.segment_count();
+    const std::vector<std::int32_t>& parent = ctx.seg_parent();
+    std::vector<int> depth(n, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        if (parent[i] != kNoSegment)
+            depth[i] = depth[static_cast<std::size_t>(parent[i])] + 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            if (depth[i] == depth[j] && ctx.seg_length()[i] == ctx.seg_length()[j]) {
                 EXPECT_EQ(sized.assignment[i], sized.assignment[j])
                     << "asymmetric widths at depth " << depth[i];
             }
@@ -81,16 +81,16 @@ TEST(Htree, MonotoneWavefrontFromDriver)
     // Along any root-to-leaf chain the optimal widths never increase.
     const Technology tech = mcm_technology();
     const RoutingTree t = build_htree(3, 1024, Point{2000, 2000});
-    const SegmentDecomposition segs(t);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+    const FlatTree ft(t);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     const GrewsaResult g = grewsa_from_min(ctx);
-    EXPECT_TRUE(is_monotone(segs, g.assignment));
+    EXPECT_TRUE(is_monotone(ctx, g.assignment));
     // The stem is at least as wide as any leaf segment.
     int leaf_max = 0;
-    for (std::size_t i = 0; i < segs.count(); ++i)
-        if (segs[i].children.empty())
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i)
+        if (ctx.seg_child_ptr()[i] == ctx.seg_child_ptr()[i + 1])
             leaf_max = std::max(leaf_max, g.assignment[i]);
-    for (const int root : segs.roots())
+    for (const std::int32_t root : ctx.seg_roots())
         EXPECT_GE(g.assignment[static_cast<std::size_t>(root)], leaf_max);
 }
 

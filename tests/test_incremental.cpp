@@ -31,7 +31,7 @@ namespace {
 struct NetFixture {
     Technology tech = mcm_technology();  // WiresizeContext keeps a pointer
     RoutingTree tree{Point{0, 0}};
-    std::unique_ptr<SegmentDecomposition> segs;
+    std::unique_ptr<FlatTree> ft;
     std::unique_ptr<WiresizeContext> ctx;
 
     NetFixture(std::uint64_t seed, int sinks, WidthSet widths)
@@ -39,8 +39,8 @@ struct NetFixture {
         std::mt19937_64 rng(seed);
         const Net net = random_net(rng, kMcmGrid, sinks);
         tree = build_atree_general(net).tree;
-        segs = std::make_unique<SegmentDecomposition>(tree);
-        ctx = std::make_unique<WiresizeContext>(*segs, tech, std::move(widths));
+        ft = std::make_unique<FlatTree>(tree);
+        ctx = std::make_unique<WiresizeContext>(*ft, tech, std::move(widths));
     }
 };
 
@@ -49,7 +49,7 @@ TEST(IncrementalEngine, RandomUpdateSequenceMatchesBruteforce)
     for (const int sinks : {4, 8, 16, 32}) {
         NetFixture f(100 + static_cast<std::uint64_t>(sinks), sinks,
                      WidthSet::uniform_steps(4));
-        const std::size_t n = f.segs->count();
+        const std::size_t n = f.ctx->segment_count();
         IncrementalDelayEngine eng(*f.ctx, min_assignment(n));
         std::mt19937_64 rng(2024);
         std::uniform_int_distribution<std::size_t> pick_seg(0, n - 1);
@@ -82,7 +82,7 @@ TEST(IncrementalEngine, FractionalWidthsStayWithinTolerance)
     // must still track the reference to ~1e-9 relative.
     NetFixture f(7, 12, WidthSet({1.0, 1.4142135623730951, 2.718281828459045,
                                   3.141592653589793}));
-    const std::size_t n = f.segs->count();
+    const std::size_t n = f.ctx->segment_count();
     IncrementalDelayEngine eng(*f.ctx, min_assignment(n));
     std::mt19937_64 rng(5);
     std::uniform_int_distribution<std::size_t> pick_seg(0, n - 1);
@@ -101,7 +101,7 @@ TEST(IncrementalEngine, FractionalWidthsStayWithinTolerance)
 TEST(IncrementalEngine, ResetRebuildsCaches)
 {
     NetFixture f(11, 8, WidthSet::uniform_steps(3));
-    const std::size_t n = f.segs->count();
+    const std::size_t n = f.ctx->segment_count();
     IncrementalDelayEngine eng(*f.ctx, min_assignment(n));
     eng.apply_width(0, 2);
     eng.reset(max_assignment(n, 3));
@@ -118,7 +118,7 @@ TEST(ThetaPhiFast, ExactlyMatchesThetaPhi)
 {
     NetFixture f(3, 10, WidthSet::uniform_steps(5));
     std::mt19937_64 rng(9);
-    const std::size_t n = f.segs->count();
+    const std::size_t n = f.ctx->segment_count();
     Assignment a(n, 0);
     for (std::size_t i = 0; i < n; ++i)
         a[i] = static_cast<int>(rng() % 5);
@@ -138,7 +138,7 @@ TEST(Grewsa, BitIdenticalToReference)
     for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
         for (const int r : {2, 3, 4, 6}) {
             NetFixture f(seed, 16, WidthSet::uniform_steps(r));
-            const std::size_t n = f.segs->count();
+            const std::size_t n = f.ctx->segment_count();
             for (const Assignment& start :
                  {min_assignment(n), max_assignment(n, r)}) {
                 const GrewsaResult fast = grewsa(*f.ctx, start);
@@ -187,14 +187,9 @@ TEST(Batch, MapIsOrderedAndDeterministic)
 TEST(Batch, FullWiresizeFlowIdenticalSerialVsParallel)
 {
     const auto nets = random_nets(77, 12, kMcmGrid, 8);
-    std::vector<RoutingTree> storage;
-    std::vector<SegmentDecomposition> trees;
-    storage.reserve(nets.size());
+    std::vector<FlatTree> trees;
     trees.reserve(nets.size());
-    for (const Net& net : nets) {
-        storage.push_back(build_atree_general(net).tree);
-        trees.emplace_back(storage.back());
-    }
+    for (const Net& net : nets) trees.emplace_back(build_atree_general(net).tree);
     const Technology tech = mcm_technology();
     const auto run = [&](int threads) {
         return batch_map<std::pair<double, Assignment>>(

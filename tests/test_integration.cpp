@@ -29,14 +29,13 @@ TEST(Pipeline, FullMcmFlow)
         const AtreeResult atree = build_atree_general(net);
         require_valid(atree.tree, net);
         // Wiresizing.
-        const SegmentDecomposition segs(atree.tree);
-        const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+        const FlatTree ft(atree.tree);
+        const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
         const CombinedResult sized = grewsa_owsa(ctx);
-        EXPECT_LE(sized.delay, ctx.delay(min_assignment(segs.count())) * (1 + 1e-9));
+        EXPECT_LE(sized.delay, ctx.delay(min_assignment(ctx.segment_count())) * (1 + 1e-9));
         // Simulation: wiresized tree beats the uniform tree.
         const auto uniform = measure_delay(atree.tree, tech);
-        const auto wiresized = measure_delay_wiresized(segs, tech, ctx.widths(),
-                                                       sized.assignment);
+        const auto wiresized = measure_delay_wiresized(ctx, sized.assignment);
         EXPECT_LT(wiresized.mean, uniform.mean * 1.001);
         EXPECT_GT(wiresized.mean, 0.0);
     }
@@ -130,11 +129,10 @@ TEST(Pipeline, EveryTechnologyRunsEndToEnd)
             const auto nets = random_nets(17, 2, kIcGrid, 8);
             for (const Net& net : nets) {
                 const AtreeResult r = build_atree_general(net);
-                const SegmentDecomposition segs(r.tree);
-                const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(3));
+                const FlatTree ft(r.tree);
+                const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(3));
                 const CombinedResult sized = grewsa_owsa(ctx);
-                const auto d = measure_delay_wiresized(segs, tech, ctx.widths(),
-                                                       sized.assignment);
+                const auto d = measure_delay_wiresized(ctx, sized.assignment);
                 EXPECT_GT(d.mean, 0.0) << tech.name;
                 EXPECT_LT(d.mean, 1e-3) << tech.name;  // sanity: sub-millisecond
             }
@@ -152,10 +150,10 @@ TEST(Pipeline, WiresizingGainMatchesPaperBallpark)
     double base = 0.0, r2 = 0.0, r6 = 0.0;
     for (const Net& net : nets) {
         const AtreeResult r = build_atree_general(net);
-        const SegmentDecomposition segs(r.tree);
-        const WiresizeContext c2(segs, tech, WidthSet::uniform_steps(2));
-        const WiresizeContext c6(segs, tech, WidthSet::uniform_steps(6));
-        base += c2.delay(min_assignment(segs.count()));
+        const FlatTree ft(r.tree);
+        const WiresizeContext c2(ft, tech, WidthSet::uniform_steps(2));
+        const WiresizeContext c6(ft, tech, WidthSet::uniform_steps(6));
+        base += c2.delay(min_assignment(c2.segment_count()));
         r2 += grewsa_owsa(c2).delay;
         r6 += grewsa_owsa(c6).delay;
     }

@@ -16,6 +16,7 @@
 #include "delay/elmore.h"
 #include "delay/rph.h"
 #include "netgen/netgen.h"
+#include "oracle/segments_reference.h"
 #include "rtree/flat_tree.h"
 #include "rtree/metrics.h"
 #include "rtree/segments.h"
@@ -146,21 +147,22 @@ TEST(FlatKernels, WiresizeDelayAndTermsBitIdentical)
     const Technology tech = mcm_technology();
     std::mt19937_64 rng(23);
     for (const RoutingTree& tree : random_atrees(23, 5, 12)) {
+        const FlatTree flat(tree);
         const SegmentDecomposition segs(tree);
-        const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+        const WiresizeContext ctx(flat, tech, WidthSet::uniform_steps(4));
         for (int trial = 0; trial < 8; ++trial) {
             Assignment a(segs.count());
             for (auto& w : a) w = static_cast<int>(rng() % 4);
-            EXPECT_EQ(ctx.delay(a), ctx.delay_reference(a));
+            EXPECT_EQ(ctx.delay(a), delay_reference(ctx, segs, a));
             const auto ft = ctx.terms(a);
-            const auto rt = ctx.terms_reference(a);
+            const auto rt = terms_reference(ctx, segs, a);
             EXPECT_EQ(ft.t1, rt.t1);
             EXPECT_EQ(ft.t2, rt.t2);
             EXPECT_EQ(ft.t3, rt.t3);
             EXPECT_EQ(ft.t4, rt.t4);
             const std::size_t i = rng() % segs.count();
             const auto ftp = ctx.theta_phi_fast(a, i);
-            const auto rtp = ctx.theta_phi_fast_reference(a, i);
+            const auto rtp = theta_phi_fast_reference(ctx, segs, a, i);
             EXPECT_EQ(ftp.theta, rtp.theta);
             EXPECT_EQ(ftp.phi, rtp.phi);
         }
@@ -214,11 +216,11 @@ TEST(FlatKernels, GrewsaFixpointBitIdenticalToReference)
     for (const int sinks : {12, 25, 50, 100, 200})
         trees.push_back(random_atrees(1993, 1, sinks).front());
     for (const RoutingTree& tree : trees) {
-        const SegmentDecomposition segs(tree);
-        const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+        const FlatTree ft(tree);
+        const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
         const GrewsaResult fast = grewsa_from_min(ctx);
         const GrewsaResult ref =
-            grewsa_reference(ctx, min_assignment(segs.count()));
+            grewsa_reference(ctx, min_assignment(ctx.segment_count()));
         EXPECT_EQ(fast.assignment, ref.assignment);
         EXPECT_EQ(fast.delay, ref.delay);
         EXPECT_EQ(fast.sweeps, ref.sweeps);

@@ -39,6 +39,11 @@ TEST(RcTree, Validation)
     bad[0] = {-1, 10.0, 1e-12};
     bad[1] = {1, 10.0, 1e-12};  // parent does not precede child
     EXPECT_THROW(RcTree(std::move(bad)), std::invalid_argument);
+    std::vector<RcTree::RcNode> two(2);
+    two[0] = {-1, 10.0, 1e-12};
+    two[1] = {0, 10.0, 1e-12};
+    EXPECT_EQ(RcTree(two, {1}).sink_nodes(), std::vector<int>{1});
+    EXPECT_THROW(RcTree(two, {2}), std::invalid_argument);  // no node 2
 }
 
 TEST(Moments, SingleRcFirstAndSecond)
@@ -197,17 +202,15 @@ TEST(DelayMeasure, WiresizedFasterThanUniform)
     const NodeId mid = t.add_child(t.root(), Point{200, 150});
     t.mark_sink(t.add_child(mid, Point{0, 150}));
     t.mark_sink(t.add_child(mid, Point{400, 150}));
-    const SegmentDecomposition segs(t);
-    const WidthSet ws = WidthSet::uniform_steps(2);
-    const std::size_t stem = static_cast<std::size_t>(segs.roots()[0]);
+    const FlatTree ft(t);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(2));
+    const std::size_t stem = static_cast<std::size_t>(ctx.seg_roots()[0]);
     Assignment uniform(3, 0);
     Assignment wide_stem(3, 0);
     wide_stem[stem] = 1;
 
-    const auto d_uniform =
-        measure_delay_wiresized(segs, tech, ws, uniform, SimMethod::two_pole);
-    const auto d_wide =
-        measure_delay_wiresized(segs, tech, ws, wide_stem, SimMethod::two_pole);
+    const auto d_uniform = measure_delay_wiresized(ctx, uniform, SimMethod::two_pole);
+    const auto d_wide = measure_delay_wiresized(ctx, wide_stem, SimMethod::two_pole);
     EXPECT_LT(d_wide.mean, d_uniform.mean);
 }
 

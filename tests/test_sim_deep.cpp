@@ -218,22 +218,22 @@ TEST(CountingDeep, MatchesExplicitEnumeration)
     t.mark_sink(b);
     t.mark_sink(d);
     t.mark_sink(t.add_child(c, Point{9, 4}));
-    const SegmentDecomposition segs(t);
+    const FlatTree ft(t);
     for (const int r : {2, 3, 4}) {
+        const WiresizeContext ctx(ft, mcm_technology(), WidthSet::uniform_steps(r));
         long monotone = 0;
-        Assignment cur(segs.count(), 0);
+        Assignment cur(ctx.segment_count(), 0);
         for (;;) {
-            monotone += is_monotone(segs, cur) ? 1 : 0;
+            monotone += is_monotone(ctx, cur) ? 1 : 0;
             std::size_t i = 0;
             while (i < cur.size() && ++cur[i] == r) cur[i++] = 0;
             if (i == cur.size()) break;
         }
-        EXPECT_DOUBLE_EQ(monotone_assignment_count(segs, r),
-                         static_cast<double>(monotone))
+        EXPECT_DOUBLE_EQ(monotone_assignment_count(ctx), static_cast<double>(monotone))
             << "r=" << r;
-        EXPECT_DOUBLE_EQ(exhaustive_assignment_count(segs.count(), r),
+        EXPECT_DOUBLE_EQ(exhaustive_assignment_count(ctx.segment_count(), r),
                          std::pow(static_cast<double>(r),
-                                  static_cast<double>(segs.count())));
+                                  static_cast<double>(ctx.segment_count())));
     }
 }
 

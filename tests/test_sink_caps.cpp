@@ -82,13 +82,13 @@ TEST(SinkCaps, WiresizingFavorsHeavyBranch)
     const NodeId right = t.add_child(mid, Point{400, 150});
     t.mark_sink(left, 20e-12);   // heavy
     t.mark_sink(right, 0.05e-12);  // light
-    const SegmentDecomposition segs(t);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+    const FlatTree ft(t);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     const OwsaResult o = owsa(ctx);
     int heavy_seg = -1, light_seg = -1;
-    for (std::size_t i = 0; i < segs.count(); ++i) {
-        if (segs[i].tail == left) heavy_seg = static_cast<int>(i);
-        if (segs[i].tail == right) light_seg = static_cast<int>(i);
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i) {
+        if (ctx.seg_tail_flat()[i] == ft.flat_of(left)) heavy_seg = static_cast<int>(i);
+        if (ctx.seg_tail_flat()[i] == ft.flat_of(right)) light_seg = static_cast<int>(i);
     }
     ASSERT_GE(heavy_seg, 0);
     ASSERT_GE(light_seg, 0);

@@ -3,6 +3,7 @@
 // promises.  Sized to run in a few seconds.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
 
 #include "atree/generalized.h"
@@ -40,19 +41,19 @@ TEST(Soak, FullPipelineSweep)
         ASSERT_LE(routed.lower_bound(), routed.cost);
         ASSERT_LE(routed.qmst_lower_bound(), routed.qmst_cost);
 
-        const SegmentDecomposition segs(routed.tree);
-        ASSERT_EQ(segs.total_length(), routed.cost);
-        const WiresizeContext ctx(segs, tech,
+        const FlatTree ft(routed.tree);
+        const WiresizeContext ctx(ft, tech,
                                   WidthSet::uniform_steps(widths_pick(rng)));
+        ASSERT_EQ(std::accumulate(ctx.seg_length().begin(), ctx.seg_length().end(), 0.0),
+                  static_cast<double>(routed.cost));
         const CombinedResult sized = grewsa_owsa(ctx);
-        ASSERT_TRUE(is_monotone(segs, sized.assignment));
+        ASSERT_TRUE(is_monotone(ctx, sized.assignment));
         ASSERT_LE(sized.delay,
-                  ctx.delay(min_assignment(segs.count())) * (1.0 + 1e-9));
+                  ctx.delay(min_assignment(ctx.segment_count())) * (1.0 + 1e-9));
         ASSERT_TRUE(dominates(sized.assignment, sized.lower_bounds));
         ASSERT_TRUE(dominates(sized.upper_bounds, sized.assignment));
 
-        const DelayReport d =
-            measure_delay_wiresized(segs, tech, ctx.widths(), sized.assignment);
+        const DelayReport d = measure_delay_wiresized(ctx, sized.assignment);
         ASSERT_GT(d.mean, 0.0);
         ASSERT_TRUE(std::isfinite(d.max));
     }

@@ -45,20 +45,20 @@ TEST(Svg, WiresizedStrokesScaleWithWidths)
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{2000, 500}, {300, 2500}, {1500, 1500}}};
     const RoutingTree tree = build_atree_general(net).tree;
-    const SegmentDecomposition segs(tree);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+    const FlatTree ft(tree);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     const CombinedResult sized = grewsa_owsa(ctx);
-    std::vector<double> norm(segs.count());
-    for (std::size_t i = 0; i < segs.count(); ++i)
+    std::vector<double> norm(ctx.segment_count());
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i)
         norm[i] = ctx.widths()[sized.assignment[i]];
-    const std::string svg = to_svg_wiresized(segs, norm);
+    const std::string svg = to_svg_wiresized(ft, ctx.seg_tail_flat(), norm);
     // The widest assigned stroke appears in the output (formatted the same
     // way the writer formats doubles).
     const double max_w = *std::max_element(norm.begin(), norm.end());
     std::ostringstream expect;
     expect << "stroke-width=\"" << max_w * 2.0 << '"';
     EXPECT_NE(svg.find(expect.str()), std::string::npos) << expect.str();
-    EXPECT_THROW(to_svg_wiresized(segs, std::vector<double>(1, 1.0)),
+    EXPECT_THROW(to_svg_wiresized(ft, ctx.seg_tail_flat(), std::vector<double>(1, 1.0)),
                  std::invalid_argument);
 }
 
@@ -100,11 +100,11 @@ TEST(NonUniformWidths, OwsaMatchesExhaustive)
     const auto nets = random_nets(777, 4, kMcmGrid, 4);
     for (const Net& net : nets) {
         const RoutingTree tree = build_atree_general(net).tree;
-        const SegmentDecomposition segs(tree);
-        if (segs.count() > 9) continue;
-        const WiresizeContext ctx(segs, tech, widths);
+        const FlatTree ft(tree);
+        const WiresizeContext ctx(ft, tech, widths);
+        if (ctx.segment_count() > 9) continue;
         double best = 1e99;
-        Assignment cur(segs.count(), 0);
+        Assignment cur(ctx.segment_count(), 0);
         for (;;) {
             best = std::min(best, ctx.delay(cur));
             std::size_t i = 0;

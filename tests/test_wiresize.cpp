@@ -34,18 +34,19 @@ TEST(WidthSet, Construction)
 
 TEST(Assignment, MonotoneAndDominates)
 {
-    const RoutingTree t = make_t_tree();
-    const SegmentDecomposition segs(t);
-    ASSERT_EQ(segs.count(), 3u);
+    const Technology tech = mcm_technology();
+    const FlatTree ft(make_t_tree());
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(2));
+    ASSERT_EQ(ctx.segment_count(), 3u);
     Assignment a{1, 0, 1};  // stem wide, one branch wide
     // Branch wider than stem is not monotone.
-    const std::size_t stem = static_cast<std::size_t>(segs.roots()[0]);
+    const std::size_t stem = static_cast<std::size_t>(ctx.seg_roots()[0]);
     Assignment bad(3, 0);
     for (std::size_t i = 0; i < 3; ++i) bad[i] = (i == stem) ? 0 : 1;
-    EXPECT_FALSE(is_monotone(segs, bad));
+    EXPECT_FALSE(is_monotone(ctx, bad));
     Assignment good(3, 0);
     good[stem] = 1;
-    EXPECT_TRUE(is_monotone(segs, good));
+    EXPECT_TRUE(is_monotone(ctx, good));
     EXPECT_TRUE(dominates(max_assignment(3, 2), min_assignment(3)));
     EXPECT_FALSE(dominates(min_assignment(3), max_assignment(3, 2)));
     (void)a;
@@ -54,9 +55,8 @@ TEST(Assignment, MonotoneAndDominates)
 TEST(DelayEval, MatchesBruteForce)
 {
     const Technology tech = mcm_technology();
-    const RoutingTree t = make_t_tree();
-    const SegmentDecomposition segs(t);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+    const FlatTree ft(make_t_tree());
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     for (const Assignment& a :
          {Assignment{0, 0, 0}, Assignment{3, 3, 3}, Assignment{2, 1, 0},
           Assignment{3, 0, 2}}) {
@@ -72,23 +72,22 @@ TEST(DelayEval, UniformWidthMatchesRphDelay)
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{120, 40}, {30, 200}, {250, 250}}};
     const AtreeResult r = build_atree(net);
-    const SegmentDecomposition segs(r.tree);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(3));
-    const double uniform = ctx.delay(min_assignment(segs.count()));
+    const FlatTree ft(r.tree);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(3));
+    const double uniform = ctx.delay(min_assignment(ctx.segment_count()));
     // Compare against the uniform-width RPH delay of delay/rph.h.
     // (Same formula, different code path.)
-    const double reference = ctx.delay_bruteforce(min_assignment(segs.count()));
+    const double reference = ctx.delay_bruteforce(min_assignment(ctx.segment_count()));
     EXPECT_NEAR(uniform, reference, 1e-9 * reference);
 }
 
 TEST(DelayEval, ThetaPhiDecomposition)
 {
     const Technology tech = mcm_technology();
-    const RoutingTree t = make_t_tree();
-    const SegmentDecomposition segs(t);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(4));
+    const FlatTree ft(make_t_tree());
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     const Assignment a{1, 0, 2};
-    for (std::size_t i = 0; i < segs.count(); ++i) {
+    for (std::size_t i = 0; i < ctx.segment_count(); ++i) {
         const auto tp = ctx.theta_phi(a, i);
         // psi + theta*w + phi/w must reproduce the delay for EVERY width of
         // segment i (with others fixed).
@@ -105,9 +104,8 @@ TEST(DelayEval, ThetaPhiDecomposition)
 TEST(DelayEval, TermsSumToDelay)
 {
     const Technology tech = mcm_technology();
-    const RoutingTree t = make_t_tree();
-    const SegmentDecomposition segs(t);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(3));
+    const FlatTree ft(make_t_tree());
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(3));
     const Assignment a{2, 1, 0};
     const auto terms = ctx.terms(a);
     EXPECT_NEAR(terms.total(), ctx.delay(a), 1e-9 * ctx.delay(a));
@@ -121,14 +119,13 @@ TEST(Owsa, WideStemWinsOnFigure4Tree)
 {
     // Figure 4's claim: the T-tree is faster with a wider stem.
     const Technology tech = mcm_technology();
-    const RoutingTree t = make_t_tree();
-    const SegmentDecomposition segs(t);
-    const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(2));
+    const FlatTree ft(make_t_tree());
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(2));
     const OwsaResult r = owsa(ctx);
-    const std::size_t stem = static_cast<std::size_t>(segs.roots()[0]);
+    const std::size_t stem = static_cast<std::size_t>(ctx.seg_roots()[0]);
     EXPECT_EQ(r.assignment[stem], 1);  // stem takes the wider width
     EXPECT_LT(r.delay, ctx.delay(min_assignment(3)));
-    EXPECT_TRUE(is_monotone(segs, r.assignment));
+    EXPECT_TRUE(is_monotone(ctx, r.assignment));
 }
 
 TEST(Owsa, MatchesExhaustiveOnSmallTrees)
@@ -137,13 +134,13 @@ TEST(Owsa, MatchesExhaustiveOnSmallTrees)
     const auto nets = random_nets(42, 6, 400, 4);
     for (const Net& net : nets) {
         const AtreeResult a = build_atree_general(net);
-        const SegmentDecomposition segs(a.tree);
-        if (segs.count() > 9) continue;
+        const FlatTree ft(a.tree);
         for (const int r : {2, 3}) {
-            const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(r));
+            const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(r));
+            if (ctx.segment_count() > 9) break;
             // Exhaustive over all r^n assignments.
             double best = 1e99;
-            Assignment cur(segs.count(), 0);
+            Assignment cur(ctx.segment_count(), 0);
             for (;;) {
                 best = std::min(best, ctx.delay(cur));
                 std::size_t i = 0;
@@ -152,7 +149,7 @@ TEST(Owsa, MatchesExhaustiveOnSmallTrees)
             }
             const OwsaResult o = owsa(ctx);
             EXPECT_NEAR(o.delay, best, 1e-9 * best);
-            EXPECT_TRUE(is_monotone(segs, o.assignment));
+            EXPECT_TRUE(is_monotone(ctx, o.assignment));
         }
     }
 }
@@ -164,8 +161,8 @@ TEST(Grewsa, OptimalForTwoWidths)
     const auto nets = random_nets(77, 8, 600, 6);
     for (const Net& net : nets) {
         const AtreeResult a = build_atree_general(net);
-        const SegmentDecomposition segs(a.tree);
-        const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(2));
+        const FlatTree ft(a.tree);
+        const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(2));
         const GrewsaResult lo = grewsa_from_min(ctx);
         const GrewsaResult hi = grewsa_from_max(ctx);
         const OwsaResult o = owsa(ctx);
@@ -180,9 +177,9 @@ TEST(GrewsaOwsa, BoundsBracketAndOptimal)
     const auto nets = random_nets(99, 6, 600, 6);
     for (const Net& net : nets) {
         const AtreeResult a = build_atree_general(net);
-        const SegmentDecomposition segs(a.tree);
+        const FlatTree ft(a.tree);
         for (const int r : {3, 4}) {
-            const WiresizeContext ctx(segs, tech, WidthSet::uniform_steps(r));
+            const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(r));
             const CombinedResult c = grewsa_owsa(ctx);
             const OwsaResult o = owsa(ctx);
             EXPECT_NEAR(c.delay, o.delay, 1e-9 * o.delay);
@@ -200,14 +197,18 @@ TEST(GrewsaOwsa, BoundsBracketAndOptimal)
 
 TEST(Counting, ExhaustiveAndMonotone)
 {
-    const RoutingTree t = make_t_tree();
-    const SegmentDecomposition segs(t);
+    const Technology tech = mcm_technology();
+    const FlatTree ft(make_t_tree());
     EXPECT_DOUBLE_EQ(exhaustive_assignment_count(3, 2), 8.0);
     // Monotone assignments of stem+2 branches with r=2:
     // stem=W1 -> branches W1 (1); stem=W2 -> branches free (4). Total 5.
-    EXPECT_DOUBLE_EQ(monotone_assignment_count(segs, 2), 5.0);
+    EXPECT_DOUBLE_EQ(
+        monotone_assignment_count(WiresizeContext(ft, tech, WidthSet::uniform_steps(2))),
+        5.0);
     // r=3: stem=1 ->1, stem=2 ->4, stem=3 ->9. Total 14.
-    EXPECT_DOUBLE_EQ(monotone_assignment_count(segs, 3), 14.0);
+    EXPECT_DOUBLE_EQ(
+        monotone_assignment_count(WiresizeContext(ft, tech, WidthSet::uniform_steps(3))),
+        14.0);
 }
 
 TEST(Counting, ChainFormula)
@@ -223,10 +224,13 @@ TEST(Counting, ChainFormula)
         cur = t.add_child(cur, p);
     }
     t.mark_sink(cur);
-    const SegmentDecomposition segs(t);
-    ASSERT_EQ(segs.count(), 4u);
-    EXPECT_DOUBLE_EQ(monotone_assignment_count(segs, 2), 5.0);   // C(5,1)
-    EXPECT_DOUBLE_EQ(monotone_assignment_count(segs, 3), 15.0);  // C(6,2)
+    const Technology tech = mcm_technology();
+    const FlatTree ft(t);
+    const WiresizeContext c2(ft, tech, WidthSet::uniform_steps(2));
+    const WiresizeContext c3(ft, tech, WidthSet::uniform_steps(3));
+    ASSERT_EQ(c2.segment_count(), 4u);
+    EXPECT_DOUBLE_EQ(monotone_assignment_count(c2), 5.0);   // C(5,1)
+    EXPECT_DOUBLE_EQ(monotone_assignment_count(c3), 15.0);  // C(6,2)
 }
 
 }  // namespace

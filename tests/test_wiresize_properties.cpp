@@ -41,15 +41,15 @@ protected:
         std::mt19937_64 rng(c.seed);
         net_ = random_net(rng, grid, c.sinks);
         tree_ = build_atree_general(net_).tree;
-        segs_ = std::make_unique<SegmentDecomposition>(tree_);
-        ctx_ = std::make_unique<WiresizeContext>(*segs_, tech_,
+        ft_ = std::make_unique<FlatTree>(tree_);
+        ctx_ = std::make_unique<WiresizeContext>(*ft_, tech_,
                                                  WidthSet::uniform_steps(c.r));
     }
 
     Technology tech_;
     Net net_;
     RoutingTree tree_{Point{0, 0}};
-    std::unique_ptr<SegmentDecomposition> segs_;
+    std::unique_ptr<FlatTree> ft_;
     std::unique_ptr<WiresizeContext> ctx_;
 };
 
@@ -57,7 +57,7 @@ TEST_P(WiresizeProperty, OptimalAssignmentIsMonotone)
 {
     // Theorem 4.
     const OwsaResult o = owsa(*ctx_);
-    EXPECT_TRUE(is_monotone(*segs_, o.assignment));
+    EXPECT_TRUE(is_monotone(*ctx_, o.assignment));
 }
 
 TEST_P(WiresizeProperty, GrewsaFixpointsBracketOptimum)
@@ -86,7 +86,7 @@ TEST_P(WiresizeProperty, CombinedMatchesOwsa)
 TEST_P(WiresizeProperty, WiresizingNeverHurts)
 {
     const OwsaResult o = owsa(*ctx_);
-    EXPECT_LE(o.delay, ctx_->delay(min_assignment(segs_->count())) * (1.0 + 1e-9));
+    EXPECT_LE(o.delay, ctx_->delay(min_assignment(ctx_->segment_count())) * (1.0 + 1e-9));
 }
 
 TEST_P(WiresizeProperty, DelayLowerBoundIsValid)
@@ -99,10 +99,10 @@ TEST_P(WiresizeProperty, DelayLowerBoundIsValid)
 
 TEST_P(WiresizeProperty, LocalRefinementNeverIncreasesDelay)
 {
-    Assignment a = min_assignment(segs_->count());
+    Assignment a = min_assignment(ctx_->segment_count());
     double cur = ctx_->delay(a);
     for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t i = 0; i < segs_->count(); ++i) {
+        for (std::size_t i = 0; i < ctx_->segment_count(); ++i) {
             const int w = ctx_->locally_optimal_width(a, i, ctx_->width_count() - 1);
             a[i] = w;
             const double next = ctx_->delay(a);
@@ -114,16 +114,17 @@ TEST_P(WiresizeProperty, LocalRefinementNeverIncreasesDelay)
 
 TEST_P(WiresizeProperty, MonotoneCountBetweenOwsaAndExhaustive)
 {
-    const double exh = exhaustive_assignment_count(segs_->count(), ctx_->width_count());
-    const double mono = monotone_assignment_count(*segs_, ctx_->width_count());
+    const double exh =
+        exhaustive_assignment_count(ctx_->segment_count(), ctx_->width_count());
+    const double mono = monotone_assignment_count(*ctx_);
     EXPECT_LE(mono, exh);
     EXPECT_GE(mono, 1.0);
     const OwsaResult o = owsa(*ctx_);
     // OWSA's bound of Theorem 5.
     EXPECT_LE(static_cast<double>(o.calls),
-              std::pow(static_cast<double>(segs_->count()),
+              std::pow(static_cast<double>(ctx_->segment_count()),
                        static_cast<double>(ctx_->width_count() - 1)) +
-                  static_cast<double>(segs_->count()) + 1.0);
+                  static_cast<double>(ctx_->segment_count()) + 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
