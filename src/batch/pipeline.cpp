@@ -4,9 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -338,49 +335,8 @@ NetRouteResult route_net(const Net& raw, std::size_t index,
 }
 
 // ---------------------------------------------------------------------------
-// In-parallel single-flight (cache-attached batches)
+// Single-flight grouping (cache-attached batches)
 // ---------------------------------------------------------------------------
-
-/// One in-flight signature group: the first arrival (leader) routes, every
-/// later arrival joins as a member and is served the published payload once
-/// the leader lands clean.  min_index tracks the lowest member index -- the
-/// key that serializes this group's insert in the epoch drain, restoring the
-/// serial net-order cache evolution no matter which member happened to lead.
-/// Leader identity is output-safe: clean results of signature-equal nets are
-/// bit-identical (translation invariance), and unclean groups share nothing.
-struct FlightGroup {
-    enum class State { routing, clean, unclean };
-
-    const Net* rep = nullptr;   ///< signature witness (first arrival's net)
-    std::size_t min_index = 0;  ///< lowest member index seen
-    std::uint64_t members = 1;
-    State state = State::routing;
-    CachedRoute payload;        ///< published result (clean leaders only)
-};
-
-/// The batch's leader table: signature hash -> in-flight groups, under one
-/// mutex + condvar.
-struct FlightTable {
-    std::mutex m;
-    std::condition_variable cv;
-    std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<FlightGroup>>>
-        groups;
-};
-
-/// Per-worker-slot event log and counters, merged serially after the
-/// barrier.  The events carry the deferred LRU effects (epoch drain).  The
-/// counters split into schedule-independent ones (hits, shared, routed, all
-/// functions of the batch-start cache state and the signatures alone) and
-/// pure telemetry (parked, contended), which the determinism contract
-/// explicitly excludes.
-struct SlotFlight {
-    std::vector<CacheEpochEvent> events;
-    std::uint64_t hits = 0;
-    std::uint64_t shared = 0;
-    std::uint64_t routed = 0;
-    std::uint64_t parked = 0;
-    std::uint64_t contended = 0;
-};
 
 /// Translation-dependent admissibility: mirrors validate_net's coordinate
 /// bound (rtree/validate.h).  Every other validate outcome is translation-
@@ -398,6 +354,16 @@ bool cacheable_net(const Net& net)
         if (!in_range(s)) return false;
     return true;
 }
+
+/// One signature the batch-start cache missed.  Its lowest-index net (the
+/// leader) routes; every later signature-equal net of the batch follows it.
+/// Leader identity is output-safe: clean results of signature-equal nets are
+/// bit-identical (translation invariance), and unclean groups share nothing.
+struct MissGroup {
+    std::size_t leader = 0;
+    std::uint64_t hash = 0;
+    CachedRoute payload;  ///< the leader's result, set only when it is clean
+};
 
 std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
                                              std::uint64_t diag_seed_base,
@@ -447,189 +413,152 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
 
     std::vector<NetRouteResult> out(nets.size());
 
-    // --- Single-flight, executed inside the parallel region ---------------
-    // Every net is probed against the cache (a pure read of the batch-start
-    // state), so hit/miss/share decisions are functions of the signatures
-    // alone, not the schedule.  LRU touches and interns are deferred as
-    // epoch events and replayed in net-index order by the batch-end drain
-    // below.
-    const std::uint32_t config =
-        cache != nullptr ? cache->config_of(tech, opts) : 0;
-    FlightTable flight;
-    std::vector<SlotFlight> slots_flight(cache != nullptr ? ws.size()
-                                                          : std::size_t{0});
-
-    const auto serve = [&](std::size_t i, const NetRouteResult& src) {
-        out[i] = src;
-        out[i].diag.net_index = i;
-        out[i].diag.net_seed = seed_of(i);
-    };
-
-    // Routes net i through the cache.  Leaders route on their own slot and
-    // publish; followers of a still-routing leader park on the flight
-    // table's condvar.  A leader never parks, so every parked group has a
-    // running leader and the batch always makes progress.  Unclean groups
-    // (degraded status or any diagnostic -- messages may embed absolute
-    // coordinates, which sharing would mistranslate) share nothing: every
-    // member routes individually, exactly the PR-7 rule.
-    const auto route_cached = [&](std::size_t i, int slot) {
-        Workspace& w = ws[static_cast<std::size_t>(slot)];
-        SlotFlight& sf = slots_flight[static_cast<std::size_t>(slot)];
-        const Net& net = nets[i];
-        if (!cacheable_net(net)) {
-            out[i] = route_net(net, i, seed_of(i), tech, opts, faults, lc, w);
-            ++sf.routed;
-            return;
-        }
-        const std::uint64_t hash = sig::hash_of(net, config);
-        const RouteCache::ProbeResult pr = cache->probe(hash, config, net);
-        if (pr.contended) ++sf.contended;
-        if (pr.payload != nullptr) {
-            serve(i, *pr.payload);
-            ++sf.hits;
-            sf.events.push_back(CacheEpochEvent{i, hash, config, &net, {}, false});
-            return;
-        }
-        std::unique_lock<std::mutex> lk(flight.m);
-        auto& chain = flight.groups[hash];
-        FlightGroup* g = nullptr;
-        for (const auto& cand : chain)
-            if (sig::nets_equivalent(*cand->rep, net)) {
-                g = cand.get();
-                break;
-            }
-        if (g == nullptr) {
-            // Leader: register the group, then route outside the lock.
-            chain.push_back(std::make_unique<FlightGroup>());
-            g = chain.back().get();
-            g->rep = &net;
-            g->min_index = i;
-            lk.unlock();
-            try {
-                out[i] = route_net(net, i, seed_of(i), tech, opts, faults, lc, w);
-            } catch (...) {
-                // Only non-std exceptions escape route_net and they abort
-                // the batch -- but parked followers must still wake, so
-                // publish unclean before propagating.
-                lk.lock();
-                g->state = FlightGroup::State::unclean;
-                flight.cv.notify_all();
-                throw;
-            }
-            ++sf.routed;
-            const NetRouteResult& r = out[i];
-            const bool clean = r.status == RouteStatus::ok && r.diag.empty();
-            lk.lock();
-            if (clean) {
-                g->payload = make_cached_route(r);
-                g->state = FlightGroup::State::clean;
-            } else {
-                g->state = FlightGroup::State::unclean;
-            }
-            flight.cv.notify_all();
-            return;
-        }
-        // Follower.
-        g->min_index = std::min(g->min_index, i);
-        ++g->members;
-        if (g->state == FlightGroup::State::routing) {
-            ++sf.parked;
-            FlightGroup* const waiting = g;
-            flight.cv.wait(lk, [waiting] {
-                return waiting->state != FlightGroup::State::routing;
-            });
-        }
-        if (g->state == FlightGroup::State::clean) {
-            const CachedRoute payload = g->payload;
-            lk.unlock();
-            serve(i, *payload);
-            ++sf.shared;
-        } else {
-            lk.unlock();
-            out[i] = route_net(net, i, seed_of(i), tech, opts, faults, lc, w);
-            ++sf.routed;
-        }
-    };
-
-    // Cancellation bookkeeping: slots stop pulling chunks once the token
-    // fires, so indices nobody visited are marked cancelled in a post-pass
-    // (their result form is identical to a net route_net itself cancelled).
-    std::vector<std::uint8_t> visited(
-        lc.cancel != nullptr ? nets.size() : std::size_t{0}, std::uint8_t{0});
-
-    const auto work_fn = [&](std::size_t i, int slot) {
-        if (lc.cancel != nullptr) visited[i] = 1;
-        // Bounded admission: a pure function of the batch index, so the
-        // reject set is deterministic at any thread count, and no routing
-        // work (not even a cache probe) runs for refused nets.
-        if (opts.admit_cap != 0 && i >= opts.admit_cap) {
-            mark_rejected(out[i], i, seed_of(i), opts.admit_cap);
-            return;
-        }
-        if (cache != nullptr)
-            route_cached(i, slot);
-        else
-            out[i] = route_net(nets[i], i, seed_of(i), tech, opts, faults, lc,
-                               ws[static_cast<std::size_t>(slot)]);
-    };
-
-    // Dynamic-scheduling granularity: with an explicit chunk honor it;
-    // otherwise size chunks for ~8 pulls per worker, so small batches of
-    // cheap nets do not pay one atomic round-trip per net (the 2-thread
-    // regression) while skewed ones still balance.
-    std::size_t chunk = opts.chunk;
-    if (chunk == 0)
-        chunk = std::clamp<std::size_t>(
-            nets.size() / (static_cast<std::size_t>(pool_threads) * 8), 1, 64);
-
     const auto t0 = std::chrono::steady_clock::now();
     const bool serial = pool_threads <= 1 || nets.size() < 2;
-    if (serial) {
-        for (std::size_t i = 0; i < nets.size(); ++i) {
-            if (lc.cancel != nullptr && lc.cancel->cancelled()) break;
-            work_fn(i, 0);
-        }
-    } else if (opts.pool != nullptr) {
-        parallel_for_slots(*opts.pool, nets.size(), work_fn, chunk, lc.cancel,
-                           overlap);
-    } else {
-        ThreadPool pool(pool_threads);
-        parallel_for_slots(pool, nets.size(), work_fn, chunk, lc.cancel,
-                           overlap);
-    }
-    // Indices the cancellation cut off before any slot reached them.
-    if (lc.cancel != nullptr)
-        for (std::size_t i = 0; i < nets.size(); ++i)
-            if (visited[i] == 0) mark_cancelled(out[i], i, seed_of(i));
+    std::optional<ThreadPool> own_pool;
+    ThreadPool* pool = opts.pool;
+    if (!serial && pool == nullptr) pool = &own_pool.emplace(pool_threads);
 
-    // --- Epoch drain: replay deferred cache effects in net-index order ----
-    // Clean groups intern their payload under the group's lowest member
-    // index -- exactly where the serial schedule would have inserted it --
-    // so the cache leaves this batch byte-identical at any thread count.
-    std::uint64_t hits = 0, shared = 0, routed = 0, parked = 0, contended = 0;
-    std::uint64_t miss_groups = 0, evictions = 0, resident = 0;
-    if (cache != nullptr) {
-        std::vector<CacheEpochEvent> events;
-        for (SlotFlight& sf : slots_flight) {
-            hits += sf.hits;
-            shared += sf.shared;
-            routed += sf.routed;
-            parked += sf.parked;
-            contended += sf.contended;
-            for (CacheEpochEvent& ev : sf.events)
-                events.push_back(std::move(ev));
-            sf.events.clear();
+    // Routes net items[k] for every k < count (items == nullptr: net k),
+    // serially or on the pool with `beside` running on the calling thread.
+    // Once the cancel token fires, slots stop pulling chunks, and the items
+    // nobody reached end cancelled (the same form as a net route_net itself
+    // cancelled).  Returns how many items were cut off that way.
+    const auto run_phase = [&](std::size_t count, const std::size_t* items,
+                               const std::function<void()>& beside) {
+        const auto index_of = [items](std::size_t k) {
+            return items != nullptr ? items[k] : k;
+        };
+        std::vector<std::uint8_t> visited(
+            lc.cancel != nullptr ? count : std::size_t{0}, std::uint8_t{0});
+        const auto work_fn = [&](std::size_t k, int slot) {
+            if (lc.cancel != nullptr) visited[k] = 1;
+            const std::size_t i = index_of(k);
+            // Bounded admission: a pure function of the batch index, so the
+            // reject set is deterministic at any thread count, and no
+            // routing work runs for refused nets.
+            if (opts.admit_cap != 0 && i >= opts.admit_cap)
+                mark_rejected(out[i], i, seed_of(i), opts.admit_cap);
+            else
+                out[i] = route_net(nets[i], i, seed_of(i), tech, opts, faults,
+                                   lc, ws[static_cast<std::size_t>(slot)]);
+        };
+        if (serial) {
+            for (std::size_t k = 0; k < count; ++k) {
+                if (lc.cancel != nullptr && lc.cancel->cancelled()) break;
+                work_fn(k, 0);
+            }
+        } else {
+            // Chunks sized for ~8 pulls per worker, so small phases of cheap
+            // nets do not pay one atomic round-trip per net while skewed
+            // ones still balance.
+            const std::size_t chunk = std::clamp<std::size_t>(
+                count / (static_cast<std::size_t>(pool_threads) * 8), 1, 64);
+            parallel_for_slots(*pool, count, work_fn, chunk, lc.cancel, beside);
         }
-        for (auto& [hash, chain] : flight.groups) {
-            for (auto& g : chain) {
-                ++miss_groups;
-                if (g->state == FlightGroup::State::clean)
-                    events.push_back(CacheEpochEvent{g->min_index, hash, config,
-                                                     g->rep,
-                                                     std::move(g->payload),
-                                                     true});
+        std::size_t cut = 0;
+        for (std::size_t k = 0; k < visited.size(); ++k) {
+            if (visited[k] != 0) continue;
+            const std::size_t i = index_of(k);
+            mark_cancelled(out[i], i, seed_of(i));
+            ++cut;
+        }
+        return cut;
+    };
+
+    std::uint64_t hits = 0, shared = 0, routed = nets.size(), contended = 0;
+    std::uint64_t miss_groups = 0, evictions = 0, resident = 0;
+    if (cache == nullptr) {
+        run_phase(nets.size(), nullptr, overlap);
+    } else {
+        // --- Grouping pass: serial, in net-index order -------------------
+        // Every net is probed against the cache (a pure read of the batch-
+        // start state), so hit/miss/share decisions are functions of the
+        // signatures alone, never of the schedule.  Hits are served here;
+        // misses are grouped by signature, and each group's lowest index
+        // leads.  LRU touches and interns are deferred as epoch events and
+        // replayed in net-index order by the drain below.
+        const std::uint32_t config = cache->config_of(tech, opts);
+        const auto serve = [&](std::size_t i, const NetRouteResult& src) {
+            out[i] = src;
+            out[i].diag.net_index = i;
+            out[i].diag.net_seed = seed_of(i);
+        };
+        std::vector<CacheEpochEvent> events;
+        std::vector<MissGroup> groups;
+        std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups_of;
+        std::vector<std::size_t> solo;  // leaders and uncacheable nets
+        // (net, group) of every later member of a group, in net order.
+        std::vector<std::pair<std::size_t, std::size_t>> followers;
+        std::size_t i = 0;
+        for (; i < nets.size(); ++i) {
+            if (lc.cancel != nullptr && lc.cancel->cancelled()) break;
+            if (opts.admit_cap != 0 && i >= opts.admit_cap) {
+                mark_rejected(out[i], i, seed_of(i), opts.admit_cap);
+                continue;
+            }
+            const Net& net = nets[i];
+            if (!cacheable_net(net)) {
+                solo.push_back(i);
+                continue;
+            }
+            const std::uint64_t hash = sig::hash_of(net, config);
+            const RouteCache::ProbeResult pr = cache->probe(hash, config, net);
+            if (pr.contended) ++contended;
+            if (pr.payload != nullptr) {
+                serve(i, *pr.payload);
+                ++hits;
+                events.push_back(CacheEpochEvent{i, hash, config, &net, {}, false});
+                continue;
+            }
+            std::vector<std::size_t>& chain = groups_of[hash];
+            const auto g = std::find_if(
+                chain.begin(), chain.end(), [&](std::size_t id) {
+                    return sig::nets_equivalent(nets[groups[id].leader], net);
+                });
+            if (g != chain.end()) {
+                followers.emplace_back(i, *g);
+            } else {
+                chain.push_back(groups.size());
+                groups.push_back(MissGroup{i, hash, {}});
+                solo.push_back(i);
             }
         }
+        for (; i < nets.size(); ++i) mark_cancelled(out[i], i, seed_of(i));
+
+        // --- Phase 1: leaders and uncacheable nets, on the pool ----------
+        const std::size_t cut1 = run_phase(solo.size(), solo.data(), overlap);
+
+        // --- Serial step: clean leaders intern and serve their followers --
+        // A group interns under its leader's index -- exactly where the
+        // serial schedule inserts it.  Unclean leaders (degraded status or
+        // any diagnostic; messages may embed absolute coordinates, which
+        // sharing would mistranslate) share nothing: their followers route
+        // individually in phase 2.
+        for (MissGroup& g : groups) {
+            const NetRouteResult& r = out[g.leader];
+            if (r.status != RouteStatus::ok || !r.diag.empty()) continue;
+            g.payload = make_cached_route(r);
+            events.push_back(CacheEpochEvent{g.leader, g.hash, config,
+                                             &nets[g.leader], g.payload, true});
+        }
+        std::vector<std::size_t> unshared;
+        for (const auto& [f, g] : followers) {
+            if (groups[g].payload != nullptr) {
+                serve(f, *groups[g].payload);
+                ++shared;
+            } else {
+                unshared.push_back(f);
+            }
+        }
+
+        // --- Phase 2: followers of unclean leaders, on the pool ----------
+        const std::size_t cut2 = run_phase(unshared.size(), unshared.data(), {});
+        routed = solo.size() + unshared.size() - cut1 - cut2;
+        miss_groups = groups.size();
+
+        // --- Epoch drain: replay deferred cache effects in net-index order
+        // so the cache leaves this batch byte-identical at any thread count.
         evictions = cache->drain(events);
         // Pressure eviction: hold the cache under the request's resident
         // budget before the next allocation has to fail instead.
@@ -637,8 +566,6 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
             evictions += cache->evict_to_resident(opts.memory_budget_bytes);
         resident = cache->resident_bytes();
         ws[0].note_results_served(hits + shared);
-    } else {
-        routed = nets.size();
     }
     const auto t1 = std::chrono::steady_clock::now();
 
@@ -657,7 +584,6 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         stats->cache_evictions = evictions;
         stats->resident_bytes = resident;
         stats->cache_shard_contention = contended;
-        stats->single_flight_parked = parked;
         stats->deadline_wall_degraded =
             wall_degraded.load(std::memory_order_relaxed);
         stats->tally_outcomes(out);

@@ -84,10 +84,6 @@ class RouteCache;  // session/route_cache.h
 struct PipelineOptions {
     int widths_r = 4;     ///< wiresizing width count (Table 6's r)
     int threads = 0;      ///< <= 0: default_thread_count()
-    /// Dynamic-scheduling chunk size; 0 sizes chunks adaptively (~8 pulls
-    /// per worker, clamped to [1, 64]) so cheap small batches do not pay one
-    /// atomic round-trip per net.
-    std::size_t chunk = 0;
     bool wiresize = true; ///< run the grewsa_owsa stage
     bool moment_check = true;  ///< run the wiresized moment cross-check
     int rc_sections_per_edge = 8;  ///< RC discretization of the cross-check
@@ -124,11 +120,12 @@ struct PipelineOptions {
     /// no injection.
     FaultPlan faults;
     /// Optional hash-consed route cache (session/route_cache.h), consulted
-    /// and filled by route_batch under a deterministic single-flight rule
-    /// executed inside the parallel region: the first arrival of each
-    /// canonical signature routes (the leader), later arrivals park on the
-    /// batch's flight table and are served the leader's published result;
-    /// clean results are interned for later batches via the batch-end epoch
+    /// and filled by route_batch under a deterministic single-flight rule:
+    /// a serial pass in net order serves the hits and groups the misses by
+    /// canonical signature; the pool routes each group's lowest-index net
+    /// (the leader); a clean leader's result then serves the rest of its
+    /// group, while followers of an unclean leader route individually.
+    /// Clean results are interned for later batches via the batch-end epoch
     /// drain (sorted by net index), so cache contents are byte-identical
     /// serial or parallel, and format_results output is byte-identical with
     /// the cache on or off.  Ignored (bypassed entirely) when fault
@@ -238,10 +235,6 @@ struct PipelineStats {
     /// reads it).  Schedule-dependent telemetry: NOT covered by the
     /// determinism contract, never part of diffed output.
     std::uint64_t cache_shard_contention = 0;
-    /// Followers that blocked on a still-routing single-flight leader.
-    /// Schedule-dependent telemetry, like cache_shard_contention (the serial
-    /// schedule never parks).
-    std::uint64_t single_flight_parked = 0;
 
     // Outcome tally (tally_outcomes, run serially after the barrier).
     std::uint64_t nets_ok = 0;

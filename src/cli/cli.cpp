@@ -699,8 +699,7 @@ int run_serve_overload(const CliOptions& opts, const Technology& tech,
     const ServiceStats st = svc.stats();
     out << "# serve stats: batches " << st.batches << "  applies " << st.applies
         << "  hits " << st.cache_hits << "  shared " << st.cache_shared
-        << "  evictions " << st.cache_evictions << "  parked "
-        << st.single_flight_parked << "  contended "
+        << "  evictions " << st.cache_evictions << "  contended "
         << st.cache_contended << '\n'
         << "# serve overload stats: rejected_overload " << st.rejected_overload
         << "  pressure_evictions " << st.pressure_evictions << '\n'
@@ -841,8 +840,7 @@ int run_serve(const CliOptions& opts, std::ostream& out)
     const ServiceStats st = svc.stats();
     out << "# serve stats: batches " << st.batches << "  applies " << st.applies
         << "  hits " << st.cache_hits << "  shared " << st.cache_shared
-        << "  evictions " << st.cache_evictions << "  parked "
-        << st.single_flight_parked << "  contended "
+        << "  evictions " << st.cache_evictions << "  contended "
         << st.cache_contended << '\n'
         << "# serve cache: size " << svc.cache().size() << "  resident_bytes "
         << svc.cache().resident_bytes() << '\n';

@@ -229,9 +229,10 @@ void RouteCache::pop_lru_locked()
 std::uint64_t RouteCache::drain(std::vector<CacheEpochEvent>& events)
 {
     if (events.empty()) return 0;
-    // Net indices are unique across touch and insert events (a hit net is
-    // never a flight-group member), so the sort is a total order and the
-    // replay below is exactly the serial net-order cache evolution.
+    // Net indices are unique across touch and insert events (a hit net
+    // never joins a miss group, and a group inserts at its leader's index),
+    // so the sort is a total order and the replay below is exactly the
+    // serial net-order cache evolution.
     std::sort(events.begin(), events.end(),
               [](const CacheEpochEvent& a, const CacheEpochEvent& b) {
                   return a.net_index < b.net_index;

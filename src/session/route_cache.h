@@ -21,12 +21,12 @@
 // only when an entry is actually inserted.
 //
 // The cache is CONCURRENT: one mutex guards one strict-LRU list, one
-// hash-chain map and one stats block, so parallel workers and concurrent
-// route_batch calls from many sessions probe and fill one shared cache.
+// hash-chain map and one stats block, so concurrent route_batch calls from
+// many sessions probe and fill one shared cache.
 // Two rules make it byte-deterministic under any thread schedule:
 //
-//   1. probe() never reorders the LRU list.  During a batch's parallel
-//      region every lookup is a pure read of the batch-start cache state;
+//   1. probe() never reorders the LRU list.  During a batch every lookup
+//      is a pure read of the batch-start cache state;
 //      the LRU touch/insert effects are recorded as CacheEpochEvents and
 //      replayed at batch end by drain(), sorted by net index.  Cache
 //      contents therefore evolve exactly as if the batch had run serially
@@ -39,9 +39,10 @@
 // Only *clean* results are interned: status == ok and an empty diagnostic
 // (validation notes and fault events may embed absolute coordinates and are
 // per-net anyway).  The batch driver (batch/pipeline.cpp) enforces a
-// deterministic single-flight rule on top, executed *inside* the parallel
-// region: the first arrival of a signature routes, later arrivals park on
-// the batch's flight table and are served the published payload.
+// deterministic single-flight rule on top: a serial pass in net order
+// probes every net and groups the misses by signature, the pool routes each
+// group's lowest-index net, and a clean leader's payload then serves the
+// rest of its group (followers of an unclean leader route individually).
 //
 // Eviction is strict LRU over the whole cache under an optional total
 // entry capacity, plus pressure eviction against a resident-bytes budget.

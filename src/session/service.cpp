@@ -69,7 +69,6 @@ void SessionService::count_batch(const PipelineStats& stats)
     stats_.cache_shared += stats.cache_shared;
     stats_.cache_evictions += stats.cache_evictions;
     stats_.cache_contended += stats.cache_shard_contention;
-    stats_.single_flight_parked += stats.single_flight_parked;
 }
 
 std::size_t SessionService::resident_bytes()

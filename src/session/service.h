@@ -10,9 +10,9 @@
 //     session's shared_cache, so a duplicate net routed by any session is a
 //     cache hit for every other session.  The cache sits behind one lock,
 //     taken only on the admission path: once per net for the probe, and
-//     per batch for config_of and the epoch drain (single-flight parks on
-//     a per-batch flight table, not on the cache).  ECO applies never
-//     touch it;
+//     per batch for config_of and the epoch drain (single-flight groups
+//     duplicates in a serial pass before routing, so nothing waits on a
+//     leader).  ECO applies never touch it;
 //   * the shared ThreadPool backs each session's add_batch fan-out
 //     (PipelineOptions::pool).  Concurrent batches multiplex onto the one
 //     pool via per-call TaskGroups (batch/batch.h), so a request waits only
@@ -89,7 +89,6 @@ struct ServiceStats {
     std::uint64_t cache_shared = 0;
     std::uint64_t cache_evictions = 0;
     std::uint64_t cache_contended = 0;  ///< cache-lock acquisitions that waited
-    std::uint64_t single_flight_parked = 0;
     /// Work-bearing requests refused by the queue cap (OverloadError thrown).
     std::uint64_t rejected_overload = 0;
     /// Cache entries dropped by the memory budget (evict_to_resident).

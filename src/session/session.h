@@ -126,7 +126,7 @@ struct EcoOutcome {
 
 struct SessionOptions {
     /// Pipeline knobs for every route this session performs.  `cache` is
-    /// ignored (the session supplies its own), `threads`/`chunk` apply to
+    /// ignored (the session supplies its own), `threads` applies to
     /// add_batch only.  The fault plan resolves once, at construction
     /// (explicit plan, else $CONG93_FAULT_INJECT).
     PipelineOptions pipeline;

@@ -66,13 +66,18 @@ public:
                                       int sections_per_edge = 16,
                                       bool with_inductance = false);
 
-    std::size_t size() const { return nodes_.size(); }
-    const RcNode& node(std::size_t i) const { return nodes_[i]; }
-    const std::vector<RcNode>& nodes() const { return nodes_; }
+    std::size_t size() const { return parent_.size(); }
+    /// Node i, assembled from the field arrays.
+    RcNode node(std::size_t i) const
+    {
+        return RcNode{parent_[i], r_[i], c_[i], l_[i]};
+    }
+    /// Every node, assembled (a copy; the kernels read the arrays below).
+    std::vector<RcNode> nodes() const;
 
-    /// Structure-of-arrays mirrors of the node fields, built once at
-    /// construction: the moment kernels (sim/moments.h) read these directly,
-    /// so a compute_moments call no longer copies the tree per invocation.
+    /// The node fields, stored once as structure-of-arrays: the moment
+    /// kernels (sim/moments.h) read these directly, and the builders write
+    /// them directly, sized up front.
     const std::int32_t* parent_data() const { return parent_.data(); }
     const double* r_data() const { return r_.data(); }
     const double* c_data() const { return c_.data(); }
@@ -88,11 +93,21 @@ public:
     bool has_inductance() const { return has_inductance_; }
 
 private:
-    std::vector<RcNode> nodes_;
-    std::vector<int> sink_nodes_;
-    // SoA mirrors of nodes_ (see parent_data() etc).
+    /// Builder form: `n` zeroed nodes (node 0 the root behind
+    /// `driver_ohm`), filled by append_sections and then check()ed.
+    RcTree(std::size_t n, double driver_ohm);
+    /// Appends a chain of `sections` (>= 1) pi-sections modelling a wire of
+    /// total resistance r, capacitance c and inductance l from node `from`,
+    /// writing nodes [next, next + sections); returns the far node index.
+    int append_sections(std::size_t& next, int from, double r, double c,
+                        double l, int sections);
+    /// The raw constructor's checks (every construction path runs them);
+    /// also caches has_inductance().
+    void check();
+
     std::vector<std::int32_t> parent_;
     std::vector<double> r_, c_, l_;
+    std::vector<int> sink_nodes_;
     bool has_inductance_ = false;
 };
 

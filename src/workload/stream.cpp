@@ -24,7 +24,6 @@ void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk)
     total.cache_evictions += chunk.cache_evictions;
     total.resident_bytes = chunk.resident_bytes;
     total.cache_shard_contention += chunk.cache_shard_contention;
-    total.single_flight_parked += chunk.single_flight_parked;
     total.nets_ok += chunk.nets_ok;
     total.nets_fallback += chunk.nets_fallback;
     total.nets_uniform_width += chunk.nets_uniform_width;

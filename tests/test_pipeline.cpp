@@ -302,17 +302,14 @@ TEST(Pipeline, ParallelByteIdenticalToSerial)
     EXPECT_FALSE(base.empty());
 
     for (const int threads : {2, 4}) {
-        for (const std::size_t chunk : {1u, 3u}) {
-            PipelineOptions par;
-            par.threads = threads;
-            par.chunk = chunk;
-            PipelineStats stats;
-            const auto out = format_results(route_batch(nets, tech, par, &stats));
-            EXPECT_EQ(out, base) << "threads=" << threads << " chunk=" << chunk;
-            EXPECT_EQ(stats.threads, threads);
-            EXPECT_EQ(stats.nets_not_ok(), 0u);
-            EXPECT_GT(stats.nets_per_sec(), 0.0);
-        }
+        PipelineOptions par;
+        par.threads = threads;
+        PipelineStats stats;
+        const auto out = format_results(route_batch(nets, tech, par, &stats));
+        EXPECT_EQ(out, base) << "threads=" << threads;
+        EXPECT_EQ(stats.threads, threads);
+        EXPECT_EQ(stats.nets_not_ok(), 0u);
+        EXPECT_GT(stats.nets_per_sec(), 0.0);
     }
 }
 

@@ -1,6 +1,8 @@
 // Session engine & route-cache tests: canonical-signature edges (translation
 // invariance, sink order, cap quantization collisions), LRU bookkeeping,
-// cache-on/off and serial/parallel byte-identity of route_batch, ECO repair
+// cache-on/off and serial/parallel byte-identity of route_batch (including
+// the single-flight grouping pass under cancellation, admission caps and
+// annotated duplicate groups), ECO repair
 // bit-identity against from-scratch route_single for every delta kind,
 // lopsided and annotated repairs, fault injection on the request path, and
 // delta type-checking.
@@ -294,18 +296,15 @@ TEST(PipelineCache, ParallelByteIdenticalToSerialWithCache)
     const auto base = format_results(route_batch(nets, tech, off));
 
     for (const int threads : {1, 4}) {
-        for (const std::size_t chunk : {1u, 3u}) {
-            RouteCache cache;
-            PipelineOptions on;
-            on.threads = threads;
-            on.chunk = chunk;
-            on.cache = &cache;
-            EXPECT_EQ(format_results(route_batch(nets, tech, on)), base)
-                << "threads=" << threads << " chunk=" << chunk;
-            // Warm-cache rerun at the same thread count.
-            EXPECT_EQ(format_results(route_batch(nets, tech, on)), base)
-                << "warm threads=" << threads << " chunk=" << chunk;
-        }
+        RouteCache cache;
+        PipelineOptions on;
+        on.threads = threads;
+        on.cache = &cache;
+        EXPECT_EQ(format_results(route_batch(nets, tech, on)), base)
+            << "threads=" << threads;
+        // Warm-cache rerun at the same thread count.
+        EXPECT_EQ(format_results(route_batch(nets, tech, on)), base)
+            << "warm threads=" << threads;
     }
 }
 
@@ -328,6 +327,116 @@ TEST(PipelineCache, FaultInjectionBypassesTheCache)
     EXPECT_EQ(format_results(route_batch(nets, tech, cached, &stats)), base);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(stats.cache_hits + stats.cache_shared, 0u);
+}
+
+TEST(PipelineCache, PreCancelledBatchServesAndInternsNothing)
+{
+    // The grouping pass checks the token before its first probe: a batch
+    // cancelled up front neither serves a hit, nor touches the LRU order,
+    // nor interns a result, and every net ends cancelled.
+    const Technology tech = mcm_technology();
+    const auto nets = nets_with_duplicates(54, 6, 6);
+    CancelToken cancel;
+    cancel.cancel();
+
+    PipelineOptions off;
+    off.threads = 1;
+    off.cancel = &cancel;
+    const auto base = format_results(route_batch(nets, tech, off));
+
+    for (const int threads : {1, 4}) {
+        RouteCache cold;
+        RouteCache warm;
+        PipelineOptions fill;
+        fill.threads = threads;
+        fill.cache = &warm;
+        route_batch(nets, tech, fill);
+        const std::string warm_before = warm.dump();
+
+        for (RouteCache* cache : {&cold, &warm}) {
+            PipelineOptions on = off;
+            on.threads = threads;
+            on.cache = cache;
+            PipelineStats stats;
+            const auto results = route_batch(nets, tech, on, &stats);
+            EXPECT_EQ(format_results(results), base) << "threads=" << threads;
+            for (const NetRouteResult& r : results)
+                EXPECT_EQ(r.status, RouteStatus::cancelled);
+            EXPECT_EQ(stats.cache_hits + stats.cache_shared, 0u);
+            EXPECT_EQ(stats.cache_misses, 0u);
+            EXPECT_EQ(stats.nets_routed, 0u);
+        }
+        EXPECT_EQ(cold.size(), 0u);
+        EXPECT_EQ(warm.dump(), warm_before);
+    }
+}
+
+TEST(PipelineCache, AdmitCapRejectsTheTailBeforeAnyProbe)
+{
+    const Technology tech = mcm_technology();
+    const auto nets = nets_with_duplicates(55, 8, 8);
+    const std::size_t cap = 5;
+
+    PipelineOptions off;
+    off.threads = 1;
+    off.admit_cap = cap;
+    const auto base = format_results(route_batch(nets, tech, off));
+
+    for (const int threads : {1, 4}) {
+        RouteCache cache;
+        PipelineOptions fill;
+        fill.threads = threads;
+        fill.cache = &cache;
+        route_batch(nets, tech, fill);  // warm: every net now hits
+        const RouteCacheStats before = cache.stats();
+
+        PipelineOptions on = off;
+        on.threads = threads;
+        on.cache = &cache;
+        PipelineStats stats;
+        const auto results = route_batch(nets, tech, on, &stats);
+        EXPECT_EQ(format_results(results), base) << "threads=" << threads;
+        for (std::size_t i = cap; i < results.size(); ++i)
+            EXPECT_EQ(results[i].status, RouteStatus::rejected_overload) << i;
+        EXPECT_EQ(stats.cache_hits, cap);
+        EXPECT_EQ(stats.nets_rejected, nets.size() - cap);
+        EXPECT_EQ(stats.nets_routed, 0u);
+        // Only the admitted prefix was probed.
+        EXPECT_EQ(cache.stats().hits - before.hits, cap);
+        EXPECT_EQ(cache.stats().misses, before.misses);
+    }
+}
+
+TEST(PipelineCache, AnnotatedDuplicateGroupRoutesEveryMember)
+{
+    // Each copy carries a duplicate sink, so validate_net annotates every
+    // member of the group: the leader is unclean, nothing is shared or
+    // interned, and every member routes on its own.
+    const Technology tech = mcm_technology();
+    std::mt19937_64 rng(56);
+    Net base_net = random_net(rng, 500, 6);
+    base_net.sinks.push_back(base_net.sinks[1]);
+    std::vector<Net> nets;
+    for (Coord d = 0; d < 6; ++d) nets.push_back(translated(base_net, 7 * d, 3 * d));
+
+    PipelineOptions off;
+    off.threads = 1;
+    const auto base = format_results(route_batch(nets, tech, off));
+
+    for (const int threads : {1, 4}) {
+        RouteCache cache;
+        PipelineOptions on = off;
+        on.threads = threads;
+        on.cache = &cache;
+        PipelineStats stats;
+        const auto results = route_batch(nets, tech, on, &stats);
+        EXPECT_EQ(format_results(results), base) << "threads=" << threads;
+        for (const NetRouteResult& r : results) EXPECT_FALSE(r.diag.empty());
+        EXPECT_EQ(stats.cache_misses, 1u);
+        EXPECT_EQ(stats.cache_shared, 0u);
+        EXPECT_EQ(stats.nets_routed, nets.size());
+        EXPECT_EQ(cache.size(), 0u);
+    }
 }
 
 // ---------------------------------------------------------------------------
