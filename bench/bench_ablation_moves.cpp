@@ -60,7 +60,7 @@ void run()
                 const AtreeResult r = build_atree(net, variants[v].opts);
                 agg[v].cost += static_cast<double>(r.cost);
                 agg[v].qmst += static_cast<double>(r.qmst_cost);
-                agg[v].delay += measure_delay(r.tree, tech).mean;
+                agg[v].delay += measure_delay(FlatTree(r.tree), tech).mean;
                 agg[v].sb += static_cast<double>(r.sb_total);
                 agg[v].all_safe += r.all_safe() ? 1 : 0;
             }

@@ -39,12 +39,13 @@ void run()
         len_crit += static_cast<double>(crit.cost);
 
         const auto delay_at = [&](const RoutingTree& tree, double* mean_out) {
-            const DelayReport d = measure_delay(tree, tech, SimMethod::two_pole,
+            const FlatTree ft(tree);
+            const DelayReport d = measure_delay(ft, tech, SimMethod::two_pole,
                                                 bench::kPaperThreshold);
             *mean_out += d.mean;
-            const auto sinks = tree.sinks();
-            for (std::size_t i = 0; i < sinks.size(); ++i)
-                if (tree.point(sinks[i]) == cp) return d.sink_delays[i];
+            for (std::size_t i = 0; i < ft.sinks().size(); ++i)
+                if (ft.point()[static_cast<std::size_t>(ft.sinks()[i])] == cp)
+                    return d.sink_delays[i];
             return -1.0;
         };
         const double dp = delay_at(plain.tree, &mean_plain);

@@ -29,10 +29,10 @@ void run()
     const auto nets = random_nets(7700, kNets, kMcmGrid, 8);
 
     // Topologies are fixed; only Rd changes.
-    std::vector<RoutingTree> atrees, steiners;
+    std::vector<FlatTree> atrees, steiners;
     for (const Net& net : nets) {
-        atrees.push_back(build_atree_general(net).tree);
-        steiners.push_back(build_one_steiner(net).tree);
+        atrees.emplace_back(build_atree_general(net).tree);
+        steiners.emplace_back(build_one_steiner(net).tree);
     }
 
     TextTable t({"Rd (ohm)", "Rd/R0 (um)", "A-tree (ns)", "1-Steiner (ns)",
@@ -47,8 +47,8 @@ void run()
             d_st += measure_delay(steiners[static_cast<std::size_t>(i)], tech,
                                   SimMethod::two_pole, bench::kPaperThreshold)
                         .mean;
-            const FlatTree ft(atrees[static_cast<std::size_t>(i)]);
-            const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
+            const WiresizeContext ctx(atrees[static_cast<std::size_t>(i)], tech,
+                                      WidthSet::uniform_steps(4));
             const CombinedResult sized = grewsa_owsa(ctx);
             d_ws += measure_delay_wiresized(ctx, sized.assignment, SimMethod::two_pole,
                                             bench::kPaperThreshold)

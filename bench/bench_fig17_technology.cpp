@@ -30,12 +30,12 @@ void run()
 
     // Pre-build topologies once per net (they are technology independent).
     const auto nets = random_nets(1954, bench::kNetsPerConfig, kIcGrid, 8);
-    std::vector<RoutingTree> atrees, steiners;
+    std::vector<FlatTree> atrees, steiners;
     atrees.reserve(nets.size());
     steiners.reserve(nets.size());
     for (const Net& net : nets) {
-        atrees.push_back(build_atree_general(net).tree);
-        steiners.push_back(build_one_steiner(net).tree);
+        atrees.emplace_back(build_atree_general(net).tree);
+        steiners.emplace_back(build_one_steiner(net).tree);
     }
 
     TextTable t({"technology", "Rd/R0 (1e6 um)", "driver x4", "driver x6",
@@ -47,8 +47,8 @@ void run()
             const Technology tech = base.with_driver_scale(scale);
             double d_atree = 0, d_steiner = 0;
             for (std::size_t i = 0; i < nets.size(); ++i) {
-                const FlatTree ft(atrees[i]);
-                const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(kWidths));
+                const WiresizeContext ctx(atrees[i], tech,
+                                          WidthSet::uniform_steps(kWidths));
                 const CombinedResult sized = grewsa_owsa(ctx);
                 d_atree += measure_delay_wiresized(ctx, sized.assignment,
                                                    SimMethod::two_pole,

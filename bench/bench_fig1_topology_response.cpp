@@ -37,8 +37,10 @@ void run()
         std::uniform_int_distribution<Coord> c(0, kMcmGrid / 2);
         for (int i = 0; i < 5; ++i) net.sinks.push_back(Point{c(rng), c(rng)});
 
-        const RoutingTree ost = exact_steiner(net).tree;
-        const RoutingTree fast = build_atree(net).tree;
+        const RoutingTree ost_tree = exact_steiner(net).tree;
+        const RoutingTree fast_tree = build_atree(net).tree;
+        const FlatTree ost(ost_tree);
+        const FlatTree fast(fast_tree);
         const auto d_ost =
             measure_delay(ost, tech, SimMethod::two_pole, bench::kPaperThreshold);
         const auto d_fast =
@@ -50,8 +52,9 @@ void run()
 
         std::cout << "\nnet: source (0,0), sinks:";
         for (const Point s : net.sinks) std::cout << " (" << s.x << ',' << s.y << ')';
-        std::cout << "\n\nTree 1 (optimal Steiner tree):   " << describe(ost)
-                  << "\nTree 2 (A-tree, delay optimized): " << describe(fast) << "\n\n";
+        std::cout << "\n\nTree 1 (optimal Steiner tree):   " << describe(ost_tree)
+                  << "\nTree 2 (A-tree, delay optimized): " << describe(fast_tree)
+                  << "\n\n";
 
         TextTable t({"metric", "Tree 1 (OST)", "Tree 2 (A-tree)"});
         t.add_row({"total wirelength", std::to_string(total_length(ost)),
@@ -74,8 +77,8 @@ void run()
         std::size_t worst = 0;
         for (std::size_t i = 0; i < tr_ost.sink_delays.size(); ++i)
             if (tr_ost.sink_delays[i] > tr_ost.sink_delays[worst]) worst = i;
-        const RcTree rc_ost = RcTree::from_routing_tree(ost, tech);
-        const RcTree rc_fast = RcTree::from_routing_tree(fast, tech);
+        const RcTree rc_ost = RcTree::from_flat_tree(ost, tech);
+        const RcTree rc_fast = RcTree::from_flat_tree(fast, tech);
         const auto wf_ost =
             transient_waveforms(rc_ost, {rc_ost.sink_nodes()[worst]}, 0.98);
         const auto wf_fast =

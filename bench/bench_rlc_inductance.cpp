@@ -32,8 +32,8 @@ void run()
         double a_rc = 0, a_rlc = 0, s_rc = 0, s_rlc = 0;
         int wins_rc = 0, wins_rlc = 0;
         for (const Net& net : nets) {
-            const RoutingTree at = build_atree_general(net).tree;
-            const RoutingTree st = build_one_steiner(net).tree;
+            const FlatTree at(build_atree_general(net).tree);
+            const FlatTree st(build_one_steiner(net).tree);
             const double arc = measure_delay(at, tech, SimMethod::two_pole,
                                              bench::kPaperThreshold, false)
                                    .mean;
@@ -65,7 +65,7 @@ void run()
     TextTable v({"net", "two-pole mean (ns)", "transient mean (ns)", "ratio"});
     const auto nets = random_nets(8899, 5, kMcmGrid, 8);
     for (std::size_t i = 0; i < nets.size(); ++i) {
-        const RoutingTree at = build_atree_general(nets[i]).tree;
+        const FlatTree at(build_atree_general(nets[i]).tree);
         const double tp = measure_delay(at, tech, SimMethod::two_pole,
                                         bench::kPaperThreshold, true)
                               .mean;

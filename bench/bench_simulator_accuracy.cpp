@@ -52,8 +52,8 @@ void run()
         for (const double thr : {0.5, 0.9}) {
             ErrStats tp_err, pd_err;
             for (const Net& net : nets) {
-                const RcTree rc =
-                    RcTree::from_routing_tree(build_atree_general(net).tree, tech, 8);
+                const RcTree rc = RcTree::from_flat_tree(
+                    FlatTree(build_atree_general(net).tree), tech, 8);
                 const auto tp = two_pole_sink_delays(rc, thr);
                 const auto pd = pade_sink_delays(rc, thr);
                 const auto tr = transient_sink_delays(rc, thr);

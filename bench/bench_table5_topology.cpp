@@ -64,12 +64,12 @@ void run_population(const std::string& label,
                 RoutingTree tree(Point{0, 0});
                 rows[a].runtime +=
                     bench::time_seconds([&] { tree = routers()[a].second(net); });
-                rows[a].length += static_cast<double>(total_length(tree));
-                rows[a].sum_pl_sinks +=
-                    static_cast<double>(sum_sink_path_lengths(tree));
+                const FlatTree ft(tree);
+                rows[a].length += static_cast<double>(total_length(ft));
+                rows[a].sum_pl_sinks += static_cast<double>(sum_sink_path_lengths(ft));
                 rows[a].sum_pl_nodes +=
-                    static_cast<double>(sum_all_node_path_lengths(tree));
-                rows[a].delay += measure_delay(tree, tech, SimMethod::two_pole,
+                    static_cast<double>(sum_all_node_path_lengths(ft));
+                rows[a].delay += measure_delay(ft, tech, SimMethod::two_pole,
                                                bench::kPaperThreshold)
                                      .mean;
             }

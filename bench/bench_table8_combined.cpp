@@ -50,16 +50,16 @@ void run()
                                                     bench::kPaperThreshold)
                                 .mean;
                 res.steiner =
-                    measure_delay(build_one_steiner(net).tree, tech,
+                    measure_delay(FlatTree(build_one_steiner(net).tree), tech,
                                   SimMethod::two_pole, bench::kPaperThreshold)
                         .mean;
                 res.brbc05 =
-                    measure_delay(build_brbc(net, 0.5), tech, SimMethod::two_pole,
-                                  bench::kPaperThreshold)
+                    measure_delay(FlatTree(build_brbc(net, 0.5)), tech,
+                                  SimMethod::two_pole, bench::kPaperThreshold)
                         .mean;
                 res.brbc10 =
-                    measure_delay(build_brbc(net, 1.0), tech, SimMethod::two_pole,
-                                  bench::kPaperThreshold)
+                    measure_delay(FlatTree(build_brbc(net, 1.0)), tech,
+                                  SimMethod::two_pole, bench::kPaperThreshold)
                         .mean;
                 return res;
             });

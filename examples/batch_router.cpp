@@ -69,8 +69,8 @@ int main(int argc, char** argv)
             const CombinedResult sized = grewsa_owsa(ctx);
             NetResult r;
             r.cost = routed.cost;
-            r.radius = radius(routed.tree);
-            r.before = measure_delay(routed.tree, tech).mean;
+            r.radius = radius(ft);
+            r.before = measure_delay(ft, tech).mean;
             r.after =
                 measure_delay_wiresized(ctx, sized.assignment).mean;
             return r;
@@ -95,7 +95,8 @@ int main(int argc, char** argv)
     const std::string text = format_tree(last.tree);
     const RoutingTree parsed = parse_tree(text);
     std::cout << "\nserialized last tree (" << text.size() << " bytes), reparsed "
-              << parsed.node_count() << " nodes, length " << total_length(parsed)
+              << parsed.node_count() << " nodes, length "
+              << total_length(FlatTree(parsed))
               << '\n';
     return 0;
 }

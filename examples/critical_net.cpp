@@ -32,18 +32,19 @@ int main(int argc, char** argv)
     const AtreeResult plain = build_atree_general(net);
     const CriticalAtreeResult crit = build_atree_critical(net, {critical});
 
-    const auto find_sink_delay = [&](const RoutingTree& tree, Point p) {
-        const DelayReport d = measure_delay(tree, tech);
-        const auto sinks = tree.sinks();
-        for (std::size_t i = 0; i < sinks.size(); ++i)
-            if (tree.point(sinks[i]) == p) return d.sink_delays[i];
+    const FlatTree plain_ft(plain.tree);
+    const FlatTree crit_ft(crit.tree);
+    const DelayReport plain_all = measure_delay(plain_ft, tech);
+    const DelayReport crit_all = measure_delay(crit_ft, tech);
+    const auto find_sink_delay = [](const FlatTree& ft, const DelayReport& d, Point p) {
+        for (std::size_t i = 0; i < ft.sinks().size(); ++i)
+            if (ft.point()[static_cast<std::size_t>(ft.sinks()[i])] == p)
+                return d.sink_delays[i];
         return -1.0;
     };
     const Point cp = net.sinks[critical];
-    const double plain_crit = find_sink_delay(plain.tree, cp);
-    const double crit_crit = find_sink_delay(crit.tree, cp);
-    const DelayReport plain_all = measure_delay(plain.tree, tech);
-    const DelayReport crit_all = measure_delay(crit.tree, tech);
+    const double plain_crit = find_sink_delay(plain_ft, plain_all, cp);
+    const double crit_crit = find_sink_delay(crit_ft, crit_all, cp);
 
     std::cout << "10-sink MCM net, critical sink at (" << cp.x << ',' << cp.y
               << ") -- " << dist(net.source, cp) << " grids from the source\n\n";

@@ -27,7 +27,7 @@ int main(int argc, char** argv)
     const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     std::cout << "H-tree: " << levels << " levels, " << tree.sinks().size()
               << " sinks, " << ctx.segment_count() << " segments, wirelength "
-              << total_length(tree) << " grids\n\n";
+              << total_length(ft) << " grids\n\n";
 
     const auto skew = [](const DelayReport& d) {
         const auto [lo, hi] =
@@ -35,7 +35,7 @@ int main(int argc, char** argv)
         return *hi - *lo;
     };
 
-    const DelayReport uniform = measure_delay(tree, tech);
+    const DelayReport uniform = measure_delay(ft, tech);
     const CombinedResult sized = grewsa_owsa(ctx);
     const DelayReport wide = measure_delay_wiresized(ctx, sized.assignment);
 

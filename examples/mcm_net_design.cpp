@@ -32,10 +32,11 @@ int main(int argc, char** argv)
     TextTable t({"router", "length", "radius", "sum sink pl", "mean delay (ns)",
                  "max delay (ns)"});
     const auto row = [&](const std::string& name, const RoutingTree& tree) {
-        const DelayReport d = measure_delay(tree, tech);
-        t.add_row({name, std::to_string(total_length(tree)),
-                   std::to_string(radius(tree)),
-                   std::to_string(sum_sink_path_lengths(tree)),
+        const FlatTree ft(tree);
+        const DelayReport d = measure_delay(ft, tech);
+        t.add_row({name, std::to_string(total_length(ft)),
+                   std::to_string(radius(ft)),
+                   std::to_string(sum_sink_path_lengths(ft)),
                    fmt_ns(d.mean), fmt_ns(d.max)});
     };
     const RoutingTree atree = build_atree_general(net).tree;
@@ -51,7 +52,7 @@ int main(int argc, char** argv)
     const FlatTree ft(atree);
     const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(6));
     const CombinedResult sized = grewsa_owsa(ctx);
-    const DelayReport before = measure_delay(atree, tech);
+    const DelayReport before = measure_delay(ft, tech);
     const DelayReport after =
         measure_delay_wiresized(ctx, sized.assignment);
     std::cout << "\nwiresized A-tree (widths {W1..6W1}, W1 = "

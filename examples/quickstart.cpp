@@ -42,7 +42,7 @@ int main()
               << ")\n";
 
     // 4. Simulate with the two-pole model (50% threshold step delays).
-    const DelayReport before = measure_delay(routed.tree, tech);
+    const DelayReport before = measure_delay(ft, tech);
     const DelayReport after = measure_delay_wiresized(ctx, sized.assignment);
     std::cout << "simulated mean sink delay: " << before.mean * 1e9 << " ns -> "
               << after.mean * 1e9 << " ns\n";

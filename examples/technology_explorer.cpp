@@ -30,8 +30,8 @@ int main()
             const Technology tech = base.with_driver_scale(scale);
             double d_a = 0.0, d_s = 0.0;
             for (const Net& net : nets) {
-                d_a += measure_delay(build_atree_general(net).tree, tech).mean;
-                d_s += measure_delay(build_one_steiner(net).tree, tech).mean;
+                d_a += measure_delay(FlatTree(build_atree_general(net).tree), tech).mean;
+                d_s += measure_delay(FlatTree(build_one_steiner(net).tree), tech).mean;
             }
             d_a /= kNets;
             d_s /= kNets;

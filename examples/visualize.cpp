@@ -39,15 +39,14 @@ int main(int argc, char** argv)
         std::cout << "wrote " << path << '\n';
     };
 
-    const RoutingTree atree = build_atree_general(net).tree;
-    save("atree", to_svg(atree));
-    save("steiner", to_svg(build_one_steiner(net).tree));
-    save("mst", to_svg(build_mst_tree(net)));
-    save("spt", to_svg(build_spt(net)));
-    save("brbc05", to_svg(build_brbc(net, 0.5)));
+    const FlatTree ft(build_atree_general(net).tree);
+    save("atree", to_svg(ft));
+    save("steiner", to_svg(FlatTree(build_one_steiner(net).tree)));
+    save("mst", to_svg(FlatTree(build_mst_tree(net))));
+    save("spt", to_svg(FlatTree(build_spt(net))));
+    save("brbc05", to_svg(FlatTree(build_brbc(net, 0.5))));
 
     // Wiresized A-tree: stroke width follows the optimal assignment.
-    const FlatTree ft(atree);
     const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
     const CombinedResult sized = grewsa_owsa(ctx);
     std::vector<double> norm(ctx.segment_count());

@@ -10,15 +10,18 @@ namespace {
 
 /// Converts the single remaining arborescence of `forest` into a RoutingTree
 /// rooted at the source, translating by `offset` (the original source
-/// position) and marking the net's sinks.
-RoutingTree forest_to_tree(const Forest& forest, const Net& net, Point offset)
+/// position) and marking the net's sinks.  Prices the tree in the same
+/// walk: `cost` is its wirelength, `qmst_cost` its checked QMST sum.
+AtreeResult forest_to_tree(const Forest& forest, const Net& net, Point offset)
 {
     const int src = forest.source_node();
     if (forest.node(src).parent != -1)
         throw std::logic_error("forest_to_tree: source is not the final root");
 
-    RoutingTree tree(net.source);
+    AtreeResult res{RoutingTree(net.source)};
+    RoutingTree& tree = res.tree;
     tree.reserve(forest.node_count());
+    QmstSum qmst;
     // Map forest node ids to tree node ids with an explicit DFS.
     std::vector<NodeId> map(forest.node_count(), kNoNode);
     map[static_cast<std::size_t>(src)] = tree.root();
@@ -30,8 +33,11 @@ RoutingTree forest_to_tree(const Forest& forest, const Net& net, Point offset)
             const Point p = forest.node(c).p;
             const Point shifted{static_cast<Coord>(p.x + offset.x),
                                 static_cast<Coord>(p.y + offset.y)};
-            map[static_cast<std::size_t>(c)] =
+            const NodeId added =
                 tree.add_child(map[static_cast<std::size_t>(id)], shifted);
+            map[static_cast<std::size_t>(c)] = added;
+            res.cost += tree.edge_length(added);
+            qmst.add_edge(tree.edge_length(added), tree.path_length(added));
             stack.push_back(c);
         }
     }
@@ -45,7 +51,8 @@ RoutingTree forest_to_tree(const Forest& forest, const Net& net, Point offset)
             throw std::logic_error("forest_to_tree: sink missing from tree");
         tree.mark_sink(id, net.sink_cap(i));
     }
-    return tree;
+    res.qmst_cost = qmst.value();
+    return res;
 }
 
 }  // namespace
@@ -79,12 +86,10 @@ AtreeResult build_atree(const Net& net, const AtreeOptions& options)
     MoveEngine engine;
     run_atree(forest, engine, at_origin ? net.sinks : shifted, options);
 
-    AtreeResult res{forest_to_tree(forest, net, net.source)};
+    AtreeResult res = forest_to_tree(forest, net, net.source);
     res.safe_moves = engine.safe_moves();
     res.heuristic_moves = engine.heuristic_moves();
-    res.cost = total_length(res.tree);
     res.sb_total = engine.sb_total();
-    res.qmst_cost = sum_all_node_path_lengths(res.tree);
     res.sb_qmst_total = engine.sb_qmst_total();
     return res;
 }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "atree/generalized.h"
-#include "rtree/metrics.h"
 
 namespace cong93 {
 
@@ -33,14 +32,15 @@ CriticalAtreeResult build_atree_critical(const Net& net,
         res.safe_moves += crit.safe_moves;
         res.heuristic_moves += crit.heuristic_moves;
         res.critical_cost = crit.cost;
+        res.cost += crit.cost;
     }
     if (!rest_net.sinks.empty()) {
         const AtreeResult rest = build_atree_general(rest_net, options);
         graft(res.tree, res.tree.root(), rest.tree);
         res.safe_moves += rest.safe_moves;
         res.heuristic_moves += rest.heuristic_moves;
+        res.cost += rest.cost;
     }
-    res.cost = total_length(res.tree);
     return res;
 }
 

@@ -187,9 +187,10 @@ ExactRsaResult exact_rsa(const Net& net, RsaCost mode)
 
     ExactRsaResult res{tree_from_parent_map(net, out_pts, out_parent), opt};
     // Sanity: the reconstructed tree must realize the DP cost.
+    const FlatTree ft(res.tree);
     const Length realized = mode == RsaCost::wirelength
-                                ? total_length(res.tree)
-                                : sum_all_node_path_lengths(res.tree);
+                                ? total_length(ft)
+                                : sum_all_node_path_lengths(ft);
     if (realized != opt) throw std::logic_error("exact_rsa: reconstruction mismatch");
     return res;
 }

@@ -217,20 +217,23 @@ AtreeResult assemble_quadrants(const Net& net, const QuadrantPartition& part,
         return combined.add_child(parent, p);
     };
     const auto mark = [&](NodeId id, double cap) { combined.mark_sink(id, cap); };
+    // The graft copies every quadrant node, and reflection keeps edge and
+    // path lengths, so the combined prices are the quadrants' sums.
     AtreeScratch scratch;
+    QmstSum qmst;
     for (std::size_t q = 0; q < 4; ++q) {
         if (part.quads[q].empty()) continue;
         const AtreeResult& r = *quads[q];
         total.safe_moves += r.safe_moves;
         total.heuristic_moves += r.heuristic_moves;
+        total.cost += r.cost;
         total.sb_total += r.sb_total;
+        qmst.add_cost(r.qmst_cost);
         total.sb_qmst_total += r.sb_qmst_total;
         graft(net, static_cast<int>(q), r.tree, part.quads[q], add, mark, scratch);
     }
     cover(net, combined.node_count(), mark, scratch);
-
-    total.cost = total_length(combined);
-    total.qmst_cost = sum_all_node_path_lengths(combined);
+    total.qmst_cost = qmst.value();
     return total;
 }
 

@@ -93,8 +93,11 @@ Net quadrant_subnet(const QuadrantPartition& part, int q);
 /// pass over the combined tree.  `quads[q]` must be the build_atree result
 /// of quadrant_subnet(part, q) (nullptr when part.quads[q] is empty); the
 /// output is bit-identical to build_atree_general(net) whenever the inputs
-/// match what it would build.  Throws std::logic_error when a net sink is
-/// missing from the combined tree.
+/// match what it would build.  The combined cost and qmst_cost are the sums
+/// of the quadrants' (the graft copies every quadrant node, and reflection
+/// keeps path lengths); a QMST sum beyond int64 throws std::overflow_error.
+/// Throws std::logic_error when a net sink is missing from the combined
+/// tree.
 AtreeResult assemble_quadrants(const Net& net, const QuadrantPartition& part,
                                const std::array<const AtreeResult*, 4>& quads);
 

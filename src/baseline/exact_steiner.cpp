@@ -139,7 +139,7 @@ ExactSteinerResult exact_steiner(const Net& net)
     }
 
     ExactSteinerResult res{tree_from_parent_map(net, out_pts, out_parent), opt};
-    if (total_length(res.tree) != opt)
+    if (total_length(FlatTree(res.tree)) != opt)
         throw std::logic_error("exact_steiner: reconstruction mismatch");
     return res;
 }

@@ -15,7 +15,6 @@
 #include "delay/elmore.h"
 #include "delay/rph.h"
 #include "netgen/netgen.h"
-#include "rtree/segments.h"
 #include "rtree/validate.h"
 #include "session/route_cache.h"
 #include "sim/rc_tree.h"
@@ -423,7 +422,8 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
     // serially or on the pool with `beside` running on the calling thread.
     // Once the cancel token fires, slots stop pulling chunks, and the items
     // nobody reached end cancelled (the same form as a net route_net itself
-    // cancelled).  Returns how many items were cut off that way.
+    // cancelled).  Returns how many items entered route_net: neither cut
+    // off that way nor refused by admit_cap.
     const auto run_phase = [&](std::size_t count, const std::size_t* items,
                                const std::function<void()>& beside) {
         const auto index_of = [items](std::size_t k) {
@@ -456,20 +456,21 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
                 count / (static_cast<std::size_t>(pool_threads) * 8), 1, 64);
             parallel_for_slots(*pool, count, work_fn, chunk, lc.cancel, beside);
         }
-        std::size_t cut = 0;
-        for (std::size_t k = 0; k < visited.size(); ++k) {
-            if (visited[k] != 0) continue;
+        std::size_t entered = 0;
+        for (std::size_t k = 0; k < count; ++k) {
             const std::size_t i = index_of(k);
-            mark_cancelled(out[i], i, seed_of(i));
-            ++cut;
+            if (!visited.empty() && visited[k] == 0)
+                mark_cancelled(out[i], i, seed_of(i));
+            else if (opts.admit_cap == 0 || i < opts.admit_cap)
+                ++entered;
         }
-        return cut;
+        return entered;
     };
 
-    std::uint64_t hits = 0, shared = 0, routed = nets.size(), contended = 0;
+    std::uint64_t hits = 0, shared = 0, routed = 0, contended = 0;
     std::uint64_t miss_groups = 0, evictions = 0, resident = 0;
     if (cache == nullptr) {
-        run_phase(nets.size(), nullptr, overlap);
+        routed = run_phase(nets.size(), nullptr, overlap);
     } else {
         // --- Grouping pass: serial, in net-index order -------------------
         // Every net is probed against the cache (a pure read of the batch-
@@ -527,7 +528,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         for (; i < nets.size(); ++i) mark_cancelled(out[i], i, seed_of(i));
 
         // --- Phase 1: leaders and uncacheable nets, on the pool ----------
-        const std::size_t cut1 = run_phase(solo.size(), solo.data(), overlap);
+        routed = run_phase(solo.size(), solo.data(), overlap);
 
         // --- Serial step: clean leaders intern and serve their followers --
         // A group interns under its leader's index -- exactly where the
@@ -553,8 +554,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
         }
 
         // --- Phase 2: followers of unclean leaders, on the pool ----------
-        const std::size_t cut2 = run_phase(unshared.size(), unshared.data(), {});
-        routed = solo.size() + unshared.size() - cut1 - cut2;
+        routed += run_phase(unshared.size(), unshared.data(), {});
         miss_groups = groups.size();
 
         // --- Epoch drain: replay deferred cache effects in net-index order

@@ -215,8 +215,9 @@ struct PipelineStats {
     /// counters.tree_builds counts the batch's FlatTree compilations.
     WorkspaceCounters counters;
     std::uint64_t nets = 0;      ///< nets in the batch
-    /// Nets that executed the route ladder this batch (= batch size minus
-    /// cache-served nets).
+    /// Nets that entered the route ladder this batch: the batch minus nets
+    /// served from the cache, refused by admit_cap, or cancelled before
+    /// they started.  The same count with or without a cache.
     std::uint64_t nets_routed = 0;
 
     // Route-cache telemetry for this batch (all zero without a cache).
@@ -271,7 +272,8 @@ struct PipelineStats {
     /// compile stage -- and, with a cache attached, nets served by result
     /// sharing -- pull it below 1.0.
     double compiles_per_net() const { return ratio(counters.tree_builds, nets); }
-    /// Cache-served nets excluded from the denominator: the share-aware
+    /// Per net that entered the ladder (nets_routed), so cache-served,
+    /// refused and cut-off nets leave the denominator: the share-aware
     /// once-compiled invariant, <= 1.0 always and exactly 1.0 for a clean
     /// batch.
     double compiles_per_routed_net() const

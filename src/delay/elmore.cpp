@@ -1,8 +1,5 @@
 #include "delay/elmore.h"
 
-#include <algorithm>
-#include <numeric>
-
 namespace cong93 {
 
 namespace {
@@ -47,19 +44,6 @@ double root_path_delay(const FlatTree& ft, const Technology& tech,
 
 }  // namespace
 
-double elmore_delay(const RoutingTree& tree, const Technology& tech, NodeId sink)
-{
-    const FlatTree ft(tree);
-    std::vector<double> cap(ft.size());
-    subtree_caps(ft, tech, cap.data());
-    return root_path_delay(ft, tech, cap.data(), ft.flat_of(sink));
-}
-
-std::vector<double> elmore_all_sinks(const RoutingTree& tree, const Technology& tech)
-{
-    return elmore_all_sinks(FlatTree(tree), tech);
-}
-
 std::vector<double> elmore_all_sinks(const FlatTree& ft, const Technology& tech)
 {
     std::vector<double> cap, out;
@@ -75,19 +59,6 @@ void elmore_all_sinks(const FlatTree& ft, const Technology& tech,
     subtree_caps(ft, tech, cap_scratch.data());
     for (std::size_t j = 0; j < out.size(); ++j)
         out[j] = root_path_delay(ft, tech, cap_scratch.data(), ft.sinks()[j]);
-}
-
-double elmore_max(const RoutingTree& tree, const Technology& tech)
-{
-    const auto v = elmore_all_sinks(tree, tech);
-    return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
-}
-
-double elmore_mean(const RoutingTree& tree, const Technology& tech)
-{
-    const auto v = elmore_all_sinks(tree, tech);
-    if (v.empty()) return 0.0;
-    return std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
 }
 
 }  // namespace cong93

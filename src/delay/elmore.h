@@ -4,12 +4,13 @@
 // (an on-path edge e with resistance Re and capacitance Ce contributes
 // Re*(C_subtree(e) - Ce/2); the driver contributes Rd*C_total).
 //
-// The primary evaluators run over a FlatTree (rtree/flat_tree.h): subtree
+// The evaluators run over a FlatTree (rtree/flat_tree.h): subtree
 // capacitances are one reverse pass over the preorder arrays and root-path
 // walks read the dense parent array, with optional caller-owned scratch so a
 // batch reuses its buffers.  The pointer-walk seed implementation is kept as
-// elmore_all_sinks_reference; both produce bit-identical results (the flat
-// kernel accumulates in exactly the same order).
+// elmore_all_sinks_reference in oracle/elmore_reference.h; both produce
+// bit-identical results (the flat kernel accumulates in exactly the same
+// order).
 //
 // The RPH bound of delay/rph.h dominates the Elmore delay at every sink
 // (the RPH sum uses the full source->k resistance, which is >= the shared
@@ -20,37 +21,18 @@
 #include <vector>
 
 #include "rtree/flat_tree.h"
-#include "rtree/routing_tree.h"
 #include "tech/technology.h"
 
 namespace cong93 {
 
-/// Elmore delay (seconds) at one sink node of the tree.
-double elmore_delay(const RoutingTree& tree, const Technology& tech, NodeId sink);
-
-/// Elmore delay at every sink, in tree.sinks() order.
-std::vector<double> elmore_all_sinks(const RoutingTree& tree, const Technology& tech);
-
-/// Flat kernel over a compiled tree; out is in RoutingTree::sinks() order.
+/// Elmore delay (seconds) at every sink, in FlatTree::sinks() order.
 std::vector<double> elmore_all_sinks(const FlatTree& ft, const Technology& tech);
 
-/// Scratch-reusing flat kernel: `cap_scratch` holds the per-node subtree
+/// Scratch-reusing form: `cap_scratch` holds the per-node subtree
 /// capacitances on return, `out` the per-sink delays.  Neither allocates
 /// once their capacity covers the tree.
 void elmore_all_sinks(const FlatTree& ft, const Technology& tech,
                       std::vector<double>& cap_scratch, std::vector<double>& out);
-
-/// The seed pointer-walk implementation, kept as the equivalence oracle;
-/// bit-identical to the flat kernel.
-/// Defined only in the cong_oracles target (CONG93_BUILD_ORACLES=ON).
-std::vector<double> elmore_all_sinks_reference(const RoutingTree& tree,
-                                               const Technology& tech);
-
-/// Largest sink Elmore delay.
-double elmore_max(const RoutingTree& tree, const Technology& tech);
-
-/// Mean sink Elmore delay.
-double elmore_mean(const RoutingTree& tree, const Technology& tech);
 
 }  // namespace cong93
 

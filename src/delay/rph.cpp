@@ -2,11 +2,6 @@
 
 namespace cong93 {
 
-RphTerms rph_terms(const RoutingTree& tree, const Technology& tech)
-{
-    return rph_terms(FlatTree(tree), tech);
-}
-
 RphTerms rph_terms(const FlatTree& ft, const Technology& tech)
 {
     const double rd = tech.driver_resistance_ohm;
@@ -38,34 +33,6 @@ RphTerms rph_terms(const FlatTree& ft, const Technology& tech)
         t.t4 += rd * ck;
     }
     return t;
-}
-
-double rph_delay(const RoutingTree& tree, const Technology& tech)
-{
-    return rph_terms(tree, tech).total();
-}
-
-double rph_delay_bruteforce(const RoutingTree& tree, const Technology& tech)
-{
-    const double rd = tech.driver_resistance_ohm;
-    const double r0 = tech.r_grid();
-    const double c0 = tech.c_grid();
-
-    double total = 0.0;
-    // Wire capacitance at every grid node (one per unit of every edge).
-    tree.for_each_edge([&](NodeId id) {
-        const Length l = tree.edge_length(id);
-        const Length a = tree.path_length(id) - l;
-        for (Length j = 1; j <= l; ++j)
-            total += (rd + r0 * static_cast<double>(a + j)) * c0;
-    });
-    // Loading capacitance at sinks.
-    for (const NodeId s : tree.sinks()) {
-        const double ck =
-            tree.node(s).sink_cap_f >= 0.0 ? tree.node(s).sink_cap_f : tech.sink_load_f;
-        total += (rd + r0 * static_cast<double>(tree.path_length(s))) * ck;
-    }
-    return total;
 }
 
 }  // namespace cong93

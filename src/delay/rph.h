@@ -6,12 +6,13 @@
 //   t3 = R0*C0*Σ_nodes pl_k       -- distributed wire RC (the QMST term)
 //   t4 = Rd*Σ_sinks Ck            -- constant
 // R0/C0 are per grid unit; sums are evaluated with exact per-edge closed
-// forms (no grid nodes are materialized).
+// forms (no grid nodes are materialized).  The bound t(T) itself is
+// rph_terms(ft, tech).total().  The seed pointer walk and the grid-node
+// brute force survive as oracles in oracle/rph_reference.h.
 #ifndef CONG93_DELAY_RPH_H
 #define CONG93_DELAY_RPH_H
 
 #include "rtree/flat_tree.h"
-#include "rtree/routing_tree.h"
 #include "tech/technology.h"
 
 namespace cong93 {
@@ -25,24 +26,10 @@ struct RphTerms {
     double total() const { return t1 + t2 + t3 + t4; }
 };
 
-/// Decomposed RPH bound of a uniform-width tree (Eq. 4-7).
-RphTerms rph_terms(const RoutingTree& tree, const Technology& tech);
-
-/// Flat kernel over a compiled tree: one pass over the preorder arrays
-/// (integer length/pl sums are exact; the sink sums accumulate in
-/// tree.sinks() order).  Bit-identical to rph_terms_reference.
+/// Decomposed RPH bound of a uniform-width compiled tree (Eq. 4-7): one
+/// pass over the preorder arrays (integer length/pl sums are exact; the
+/// sink sums accumulate in sinks() order).
 RphTerms rph_terms(const FlatTree& ft, const Technology& tech);
-
-/// The seed pointer-walk implementation, kept as the equivalence oracle.
-/// Defined only in the cong_oracles target (CONG93_BUILD_ORACLES=ON).
-RphTerms rph_terms_reference(const RoutingTree& tree, const Technology& tech);
-
-/// Total RPH bound t(T) of Eq. 2 (equals rph_terms(...).total()).
-double rph_delay(const RoutingTree& tree, const Technology& tech);
-
-/// Reference implementation that walks every grid node explicitly; O(total
-/// wirelength).  Used by tests to validate the closed forms.
-double rph_delay_bruteforce(const RoutingTree& tree, const Technology& tech);
 
 }  // namespace cong93
 

@@ -1,7 +1,7 @@
 // Seed pointer-walk Elmore evaluation, preserved as the equivalence oracle
 // for the flat kernels in delay/elmore.cpp.  Built only into the
 // cong_oracles target (CONG93_BUILD_ORACLES=ON).
-#include "delay/elmore.h"
+#include "oracle/elmore_reference.h"
 
 namespace cong93 {
 

@@ -1,7 +1,7 @@
 // Seed pointer-walk metric implementations, preserved verbatim as the
 // equivalence oracles for the flat-array kernels in rtree/metrics.cpp.
 // Built only into the cong_oracles target (CONG93_BUILD_ORACLES=ON).
-#include "rtree/metrics.h"
+#include "oracle/metrics_reference.h"
 
 #include <algorithm>
 

@@ -2,7 +2,7 @@
 // oracle and speedup baseline for the scratch-reusing kernel in
 // sim/moments.cpp.  Built only into the cong_oracles target
 // (CONG93_BUILD_ORACLES=ON).
-#include "sim/moments.h"
+#include "oracle/sim_reference.h"
 
 #include <stdexcept>
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "oracle/segments_reference.h"
+#include "oracle/sim_reference.h"
 
 #include <algorithm>
 
@@ -36,12 +37,10 @@ int append_wire(std::vector<RcTree::RcNode>& nodes, int from, double r, double c
 
 }  // namespace
 
-RcTree RcTree::from_routing_tree_reference(const RoutingTree& tree,
-                                           const Technology& tech,
-                                           int sections_per_edge,
-                                           bool with_inductance)
+RcTree from_routing_tree_reference(const RoutingTree& tree, const Technology& tech,
+                                   int sections_per_edge, bool with_inductance)
 {
-    std::vector<RcNode> nodes(1);
+    std::vector<RcTree::RcNode> nodes(1);
     nodes[0].parent = -1;
     nodes[0].r_ohm = tech.driver_resistance_ohm;
 

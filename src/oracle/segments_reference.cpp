@@ -1,4 +1,7 @@
-#include "rtree/segments.h"
+// The paper's reference segment decomposition (Section 2.2), preserved as
+// the independent oracle for WiresizeContext's flat segment compile.  Built
+// only into the cong_oracles target (CONG93_BUILD_ORACLES=ON).
+#include "oracle/segments_reference.h"
 
 #include <stdexcept>
 
@@ -34,23 +37,6 @@ bool is_nontrivial(const RoutingTree& tree, NodeId id)
     // Turning node?
     const Dir in = direction(tree.point(n.parent), n.p);
     const Dir out = direction(n.p, tree.point(n.children.front()));
-    return !(in == out);
-}
-
-bool is_nontrivial(const FlatTree& ft, std::int32_t fi)
-{
-    const auto i = static_cast<std::size_t>(fi);
-    if (fi == 0) return true;  // source (flat index 0 is the root)
-    if (ft.is_sink()[i]) return true;
-    if (ft.seg_boundary()[i]) return true;  // artificial non-trivial node
-    const std::int32_t* cp = ft.child_ptr().data();
-    if (cp[fi + 1] - cp[fi] != 1) return true;  // branch or leaf
-    // Turning node?
-    const Point* pt = ft.point().data();
-    const std::int32_t par = ft.parent()[i];
-    const std::int32_t ch = ft.child_idx()[static_cast<std::size_t>(cp[fi])];
-    const Dir in = direction(pt[par], pt[fi]);
-    const Dir out = direction(pt[fi], pt[ch]);
     return !(in == out);
 }
 

@@ -1,7 +1,7 @@
 // Seed pointer-walk SVG renderer, preserved as the byte-identity oracle for
 // the flat renderer in rtree/svg.cpp.  Built only into the cong_oracles
 // target (CONG93_BUILD_ORACLES=ON).
-#include "rtree/svg.h"
+#include "oracle/svg_reference.h"
 
 #include <algorithm>
 #include <sstream>

@@ -8,6 +8,13 @@ namespace {
 
 std::atomic<std::uint64_t> g_compiles{0};
 
+/// Direction of the wire from `from` to `to`: x decides first, then y.
+Point direction(Point from, Point to)
+{
+    if (to.x != from.x) return Point{to.x > from.x ? 1 : -1, 0};
+    return Point{0, to.y > from.y ? 1 : -1};
+}
+
 }  // namespace
 
 std::uint64_t flat_tree_compiles()
@@ -155,6 +162,21 @@ Length FlatTree::total_length() const
     Length sum = 0;
     for (const Length l : edge_len_) sum += l;
     return sum;
+}
+
+bool is_nontrivial(const FlatTree& ft, std::int32_t fi)
+{
+    const auto i = static_cast<std::size_t>(fi);
+    if (fi == 0) return true;  // source (flat index 0 is the root)
+    if (ft.is_sink()[i]) return true;
+    if (ft.seg_boundary()[i]) return true;  // artificial non-trivial node
+    const std::int32_t* cp = ft.child_ptr().data();
+    if (cp[fi + 1] - cp[fi] != 1) return true;  // branch or leaf
+    // Turning node?
+    const Point* pt = ft.point().data();
+    const std::int32_t par = ft.parent()[i];
+    const std::int32_t ch = ft.child_idx()[static_cast<std::size_t>(cp[fi])];
+    return direction(pt[par], pt[fi]) != direction(pt[fi], pt[ch]);
 }
 
 }  // namespace cong93

@@ -30,8 +30,10 @@
 // growth events so reuse is measurable
 // (Pipeline.WorkspaceArenaIsReusedAcrossBatches asserts it), and
 // flat_tree_compiles() counts every build() and finish() in the process --
-// including the throwaway compiles behind RoutingTree convenience overloads
-// that no Workspace sees.
+// including one-off compiles that no Workspace sees.
+//
+// FlatTree::build is the one path from a RoutingTree to analysis: the
+// metrics, delay models, simulators and renderer take only a FlatTree.
 #ifndef CONG93_RTREE_FLAT_TREE_H
 #define CONG93_RTREE_FLAT_TREE_H
 
@@ -162,6 +164,11 @@ private:
 /// so far, over every FlatTree and thread.  Telemetry only (a relaxed atomic, so concurrent
 /// builds are all counted but not ordered); no output depends on it.
 std::uint64_t flat_tree_compiles();
+
+/// True when flat node `fi` is non-trivial (Section 2.2): the source, a
+/// sink, a forced segment boundary, a branching or leaf node, or a turning
+/// node.  A wire segment runs between two adjacent non-trivial nodes.
+bool is_nontrivial(const FlatTree& ft, std::int32_t fi);
 
 }  // namespace cong93
 

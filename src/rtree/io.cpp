@@ -249,12 +249,13 @@ RoutingTree parse_tree(const std::string& text)
 
 std::string describe(const RoutingTree& tree)
 {
+    const FlatTree ft(tree);
     std::ostringstream os;
     os << "tree{nodes=" << tree.node_count() << ", sinks=" << tree.sinks().size()
-       << ", length=" << total_length(tree)
-       << ", sum_pl_sinks=" << sum_sink_path_lengths(tree)
-       << ", sum_pl_nodes=" << sum_all_node_path_lengths(tree)
-       << ", radius=" << radius(tree) << '}';
+       << ", length=" << total_length(ft)
+       << ", sum_pl_sinks=" << sum_sink_path_lengths(ft)
+       << ", sum_pl_nodes=" << sum_all_node_path_lengths(ft)
+       << ", radius=" << radius(ft) << '}';
     return os.str();
 }
 

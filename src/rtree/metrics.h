@@ -6,42 +6,60 @@
 // All values are exact 64-bit integers in grid units (the QMST sum is
 // range-checked and throws rather than wrap).
 //
-// Every metric exists twice.  The FlatTree overloads make one pass over the
-// compiled preorder arrays (the analysis IR).  The RoutingTree overloads
-// make one pass over the tree's node array in id order, reading
-// RoutingTree::edge_length and the maintained Node::pl; they never compile a
-// throwaway FlatTree and never allocate.  The A-tree constructors price
-// every tree they build through them.  Both forms are O(n) and agree bit for
-// bit: every sum here is an exact integer accumulation, so visiting order
-// does not matter.  The seed pointer-walk bodies survive as `*_reference`
-// oracles in the cong_oracles target (CONG93_BUILD_ORACLES).
+// Each metric is one O(n) pass over a compiled FlatTree (the analysis IR).
+// The A-tree constructors price their trees while they build them, through
+// the same checked QMST accumulator (QmstSum).  The seed pointer-walk
+// bodies survive as `*_reference` oracles in oracle/metrics_reference.h
+// (cong_oracles target, CONG93_BUILD_ORACLES).
 #ifndef CONG93_RTREE_METRICS_H
 #define CONG93_RTREE_METRICS_H
 
 #include "rtree/flat_tree.h"
-#include "rtree/routing_tree.h"
 
 namespace cong93 {
 
+/// Checked QMST accumulation.  Terms and the running sum are 128-bit, so
+/// neither can wrap; a sum beyond int64 throws std::overflow_error -- a net
+/// validate_net admits can still get there (2048 sinks from a corner of the
+/// ±2^28 box), and a wrapped cost would come out negative.
+class QmstSum {
+public:
+    /// Adds an edge of length l whose tail sits at path length pl: its grid
+    /// nodes contribute Σ_{j=1..l} (a+j) = l*a + l(l+1)/2 with a = pl - l.
+    void add_edge(Length l, Length pl)
+    {
+        const __int128 wl = l;
+        const __int128 a = static_cast<__int128>(pl) - l;
+        sum_ += wl * a + wl * (wl + 1) / 2;
+        check();
+    }
+    /// Adds the QMST cost of an already-priced subtree.
+    void add_cost(Length cost)
+    {
+        sum_ += cost;
+        check();
+    }
+    Length value() const { return static_cast<Length>(sum_); }
+
+private:
+    void check() const;
+
+    __int128 sum_ = 0;
+};
+
 /// Total wirelength of the tree in grid units.
 Length total_length(const FlatTree& ft);
-Length total_length(const RoutingTree& tree);
 
 /// Σ over sinks of the source-to-sink path length.
 Length sum_sink_path_lengths(const FlatTree& ft);
-Length sum_sink_path_lengths(const RoutingTree& tree);
 
 /// Σ over every grid node of the tree of its source path length (the QMST
-/// cost).  Each edge of length l starting at path length a contributes
-/// Σ_{j=1..l} (a+j) = l*a + l(l+1)/2; the source contributes 0.  Accumulated
-/// in 128 bits; throws std::overflow_error when the total does not fit
-/// int64.
+/// cost); the source contributes 0.  Throws std::overflow_error when the
+/// total does not fit int64.
 Length sum_all_node_path_lengths(const FlatTree& ft);
-Length sum_all_node_path_lengths(const RoutingTree& tree);
 
 /// Longest source-to-sink path length (tree radius).
 Length radius(const FlatTree& ft);
-Length radius(const RoutingTree& tree);
 
 /// Largest rectilinear source-to-sink distance of the net (lower bound on
 /// any tree's radius).
@@ -49,16 +67,6 @@ Length net_radius(const Net& net);
 
 /// MDRT objective alpha*length + beta*Σ_sinks pl + gamma*Σ_nodes pl (Eq. 8).
 double mdrt_cost(const FlatTree& ft, double alpha, double beta, double gamma);
-double mdrt_cost(const RoutingTree& tree, double alpha, double beta, double gamma);
-
-// Seed pointer-walk twins, defined only in the cong_oracles target
-// (CONG93_BUILD_ORACLES=ON).  Equivalence oracles for tests and benches.
-Length total_length_reference(const RoutingTree& tree);
-Length sum_sink_path_lengths_reference(const RoutingTree& tree);
-Length sum_all_node_path_lengths_reference(const RoutingTree& tree);
-Length radius_reference(const RoutingTree& tree);
-double mdrt_cost_reference(const RoutingTree& tree, double alpha, double beta,
-                           double gamma);
 
 }  // namespace cong93
 

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <sstream>
 
-#include "rtree/segments.h"
-
 namespace cong93 {
 
 namespace {
@@ -87,11 +85,6 @@ std::string to_svg(const FlatTree& ft, const SvgOptions& options)
     if (options.label_terminals) emit_terminals(os, m, ft);
     os << "</svg>\n";
     return os.str();
-}
-
-std::string to_svg(const RoutingTree& tree, const SvgOptions& options)
-{
-    return to_svg(FlatTree(tree), options);
 }
 
 std::string to_svg_wiresized(const FlatTree& ft,

@@ -2,11 +2,11 @@
 // (optionally) wire widths, with stroke widths proportional to the assigned
 // normalized widths.  Output is a self-contained SVG document string.
 //
-// Rendering consumes the compiled FlatTree (the analysis IR): edges are
+// Rendering takes only the compiled FlatTree (the analysis IR): edges are
 // emitted in flat preorder (== the pointer walk's for_each_edge order) and
-// terminal markers in ascending node-id order via flat_of(), so the native
-// flat path is byte-identical to the seed pointer walk (preserved as
-// to_svg_reference in the cong_oracles target).
+// terminal markers in ascending node-id order via flat_of(), so the flat
+// path is byte-identical to the seed pointer walk (preserved as
+// to_svg_reference in oracle/svg_reference.h, cong_oracles target).
 #ifndef CONG93_RTREE_SVG_H
 #define CONG93_RTREE_SVG_H
 
@@ -28,9 +28,6 @@ struct SvgOptions {
 /// Uniform-width rendering over the compiled IR.
 std::string to_svg(const FlatTree& ft, const SvgOptions& options = {});
 
-/// Shim: compiles the tree, then delegates to the flat renderer.
-std::string to_svg(const RoutingTree& tree, const SvgOptions& options = {});
-
 /// Wiresized rendering: `seg_tail[i]` is the flat index of segment i's
 /// tail (WiresizeContext::seg_tail_flat()) and `norm_widths[i]` its
 /// normalized width (e.g. `widths[assignment[i]]` from a wiresizing
@@ -39,11 +36,6 @@ std::string to_svg(const RoutingTree& tree, const SvgOptions& options = {});
 std::string to_svg_wiresized(const FlatTree& ft,
                              const std::vector<std::int32_t>& seg_tail,
                              const std::vector<double>& norm_widths,
-                             const SvgOptions& options = {});
-
-/// Seed pointer-walk renderer, defined only in the cong_oracles target
-/// (CONG93_BUILD_ORACLES=ON); byte-identity oracle for the flat path.
-std::string to_svg_reference(const RoutingTree& tree,
                              const SvgOptions& options = {});
 
 }  // namespace cong93

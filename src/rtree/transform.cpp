@@ -3,9 +3,29 @@
 #include <set>
 #include <stdexcept>
 
-#include "rtree/segments.h"
-
 namespace cong93 {
+
+namespace {
+
+/// Direction of the wire from `from` to `to`: x decides first, then y.
+Point direction(Point from, Point to)
+{
+    if (to.x != from.x) return Point{to.x > from.x ? 1 : -1, 0};
+    return Point{0, to.y > from.y ? 1 : -1};
+}
+
+/// True when the node is non-trivial (Section 2.2): the source, a sink, a
+/// forced boundary, a branching or leaf node, or a turning node.
+bool is_nontrivial(const RoutingTree& tree, NodeId id)
+{
+    const auto& n = tree.node(id);
+    if (n.parent == kNoNode || n.is_sink || n.segment_boundary) return true;
+    if (n.children.size() != 1) return true;
+    return direction(tree.point(n.parent), n.p) !=
+           direction(n.p, tree.point(n.children.front()));
+}
+
+}  // namespace
 
 RoutingTree subdivide_edges(const RoutingTree& input, Length max_piece)
 {

@@ -38,12 +38,6 @@ DelayReport measure_delay(const FlatTree& ft, const Technology& tech,
                    threshold);
 }
 
-DelayReport measure_delay(const RoutingTree& tree, const Technology& tech,
-                          SimMethod method, double threshold, bool with_inductance)
-{
-    return measure_delay(FlatTree(tree), tech, method, threshold, with_inductance);
-}
-
 DelayReport measure_delay_wiresized(const WiresizeContext& ctx,
                                     const Assignment& assignment, SimMethod method,
                                     double threshold, bool with_inductance)

@@ -1,7 +1,9 @@
-// High-level delay measurement: net-level wrappers combining routing trees,
-// technologies and the simulators, matching the paper's methodology (delays
-// in Tables 5/8 and Figure 17 are the *average over sinks* of the simulated
-// 50%-threshold delay).
+// High-level delay measurement: net-level wrappers combining a compiled
+// tree (or a wiresized net's WiresizeContext), a technology and the
+// simulators, matching the paper's methodology (delays in Tables 5/8 and
+// Figure 17 are the *average over sinks* of the simulated 50%-threshold
+// delay).  Both simulators accept only thresholds in (0, 1) and throw
+// std::invalid_argument otherwise.
 #ifndef CONG93_SIM_DELAY_MEASURE_H
 #define CONG93_SIM_DELAY_MEASURE_H
 
@@ -15,7 +17,7 @@ enum class SimMethod {
 };
 
 struct DelayReport {
-    std::vector<double> sink_delays;  ///< tree.sinks() order, seconds
+    std::vector<double> sink_delays;  ///< FlatTree::sinks() order, seconds
     double mean = 0.0;
     double max = 0.0;
 };
@@ -24,11 +26,6 @@ struct DelayReport {
 /// `with_inductance` switches the wire model from RC to RLC using the
 /// technology's per-unit inductance.
 DelayReport measure_delay(const FlatTree& ft, const Technology& tech,
-                          SimMethod method = SimMethod::two_pole,
-                          double threshold = 0.5, bool with_inductance = false);
-
-/// Shim: compiles the tree, then delegates to the flat overload.
-DelayReport measure_delay(const RoutingTree& tree, const Technology& tech,
                           SimMethod method = SimMethod::two_pole,
                           double threshold = 0.5, bool with_inductance = false);
 

@@ -13,7 +13,8 @@
 // re-zeroing buffers per call.  Pure-RC trees skip the inductance terms and
 // the m_{q-2} buffer outright -- a bitwise no-op, since the seed kernel's
 // lh terms are all +0.0 there.  The per-order recursion reproduces the seed
-// implementation (kept as compute_moments_reference) bit for bit.
+// implementation (compute_moments_reference, oracle/sim_reference.h) bit for
+// bit.
 #ifndef CONG93_SIM_MOMENTS_H
 #define CONG93_SIM_MOMENTS_H
 
@@ -40,12 +41,6 @@ std::vector<std::vector<double>> compute_moments(const RcTree& rc, int order);
 /// `order` from a previous larger call are left untouched).
 const std::vector<std::vector<double>>& compute_moments(const RcTree& rc, int order,
                                                         MomentWorkspace& ws);
-
-/// The seed implementation (allocates every buffer per call), kept as the
-/// equivalence oracle.  Defined only in the cong_oracles target
-/// (CONG93_BUILD_ORACLES=ON).
-std::vector<std::vector<double>> compute_moments_reference(const RcTree& rc,
-                                                           int order);
 
 /// Elmore delay at each node (= -m_1).
 std::vector<double> rc_elmore_delays(const RcTree& rc);

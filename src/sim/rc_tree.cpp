@@ -116,12 +116,6 @@ RcTree RcTree::from_flat_tree(const FlatTree& ft, const Technology& tech,
     return rc;
 }
 
-RcTree RcTree::from_routing_tree(const RoutingTree& tree, const Technology& tech,
-                                 int sections_per_edge, bool with_inductance)
-{
-    return from_flat_tree(FlatTree(tree), tech, sections_per_edge, with_inductance);
-}
-
 RcTree RcTree::from_wiresized_flat(const WiresizeContext& ctx,
                                    const Assignment& assignment,
                                    int sections_per_edge, bool with_inductance)

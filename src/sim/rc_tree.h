@@ -45,18 +45,6 @@ public:
                                  int sections_per_edge = 16,
                                  bool with_inductance = false);
 
-    /// Shim: compiles the tree, then delegates to from_flat_tree.
-    static RcTree from_routing_tree(const RoutingTree& tree, const Technology& tech,
-                                    int sections_per_edge = 16,
-                                    bool with_inductance = false);
-
-    /// Seed pointer-walk builder, defined only in the cong_oracles target
-    /// (CONG93_BUILD_ORACLES=ON); equivalence oracle for from_flat_tree.
-    static RcTree from_routing_tree_reference(const RoutingTree& tree,
-                                              const Technology& tech,
-                                              int sections_per_edge = 16,
-                                              bool with_inductance = false);
-
     /// Builds the RC tree of a wiresized net from its WiresizeContext (the
     /// segment arrays, technology and widths, plus the originating FlatTree
     /// for the sink order).  Each segment is one wire of width
@@ -83,8 +71,8 @@ public:
     const double* c_data() const { return c_.data(); }
     const double* l_data() const { return l_.data(); }
 
-    /// RC-tree node index of each sink of the originating routing tree, in
-    /// tree.sinks() order (empty for raw construction).
+    /// RC-tree node index of each sink of the originating tree, in
+    /// FlatTree::sinks() order (empty for raw construction).
     const std::vector<int>& sink_nodes() const { return sink_nodes_; }
 
     double total_capacitance() const;

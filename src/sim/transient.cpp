@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "sim/moments.h"
 
@@ -67,6 +68,15 @@ void TransientSim::step(double vin)
 
 namespace {
 
+/// The two-pole simulator's contract: a crossing level strictly inside
+/// (0, 1).  Outside it a sink would latch a negative delay on the first
+/// step, or never cross at all.
+void check_threshold(double threshold, const char* who)
+{
+    if (!(threshold > 0.0 && threshold < 1.0))
+        throw std::invalid_argument(std::string(who) + ": threshold in (0,1)");
+}
+
 double default_dt(const RcTree& rc)
 {
     const auto elm = rc_elmore_delays(rc);
@@ -83,6 +93,7 @@ double default_dt(const RcTree& rc)
 
 std::vector<double> transient_sink_delays(const RcTree& rc, double threshold, double dt)
 {
+    check_threshold(threshold, "transient_sink_delays");
     if (dt <= 0.0) dt = default_dt(rc);
     TransientSim sim(rc, dt);
     const auto& sinks = rc.sink_nodes();
@@ -115,6 +126,7 @@ std::vector<double> transient_ramp_delays(const RcTree& rc, double t_rise,
                                           double threshold, double dt)
 {
     if (t_rise < 0.0) throw std::invalid_argument("transient_ramp_delays: t_rise >= 0");
+    check_threshold(threshold, "transient_ramp_delays");
     if (dt <= 0.0) dt = std::min(default_dt(rc), t_rise > 0.0 ? t_rise / 50.0 : default_dt(rc));
     TransientSim sim(rc, dt);
     const auto& sinks = rc.sink_nodes();

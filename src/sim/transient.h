@@ -45,15 +45,17 @@ struct Waveform {
     std::vector<double> value;
 };
 
-/// Unit-step response delays at every sink (tree.sinks() order), measured at
-/// `threshold` with linear interpolation.  dt defaults to 1/500 of the
-/// largest sink Elmore delay.
+/// Unit-step response delays at every sink (RcTree::sink_nodes() order),
+/// measured at `threshold` with linear interpolation.  dt defaults to 1/500
+/// of the largest sink Elmore delay.  Throws std::invalid_argument unless
+/// threshold is in (0, 1).
 std::vector<double> transient_sink_delays(const RcTree& rc, double threshold = 0.5,
                                           double dt = 0.0);
 
-/// Ramp-input response delays at every sink (tree.sinks() order): the
-/// driver input rises linearly 0 -> 1 over `t_rise` seconds, and the delay
-/// is the first time each sink crosses `threshold` (measured from t = 0).
+/// Ramp-input response delays at every sink (RcTree::sink_nodes() order):
+/// the driver input rises linearly 0 -> 1 over `t_rise` seconds, and the
+/// delay is the first time each sink crosses `threshold` (measured from
+/// t = 0).  Throws std::invalid_argument unless threshold is in (0, 1).
 std::vector<double> transient_ramp_delays(const RcTree& rc, double t_rise,
                                           double threshold = 0.5, double dt = 0.0);
 

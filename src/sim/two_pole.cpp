@@ -46,7 +46,7 @@ double two_pole_response(const TwoPole& tp, double t)
 
 double two_pole_threshold_delay(const TwoPole& tp, double threshold)
 {
-    if (threshold <= 0.0 || threshold >= 1.0)
+    if (!(threshold > 0.0 && threshold < 1.0))
         throw std::invalid_argument("two_pole_threshold_delay: threshold in (0,1)");
     if (tp.b1 <= 0.0) return 0.0;
     // Bracket the first crossing by marching in fractions of b1 (the
@@ -145,7 +145,7 @@ double pole_fit_response(const PoleFit& pf, double t)
 
 double pole_fit_threshold_delay(const PoleFit& pf, double threshold)
 {
-    if (threshold <= 0.0 || threshold >= 1.0)
+    if (!(threshold > 0.0 && threshold < 1.0))
         throw std::invalid_argument("pole_fit_threshold_delay: threshold in (0,1)");
     if (pf.b1 <= 0.0) return 0.0;
     const double step = pf.b1 / 16.0;

@@ -9,8 +9,8 @@ WiresizeContext::WiresizeContext(const FlatTree& ft, const Technology& tech,
     : ft_(&ft), tech_(&tech), widths_(std::move(widths))
 {
     // Extract the segment tree straight from the compiled IR, in the
-    // reference decomposition's stack-DFS order (rtree/segments.h) --
-    // children pushed in order and popped LIFO -- so segment indices, parent
+    // reference decomposition's stack-DFS order (oracle/segments_reference.h:
+    // children pushed in order and popped LIFO), so segment indices, parent
     // links and child order match it bit for bit.
     struct Item {
         std::int32_t start;     // non-trivial node the segment hangs from

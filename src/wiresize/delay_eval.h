@@ -14,9 +14,10 @@
 // The context holds the segment tree in flat structure-of-arrays form
 // (parent index, pre-cast double length, CSR children), compiled once from
 // the FlatTree -- the analysis IR -- in the stack-DFS discovery order of the
-// paper's reference decomposition (rtree/segments.h), so no pointer tree is
-// ever re-derived.  A context stores pointers to its FlatTree and
-// Technology: both must outlive it.
+// paper's reference decomposition (Section 2.2, kept in
+// oracle/segments_reference.h), so no pointer tree is ever re-derived.  A
+// context stores pointers to its FlatTree and Technology: both must outlive
+// it.
 //
 // The delay/theta-phi kernels walk the dense arrays with reusable internal
 // scratch; the seed pointer-walk implementations survive as *_reference
@@ -31,11 +32,13 @@
 #include <cstdint>
 
 #include "rtree/flat_tree.h"
-#include "rtree/segments.h"
 #include "tech/technology.h"
 #include "wiresize/assignment.h"
 
 namespace cong93 {
+
+/// Parent index of a segment incident on the source.
+inline constexpr int kNoSegment = -1;
 
 /// Precomputed per-net data shared by every wiresizing algorithm.
 class WiresizeContext {

@@ -238,7 +238,7 @@ TEST(Atree, QmstCostMatchesSigmaDecomposition)
         total += sigma_qmst(r.tree.point(id), r.tree.edge_length(id));
     });
     EXPECT_EQ(total, r.qmst_cost);
-    EXPECT_EQ(total, sum_all_node_path_lengths(r.tree));
+    EXPECT_EQ(total, sum_all_node_path_lengths(FlatTree(r.tree)));
 }
 
 }  // namespace

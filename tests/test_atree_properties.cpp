@@ -61,13 +61,14 @@ TEST_P(AtreeProperty, SinkPathsAreShortest)
     std::set<Point> unique_sinks(net_.sinks.begin(), net_.sinks.end());
     Length direct = 0;
     for (const Point s : unique_sinks) direct += dist(net_.source, s);
-    EXPECT_EQ(sum_sink_path_lengths(result_->tree), direct);
+    EXPECT_EQ(sum_sink_path_lengths(FlatTree(result_->tree)), direct);
 }
 
 TEST_P(AtreeProperty, CostsAreConsistent)
 {
-    EXPECT_EQ(result_->cost, total_length(result_->tree));
-    EXPECT_EQ(result_->qmst_cost, sum_all_node_path_lengths(result_->tree));
+    const FlatTree ft(result_->tree);
+    EXPECT_EQ(result_->cost, total_length(ft));
+    EXPECT_EQ(result_->qmst_cost, sum_all_node_path_lengths(ft));
     EXPECT_GE(result_->sb_total, 0);
     EXPECT_GE(result_->sb_qmst_total, 0);
     EXPECT_LE(result_->lower_bound(), result_->cost);

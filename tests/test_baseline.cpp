@@ -35,7 +35,7 @@ TEST(Mst, TreeSpansNet)
     for (const Net& net : nets) {
         const RoutingTree t = build_mst_tree(net);
         require_valid(t, net);
-        EXPECT_EQ(total_length(t), rectilinear_mst_cost(net.terminals()));
+        EXPECT_EQ(total_length(FlatTree(t)), rectilinear_mst_cost(net.terminals()));
     }
 }
 
@@ -50,7 +50,7 @@ TEST(Spt, PathsAreShortest)
         // SPT optimizes t2 exactly: the sum of sink path lengths is minimal.
         Length direct = 0;
         for (const Point s : net.sinks) direct += dist(net.source, s);
-        EXPECT_EQ(sum_sink_path_lengths(t), direct);
+        EXPECT_EQ(sum_sink_path_lengths(FlatTree(t)), direct);
     }
 }
 
@@ -59,7 +59,7 @@ TEST(Spt, SharesCommonTrunk)
     // Two sinks stacked: trunk shared.
     const Net net{{0, 0}, {{0, 5}, {0, 9}}};
     const RoutingTree t = build_spt(net);
-    EXPECT_EQ(total_length(t), 9);
+    EXPECT_EQ(total_length(FlatTree(t)), 9);
 }
 
 TEST(OneSteiner, ImprovesOverMstOnCross)
@@ -73,7 +73,7 @@ TEST(OneSteiner, ImprovesOverMstOnCross)
     require_valid(r.tree, net);
     // Optimal: Steiner point at (2,0): cost 4 + 3 = 7; MST = 4 + 5 = 9.
     EXPECT_EQ(r.final_cost, 7);
-    EXPECT_EQ(total_length(r.tree), 7);
+    EXPECT_EQ(total_length(FlatTree(r.tree)), 7);
     EXPECT_EQ(r.mst_cost, 9);
 }
 
@@ -84,7 +84,7 @@ TEST(OneSteiner, NeverWorseThanMst)
         const auto r = build_one_steiner(net);
         require_valid(r.tree, net);
         EXPECT_LE(r.final_cost, r.mst_cost);
-        EXPECT_EQ(total_length(r.tree), r.final_cost);
+        EXPECT_EQ(total_length(FlatTree(r.tree)), r.final_cost);
     }
 }
 
@@ -108,7 +108,7 @@ TEST(Brbc, RadiusGuarantee)
             const RoutingTree t = build_brbc(net, eps);
             require_valid(t, net);
             const double r = static_cast<double>(net_radius(net));
-            EXPECT_LE(static_cast<double>(radius(t)), (1.0 + eps) * r + 1e-9)
+            EXPECT_LE(static_cast<double>(radius(FlatTree(t))), (1.0 + eps) * r + 1e-9)
                 << "eps=" << eps;
         }
     }
@@ -121,7 +121,7 @@ TEST(Brbc, CostGuarantee)
         const Length mst = rectilinear_mst_cost(net.terminals());
         for (const double eps : {0.5, 1.0}) {
             const RoutingTree t = build_brbc(net, eps);
-            EXPECT_LE(static_cast<double>(total_length(t)),
+            EXPECT_LE(static_cast<double>(total_length(FlatTree(t))),
                       (1.0 + 2.0 / eps) * static_cast<double>(mst) + 1e-9);
         }
     }
@@ -133,7 +133,7 @@ TEST(Brbc, EpsilonZeroIsSpt)
     const auto nets = random_nets(707, 8, 300, 6);
     for (const Net& net : nets) {
         const RoutingTree t = build_brbc(net, 0.0);
-        EXPECT_EQ(radius(t), net_radius(net));
+        EXPECT_EQ(radius(FlatTree(t)), net_radius(net));
     }
 }
 
@@ -143,7 +143,7 @@ TEST(Brbc, LargerEpsilonNoLongerRadius)
     const auto nets = random_nets(808, 8, 300, 8);
     for (const Net& net : nets) {
         const RoutingTree loose = build_brbc(net, 1000.0);
-        EXPECT_EQ(total_length(loose), rectilinear_mst_cost(net.terminals()));
+        EXPECT_EQ(total_length(FlatTree(loose)), rectilinear_mst_cost(net.terminals()));
     }
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "delay/elmore.h"
 #include "delay/rph.h"
 #include "rtree/metrics.h"
 #include "tech/technology.h"
+#ifdef CONG93_HAVE_ORACLES
+#include "oracle/rph_reference.h"
+#endif
 
 namespace cong93 {
 namespace {
@@ -42,23 +46,31 @@ RoutingTree random_tree(std::mt19937_64& rng, int extra_nodes, Coord span = 40)
     return t;
 }
 
+/// The RPH bound t(T) of Eq. 2.
+double rph_bound(const RoutingTree& t, const Technology& tech)
+{
+    return rph_terms(FlatTree(t), tech).total();
+}
+
+#ifdef CONG93_HAVE_ORACLES
 TEST(Rph, ClosedFormMatchesBruteForce)
 {
     const Technology tech = mcm_technology();
     std::mt19937_64 rng(7);
     for (int trial = 0; trial < 20; ++trial) {
         const RoutingTree t = random_tree(rng, 12);
-        const double closed = rph_delay(t, tech);
+        const double closed = rph_bound(t, tech);
         const double brute = rph_delay_bruteforce(t, tech);
         EXPECT_NEAR(closed, brute, 1e-12 + 1e-9 * brute);
     }
 }
+#endif  // CONG93_HAVE_ORACLES
 
 TEST(Rph, TermsDecomposition)
 {
     const Technology tech = mcm_technology();
     const RoutingTree t = make_t_tree();
-    const RphTerms terms = rph_terms(t, tech);
+    const RphTerms terms = rph_terms(FlatTree(t), tech);
     // t1 = Rd*C0*length = 25 * 1.5fF * 14.
     EXPECT_NEAR(terms.t1, 25.0 * 1.5e-15 * 14.0, 1e-25);
     // t2 = R0 * Σ Ck*pl = 0.2 * 1000fF * (9+9).
@@ -67,7 +79,7 @@ TEST(Rph, TermsDecomposition)
     EXPECT_NEAR(terms.t3, 0.2 * 1.5e-15 * 80.0, 1e-25);
     // t4 = Rd * Σ Ck.
     EXPECT_NEAR(terms.t4, 25.0 * 2000e-15, 1e-25);
-    EXPECT_NEAR(terms.total(), rph_delay(t, tech), 1e-22);
+    EXPECT_NEAR(terms.total(), rph_bound(t, tech), 1e-22);
 }
 
 TEST(Rph, SingleWireAgainstHandComputation)
@@ -80,7 +92,7 @@ TEST(Rph, SingleWireAgainstHandComputation)
     const double rd = tech.driver_resistance_ohm, cl = tech.sink_load_f;
     const double expected = (rd + r0) * c0 + (rd + 2 * r0) * c0 + (rd + 3 * r0) * c0 +
                             (rd + 3 * r0) * cl;
-    EXPECT_NEAR(rph_delay(t, tech), expected, 1e-22);
+    EXPECT_NEAR(rph_bound(t, tech), expected, 1e-22);
 }
 
 TEST(Rph, ScalesWithDriverResistance)
@@ -89,7 +101,7 @@ TEST(Rph, ScalesWithDriverResistance)
     Technology small = mcm_technology();
     Technology large = mcm_technology();
     large.driver_resistance_ohm *= 10.0;
-    EXPECT_GT(rph_delay(t, large), rph_delay(t, small));
+    EXPECT_GT(rph_bound(t, large), rph_bound(t, small));
 }
 
 TEST(Elmore, SingleWireClosedForm)
@@ -101,7 +113,9 @@ TEST(Elmore, SingleWireClosedForm)
     const double rw = tech.r_grid() * 100.0, cw = tech.c_grid() * 100.0;
     const double rd = tech.driver_resistance_ohm, cl = tech.sink_load_f;
     const double expected = rd * (cw + cl) + rw * (cw / 2.0 + cl);
-    EXPECT_NEAR(elmore_delay(t, tech, 1), expected, 1e-18);
+    const auto v = elmore_all_sinks(FlatTree(t), tech);
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_NEAR(v[0], expected, 1e-18);
 }
 
 TEST(Elmore, RphBoundDominatesElmore)
@@ -115,8 +129,8 @@ TEST(Elmore, RphBoundDominatesElmore)
     for (int trial = 0; trial < 20; ++trial) {
         const RoutingTree t = random_tree(rng, 10);
         if (t.sinks().empty()) continue;
-        const double bound = rph_delay(t, tech);
-        for (const double e : elmore_all_sinks(t, tech))
+        const double bound = rph_bound(t, tech);
+        for (const double e : elmore_all_sinks(FlatTree(t), tech))
             EXPECT_LE(e, bound * (1.0 + 1e-9));
     }
 }
@@ -124,13 +138,12 @@ TEST(Elmore, RphBoundDominatesElmore)
 TEST(Elmore, MeanAndMax)
 {
     const Technology tech = mcm_technology();
-    const RoutingTree t = make_t_tree();
-    const auto v = elmore_all_sinks(t, tech);
+    const auto v = elmore_all_sinks(FlatTree(make_t_tree()), tech);
     ASSERT_EQ(v.size(), 2u);
-    // Symmetric tree: both sinks equal.
+    // Symmetric tree: both sinks equal, so they are also the mean and max.
     EXPECT_NEAR(v[0], v[1], 1e-18);
-    EXPECT_NEAR(elmore_mean(t, tech), v[0], 1e-18);
-    EXPECT_NEAR(elmore_max(t, tech), v[0], 1e-18);
+    EXPECT_NEAR((v[0] + v[1]) / 2.0, v[0], 1e-18);
+    EXPECT_NEAR(std::max(v[0], v[1]), v[0], 1e-18);
 }
 
 TEST(Elmore, LongerPathSlower)
@@ -141,7 +154,7 @@ TEST(Elmore, LongerPathSlower)
     const NodeId far = t.add_child(near, Point{200, 0});
     t.mark_sink(near);
     t.mark_sink(far);
-    const auto v = elmore_all_sinks(t, tech);
+    const auto v = elmore_all_sinks(FlatTree(t), tech);
     EXPECT_LT(v[0], v[1]);
 }
 

@@ -60,7 +60,7 @@ TEST(ExactRsa, TreeIsValidAtree)
         const auto r = exact_rsa(net);
         require_valid(r.tree, net);
         EXPECT_TRUE(is_atree(r.tree));
-        EXPECT_EQ(total_length(r.tree), r.cost);
+        EXPECT_EQ(total_length(FlatTree(r.tree)), r.cost);
     }
 }
 
@@ -100,7 +100,7 @@ TEST(ExactRsa, QmstModeMatchesMetric)
     for (int trial = 0; trial < 10; ++trial) {
         const Net net = random_first_quadrant_net(rng, 5, 10);
         const auto r = exact_rsa(net, RsaCost::qmst);
-        EXPECT_EQ(r.cost, sum_all_node_path_lengths(r.tree));
+        EXPECT_EQ(r.cost, sum_all_node_path_lengths(FlatTree(r.tree)));
         // The QMST optimum over arborescences lower-bounds every A-tree.
         const AtreeResult heur = build_atree(net);
         EXPECT_LE(r.cost, heur.qmst_cost);
@@ -143,7 +143,7 @@ TEST(ExactSteiner, BeatsOrMatchesMst)
         EXPECT_LE(mst, (opt * 3 + 1) / 2);
         const auto r = exact_steiner(net);
         require_valid(r.tree, net);
-        EXPECT_EQ(total_length(r.tree), opt);
+        EXPECT_EQ(total_length(FlatTree(r.tree)), opt);
     }
 }
 

@@ -66,7 +66,7 @@ TEST(CriticalAtree, ValidAtreeAndCoverage)
         const CriticalAtreeResult r = build_atree_critical(net, {0, 3});
         require_valid(r.tree, net);
         EXPECT_TRUE(is_atree(r.tree));
-        EXPECT_EQ(r.cost, total_length(r.tree));
+        EXPECT_EQ(r.cost, total_length(FlatTree(r.tree)));
         EXPECT_GE(r.cost, build_atree_general(net).cost);  // isolation costs wire
     }
 }
@@ -84,7 +84,7 @@ TEST(CriticalAtree, CriticalSinkNotSlower)
                 critical = i;
         const Point cp = net.sinks[critical];
         const auto delay_at = [&](const RoutingTree& tree) {
-            const DelayReport d = measure_delay(tree, tech);
+            const DelayReport d = measure_delay(FlatTree(tree), tech);
             const auto sinks = tree.sinks();
             for (std::size_t i = 0; i < sinks.size(); ++i)
                 if (tree.point(sinks[i]) == cp) return d.sink_delays[i];
@@ -177,7 +177,7 @@ TEST(Rlc, InductanceIncreasesMcmDelaySlightly)
     const Technology tech = mcm_technology();
     const auto nets = random_nets(5555, 5, kMcmGrid, 8);
     for (const Net& net : nets) {
-        const RoutingTree tree = build_atree_general(net).tree;
+        const FlatTree tree(build_atree_general(net).tree);
         const double rc_only =
             measure_delay(tree, tech, SimMethod::two_pole, 0.5, false).mean;
         const double rlc =
@@ -194,8 +194,9 @@ TEST(Rlc, HasInductanceFlag)
     const Technology tech = mcm_technology();
     RoutingTree t(Point{0, 0});
     t.mark_sink(t.add_child(t.root(), Point{100, 0}));
-    EXPECT_FALSE(RcTree::from_routing_tree(t, tech, 8, false).has_inductance());
-    EXPECT_TRUE(RcTree::from_routing_tree(t, tech, 8, true).has_inductance());
+    const FlatTree ft(t);
+    EXPECT_FALSE(RcTree::from_flat_tree(ft, tech, 8, false).has_inductance());
+    EXPECT_TRUE(RcTree::from_flat_tree(ft, tech, 8, true).has_inductance());
 }
 
 // ----------------------------------------------------------------- text I/O
@@ -270,8 +271,9 @@ TEST(Io, TreeRoundTrip)
     const RoutingTree tree = build_atree_general(net).tree;
     const RoutingTree back = parse_tree(format_tree(tree));
     ASSERT_EQ(back.node_count(), tree.node_count());
-    EXPECT_EQ(total_length(back), total_length(tree));
-    EXPECT_EQ(sum_all_node_path_lengths(back), sum_all_node_path_lengths(tree));
+    const FlatTree back_ft(back), tree_ft(tree);
+    EXPECT_EQ(total_length(back_ft), total_length(tree_ft));
+    EXPECT_EQ(sum_all_node_path_lengths(back_ft), sum_all_node_path_lengths(tree_ft));
     EXPECT_EQ(back.sinks().size(), tree.sinks().size());
     EXPECT_TRUE(spans_net(back, net));
 }
@@ -305,7 +307,7 @@ TEST(Graft, CopiesSubtreeWithSinks)
     b.mark_sink(b.add_child(m, Point{4, 5}), 2e-12);
     graft(a, a.root(), b);
     EXPECT_EQ(a.node_count(), 3u);
-    EXPECT_EQ(total_length(a), 9);
+    EXPECT_EQ(total_length(FlatTree(a)), 9);
     ASSERT_EQ(a.sinks().size(), 1u);
     EXPECT_DOUBLE_EQ(a.node(a.sinks()[0]).sink_cap_f, 2e-12);
 }

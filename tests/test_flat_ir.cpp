@@ -1,12 +1,12 @@
 // Canonical-IR equivalence suite: every layer downstream of topology
-// construction (sim, metrics, report, rendering, wiresizing) consumes the
-// FlatTree, and this file pins each ported consumer to its predecessor with
-// exact comparisons -- no epsilons anywhere:
-//   * RoutingTree shims vs the native FlatTree overloads (always built);
+// construction (sim, metrics, report, rendering, wiresizing) takes only the
+// FlatTree, and this file pins each consumer to an independent computation
+// with exact comparisons -- no epsilons anywhere:
+//   * summarize_net against sums walked over the RoutingTree (always built);
 //   * WiresizeContext's FlatTree compile vs the reference
-//     SegmentDecomposition, array by array (always built), and its
-//     evaluation entry points and wiresized RC tree vs the pointer-walk
-//     oracles over that decomposition;
+//     SegmentDecomposition, array by array, and its evaluation entry points
+//     and wiresized RC tree vs the pointer-walk oracles over that
+//     decomposition (CONG93_BUILD_ORACLES=ON);
 //   * the cong_oracles pointer-walk twins (RcTree construction, simulator
 //     outputs, all five metrics, SVG bytes) when CONG93_BUILD_ORACLES=ON;
 //   * the pipeline's one-compile-per-net guarantee via
@@ -14,6 +14,7 @@
 //     flat_tree_compiles() counter (A-tree construction compiles nothing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <utility>
 #include <vector>
@@ -22,11 +23,15 @@
 #include "batch/pipeline.h"
 #include "batch/workspace.h"
 #include "netgen/netgen.h"
+#ifdef CONG93_HAVE_ORACLES
+#include "oracle/metrics_reference.h"
 #include "oracle/segments_reference.h"
+#include "oracle/sim_reference.h"
+#include "oracle/svg_reference.h"
+#endif
 #include "report/table.h"
 #include "rtree/flat_tree.h"
 #include "rtree/metrics.h"
-#include "rtree/segments.h"
 #include "rtree/svg.h"
 #include "sim/delay_measure.h"
 #include "sim/rc_tree.h"
@@ -40,6 +45,7 @@
 namespace cong93 {
 namespace {
 
+#ifdef CONG93_HAVE_ORACLES
 std::vector<RoutingTree> random_atrees(std::uint64_t seed, int count, int sinks)
 {
     std::vector<RoutingTree> trees;
@@ -59,72 +65,30 @@ void expect_rc_equal(const RcTree& a, const RcTree& b)
     }
     EXPECT_EQ(a.sink_nodes(), b.sink_nodes());
 }
-
-// ---------------------------------------------------------------------------
-// RoutingTree shims vs the native FlatTree entry points (oracle-free: these
-// must hold in a CONG93_BUILD_ORACLES=OFF build too).
-// ---------------------------------------------------------------------------
-
-TEST(FlatIr, MetricShimsMatchFlatOverloads)
-{
-    for (const RoutingTree& tree : random_atrees(301, 6, 11)) {
-        const FlatTree ft(tree);
-        EXPECT_EQ(total_length(tree), total_length(ft));
-        EXPECT_EQ(sum_sink_path_lengths(tree), sum_sink_path_lengths(ft));
-        EXPECT_EQ(sum_all_node_path_lengths(tree), sum_all_node_path_lengths(ft));
-        EXPECT_EQ(radius(tree), radius(ft));
-        EXPECT_EQ(mdrt_cost(tree, 1.0, 0.5, 0.25), mdrt_cost(ft, 1.0, 0.5, 0.25));
-    }
-}
-
-TEST(FlatIr, RcTreeShimMatchesFlatBuilder)
-{
-    const Technology tech = mcm_technology();
-    for (const RoutingTree& tree : random_atrees(302, 4, 9)) {
-        const FlatTree ft(tree);
-        for (const bool rlc : {false, true}) {
-            expect_rc_equal(RcTree::from_routing_tree(tree, tech, 16, rlc),
-                            RcTree::from_flat_tree(ft, tech, 16, rlc));
-        }
-    }
-}
-
-TEST(FlatIr, MeasureDelayShimMatchesFlatOverload)
-{
-    const Technology tech = mcm_technology();
-    for (const RoutingTree& tree : random_atrees(303, 3, 8)) {
-        const FlatTree ft(tree);
-        for (const SimMethod m : {SimMethod::two_pole, SimMethod::transient}) {
-            const DelayReport a = measure_delay(tree, tech, m);
-            const DelayReport b = measure_delay(ft, tech, m);
-            EXPECT_EQ(a.sink_delays, b.sink_delays);
-            EXPECT_EQ(a.mean, b.mean);
-            EXPECT_EQ(a.max, b.max);
-        }
-    }
-}
-
-TEST(FlatIr, SvgShimMatchesFlatRenderer)
-{
-    for (const RoutingTree& tree : random_atrees(304, 3, 7)) {
-        const FlatTree ft(tree);
-        EXPECT_EQ(to_svg(tree), to_svg(ft));
-    }
-}
+#endif  // CONG93_HAVE_ORACLES
 
 TEST(FlatIr, SummarizeNetMatchesMetrics)
 {
-    for (const RoutingTree& tree : random_atrees(305, 4, 10)) {
-        const FlatTree ft(tree);
+    // The length is the price the A-tree construction put on the tree; the
+    // path-length sums are walked over the RoutingTree's maintained pl.
+    for (const Net& net : random_nets(305, 4, kMcmGrid, 10)) {
+        const AtreeResult r = build_atree_general(net);
+        const FlatTree ft(r.tree);
         const NetSummary s = summarize_net(ft);
-        EXPECT_EQ(s.nodes, tree.node_count());
-        EXPECT_EQ(s.sinks, tree.sinks().size());
-        EXPECT_EQ(s.length, total_length(tree));
-        EXPECT_EQ(s.radius, radius(tree));
-        EXPECT_EQ(s.sum_sink_path_lengths, sum_sink_path_lengths(tree));
+        Length longest = 0, sum_pl = 0;
+        for (const NodeId k : r.tree.sinks()) {
+            longest = std::max(longest, r.tree.path_length(k));
+            sum_pl += r.tree.path_length(k);
+        }
+        EXPECT_EQ(s.nodes, r.tree.node_count());
+        EXPECT_EQ(s.sinks, r.tree.sinks().size());
+        EXPECT_EQ(s.length, r.cost);
+        EXPECT_EQ(s.radius, longest);
+        EXPECT_EQ(s.sum_sink_path_lengths, sum_pl);
     }
 }
 
+#ifdef CONG93_HAVE_ORACLES
 // ---------------------------------------------------------------------------
 // WiresizeContext's FlatTree compile vs the reference SegmentDecomposition
 // ---------------------------------------------------------------------------
@@ -171,7 +135,6 @@ TEST(FlatIr, WiresizeContextFlatBuildMatchesLegacyArrays)
     }
 }
 
-#ifdef CONG93_HAVE_ORACLES
 TEST(FlatIr, WiresizeContextFlatBuildMatchesLegacyEvaluation)
 {
     const Technology tech = mcm_technology();
@@ -263,14 +226,17 @@ TEST(FlatIr, PipelineCompilesEachNetExactlyOnce)
 
 TEST(FlatIr, AtreeConstructionCompilesNothing)
 {
-    // The constructors price their trees with the RoutingTree metric
-    // overloads, which walk the nodes directly.
+    // The constructors price their trees while they build them (each
+    // quadrant in forest_to_tree's walk, the assembly as the quadrants'
+    // sums), so construction compiles nothing; one compile afterwards
+    // checks the prices.
     const Net net = random_nets(303, 1, kMcmGrid, 16).front();
     const std::uint64_t before = flat_tree_compiles();
     const AtreeResult r = build_atree_general(net);
     EXPECT_EQ(flat_tree_compiles() - before, 0u);
-    EXPECT_EQ(r.cost, total_length(r.tree));
-    EXPECT_EQ(r.qmst_cost, sum_all_node_path_lengths(r.tree));
+    const FlatTree ft(r.tree);
+    EXPECT_EQ(r.cost, total_length(ft));
+    EXPECT_EQ(r.qmst_cost, sum_all_node_path_lengths(ft));
 }
 
 TEST(FlatIr, ProcessWideCompilesEqualAtreeRoutedNets)
@@ -335,7 +301,7 @@ TEST(FlatIrOracle, RcTreeBitIdenticalToPointerWalk)
             for (const bool rlc : {false, true}) {
                 expect_rc_equal(
                     RcTree::from_flat_tree(ft, tech, sections, rlc),
-                    RcTree::from_routing_tree_reference(tree, tech, sections, rlc));
+                    from_routing_tree_reference(tree, tech, sections, rlc));
             }
         }
     }
@@ -348,7 +314,7 @@ TEST(FlatIrOracle, SimulatorsBitIdenticalThroughFlatBuiltRc)
     // runtime but no coverage.
     for (const RoutingTree& tree : oracle_trees(402, 3, 9, 50)) {
         const RcTree flat_rc = RcTree::from_flat_tree(FlatTree(tree), tech);
-        const RcTree ref_rc = RcTree::from_routing_tree_reference(tree, tech);
+        const RcTree ref_rc = from_routing_tree_reference(tree, tech);
 
         EXPECT_EQ(two_pole_sink_delays(flat_rc), two_pole_sink_delays(ref_rc));
         EXPECT_EQ(transient_sink_delays(flat_rc), transient_sink_delays(ref_rc));

@@ -219,8 +219,9 @@ TEST(Transform, SubdivideMakesShortSegmentsAndKeepsGeometry)
     const RoutingTree tree = build_atree_general(net).tree;
     const RoutingTree fine = subdivide_edges(tree, 64);
     EXPECT_TRUE(same_geometry(tree, fine));
-    EXPECT_EQ(total_length(fine), total_length(tree));
-    EXPECT_EQ(sum_all_node_path_lengths(fine), sum_all_node_path_lengths(tree));
+    const FlatTree fine_ft(fine), tree_ft(tree);
+    EXPECT_EQ(total_length(fine_ft), total_length(tree_ft));
+    EXPECT_EQ(sum_all_node_path_lengths(fine_ft), sum_all_node_path_lengths(tree_ft));
     EXPECT_TRUE(spans_net(fine, net));
     EXPECT_TRUE(validate_structure(fine).empty());
     const FlatTree ft(fine);

@@ -37,14 +37,14 @@ TEST(Htree, PerfectlyBalancedPathLengths)
     // Closed form: sum over levels of 2 * span_l with span halving.
     // levels=3, s=64: 2*(64 + 32 + 16) = 224.
     EXPECT_EQ(pl0, 224);
-    EXPECT_EQ(radius(t), 224);
+    EXPECT_EQ(radius(FlatTree(t)), 224);
 }
 
 TEST(Htree, ZeroSkewUniformAndWiresized)
 {
     const Technology tech = mcm_technology();
-    const RoutingTree t = build_htree(2, 512, Point{1000, 1000});
-    const DelayReport uniform = measure_delay(t, tech);
+    const FlatTree ft(build_htree(2, 512, Point{1000, 1000}));
+    const DelayReport uniform = measure_delay(ft, tech);
     const auto skew = [](const DelayReport& d) {
         const auto [lo, hi] =
             std::minmax_element(d.sink_delays.begin(), d.sink_delays.end());
@@ -52,7 +52,6 @@ TEST(Htree, ZeroSkewUniformAndWiresized)
     };
     EXPECT_LT(skew(uniform), 1e-6 * uniform.mean);
 
-    const FlatTree ft(t);
     const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(3));
     const CombinedResult sized = grewsa_owsa(ctx);
     const DelayReport wide = measure_delay_wiresized(ctx, sized.assignment);

@@ -34,7 +34,7 @@ TEST(Pipeline, FullMcmFlow)
         const CombinedResult sized = grewsa_owsa(ctx);
         EXPECT_LE(sized.delay, ctx.delay(min_assignment(ctx.segment_count())) * (1 + 1e-9));
         // Simulation: wiresized tree beats the uniform tree.
-        const auto uniform = measure_delay(atree.tree, tech);
+        const auto uniform = measure_delay(ft, tech);
         const auto wiresized = measure_delay_wiresized(ctx, sized.assignment);
         EXPECT_LT(wiresized.mean, uniform.mean * 1.001);
         EXPECT_GT(wiresized.mean, 0.0);
@@ -59,9 +59,10 @@ TEST(Pipeline, AllRoutersProduceValidTrees)
         for (const auto& [name, tree] : trees) {
             SCOPED_TRACE(name);
             require_valid(tree, net);
-            EXPECT_GT(total_length(tree), 0);
+            const FlatTree ft(tree);
+            EXPECT_GT(total_length(ft), 0);
             // Sinks reachable with sensible radius.
-            EXPECT_GE(radius(tree), net_radius(net));
+            EXPECT_GE(radius(ft), net_radius(net));
         }
     }
 }
@@ -76,8 +77,10 @@ TEST(Pipeline, AtreeBeatsSteinerOnMcmDelay)
     double atree_total = 0.0;
     double steiner_total = 0.0;
     for (const Net& net : nets) {
-        atree_total += measure_delay(build_atree_general(net).tree, tech).mean;
-        steiner_total += measure_delay(build_one_steiner(net).tree, tech).mean;
+        const FlatTree at(build_atree_general(net).tree);
+        const FlatTree st(build_one_steiner(net).tree);
+        atree_total += measure_delay(at, tech).mean;
+        steiner_total += measure_delay(st, tech).mean;
     }
     EXPECT_LT(atree_total, steiner_total);
 }
@@ -92,8 +95,8 @@ TEST(Pipeline, SteinerWinsOnOldTechnology)
     const auto nets = random_nets(4242, 12, kIcGrid, 8);
     double adv_min = 0.0, adv_scaled = 0.0;
     for (const Net& net : nets) {
-        const RoutingTree at = build_atree_general(net).tree;
-        const RoutingTree st = build_one_steiner(net).tree;
+        const FlatTree at(build_atree_general(net).tree);
+        const FlatTree st(build_one_steiner(net).tree);
         adv_min += measure_delay(st, old_min).mean - measure_delay(at, old_min).mean;
         adv_scaled +=
             measure_delay(st, old_scaled).mean - measure_delay(at, old_scaled).mean;
@@ -111,9 +114,9 @@ TEST(Pipeline, RphObjectiveTracksSimulatedDelay)
     const auto nets = random_nets(55555, 20, kMcmGrid, 8);
     int agree = 0;
     for (const Net& net : nets) {
-        const RoutingTree a = build_atree_general(net).tree;
-        const RoutingTree b = build_mst_tree(net);
-        const bool rph_says_a = rph_delay(a, tech) < rph_delay(b, tech);
+        const FlatTree a(build_atree_general(net).tree);
+        const FlatTree b(build_mst_tree(net));
+        const bool rph_says_a = rph_terms(a, tech).total() < rph_terms(b, tech).total();
         const bool sim_says_a =
             measure_delay(a, tech).mean < measure_delay(b, tech).mean;
         agree += rph_says_a == sim_says_a;

@@ -16,15 +16,19 @@
 #include "delay/elmore.h"
 #include "delay/rph.h"
 #include "netgen/netgen.h"
-#include "oracle/segments_reference.h"
 #include "rtree/flat_tree.h"
 #include "rtree/metrics.h"
-#include "rtree/segments.h"
 #include "sim/moments.h"
 #include "sim/rc_tree.h"
 #include "tech/technology.h"
 #include "wiresize/combined.h"
 #include "wiresize/grewsa.h"
+#ifdef CONG93_HAVE_ORACLES
+#include "oracle/elmore_reference.h"
+#include "oracle/rph_reference.h"
+#include "oracle/segments_reference.h"
+#include "oracle/sim_reference.h"
+#endif
 
 namespace cong93 {
 namespace {
@@ -46,7 +50,9 @@ TEST(FlatTree, MirrorsRoutingTreeStructure)
     for (const RoutingTree& tree : random_atrees(11, 4, 13)) {
         const FlatTree ft(tree);
         ASSERT_EQ(ft.size(), tree.node_count());
-        EXPECT_EQ(ft.total_length(), total_length(tree));
+        Length length = 0;
+        tree.for_each_edge([&](NodeId id) { length += tree.edge_length(id); });
+        EXPECT_EQ(ft.total_length(), length);
 
         // Flat index 0 is the root; parents precede children (preorder).
         EXPECT_EQ(ft.parent()[0], -1);
@@ -118,7 +124,7 @@ TEST(FlatKernels, ElmoreBitIdenticalToReference)
 {
     const Technology tech = mcm_technology();
     for (const RoutingTree& tree : random_atrees(21, 6, 15)) {
-        const auto flat = elmore_all_sinks(tree, tech);
+        const auto flat = elmore_all_sinks(FlatTree(tree), tech);
         const auto ref = elmore_all_sinks_reference(tree, tech);
         ASSERT_EQ(flat.size(), ref.size());
         for (std::size_t i = 0; i < flat.size(); ++i)
@@ -130,7 +136,7 @@ TEST(FlatKernels, RphTermsBitIdenticalToReference)
 {
     const Technology tech = mcm_technology();
     for (const RoutingTree& tree : random_atrees(22, 6, 15)) {
-        const RphTerms flat = rph_terms(tree, tech);
+        const RphTerms flat = rph_terms(FlatTree(tree), tech);
         const RphTerms ref = rph_terms_reference(tree, tech);
         EXPECT_EQ(flat.t1, ref.t1);
         EXPECT_EQ(flat.t2, ref.t2);
@@ -175,7 +181,7 @@ TEST(FlatKernels, MomentsBitIdenticalToReference)
     const Technology tech = mcm_technology();
     MomentWorkspace ws;
     for (const RoutingTree& tree : random_atrees(24, 4, 10)) {
-        const RcTree rc = RcTree::from_routing_tree(tree, tech, 8);
+        const RcTree rc = RcTree::from_flat_tree(FlatTree(tree), tech, 8);
         const auto& flat = compute_moments(rc, 3, ws);
         const auto ref = compute_moments_reference(rc, 3);
         for (int q = 0; q < 3; ++q)
@@ -187,7 +193,7 @@ TEST(FlatKernels, MomentsBitIdenticalToReference)
     // Re-evaluating a same-size problem must not grow the scratch.
     const std::uint64_t growths = ws.growths;
     const RcTree rc =
-        RcTree::from_routing_tree(random_atrees(24, 1, 10)[0], tech, 8);
+        RcTree::from_flat_tree(FlatTree(random_atrees(24, 1, 10)[0]), tech, 8);
     compute_moments(rc, 3, ws);
     EXPECT_EQ(ws.growths, growths);
     EXPECT_EQ(ws.evals, 5u);
@@ -196,7 +202,7 @@ TEST(FlatKernels, MomentsBitIdenticalToReference)
     // the m_{q-2} coupling matter.
     MomentWorkspace rlc_ws;
     for (const RoutingTree& tree : random_atrees(38, 3, 9)) {
-        const RcTree rlc = RcTree::from_routing_tree(tree, tech, 8, true);
+        const RcTree rlc = RcTree::from_flat_tree(FlatTree(tree), tech, 8, true);
         ASSERT_TRUE(rlc.has_inductance());
         const auto& flat = compute_moments(rlc, 4, rlc_ws);
         const auto ref = compute_moments_reference(rlc, 4);

@@ -82,17 +82,18 @@ TEST(RouterProperties, AllRoutersAllShapes)
             const RoutingTree tree = rc.route(sc.net);
             require_valid(tree, sc.net);
 
+            const FlatTree ft(tree);
             // Radius can never beat the direct distance.
-            EXPECT_GE(radius(tree), net_radius(sc.net));
+            EXPECT_GE(radius(ft), net_radius(sc.net));
             // Wirelength covers at least the farthest sink.
-            EXPECT_GE(total_length(tree), net_radius(sc.net));
+            EXPECT_GE(total_length(ft), net_radius(sc.net));
             // Sink path lengths are bounded below by direct distances.
             for (const NodeId s : tree.sinks())
                 EXPECT_GE(tree.path_length(s), dist(sc.net.source, tree.point(s)));
 
             // Delay models produce finite positive numbers.
-            if (!tree.sinks().empty() && total_length(tree) > 0) {
-                const DelayReport d = measure_delay(tree, tech);
+            if (!tree.sinks().empty() && total_length(ft) > 0) {
+                const DelayReport d = measure_delay(ft, tech);
                 EXPECT_GT(d.mean, 0.0);
                 EXPECT_TRUE(std::isfinite(d.mean));
                 EXPECT_GE(d.max, d.mean);
@@ -119,9 +120,9 @@ TEST(RouterProperties, MstIsShortestOfTheSpanningHeuristics)
     // (which may add Steiner points) is the only router allowed to beat it.
     for (const ShapeCase& sc : all_shapes()) {
         SCOPED_TRACE(sc.name);
-        const Length mst = total_length(build_mst_tree(sc.net));
-        EXPECT_LE(total_length(build_one_steiner(sc.net).tree), mst);
-        EXPECT_GE(total_length(build_spt(sc.net)), 0);
+        const Length mst = total_length(FlatTree(build_mst_tree(sc.net)));
+        EXPECT_LE(total_length(FlatTree(build_one_steiner(sc.net).tree)), mst);
+        EXPECT_GE(total_length(FlatTree(build_spt(sc.net))), 0);
     }
 }
 
@@ -131,11 +132,11 @@ TEST(RouterProperties, RouterDeterminism)
     for (const RouterCase& rc : all_routers()) {
         for (const ShapeCase& sc : all_shapes()) {
             SCOPED_TRACE(std::string(rc.name) + " on " + sc.name);
-            const RoutingTree a = rc.route(sc.net);
-            const RoutingTree b = rc.route(sc.net);
+            const FlatTree a(rc.route(sc.net));
+            const FlatTree b(rc.route(sc.net));
             EXPECT_EQ(total_length(a), total_length(b));
             EXPECT_EQ(sum_all_node_path_lengths(a), sum_all_node_path_lengths(b));
-            EXPECT_EQ(a.node_count(), b.node_count());
+            EXPECT_EQ(a.size(), b.size());
         }
     }
 }

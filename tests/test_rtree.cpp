@@ -3,8 +3,10 @@
 #include "rtree/io.h"
 #include "rtree/metrics.h"
 #include "rtree/routing_tree.h"
-#include "rtree/segments.h"
 #include "rtree/validate.h"
+#ifdef CONG93_HAVE_ORACLES
+#include "oracle/segments_reference.h"
+#endif
 
 namespace cong93 {
 namespace {
@@ -90,7 +92,7 @@ TEST(RoutingTree, Preorder)
 
 TEST(Metrics, TTree)
 {
-    const RoutingTree t = make_t_tree();
+    const FlatTree t(make_t_tree());
     EXPECT_EQ(total_length(t), 14);
     EXPECT_EQ(sum_sink_path_lengths(t), 18);
     // Stem: edge length 4 from pl 0 -> 1+2+3+4 = 10.
@@ -101,7 +103,7 @@ TEST(Metrics, TTree)
 
 TEST(Metrics, MdrtCost)
 {
-    const RoutingTree t = make_t_tree();
+    const FlatTree t(make_t_tree());
     EXPECT_DOUBLE_EQ(mdrt_cost(t, 1, 0, 0), 14.0);
     EXPECT_DOUBLE_EQ(mdrt_cost(t, 0, 1, 0), 18.0);
     EXPECT_DOUBLE_EQ(mdrt_cost(t, 0, 0, 1), 80.0);
@@ -143,6 +145,8 @@ TEST(Validate, IsAtree)
     EXPECT_FALSE(is_atree(d));
 }
 
+#ifdef CONG93_HAVE_ORACLES
+// The paper's reference decomposition (Section 2.2) lives with the oracles.
 TEST(Segments, TTreeDecomposition)
 {
     const RoutingTree t = make_t_tree();
@@ -158,7 +162,7 @@ TEST(Segments, TTreeDecomposition)
         EXPECT_EQ(segs[static_cast<std::size_t>(c)].length, 5);
         EXPECT_TRUE(segs[static_cast<std::size_t>(c)].tail_is_sink);
     }
-    EXPECT_EQ(segs.total_length(), total_length(t));
+    EXPECT_EQ(segs.total_length(), total_length(FlatTree(t)));
 }
 
 TEST(Segments, TurnsSplitSegments)
@@ -210,6 +214,7 @@ TEST(Segments, DownstreamSinkCap)
     // Stem sees both sinks; each branch sees one.
     EXPECT_DOUBLE_EQ(caps[static_cast<std::size_t>(segs.roots()[0])], 4.0);
 }
+#endif  // CONG93_HAVE_ORACLES
 
 TEST(TreeFromParentMap, LEmbedding)
 {
@@ -219,7 +224,7 @@ TEST(TreeFromParentMap, LEmbedding)
     const RoutingTree t = tree_from_parent_map(net, pts, parent);
     EXPECT_TRUE(validate_structure(t).empty());
     EXPECT_TRUE(spans_net(t, net));
-    EXPECT_EQ(total_length(t), 7);
+    EXPECT_EQ(total_length(FlatTree(t)), 7);
     EXPECT_EQ(t.node_count(), 3u);  // source, corner, sink
 }
 

@@ -368,6 +368,13 @@ TEST(PipelineCache, PreCancelledBatchServesAndInternsNothing)
         }
         EXPECT_EQ(cold.size(), 0u);
         EXPECT_EQ(warm.dump(), warm_before);
+
+        // Without a cache the count means the same: nothing entered a route.
+        PipelineOptions uncached = off;
+        uncached.threads = threads;
+        PipelineStats stats;
+        route_batch(nets, tech, uncached, &stats);
+        EXPECT_EQ(stats.nets_routed, 0u) << "threads=" << threads;
     }
 }
 
@@ -404,6 +411,13 @@ TEST(PipelineCache, AdmitCapRejectsTheTailBeforeAnyProbe)
         // Only the admitted prefix was probed.
         EXPECT_EQ(cache.stats().hits - before.hits, cap);
         EXPECT_EQ(cache.stats().misses, before.misses);
+
+        // Without a cache the admitted prefix routes and the tail does not.
+        PipelineOptions uncached = off;
+        uncached.threads = threads;
+        PipelineStats plain;
+        route_batch(nets, tech, uncached, &plain);
+        EXPECT_EQ(plain.nets_routed, cap) << "threads=" << threads;
     }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "atree/atree.h"
 #include "delay/elmore.h"
@@ -73,9 +74,10 @@ TEST(Moments, MatchElmoreModuleOnRoutingTrees)
     const AtreeResult r = build_atree(net);
     // Many sections per edge -> the lumped Elmore converges to the
     // distributed closed form of delay/elmore.h.
-    const RcTree rc = RcTree::from_routing_tree(r.tree, tech, 64);
+    const FlatTree ft(r.tree);
+    const RcTree rc = RcTree::from_flat_tree(ft, tech, 64);
     const auto elm = rc_elmore_delays(rc);
-    const auto expected = elmore_all_sinks(r.tree, tech);
+    const auto expected = elmore_all_sinks(ft, tech);
     const auto sinks = rc.sink_nodes();
     ASSERT_EQ(sinks.size(), expected.size());
     for (std::size_t i = 0; i < sinks.size(); ++i) {
@@ -159,7 +161,7 @@ TEST(Transient, SinkDelaysCloseToTwoPole)
                                          static_cast<Coord>(std::abs(s.y - net.source.y))});
             return build_atree(fq);
         }();
-        const RcTree rc = RcTree::from_routing_tree(r.tree, tech, 8);
+        const RcTree rc = RcTree::from_flat_tree(FlatTree(r.tree), tech, 8);
         const auto tp = two_pole_sink_delays(rc, 0.5);
         const auto tr = transient_sink_delays(rc, 0.5);
         ASSERT_EQ(tp.size(), tr.size());
@@ -219,12 +221,32 @@ TEST(DelayMeasure, UniformEntryPoints)
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{500, 300}, {100, 900}}};
     const AtreeResult r = build_atree(net);
-    const auto d2 = measure_delay(r.tree, tech, SimMethod::two_pole);
-    const auto dt = measure_delay(r.tree, tech, SimMethod::transient);
+    const FlatTree ft(r.tree);
+    const auto d2 = measure_delay(ft, tech, SimMethod::two_pole);
+    const auto dt = measure_delay(ft, tech, SimMethod::transient);
     ASSERT_EQ(d2.sink_delays.size(), 2u);
     EXPECT_GT(d2.mean, 0.0);
     EXPECT_NEAR(d2.mean, dt.mean, 0.15 * dt.mean);
     EXPECT_GE(d2.max, d2.mean);
+}
+
+TEST(DelayMeasure, ThresholdOutsideUnitIntervalThrows)
+{
+    // Both simulators share one contract: a crossing level in (0, 1).  A
+    // negative level used to make the transient loop latch a negative delay
+    // on its first step; a level >= 1 is never crossed by an RC tree.
+    const Technology tech = mcm_technology();
+    const FlatTree ft(build_atree(Net{{0, 0}, {{500, 300}, {100, 900}}}).tree);
+    for (const SimMethod m : {SimMethod::two_pole, SimMethod::transient}) {
+        for (const double thr : {-0.5, 0.0, 1.0, 1.5, std::nan("")}) {
+            EXPECT_THROW(measure_delay(ft, tech, m, thr), std::invalid_argument)
+                << "method " << static_cast<int>(m) << " threshold " << thr;
+        }
+        EXPECT_NO_THROW(measure_delay(ft, tech, m, 0.9));
+    }
+    const RcTree rc = RcTree::from_flat_tree(ft, tech, 8);
+    EXPECT_THROW(transient_ramp_delays(rc, 1e-9, -0.5), std::invalid_argument);
+    EXPECT_THROW(transient_ramp_delays(rc, 1e-9, 1.0), std::invalid_argument);
 }
 
 }  // namespace

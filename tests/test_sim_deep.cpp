@@ -45,7 +45,7 @@ TEST(MomentsDeep, MomentsMatchBruteForceSharedResistance)
     // m1 = -Σ_k R(shared path) C_k via direct double loop.
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{50, 20}, {10, 70}, {65, 65}}};
-    const RcTree rc = RcTree::from_routing_tree(build_atree(net).tree, tech, 4);
+    const RcTree rc = RcTree::from_flat_tree(FlatTree(build_atree(net).tree), tech, 4);
     const auto m = compute_moments(rc, 1);
 
     // Brute force: R(shared) via common-ancestor walk.
@@ -132,13 +132,10 @@ TEST(TransientDeep, SectionCountConvergence)
     // Transient sink delay converges as the wire discretization refines.
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{1500, 500}}};
-    const RoutingTree tree = build_atree(net).tree;
-    const double d4 =
-        transient_sink_delays(RcTree::from_routing_tree(tree, tech, 4))[0];
-    const double d16 =
-        transient_sink_delays(RcTree::from_routing_tree(tree, tech, 16))[0];
-    const double d64 =
-        transient_sink_delays(RcTree::from_routing_tree(tree, tech, 64))[0];
+    const FlatTree tree(build_atree(net).tree);
+    const double d4 = transient_sink_delays(RcTree::from_flat_tree(tree, tech, 4))[0];
+    const double d16 = transient_sink_delays(RcTree::from_flat_tree(tree, tech, 16))[0];
+    const double d64 = transient_sink_delays(RcTree::from_flat_tree(tree, tech, 64))[0];
     EXPECT_LT(std::abs(d64 - d16), std::abs(d64 - d4) + 1e-15);
     EXPECT_NEAR(d16, d64, 0.02 * d64);
 }
@@ -180,7 +177,7 @@ TEST(PadeDeep, ImprovesNearSinkAccuracy)
     // worst sink.
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{200, 150}, {1500, 400}, {600, 2100}, {2200, 2200}}};
-    const RcTree rc = RcTree::from_routing_tree(build_atree(net).tree, tech, 8);
+    const RcTree rc = RcTree::from_flat_tree(FlatTree(build_atree(net).tree), tech, 8);
     const auto tp = two_pole_sink_delays(rc, 0.5);
     const auto pd = pade_sink_delays(rc, 0.5);
     const auto tr = transient_sink_delays(rc, 0.5);

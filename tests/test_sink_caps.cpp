@@ -63,12 +63,12 @@ TEST(SinkCaps, RphUsesExplicitCaps)
 {
     const Technology tech = mcm_technology();
     Net net{{0, 0}, {{100, 0}}, {}};
-    const RoutingTree default_cap = build_atree_general(net).tree;
+    const FlatTree default_cap(build_atree_general(net).tree);
     net.sink_caps = {10 * tech.sink_load_f};
-    const RoutingTree big_cap = build_atree_general(net).tree;
-    EXPECT_GT(rph_delay(big_cap, tech), rph_delay(default_cap, tech));
-    EXPECT_GT(elmore_delay(big_cap, tech, big_cap.sinks()[0]),
-              elmore_delay(default_cap, tech, default_cap.sinks()[0]));
+    const FlatTree big_cap(build_atree_general(net).tree);
+    EXPECT_GT(rph_terms(big_cap, tech).total(), rph_terms(default_cap, tech).total());
+    EXPECT_GT(elmore_all_sinks(big_cap, tech)[0],
+              elmore_all_sinks(default_cap, tech)[0]);
 }
 
 TEST(SinkCaps, WiresizingFavorsHeavyBranch)

@@ -30,7 +30,7 @@ TEST(Svg, UniformRenderingStructure)
 {
     const Net net{{0, 0}, {{300, 100}, {50, 400}}};
     const RoutingTree tree = build_atree_general(net).tree;
-    const std::string svg = to_svg(tree);
+    const std::string svg = to_svg(FlatTree(tree));
     EXPECT_NE(svg.find("<svg"), std::string::npos);
     EXPECT_NE(svg.find("</svg>"), std::string::npos);
     // One line per edge, one marker per terminal.
@@ -67,7 +67,7 @@ TEST(Ramp, SlowerInputSlowerOutput)
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{1500, 800}}};
     const RcTree rc =
-        RcTree::from_routing_tree(build_atree_general(net).tree, tech, 8);
+        RcTree::from_flat_tree(FlatTree(build_atree_general(net).tree), tech, 8);
     const double step = transient_sink_delays(rc, 0.5)[0];
     const double fast = transient_ramp_delays(rc, step / 10.0, 0.5)[0];
     const double slow = transient_ramp_delays(rc, step * 10.0, 0.5)[0];
@@ -84,7 +84,7 @@ TEST(Ramp, ZeroRiseEqualsStep)
     const Technology tech = mcm_technology();
     const Net net{{0, 0}, {{900, 400}, {200, 700}}};
     const RcTree rc =
-        RcTree::from_routing_tree(build_atree_general(net).tree, tech, 8);
+        RcTree::from_flat_tree(FlatTree(build_atree_general(net).tree), tech, 8);
     const auto step = transient_sink_delays(rc, 0.5);
     const auto ramp0 = transient_ramp_delays(rc, 0.0, 0.5);
     ASSERT_EQ(step.size(), ramp0.size());
