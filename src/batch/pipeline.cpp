@@ -246,20 +246,35 @@ void route_tail(const FlatTree& ft, std::size_t index, const Technology& t,
                 NetClock& clk, Workspace& ws, NetRouteResult& r,
                 const WiresizeSolver& solver)
 {
+    // Counts a growth of the slot's wiresize scratch however the tail ends.
+    struct GrowthProbe {
+        WiresizeScratch& s;
+        std::size_t before = s.capacity_bytes();
+        ~GrowthProbe()
+        {
+            if (s.capacity_bytes() > before) ++s.growths;
+        }
+    } probe{ws.wiresize};
+
     RouteStage stage = RouteStage::wiresize;
     try {
         faults.maybe_throw(index, RouteStage::wiresize,
                            "injected: wiresizing fault");
         // The segment arrays derive from the stage-2 compile: one FlatTree
         // per net feeds report, wiresizing, and the moment cross-check.
-        const WiresizeContext ctx(ft, t, WidthSet::uniform_steps(opts.widths_r));
+        // Context, engine, OWSA buffers and bounds are the slot's.
+        const WiresizeContext& ctx = ws.wiresize.compile(ft, t, opts.widths_r);
         r.segments = ctx.segment_count();
         if (ctx.segment_count() == 0) return;
-        CombinedResult best = solver ? solver(ctx) : grewsa_owsa(ctx);
+        if (solver)
+            solver(ctx, ws.wiresize);
+        else
+            grewsa_owsa(ctx, ws.wiresize);
+        const CombinedResult& best = ws.wiresize.best;
         if (!std::isfinite(best.delay))
             throw std::runtime_error("non-finite wiresized delay");
         r.wiresized_delay_s = best.delay;
-        r.assignment = std::move(best.assignment);
+        r.assignment = Assignment(best.assignment);  // outlives the scratch
         clk.charge(RouteStage::wiresize);
 
         if (opts.moment_check) {

@@ -297,8 +297,9 @@ private:
 /// Routes every net of the batch; results are in net order regardless of
 /// thread count, and a per-net failure degrades that net only (see header
 /// comment).  When `workspaces` is supplied its entries are reused (and it
-/// is grown to the slot count) so repeated batches stay allocation-free;
-/// each entry must not be in use by any other concurrent call.
+/// is grown to the slot count) so repeated batches reuse their arenas
+/// (what a net still allocates is listed in batch/workspace.h); each entry
+/// must not be in use by any other concurrent call.
 std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
                                         const Technology& tech,
                                         const PipelineOptions& opts = {},
@@ -340,12 +341,14 @@ std::vector<NetRouteResult> route_batch(std::uint64_t seed, int count, Coord gri
                                         PipelineStats* stats = nullptr,
                                         std::vector<Workspace>* workspaces = nullptr);
 
-/// Wiresizing solver hook: maps a compiled context to a CombinedResult.  An
-/// empty function means grewsa_owsa.  A solver must be bit-identical to
-/// grewsa_owsa on its inputs for the pipeline's determinism contracts to
-/// extend through it (the session engine's warm-started solver is; see
-/// session/session.h).
-using WiresizeSolver = std::function<CombinedResult(const WiresizeContext&)>;
+/// Wiresizing solver hook: solves a compiled context into the slot's
+/// scratch (scratch.best), drawing its engine and buffers from the same
+/// scratch.  An empty function means grewsa_owsa(ctx, scratch).  A solver
+/// must be bit-identical to grewsa_owsa on its inputs for the pipeline's
+/// determinism contracts to extend through it (the session engine's
+/// warm-started solver is; see session/session.h).
+using WiresizeSolver =
+    std::function<void(const WiresizeContext&, WiresizeScratch&)>;
 
 /// What an incremental caller lends route_single from its previous route of
 /// the same net: the A-tree rows emit_atree may replay for unchanged

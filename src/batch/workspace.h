@@ -1,11 +1,14 @@
 // Per-thread reusable scratch arenas for batch routing work.
 //
 // Every stage of the per-net pipeline historically allocated fresh vectors
-// per call (preorder buffers, subtree-capacitance scratch, moment rows).
-// A Workspace owns one instance of each reusable buffer; a batch driver
-// keeps one Workspace per worker slot (see parallel_for_slots) and threads
-// it through every net the slot processes, so after warm-up the inner loop
-// runs allocation-free.
+// per call (preorder buffers, subtree-capacitance scratch, moment rows,
+// the wiresizing context and solvers).  A Workspace owns one instance of
+// each reusable buffer; a batch driver keeps one Workspace per worker slot
+// (see parallel_for_slots) and threads it through every net the slot
+// processes, so after warm-up the arenas stop allocating.  What a net
+// still allocates is what outlives it or is built fresh on purpose: its
+// result's assignment and the moment cross-check's RcTree (about 12 per
+// net in all; test_alloc_count bounds it).
 //
 // Lifetime rules:
 //   * a Workspace is owned by exactly one worker slot for the duration of a
@@ -33,6 +36,7 @@
 #include "atree/generalized.h"
 #include "rtree/flat_tree.h"
 #include "sim/moments.h"
+#include "wiresize/combined.h"
 
 namespace cong93 {
 
@@ -45,6 +49,8 @@ struct WorkspaceCounters {
     std::uint64_t scratch_growths = 0; ///< growths of the plain scratch vectors
     std::uint64_t atree_growths = 0;   ///< A-tree constructions that grew
                                        ///< the slot's AtreeScratch
+    std::uint64_t wiresize_growths = 0;  ///< wiresized nets that grew the
+                                         ///< slot's WiresizeScratch
     std::uint64_t arena_rejects = 0;   ///< nets rejected by guard_nodes caps
     /// Nets answered by the route cache / single-flight result sharing
     /// instead of a compile (batch/pipeline.cpp).  Distinguishes "served"
@@ -61,6 +67,7 @@ struct WorkspaceCounters {
         moment_growths += o.moment_growths;
         scratch_growths += o.scratch_growths;
         atree_growths += o.atree_growths;
+        wiresize_growths += o.wiresize_growths;
         arena_rejects += o.arena_rejects;
         results_served += o.results_served;
         return *this;
@@ -73,6 +80,7 @@ struct WorkspaceCounters {
         moment_growths -= o.moment_growths;
         scratch_growths -= o.scratch_growths;
         atree_growths -= o.atree_growths;
+        wiresize_growths -= o.wiresize_growths;
         arena_rejects -= o.arena_rejects;
         results_served -= o.results_served;
         return *this;
@@ -93,6 +101,9 @@ public:
     /// Reusable A-tree construction storage (forest, move engine, partition
     /// and graft buffers) for emit_atree.
     AtreeScratch atree;
+    /// Reusable wiresizing storage (context, width set, GREWSA engine,
+    /// OWSA buffers, bound and result assignments) for route_tail.
+    WiresizeScratch wiresize;
     /// Reusable moment-engine scratch (sim/moments.h).
     MomentWorkspace moments;
     /// Per-node double scratch (subtree caps etc).
@@ -146,7 +157,8 @@ public:
     /// plus every session's per-slot arenas.
     std::size_t resident_bytes() const
     {
-        std::size_t n = flat.capacity_bytes() + atree.capacity_bytes();
+        std::size_t n = flat.capacity_bytes() + atree.capacity_bytes() +
+                        wiresize.capacity_bytes();
         n += moments.subtree.capacity() * sizeof(double);
         n += moments.subtree_pp.capacity() * sizeof(double);
         for (const auto& row : moments.m) n += row.capacity() * sizeof(double);
@@ -165,6 +177,7 @@ public:
         c.moment_growths = moments.growths;
         c.scratch_growths = scratch_growths_;
         c.atree_growths = atree.growths;
+        c.wiresize_growths = wiresize.growths;
         c.arena_rejects = arena_rejects_;
         c.results_served = results_served_;
         return c;

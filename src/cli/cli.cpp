@@ -891,7 +891,7 @@ CliOptions parse_cli(const std::vector<std::string>& args)
     // and a negative value for an unsigned knob all reject with the usage
     // text, so a typo like `--sessions=abc` or `--queue-cap -1` can never be
     // silently truncated into a huge or zero limit.
-    const auto to_int = [](const std::string& flag, const std::string& v) {
+    const auto to_long = [](const std::string& flag, const std::string& v) {
         try {
             std::size_t used = 0;
             const long n = std::stol(v, &used);
@@ -902,8 +902,18 @@ CliOptions parse_cli(const std::vector<std::string>& args)
                                         "'\n" + cli_usage());
         }
     };
-    const auto to_size = [&to_int](const std::string& flag, const std::string& v) {
-        const long n = to_int(flag, v);
+    // The int-typed knobs (counts, widths, threads, the int32 grid) take
+    // only values inside int's range: a static_cast would wrap 4294967297
+    // to 1.
+    const auto to_int = [&to_long](const std::string& flag, const std::string& v) {
+        const long n = to_long(flag, v);
+        if (n < std::numeric_limits<int>::min() || n > std::numeric_limits<int>::max())
+            throw std::invalid_argument("bad integer for " + flag + ": '" + v +
+                                        "'\n" + cli_usage());
+        return static_cast<int>(n);
+    };
+    const auto to_size = [&to_long](const std::string& flag, const std::string& v) {
+        const long n = to_long(flag, v);
         if (n < 0)
             throw std::invalid_argument(flag + " must be >= 0, got " + v + '\n' +
                                         cli_usage());
@@ -941,20 +951,20 @@ CliOptions parse_cli(const std::vector<std::string>& args)
             return args[++i];
         };
         if (a == "--in") opts.input_path = value();
-        else if (a == "--random") opts.random_count = static_cast<int>(to_int(a, value()));
-        else if (a == "--sinks") opts.sinks = static_cast<int>(to_int(a, value()));
-        else if (a == "--grid") opts.grid = static_cast<Coord>(to_int(a, value()));
+        else if (a == "--random") opts.random_count = to_int(a, value());
+        else if (a == "--sinks") opts.sinks = to_int(a, value());
+        else if (a == "--grid") opts.grid = to_int(a, value());
         else if (a == "--seed") opts.seed = static_cast<std::uint64_t>(to_size(a, value()));
         else if (a == "--algo") opts.algo = value();
         else if (a == "--tech") opts.tech = value();
         else if (a == "--driver-scale") opts.driver_scale = to_double(a, value());
-        else if (a == "--widths") opts.widths = static_cast<int>(to_int(a, value()));
+        else if (a == "--widths") opts.widths = to_int(a, value());
         else if (a == "--sizer") opts.sizer = value();
         else if (a == "--method") opts.method = value();
         else if (a == "--threshold") opts.threshold = to_double(a, value());
         else if (a == "--rlc") opts.rlc = true;
         else if (a == "--out") opts.out_path = value();
-        else if (a == "--threads") opts.threads = static_cast<int>(to_int(a, value()));
+        else if (a == "--threads") opts.threads = to_int(a, value());
         else if (a == "--max-nodes") opts.max_nodes = to_size(a, value());
         else if (a == "--fault-inject") opts.fault_spec = value();
         else if (a == "--deadline-ms") opts.deadline_ms = to_double(a, value());
@@ -962,8 +972,8 @@ CliOptions parse_cli(const std::vector<std::string>& args)
         else if (a == "--memory-budget") opts.memory_budget = to_size(a, value());
         else if (a == "--cache-capacity") opts.cache_capacity = to_size(a, value());
         else if (a == "--no-cache") opts.session_cache = false;
-        else if (a == "--sessions") opts.sessions = static_cast<int>(to_int(a, value()));
-        else if (a == "--requests") opts.requests = static_cast<int>(to_int(a, value()));
+        else if (a == "--sessions") opts.sessions = to_int(a, value());
+        else if (a == "--requests") opts.requests = to_int(a, value());
         else if (a == "--chunk-nets") opts.chunk_nets = to_size(a, value());
         else if (a == "--top") opts.top = to_size(a, value());
         else throw std::invalid_argument("unknown option: " + a + '\n' + cli_usage());

@@ -6,11 +6,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "wiresize/grewsa.h"
+#include "wiresize/combined.h"
 #include "workload/net_source.h"
 #include "workload/stream.h"
-#include "wiresize/incremental.h"
-#include "wiresize/owsa.h"
 
 namespace cong93 {
 
@@ -174,9 +172,9 @@ bool Session::fault_would_fire(std::uint64_t request) const
            faults_.fires(i, RouteStage::moment_check);
 }
 
-CombinedResult Session::warm_solve(const WiresizeContext& ctx,
-                                   const std::vector<StemBounds>& prior,
-                                   std::vector<StemBounds>& pending)
+void Session::warm_solve(const WiresizeContext& ctx, WiresizeScratch& s,
+                         const std::vector<StemBounds>& prior,
+                         std::vector<StemBounds>& pending)
 {
     // Every stem's content, taken once: it keys the warm start below
     // and, with the bounds, becomes the next request's prior.  A
@@ -188,11 +186,11 @@ CombinedResult Session::warm_solve(const WiresizeContext& ctx,
     for (std::size_t j = 0; j < next.size(); ++j)
         stem_content(ctx, stems[j].first, stems[j].second, next[j].content,
                      next[j].hash);
-    Assignment lower, upper;
+    Assignment& lower = s.best.lower_bounds;
+    Assignment& upper = s.best.upper_bounds;
     if (contiguous && !prior.empty()) {
-        const std::size_t n = ctx.segment_count();
-        lower = min_assignment(n);
-        upper = max_assignment(n, ctx.width_count());
+        lower.assign(ctx.segment_count(), 0);
+        upper.assign(ctx.segment_count(), ctx.width_count() - 1);
         std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash;
         for (std::size_t p = 0; p < prior.size(); ++p)
             by_hash[prior[p].hash].push_back(p);
@@ -220,29 +218,19 @@ CombinedResult Session::warm_solve(const WiresizeContext& ctx,
         // Unchanged stems sit at their cached GREWSA fixpoints; sweeping
         // only the dirty stems from all-min / all-max reaches
         // bit-identical global fixpoints (per-stem independence,
-        // incremental.h).
+        // incremental.h), on the scratch's one engine.
         if (!dirty.empty()) {
-            IncrementalDelayEngine lo(ctx, std::move(lower));
-            lo.sweep_to_fixpoint(dirty, ctx.width_count() - 1);
-            lower = lo.assignment();
-            IncrementalDelayEngine hi(ctx, std::move(upper));
-            hi.sweep_to_fixpoint(dirty, ctx.width_count() - 1);
-            upper = hi.assignment();
+            for (Assignment* bound : {&lower, &upper}) {
+                s.engine.reset(ctx, *bound);
+                s.engine.sweep_to_fixpoint(dirty, ctx.width_count() - 1);
+                *bound = s.engine.assignment();
+            }
         }
+        owsa_within_bounds(ctx, s);
     } else {
-        lower = grewsa_from_min(ctx).assignment;
-        upper = grewsa_from_max(ctx).assignment;
+        grewsa_owsa(ctx, s);
     }
 
-    CombinedResult res;
-    res.lower_bounds = lower;
-    res.upper_bounds = upper;
-    res.bounds_tight = lower == upper;
-    const OwsaResult o = owsa_bounded(ctx, lower, upper);
-    res.assignment = o.assignment;
-    res.delay = o.delay;
-    res.assignments_examined = o.assignments_examined;
-    res.owsa_calls = o.calls;
     for (std::size_t j = 0; j < next.size(); ++j) {
         const auto b = static_cast<std::ptrdiff_t>(stems[j].first);
         const auto se = static_cast<std::ptrdiff_t>(stems[j].second);
@@ -250,7 +238,6 @@ CombinedResult Session::warm_solve(const WiresizeContext& ctx,
         next[j].upper.assign(upper.begin() + b, upper.begin() + se);
     }
     pending = std::move(next);
-    return res;
 }
 
 EcoOutcome Session::route(Entry& e, NetId id)
@@ -266,8 +253,8 @@ EcoOutcome Session::route(Entry& e, NetId id)
     RouteReuse reuse;
     if (keep) {
         if (lent) reuse.atree = &e.rows;
-        reuse.solver = [&](const WiresizeContext& ctx) {
-            return warm_solve(ctx, e.bounds, pending);
+        reuse.solver = [&](const WiresizeContext& ctx, WiresizeScratch& s) {
+            warm_solve(ctx, s, e.bounds, pending);
         };
     }
     e.result = route_single(e.net, static_cast<std::size_t>(o.request), 0,

@@ -26,11 +26,11 @@
 //      per *stem* (root segment subtree), keyed by the stem's exact content
 //      (parent structure, length/cap bit patterns).  Stems whose content is
 //      unchanged are seeded at their cached fixpoints; only dirty stems
-//      sweep, via IncrementalDelayEngine::sweep_to_fixpoint.  Per-stem
-//      independence of GREWSA refinement makes the warm fixpoints
-//      bit-identical to grewsa_from_min/_from_max, so the subsequent
-//      owsa_bounded call sees the exact bounds grewsa_owsa would have
-//      computed.  Content matching is deliberately structural, not
+//      sweep, via IncrementalDelayEngine::sweep_to_fixpoint on the slot
+//      scratch's engine (Workspace::wiresize).  Per-stem independence of
+//      GREWSA refinement makes the warm fixpoints bit-identical to
+//      grewsa_from_min/_from_max, so the subsequent owsa_within_bounds
+//      call sees the exact bounds grewsa_owsa would have computed.  Content matching is deliberately structural, not
 //      bookkept: the generalized A-tree's coverage pass can mark sinks
 //      across quadrant boundaries, and content comparison absorbs any such
 //      coupling safely (worst case: a stem is treated as dirty).
@@ -241,13 +241,14 @@ private:
     EcoOutcome route(Entry& e, NetId id);
     /// Folds e's current heap_bytes() into the running entry_bytes_.
     void recount(Entry& e);
-    /// The warm-started wiresizing solver (bit-identical to grewsa_owsa):
-    /// stems whose content matches a `prior` stem start at its cached
-    /// fixpoints, no prior means a cold start, and every stem's new bounds
-    /// land in `pending`.
-    static CombinedResult warm_solve(const WiresizeContext& ctx,
-                                     const std::vector<StemBounds>& prior,
-                                     std::vector<StemBounds>& pending);
+    /// The warm-started wiresizing solver (bit-identical to grewsa_owsa),
+    /// solving into s.best on the scratch's engine and OWSA buffers: stems
+    /// whose content matches a `prior` stem start at its cached fixpoints,
+    /// no prior means a cold start, and every stem's new bounds land in
+    /// `pending`.
+    static void warm_solve(const WiresizeContext& ctx, WiresizeScratch& s,
+                           const std::vector<StemBounds>& prior,
+                           std::vector<StemBounds>& pending);
 
     SessionOptions opts_;
     Technology tech_;

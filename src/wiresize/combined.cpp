@@ -11,22 +11,63 @@ double CombinedResult::avg_choices_per_segment() const
     return sum / static_cast<double>(lower_bounds.size());
 }
 
+const WiresizeContext& WiresizeScratch::compile(const FlatTree& ft,
+                                                const Technology& tech, int widths_r)
+{
+    if (!widths_ || widths_->count() != widths_r)
+        widths_ = WidthSet::uniform_steps(widths_r);
+    if (ctx_)
+        ctx_->reset(ft, tech, *widths_);
+    else
+        ctx_.emplace(ft, tech, *widths_);
+    return *ctx_;
+}
+
+std::size_t WiresizeScratch::capacity_bytes() const
+{
+    const std::size_t ints = best.assignment.capacity() +
+                             best.lower_bounds.capacity() +
+                             best.upper_bounds.capacity();
+    std::size_t n = engine.capacity_bytes() + owsa.capacity_bytes() + ints * sizeof(int);
+    if (widths_) n += widths_->values().capacity() * sizeof(double);
+    if (ctx_) n += ctx_->capacity_bytes();
+    return n;
+}
+
+void grewsa_owsa(const WiresizeContext& ctx, WiresizeScratch& s)
+{
+    // Theorem 7's bracket: GREWSA from the all-minimum and from the
+    // all-maximum assignment, both on the scratch's one engine.
+    const std::size_t n = ctx.segment_count();
+    GrewsaResult counts;
+    s.best.lower_bounds.assign(n, 0);
+    s.engine.reset(ctx, s.best.lower_bounds);
+    grewsa_sweeps(s.engine, counts);
+    s.best.lower_bounds = s.engine.assignment();
+
+    s.best.upper_bounds.assign(n, ctx.width_count() - 1);
+    s.engine.reset(ctx, s.best.upper_bounds);
+    grewsa_sweeps(s.engine, counts);
+    s.best.upper_bounds = s.engine.assignment();
+
+    owsa_within_bounds(ctx, s);
+}
+
+void owsa_within_bounds(const WiresizeContext& ctx, WiresizeScratch& s)
+{
+    CombinedResult& b = s.best;
+    b.bounds_tight = b.lower_bounds == b.upper_bounds;
+    b.delay = s.owsa.run(ctx, b.lower_bounds, b.upper_bounds);
+    b.assignment = s.owsa.assignment();
+    b.assignments_examined = s.owsa.assignments_examined();
+    b.owsa_calls = s.owsa.calls();
+}
+
 CombinedResult grewsa_owsa(const WiresizeContext& ctx)
 {
-    const GrewsaResult lo = grewsa_from_min(ctx);
-    const GrewsaResult hi = grewsa_from_max(ctx);
-
-    CombinedResult res;
-    res.lower_bounds = lo.assignment;
-    res.upper_bounds = hi.assignment;
-    res.bounds_tight = lo.assignment == hi.assignment;
-
-    const OwsaResult o = owsa_bounded(ctx, res.lower_bounds, res.upper_bounds);
-    res.assignment = o.assignment;
-    res.delay = o.delay;
-    res.assignments_examined = o.assignments_examined;
-    res.owsa_calls = o.calls;
-    return res;
+    WiresizeScratch s;
+    grewsa_owsa(ctx, s);
+    return std::move(s.best);
 }
 
 double delay_lower_bound(const WiresizeContext& ctx, const Assignment& lower,

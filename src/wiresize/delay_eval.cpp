@@ -6,31 +6,56 @@ namespace cong93 {
 
 WiresizeContext::WiresizeContext(const FlatTree& ft, const Technology& tech,
                                  WidthSet widths)
-    : ft_(&ft), tech_(&tech), widths_(std::move(widths))
+    : widths_(std::move(widths))
 {
+    compile(ft, tech);
+}
+
+void WiresizeContext::reset(const FlatTree& ft, const Technology& tech,
+                            const WidthSet& widths)
+{
+    widths_ = widths;
+    compile(ft, tech);
+}
+
+void WiresizeContext::compile(const FlatTree& ft, const Technology& tech)
+{
+    ft_ = &ft;
+    tech_ = &tech;
+    // Every segment ends at a distinct non-root node, and the DFS stack
+    // never holds more entries than there are nodes: one reservation per
+    // array covers the net (a no-op once a reused context has seen a net
+    // this large).
+    const std::size_t cap = ft.empty() ? 0 : ft.size() - 1;
+    const auto fresh = [cap](auto& v) {
+        v.clear();
+        v.reserve(cap);
+    };
+    fresh(seg_parent_);
+    fresh(seg_length_);
+    fresh(seg_tail_flat_);
+    fresh(tail_is_sink_);
+    fresh(tail_cap_);
+    fresh(seg_roots_);
+    fresh(stack_);
+
     // Extract the segment tree straight from the compiled IR, in the
     // reference decomposition's stack-DFS order (oracle/segments_reference.h:
     // children pushed in order and popped LIFO), so segment indices, parent
     // links and child order match it bit for bit.
-    struct Item {
-        std::int32_t start;     // non-trivial node the segment hangs from
-        std::int32_t first;     // first node along the segment
-        std::int32_t parent_seg;
-    };
     const std::int32_t* cp = ft.child_ptr().data();
     const std::int32_t* ci = ft.child_idx().data();
     const Length* pl = ft.path_length().data();
     const std::uint8_t* sk = ft.is_sink().data();
     const double* sc = ft.sink_cap().data();
 
-    std::vector<Item> stack;
     if (!ft.empty())
         for (std::int32_t k = cp[0]; k < cp[1]; ++k)
-            stack.push_back({0, ci[k], kNoSegment});
+            stack_.push_back({0, ci[k], kNoSegment});
 
-    while (!stack.empty()) {
-        const Item it = stack.back();
-        stack.pop_back();
+    while (!stack_.empty()) {
+        const Pending it = stack_.back();
+        stack_.pop_back();
 
         std::int32_t cur = it.first;
         while (!is_nontrivial(ft, cur))
@@ -56,7 +81,7 @@ WiresizeContext::WiresizeContext(const FlatTree& ft, const Technology& tech,
         if (it.parent_seg == kNoSegment) seg_roots_.push_back(idx);
 
         for (std::int32_t k = cp[cur]; k < cp[cur + 1]; ++k)
-            stack.push_back({cur, ci[k], idx});
+            stack_.push_back({cur, ci[k], idx});
     }
 
     const std::size_t n = seg_parent_.size();
@@ -69,7 +94,8 @@ WiresizeContext::WiresizeContext(const FlatTree& ft, const Technology& tech,
             ++seg_child_ptr_[static_cast<std::size_t>(seg_parent_[i]) + 1];
     for (std::size_t i = 1; i <= n; ++i) seg_child_ptr_[i] += seg_child_ptr_[i - 1];
     seg_child_idx_.resize(n - seg_roots_.size());
-    std::vector<std::int32_t> cursor(seg_child_ptr_);
+    std::vector<std::int32_t>& cursor = walk_scratch_;
+    cursor.assign(seg_child_ptr_.begin(), seg_child_ptr_.end());
     for (std::size_t c = 0; c < n; ++c)
         if (seg_parent_[c] != kNoSegment)
             seg_child_idx_[static_cast<std::size_t>(
@@ -86,6 +112,19 @@ WiresizeContext::WiresizeContext(const FlatTree& ft, const Technology& tech,
         down_cap_[i] = c;
     }
     rin_scratch_.resize(n);
+}
+
+std::size_t WiresizeContext::capacity_bytes() const
+{
+    const std::size_t doubles = widths_.values().capacity() + tail_cap_.capacity() +
+                                down_cap_.capacity() + seg_length_.capacity() +
+                                rin_scratch_.capacity();
+    const std::size_t ints = seg_parent_.capacity() + seg_child_ptr_.capacity() +
+                             seg_child_idx_.capacity() + seg_roots_.capacity() +
+                             seg_tail_flat_.capacity() + walk_scratch_.capacity();
+    return doubles * sizeof(double) + ints * sizeof(std::int32_t) +
+           tail_is_sink_.capacity() * sizeof(std::uint8_t) +
+           stack_.capacity() * sizeof(Pending);
 }
 
 void WiresizeContext::upstream_resistance(const Assignment& a) const

@@ -24,8 +24,10 @@
 // twins over the reference decomposition in oracle/segments_reference.h
 // (cong_oracles target, CONG93_BUILD_ORACLES).
 // Because of the internal scratch a WiresizeContext must not be shared by
-// two threads concurrently; batch drivers construct one context per net per
-// worker.
+// two threads concurrently.  Every array only grows: reset() recompiles a
+// context for the next net in place, so the batch pipeline keeps one
+// context per worker slot (WiresizeScratch in combined.h, held by the
+// slot's Workspace) and a warmed-up slot compiles without allocating.
 #ifndef CONG93_WIRESIZE_DELAY_EVAL_H
 #define CONG93_WIRESIZE_DELAY_EVAL_H
 
@@ -45,6 +47,14 @@ class WiresizeContext {
 public:
     /// Compiles the segment arrays straight from the analysis IR.
     WiresizeContext(const FlatTree& ft, const Technology& tech, WidthSet widths);
+
+    /// Recompiles this context for `ft`, `tech` and `widths` in place,
+    /// reusing every array's capacity: the result is the context the
+    /// constructor would build.
+    void reset(const FlatTree& ft, const Technology& tech, const WidthSet& widths);
+
+    /// Heap bytes held by every array, scratch included (capacities).
+    std::size_t capacity_bytes() const;
 
     /// The originating FlatTree.
     const FlatTree& flat() const { return *ft_; }
@@ -104,10 +114,19 @@ public:
     int locally_optimal_width(const Assignment& a, std::size_t i, int max_idx) const;
 
 private:
+    /// A pending segment of the compile's stack DFS.
+    struct Pending {
+        std::int32_t start;       ///< non-trivial node the segment hangs from
+        std::int32_t first;       ///< first node along the segment
+        std::int32_t parent_seg;
+    };
+
+    /// The one compile path: segment arrays of `ft` against widths_.
+    void compile(const FlatTree& ft, const Technology& tech);
     /// Accumulated upstream resistances R_in per segment into rin_scratch_.
     void upstream_resistance(const Assignment& a) const;
-    const FlatTree* ft_;
-    const Technology* tech_;
+    const FlatTree* ft_ = nullptr;
+    const Technology* tech_ = nullptr;
     WidthSet widths_;
     std::vector<double> tail_cap_;
     std::vector<double> down_cap_;
@@ -119,7 +138,9 @@ private:
     std::vector<std::int32_t> seg_roots_;
     std::vector<std::uint8_t> tail_is_sink_;
     std::vector<std::int32_t> seg_tail_flat_;
-    // Reusable evaluation scratch (single-thread use per context).
+    // Reusable compile and evaluation scratch (single-thread use per
+    // context); walk_scratch_ also serves as the compile's CSR cursor.
+    std::vector<Pending> stack_;
     mutable std::vector<double> rin_scratch_;
     mutable std::vector<std::int32_t> walk_scratch_;
 };

@@ -13,12 +13,25 @@ GrewsaResult grewsa(const WiresizeContext& ctx, Assignment initial)
 
     IncrementalDelayEngine eng(ctx, std::move(initial));
     GrewsaResult res;
+    grewsa_sweeps(eng, res);
+    res.assignment = eng.assignment();
+    // Fresh evaluation rather than the engine's delta-accumulated cache, so
+    // the reported delay is bit-identical to the reference implementation.
+    res.delay = ctx.delay(res.assignment);
+    return res;
+}
+
+void grewsa_sweeps(IncrementalDelayEngine& eng, GrewsaResult& res)
+{
+    const WiresizeContext& ctx = eng.context();
     const int r = ctx.width_count();
 
     // From a dominated (dominating) start each width moves monotonically, so
     // at most n*(r-1) refinements occur; the sweep cap is a generous backstop
     // for arbitrary starts.
     const int max_sweeps = static_cast<int>(ctx.segment_count()) * r + 8;
+    res.sweeps = 0;
+    res.refinements = 0;
     bool changed = true;
     while (changed && res.sweeps < max_sweeps) {
         changed = false;
@@ -32,11 +45,6 @@ GrewsaResult grewsa(const WiresizeContext& ctx, Assignment initial)
             }
         }
     }
-    res.assignment = eng.assignment();
-    // Fresh evaluation rather than the engine's delta-accumulated cache, so
-    // the reported delay is bit-identical to the reference implementation.
-    res.delay = ctx.delay(res.assignment);
-    return res;
 }
 
 GrewsaResult grewsa_from_min(const WiresizeContext& ctx)

@@ -19,6 +19,8 @@
 
 namespace cong93 {
 
+class IncrementalDelayEngine;
+
 struct GrewsaResult {
     Assignment assignment;
     double delay = 0.0;
@@ -32,6 +34,12 @@ struct GrewsaResult {
 /// sweeps).  Produces bit-identical fixpoints to grewsa_reference for
 /// integer width multipliers (see incremental.h).
 GrewsaResult grewsa(const WiresizeContext& ctx, Assignment initial);
+
+/// GREWSA on an engine already seeded with the start assignment: the
+/// engine ends at the fixpoint grewsa() returns, and `res` gets the sweep
+/// and refinement counts (its assignment and delay are left as they are).
+/// grewsa() and the slot scratch path (combined.h) both run this loop.
+void grewsa_sweeps(IncrementalDelayEngine& eng, GrewsaResult& res);
 
 /// The pre-optimization O(n^2)-per-sweep implementation: every local
 /// refinement re-derives theta/phi (and psi, via a full delay evaluation)

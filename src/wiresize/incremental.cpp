@@ -22,6 +22,21 @@ void IncrementalDelayEngine::reset(Assignment a)
     rebuild();
 }
 
+void IncrementalDelayEngine::reset(const WiresizeContext& ctx, const Assignment& a)
+{
+    if (a.size() != ctx.segment_count())
+        throw std::invalid_argument("IncrementalDelayEngine::reset: bad size");
+    ctx_ = &ctx;
+    a_ = a;
+    wire_below_.resize(a_.size());
+    rebuild();
+}
+
+std::size_t IncrementalDelayEngine::capacity_bytes() const
+{
+    return a_.capacity() * sizeof(int) + wire_below_.capacity() * sizeof(double);
+}
+
 void IncrementalDelayEngine::rebuild()
 {
     const WidthSet& ws = ctx_->widths();

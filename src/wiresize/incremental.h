@@ -32,6 +32,11 @@
 // implementation.  The cached total delay accumulates one rounding per
 // update; delay() is still within ~1e-12 relative of a fresh evaluation over
 // thousands of updates (tested against delay_bruteforce).
+//
+// An engine is reusable: reset(ctx, a) re-seeds it on any context, keeping
+// its buffers, so the slot scratch of the batch pipeline (WiresizeScratch,
+// combined.h) runs GREWSA from min and from max -- and the session's
+// warm-started sweeps -- on one engine per worker slot.
 #ifndef CONG93_WIRESIZE_INCREMENTAL_H
 #define CONG93_WIRESIZE_INCREMENTAL_H
 
@@ -43,6 +48,9 @@ namespace cong93 {
 
 class IncrementalDelayEngine {
 public:
+    /// An unseeded engine for reusable storage; reset(ctx, a) seeds it.
+    IncrementalDelayEngine() = default;
+
     /// O(n) build of the cached aggregates for `initial`.
     IncrementalDelayEngine(const WiresizeContext& ctx, Assignment initial);
 
@@ -62,6 +70,13 @@ public:
 
     /// Replace the whole assignment and rebuild every cache.  O(n).
     void reset(Assignment a);
+
+    /// Re-seed on `ctx` with a copy of `a`, reusing this engine's buffers:
+    /// the state the constructor would build.  O(n).
+    void reset(const WiresizeContext& ctx, const Assignment& a);
+
+    /// Heap bytes held by the assignment and the aggregates (capacities).
+    std::size_t capacity_bytes() const;
 
     /// Theta/Phi decomposition at segment i for the current assignment
     /// (identical arithmetic to WiresizeContext::theta_phi, but phi reads
@@ -99,7 +114,7 @@ private:
     double upstream_length_over_width(std::size_t i) const;
     void rebuild();
 
-    const WiresizeContext* ctx_;
+    const WiresizeContext* ctx_ = nullptr;
     Assignment a_;
     std::vector<double> wire_below_;
     double delay_ = 0.0;

@@ -90,6 +90,21 @@ TEST(CliParse, MalformedNumericsRejectPerFlag)
                  std::invalid_argument);
     EXPECT_THROW(parse({"batch", "--threads", "2x"}), std::invalid_argument);
 
+    // An int knob outside int's range is rejected, not wrapped: 2^32 + 1
+    // would cast to 1 width and 2^32 + 2 to 2 threads.
+    for (const char* v : {"4294967297", "-4294967297", "2147483648"}) {
+        EXPECT_THROW(parse({"flow", "--widths", v}), std::invalid_argument) << v;
+        EXPECT_THROW(parse({"batch", "--threads", v}), std::invalid_argument) << v;
+    }
+    try {
+        parse({"batch", "--threads", "4294967298"});
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("bad integer for --threads"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(parse({"batch", "--threads", "2147483647"}).threads, 2147483647);
+
     // The rejection message carries the usage text so a CLI user sees the
     // expected spelling without a second invocation.
     try {

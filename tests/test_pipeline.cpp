@@ -5,6 +5,7 @@
 // determinism of route_batch, and workspace arena reuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <random>
 #include <stdexcept>
@@ -351,8 +352,10 @@ TEST(Pipeline, WorkspaceArenaIsReusedAcrossBatches)
     EXPECT_EQ(first.counters.tree_builds, nets.size());
     EXPECT_EQ(second.counters.tree_builds, nets.size());
     EXPECT_GT(first.counters.tree_growths, 0u);
-    // The warmed-up arena never touches the allocator again: no buffer of
-    // the second batch outgrew the first batch's high-water mark.
+    // No arena buffer of the second batch outgrew the first batch's
+    // high-water mark.  (The second batch still allocates: each net's
+    // result owns its assignment and the moment check builds an RcTree;
+    // test_alloc_count bounds that per net.)
     EXPECT_EQ(second.counters.tree_growths, 0u);
     EXPECT_EQ(second.counters.moment_growths, 0u);
     EXPECT_EQ(second.counters.scratch_growths, 0u);
@@ -360,6 +363,9 @@ TEST(Pipeline, WorkspaceArenaIsReusedAcrossBatches)
     // arena too.
     EXPECT_GT(first.counters.atree_growths, 0u);
     EXPECT_EQ(second.counters.atree_growths, 0u);
+    // So are wiresizing's context, engine, OWSA buffers and bounds.
+    EXPECT_GT(first.counters.wiresize_growths, 0u);
+    EXPECT_EQ(second.counters.wiresize_growths, 0u);
 }
 
 TEST(Pipeline, RefusedAtreeNetLeavesNoArenaBehind)
@@ -407,15 +413,29 @@ TEST(Pipeline, ResidentBytesCoverEveryFlatArray)
     EXPECT_GE(ws.flat.capacity_bytes(), n * per_node + csr + sinks);
     EXPECT_GE(ws.resident_bytes(), ws.flat.capacity_bytes() + ws.atree.capacity_bytes());
 
-    // After a pipelined net the A-tree scratch is part of the count.
+    // After a pipelined net the A-tree and wiresize scratch are part of
+    // the count.
     std::vector<Workspace> slots;
     PipelineOptions opts;
     opts.threads = 1;
-    route_batch(random_nets(36, 3, kMcmGrid, 12), mcm_technology(), opts, nullptr, &slots);
+    const auto results =
+        route_batch(random_nets(36, 3, kMcmGrid, 12), mcm_technology(), opts, nullptr, &slots);
     ASSERT_EQ(slots.size(), 1u);
-    EXPECT_GT(slots[0].atree.capacity_bytes(), 0u);
-    EXPECT_GE(slots[0].resident_bytes(),
-              slots[0].flat.capacity_bytes() + slots[0].atree.capacity_bytes());
+    const Workspace& w = slots[0];
+    EXPECT_GT(w.atree.capacity_bytes(), 0u);
+    EXPECT_GE(w.resident_bytes(), w.flat.capacity_bytes() + w.atree.capacity_bytes() +
+                                      w.wiresize.capacity_bytes());
+    // The scratch covers at least the largest net's bounds and result
+    // (three assignments) plus the context's per-segment arrays: parent,
+    // length, tail node, tail flag, tail cap, downstream cap, CSR and
+    // R_in scratch.
+    std::size_t segs = 0;
+    for (const NetRouteResult& r : results) segs = std::max(segs, r.segments);
+    ASSERT_GT(segs, 0u);
+    const std::size_t per_segment = 3 * sizeof(int) + 3 * sizeof(std::int32_t) +
+                                    sizeof(std::uint8_t) + 4 * sizeof(double) +
+                                    sizeof(std::int32_t);
+    EXPECT_GE(w.wiresize.capacity_bytes(), segs * per_segment);
 }
 
 TEST(Pipeline, ReportsConsistentDelays)

@@ -2,6 +2,7 @@
 // technologies and width counts (parameterized sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <random>
@@ -9,6 +10,8 @@
 
 #include "atree/generalized.h"
 #include "netgen/netgen.h"
+#include "sim/moments.h"
+#include "sim/rc_tree.h"
 #include "wiresize/combined.h"
 #include "wiresize/counting.h"
 #include "wiresize/grewsa.h"
@@ -125,6 +128,40 @@ TEST_P(WiresizeProperty, MonotoneCountBetweenOwsaAndExhaustive)
               std::pow(static_cast<double>(ctx_->segment_count()),
                        static_cast<double>(ctx_->width_count() - 1)) +
                   static_cast<double>(ctx_->segment_count()) + 1.0);
+}
+
+/// Max-sink Elmore delay (-m1) of `ctx`'s tree under assignment `a`, on
+/// the RC discretization with `sections` sections per edge.
+double max_sink_elmore(const WiresizeContext& ctx, const Assignment& a, int sections)
+{
+    const RcTree rc = RcTree::from_wiresized_flat(ctx, a, sections);
+    const auto m = compute_moments(rc, 1);
+    double worst = 0.0;
+    for (const int s : rc.sink_nodes())
+        worst = std::max(worst, -m[0][static_cast<std::size_t>(s)]);
+    return worst;
+}
+
+TEST(WiresizeProperty, RphGainDoesNotBoundElmore)
+{
+    // GREWSA-OWSA minimizes the RPH bound t(T) (Eq. 9), not the max-sink
+    // Elmore delay, so "wiresized Elmore <= uniform Elmore whenever RPH
+    // improved" is false.  Net 3 of this 6-sink batch is a counterexample:
+    // the optimal assignment lowers t(T) from 4.32 to 3.39 ns yet raises
+    // the max-sink -m1 from 1.71 to 1.85 ns (+8.5%) over the all-minimum
+    // assignment, at either discretization.
+    const Technology tech = mcm_technology();
+    const Net net = random_nets(11, 3000, kMcmGrid, 6)[3];
+    const FlatTree ft(build_atree_general(net).tree);
+    const WiresizeContext ctx(ft, tech, WidthSet::uniform_steps(4));
+    const Assignment uniform = min_assignment(ctx.segment_count());
+    const CombinedResult best = grewsa_owsa(ctx);
+    EXPECT_LT(best.delay, ctx.delay(uniform));
+    for (const int sections : {16, 256}) {
+        const double sized = max_sink_elmore(ctx, best.assignment, sections);
+        const double base = max_sink_elmore(ctx, uniform, sections);
+        EXPECT_GT(sized, base * 1.08) << sections << " sections per edge";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
