@@ -1,18 +1,19 @@
 // Batch router: route every net of a netlist file (or a generated batch)
 // through the full A-tree + wiresizing flow and report per-net and aggregate
-// results.  Demonstrates the text I/O layer (rtree/io.h) and the flow a
-// global router would invoke per net.
+// results.  Demonstrates the text I/O layer (the cong93 netlist of
+// workload/netlist.h, the tree format of rtree/io.h) and the flow a global
+// router would invoke per net.
 //
 // Nets are routed concurrently on the batch thread pool (CONG93_THREADS
 // overrides the worker count; results are index-ordered, so the output is
 // byte-identical to a serial run).
 //
 //   $ ./batch_router                # 20 generated MCM nets
-//   $ ./batch_router nets.txt      # nets from a file (see format below)
-//   $ ./batch_router --dump-format # print an example netlist and exit
+//   $ ./batch_router design.nets    # nets from a cong93 netlist file
+//   $ ./batch_router --dump-format  # print an example netlist and exit
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 
 #include "atree/generalized.h"
 #include "batch/batch.h"
@@ -23,6 +24,7 @@
 #include "sim/delay_measure.h"
 #include "tech/technology.h"
 #include "wiresize/combined.h"
+#include "workload/netlist.h"
 
 int main(int argc, char** argv)
 {
@@ -30,8 +32,11 @@ int main(int argc, char** argv)
 
     std::vector<Net> nets;
     if (argc > 1 && std::string(argv[1]) == "--dump-format") {
-        std::cout << "# cong93 netlist format (comments allowed)\n"
-                  << format_nets(random_nets(1, 2, 1000, 3));
+        GeneratedNetSource src(1, 2, 1000, 3);
+        std::vector<WorkItem> items;
+        while (src.pull(items, 16) != 0) {
+        }
+        std::cout << format_netlist(items, "example");
         return 0;
     }
     if (argc > 1) {
@@ -40,9 +45,29 @@ int main(int argc, char** argv)
             std::cerr << "cannot open " << argv[1] << '\n';
             return 1;
         }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        nets = parse_nets(buf.str());
+        // A bad header throws; a malformed net block arrives as an item
+        // carrying its parse error.
+        std::vector<WorkItem> items;
+        try {
+            NetlistReader reader(in);
+            while (reader.pull(items, 1024) != 0) {
+            }
+        } catch (const std::invalid_argument& e) {
+            std::cerr << argv[1] << ": " << e.what() << '\n';
+            return 1;
+        }
+        for (WorkItem& item : items) {
+            if (!item.meta.parse_error.empty()) {
+                std::cerr << argv[1] << ": net '" << item.meta.name
+                          << "': " << item.meta.parse_error << '\n';
+                return 1;
+            }
+            nets.push_back(std::move(item.net));
+        }
+        if (nets.empty()) {
+            std::cerr << argv[1] << ": no nets\n";
+            return 1;
+        }
     } else {
         nets = random_nets(2718, 20, kMcmGrid, 10);
     }

@@ -1,6 +1,5 @@
 #include "batch/fault_inject.h"
 
-#include <cstdlib>
 #include <limits>
 
 #include "batch/batch.h"
@@ -226,12 +225,6 @@ FaultPlan FaultPlan::parse(const std::string& spec)
         }
     }
     return plan;
-}
-
-FaultPlan FaultPlan::from_env()
-{
-    const char* env = std::getenv("CONG93_FAULT_INJECT");
-    return parse(env ? std::string(env) : std::string());
 }
 
 }  // namespace cong93

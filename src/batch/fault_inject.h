@@ -10,11 +10,11 @@
 // (serial == parallel byte-identity of results *and* diagnostics) stay
 // testable under fault load.
 //
-// Gating: a plan is off by default.  Enable it programmatically through
-// PipelineOptions::faults, or for soak runs via the environment:
+// Gating: a plan is off by default.  It reaches the pipeline only through
+// PipelineOptions::faults (the CLI's --fault-inject), as a spec such as
 //
-//   CONG93_FAULT_INJECT="seed=7,topology=0.25,fallback=0.5,wiresize=0.25,
-//                        moment=0.1,nan=0.1,arena-cap=40@0.2"
+//   seed=7,topology=0.25,fallback=0.5,wiresize=0.25,moment=0.1,nan=0.1,
+//   arena-cap=40@0.2
 //
 // (rates in [0,1]; `arena-cap=N@R` caps the compiled tree at N nodes for a
 // rate-R subset of nets).  parse() rejects malformed specs loudly.
@@ -97,9 +97,6 @@ struct FaultPlan {
     /// Parses a spec string (see header comment).  An empty spec yields a
     /// disabled plan; malformed specs throw std::invalid_argument.
     static FaultPlan parse(const std::string& spec);
-
-    /// Plan from $CONG93_FAULT_INJECT (disabled when unset/empty).
-    static FaultPlan from_env();
 };
 
 }  // namespace cong93

@@ -398,10 +398,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
     std::vector<Workspace>& ws = workspaces ? *workspaces : local_ws;
     if (ws.size() < slot_count) ws.resize(slot_count);
 
-    // Resolve the fault plan once for the whole batch: explicit options win,
-    // then the environment, else disabled.
-    const FaultPlan faults =
-        opts.faults.enabled ? opts.faults : FaultPlan::from_env();
+    const FaultPlan& faults = opts.faults;
 
     // Fault injection is keyed by net index, so sharing one routed result
     // across indices would change which faults fire: the cache is bypassed
@@ -649,8 +646,7 @@ NetRouteResult route_single(const Net& net, std::size_t index,
                             const PipelineOptions& opts, Workspace& ws,
                             const RouteReuse& reuse)
 {
-    const FaultPlan faults =
-        opts.faults.enabled ? opts.faults : FaultPlan::from_env();
+    const FaultPlan& faults = opts.faults;
     std::atomic<std::uint64_t> wall_degraded{0};
     BatchLifecycle lc;
     lc.cancel = opts.cancel;

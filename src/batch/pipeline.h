@@ -86,7 +86,9 @@ struct PipelineOptions {
     int threads = 0;      ///< <= 0: default_thread_count()
     bool wiresize = true; ///< run the grewsa_owsa stage
     bool moment_check = true;  ///< run the wiresized moment cross-check
-    int rc_sections_per_edge = 8;  ///< RC discretization of the cross-check
+    /// RC discretization of the moment cross-check; fixed, so no cached
+    /// result depends on it.
+    static constexpr int rc_sections_per_edge = 8;
     /// Arena OOM guard: reject nets whose topology exceeds this many nodes
     /// (status failed, stage compile).  0 disables the cap.
     std::size_t max_nodes_per_net = 0;
@@ -115,9 +117,7 @@ struct PipelineOptions {
     /// cache->resident_bytes() <= budget (counted in cache_evictions).
     /// 0 disables; no-op without a cache.
     std::size_t memory_budget_bytes = 0;
-    /// Deterministic fault injection (soak testing).  When this plan is
-    /// disabled, $CONG93_FAULT_INJECT is consulted instead; both off means
-    /// no injection.
+    /// Deterministic fault injection (soak testing); disabled by default.
     FaultPlan faults;
     /// Optional hash-consed route cache (session/route_cache.h), consulted
     /// and filled by route_batch under a deterministic single-flight rule:
@@ -361,8 +361,7 @@ struct RouteReuse {
 
 /// Routes one net through the exact per-net ladder route_batch runs
 /// (validate -> topology -> compile -> report -> wiresize -> moment check),
-/// against the caller's workspace.  The fault plan resolves exactly as in
-/// route_batch (explicit options, else $CONG93_FAULT_INJECT).  This is the
+/// against the caller's workspace, under the same opts.faults.  This is the
 /// from-scratch reference the session engine's incremental results are
 /// bit-compared against, and -- through `reuse` -- the session's one route:
 /// after a clean A-tree route, ws.atree and ws.flat hold the emission a

@@ -40,8 +40,9 @@ std::string cli_usage()
     return R"(usage: cong93 <command> [options]
 
 commands:
-  gen        generate random nets and print them (--out also writes the
-             cong93 netlist format, read back by chip/batch --in)
+  gen        generate random nets and print them as a cong93 netlist
+             (--out writes it to a file instead); every command that takes
+             nets reads it back with --in
   route      route nets, print metrics (optionally dump trees with --out)
   flow       route + wiresize + simulate
   simulate   simulate serialized trees (--in trees.txt)
@@ -58,7 +59,9 @@ commands:
              are verified byte-identical against serial session replay
 
 options:
-  --in <file>          input netlist/tree file (default: generated nets)
+  --in <file>          input file (default: generated nets): a cong93 netlist
+                       for route/flow/batch/chip, a tree dump for simulate,
+                       an ECO script for session
   --random <n>         number of generated nets (default 10)
   --sinks <k>          sinks per generated net (default 8)
   --grid <g>           generated-net region in grid units (default 4000)
@@ -71,7 +74,7 @@ options:
   --method <name>      two_pole|transient (default two_pole)
   --threshold <t>      delay threshold in (0,1) (default 0.5)
   --rlc                include wire inductance in simulations
-  --out <file>         write routed trees (route/flow)
+  --out <file>         write the netlist (gen) or the routed trees (route/flow)
   --threads <t>        batch worker threads (0 = CONG93_THREADS / hardware)
   --max-nodes <n>      batch per-net arena cap in nodes (0 = uncapped)
   --fault-inject <s>   batch fault-injection spec, e.g.
@@ -140,21 +143,83 @@ std::string read_input(const CliOptions& opts, const std::string* input_text)
     return buf.str();
 }
 
-/// The nets of `route`/`flow`: generated, or parsed from the legacy net
-/// list.  Throws std::invalid_argument for an input with no nets and for a
-/// net validate_net rejects; valid nets are returned as given, without
-/// validate's canonicalization.
+/// The PipelineOptions that batch, chip, session and serve take from their
+/// flags.
+PipelineOptions pipeline_options(const CliOptions& opts)
+{
+    PipelineOptions p;
+    p.widths_r = opts.widths;
+    p.threads = opts.threads;
+    p.max_nodes_per_net = opts.max_nodes;
+    p.faults = FaultPlan::parse(opts.fault_spec);
+    p.deadline_ms = opts.deadline_ms;
+    p.admit_cap = opts.queue_cap;
+    return p;
+}
+
+/// The one source of nets for every command that takes them: a
+/// GeneratedNetSource for --random, else a NetlistReader streaming the --in
+/// file (or `input_text`), so a design is never resident as text.  A
+/// missing file or a bad netlist header throws std::invalid_argument.
+class NetInput {
+public:
+    NetInput(const CliOptions& opts, const std::string* input_text)
+    {
+        if (opts.input_path.empty() && input_text == nullptr) {
+            gen_.emplace(opts.seed, static_cast<std::size_t>(opts.random_count),
+                         opts.grid, opts.sinks);
+            return;
+        }
+        std::istream* in = &text_;
+        if (input_text != nullptr) {
+            text_.str(*input_text);
+        } else {
+            file_.open(opts.input_path);
+            if (!file_) throw std::invalid_argument("cannot open " + opts.input_path);
+            in = &file_;
+        }
+        reader_.emplace(*in);
+    }
+
+    NetSource& source()
+    {
+        if (gen_) return *gen_;
+        return *reader_;
+    }
+
+private:
+    std::optional<GeneratedNetSource> gen_;
+    std::ifstream file_;
+    std::istringstream text_;
+    std::optional<NetlistReader> reader_;  // reads file_ or text_
+};
+
+/// The nets of `route`/`flow`, all read before any is routed.  Throws
+/// std::invalid_argument for an input with no nets and for a net the
+/// reader or validate_net rejects, naming it; valid nets are returned as
+/// given, without validate's canonicalization.
 std::vector<Net> load_nets(const CliOptions& opts, const std::string* input_text)
 {
-    const std::vector<Net> nets =
-        opts.input_path.empty() && !input_text
-            ? random_nets(opts.seed, opts.random_count, opts.grid, opts.sinks)
-            : parse_nets(read_input(opts, input_text));
-    if (nets.empty()) throw std::invalid_argument("no nets in input");
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-        const NetValidation v = validate_net(nets[i]);
-        if (!v.ok)
-            throw std::invalid_argument("net " + std::to_string(i) + ": " + v.error);
+    NetInput input(opts, input_text);
+    std::vector<WorkItem> items;
+    while (input.source().pull(items, 1024) != 0) {
+    }
+    if (items.empty()) throw std::invalid_argument("no nets in input");
+    std::vector<Net> nets;
+    nets.reserve(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        std::string error = items[i].meta.parse_error;
+        if (error.empty()) {
+            const NetValidation v = validate_net(items[i].net);
+            if (!v.ok) error = v.error;
+        }
+        if (!error.empty()) {
+            const std::string& name = items[i].meta.name;
+            throw std::invalid_argument("net " + std::to_string(i) +
+                                        (name.empty() ? "" : " '" + name + "'") +
+                                        ": " + error);
+        }
+        nets.push_back(std::move(items[i].net));
     }
     return nets;
 }
@@ -186,27 +251,28 @@ std::vector<RoutingTree> parse_tree_blocks(const std::string& text)
 
 int run_gen(const CliOptions& opts, std::ostream& out)
 {
-    // Pull through the workload source (bit-identical to random_nets) so
-    // the stdout dump and the --out netlist describe one generation.
+    // Open the --out file first, so an unwritable path fails before any
+    // output.
+    std::ofstream file;
+    if (!opts.out_path.empty()) {
+        file.open(opts.out_path);
+        if (!file) throw std::invalid_argument("cannot write " + opts.out_path);
+    }
     GeneratedNetSource src(opts.seed, static_cast<std::size_t>(opts.random_count),
                            opts.grid, opts.sinks);
     std::vector<WorkItem> items;
     items.reserve(src.size_hint());
     while (src.pull(items, 1024) != 0) {
     }
-    std::vector<Net> nets;
-    nets.reserve(items.size());
-    for (const WorkItem& item : items) nets.push_back(item.net);
-
-    out << "# cong93 gen --random " << opts.random_count << " --sinks " << opts.sinks
-        << " --grid " << opts.grid << " --seed " << opts.seed << '\n'
-        << format_nets(nets);
-    if (!opts.out_path.empty()) {
-        std::ofstream of(opts.out_path);
-        if (!of) throw std::invalid_argument("cannot write " + opts.out_path);
-        of << format_netlist(items, "rand" + std::to_string(opts.seed));
-        out << "wrote " << items.size() << " nets to " << opts.out_path << '\n';
+    const std::string text = format_netlist(items, "rand" + std::to_string(opts.seed));
+    if (!file.is_open()) {
+        out << text;
+        return 0;
     }
+    file << text;
+    file.close();
+    if (!file) throw std::invalid_argument("cannot write " + opts.out_path);
+    out << "wrote " << items.size() << " nets to " << opts.out_path << '\n';
     return 0;
 }
 
@@ -295,38 +361,7 @@ int run_batch(const CliOptions& opts, std::ostream& out,
               const std::string* input_text)
 {
     const Technology tech = technology_by_name(opts.tech, opts.driver_scale);
-    PipelineOptions popts;
-    popts.widths_r = opts.widths;
-    popts.threads = opts.threads;
-    popts.max_nodes_per_net = opts.max_nodes;
-    popts.faults = FaultPlan::parse(opts.fault_spec);
-    popts.deadline_ms = opts.deadline_ms;
-    popts.admit_cap = opts.queue_cap;
-
-    // Workload source selection: generated nets (diagnostics carry
-    // net_seed(seed, index), exactly like the seeded route_batch
-    // front-end), a cong93 netlist (malformed blocks surface as
-    // invalid_input results, never exceptions), or the legacy net list.
-    std::optional<GeneratedNetSource> gen;
-    std::optional<VectorNetSource> vec;
-    std::optional<NetlistReader> reader;
-    std::istringstream netlist_text;
-    NetSource* src = nullptr;
-    if (opts.input_path.empty() && !input_text) {
-        gen.emplace(opts.seed, static_cast<std::size_t>(opts.random_count),
-                    opts.grid, opts.sinks);
-        src = &*gen;
-    } else {
-        const std::string text = read_input(opts, input_text);
-        if (text.rfind("# cong93 netlist", 0) == 0) {
-            netlist_text.str(text);
-            reader.emplace(netlist_text);
-            src = &*reader;
-        } else {
-            vec.emplace(parse_nets(text));
-            src = &*vec;
-        }
-    }
+    NetInput input(opts, input_text);
 
     // Stream through route_batch; --chunk-nets 0 (the default) keeps one
     // chunk, i.e. the exact historical one-shot behavior.
@@ -334,7 +369,7 @@ int run_batch(const CliOptions& opts, std::ostream& out,
     sopts.chunk_nets = opts.chunk_nets;
     std::vector<NetRouteResult> results;
     const StreamStats st = route_stream(
-        *src, tech, popts, sopts,
+        input.source(), tech, pipeline_options(opts), sopts,
         [&](std::size_t, const std::vector<WorkItem>&,
             const std::vector<NetRouteResult>& chunk) {
             results.insert(results.end(), chunk.begin(), chunk.end());
@@ -371,44 +406,16 @@ int run_chip(const CliOptions& opts, std::ostream& out,
              const std::string* input_text)
 {
     const Technology tech = technology_by_name(opts.tech, opts.driver_scale);
-    PipelineOptions popts;
-    popts.widths_r = opts.widths;
-    popts.threads = opts.threads;
-    popts.max_nodes_per_net = opts.max_nodes;
-    popts.faults = FaultPlan::parse(opts.fault_spec);
-    popts.deadline_ms = opts.deadline_ms;
-    popts.admit_cap = opts.queue_cap;
-
-    // A netlist file streams straight off the ifstream -- the design is
-    // never fully resident; only --random synthesizes nets on the fly.
-    std::optional<GeneratedNetSource> gen;
-    std::optional<NetlistReader> reader;
-    std::ifstream file;
-    std::istringstream text_stream;
-    NetSource* src = nullptr;
-    if (!opts.input_path.empty() || input_text != nullptr) {
-        if (input_text != nullptr) {
-            text_stream.str(*input_text);
-            reader.emplace(text_stream);
-        } else {
-            file.open(opts.input_path);
-            if (!file)
-                throw std::invalid_argument("cannot read " + opts.input_path);
-            reader.emplace(file);
-        }
-        src = &*reader;
-    } else {
-        gen.emplace(opts.seed, static_cast<std::size_t>(opts.random_count),
-                    opts.grid, opts.sinks);
-        src = &*gen;
-    }
+    // A netlist streams straight off the file: the design is never fully
+    // resident.
+    NetInput input(opts, input_text);
 
     StreamOptions sopts;
     sopts.chunk_nets = opts.chunk_nets == 0 ? 4096 : opts.chunk_nets;
 
     ChipAggregator agg(tech, opts.top);
     const StreamStats st = route_stream(
-        *src, tech, popts, sopts,
+        input.source(), tech, pipeline_options(opts), sopts,
         [&](std::size_t first, const std::vector<WorkItem>& items,
             const std::vector<NetRouteResult>& results) {
             agg.add_chunk(first, items, results);
@@ -459,12 +466,7 @@ int run_session(const CliOptions& opts, std::ostream& out,
     const Technology tech = technology_by_name(opts.tech, opts.driver_scale);
 
     SessionOptions sopts;
-    sopts.pipeline.widths_r = opts.widths;
-    sopts.pipeline.threads = opts.threads;
-    sopts.pipeline.max_nodes_per_net = opts.max_nodes;
-    sopts.pipeline.faults = FaultPlan::parse(opts.fault_spec);
-    sopts.pipeline.deadline_ms = opts.deadline_ms;
-    sopts.pipeline.admit_cap = opts.queue_cap;
+    sopts.pipeline = pipeline_options(opts);
     sopts.pipeline.memory_budget_bytes = opts.memory_budget;
     sopts.cache_capacity = opts.cache_capacity;
     sopts.use_cache = opts.session_cache;
@@ -622,106 +624,54 @@ EcoDelta script_move(const CliOptions& opts, int s, int r)
               static_cast<Coord>(2000 - 17 * r + 7 * s)});
 }
 
-/// Overload-mode serve: the same per-session scripts, but driven against a
-/// service with a queue cap / deadlines / a memory budget, to demonstrate
-/// graceful degradation instead of byte-identity (WHICH requests get
-/// refused depends on arrival timing, so there is no serial reference to
-/// diff; the per-net statuses themselves are still drawn from the ladder).
-/// Clients treat OverloadError as backpressure -- count and move on, never
-/// crash or hang.  Everything numeric is '#'-prefixed telemetry except the
-/// final `serve overload:` verdict line; exits nonzero only if a client
-/// failed with a real error or a net came back with an unknown status.
-int run_serve_overload(const CliOptions& opts, const Technology& tech,
-                       const SessionOptions& base,
-                       const std::vector<Net>& common, std::ostream& out)
+/// What one serve client's request script produced.
+struct ScriptRun {
+    std::string transcript;  ///< the result line of every answered request
+    /// Routed-net outcomes by RouteStatus.
+    std::array<std::uint64_t, kRouteStatusCount> statuses{};
+    std::uint64_t rejected = 0;  ///< requests refused with OverloadError
+};
+
+/// One session's deterministic request script -- translated-twin batch
+/// admissions on even requests, ECO sink moves on odd ones -- recorded into
+/// `run`.  The same script drives the concurrent service clients and the
+/// serial replay; only who routes may differ, never the bytes.  A request
+/// refused with OverloadError was refused whole before any work ran: it is
+/// backpressure, not failure, so it is counted and the script moves on (a
+/// real client would retry with backoff).  Any other exception propagates.
+void run_script(
+    const CliOptions& opts, const std::vector<Net>& common, int s,
+    const std::function<std::vector<NetId>(const std::vector<Net>&)>& add_batch,
+    const std::function<NetRouteResult(NetId)>& result,
+    const std::function<EcoOutcome(NetId, const EcoDelta&)>& apply, ScriptRun& run)
 {
-    ServiceOptions so;
-    so.session = base;
-    so.threads = opts.threads;
-    so.cache_capacity = opts.cache_capacity;
-    so.queue_cap = opts.queue_cap;
-    so.memory_budget_bytes = opts.memory_budget;
-    SessionService svc(tech, so);
-
-    const auto n_sessions = static_cast<std::size_t>(opts.sessions);
-    std::vector<std::array<std::uint64_t, kRouteStatusCount>> tallies(
-        n_sessions, std::array<std::uint64_t, kRouteStatusCount>{});
-    std::vector<std::uint64_t> rejected_requests(n_sessions, 0);
-    std::vector<std::string> errors(n_sessions);
-
-    std::vector<std::thread> clients;
-    clients.reserve(n_sessions);
-    for (int s = 0; s < opts.sessions; ++s) {
-        const SessionId sid = svc.open();
-        clients.emplace_back([&, s, sid] {
-            const auto si = static_cast<std::size_t>(s);
-            std::size_t admitted = 0;
-            try {
-                for (int r = 0; r < opts.requests; ++r) {
-                    try {
-                        if (r % 2 == 0 || admitted == 0) {
-                            const std::vector<NetId> ids = svc.add_batch(
-                                sid, translated_twins(common, s, r));
-                            admitted += ids.size();
-                            for (const NetId id : ids)
-                                ++tallies[si][static_cast<std::size_t>(
-                                    svc.result(sid, id).status)];
-                        } else {
-                            const NetId id = static_cast<NetId>(
-                                static_cast<std::size_t>(r * 7) % admitted);
-                            const EcoOutcome o =
-                                svc.apply(sid, id, script_move(opts, s, r));
-                            ++tallies[si][static_cast<std::size_t>(
-                                o.result.status)];
-                        }
-                    } catch (const OverloadError&) {
-                        // Backpressure, not failure: the request was refused
-                        // whole before any work ran.  A real client would
-                        // retry with backoff; the stress just counts it.
-                        ++rejected_requests[si];
-                    }
+    const auto tally = [&](const NetRouteResult& r) {
+        ++run.statuses[static_cast<std::size_t>(r.status)];
+    };
+    std::size_t admitted = 0;
+    for (int r = 0; r < opts.requests; ++r) {
+        try {
+            if (r % 2 == 0 || admitted == 0) {
+                const std::vector<NetId> ids = add_batch(translated_twins(common, s, r));
+                admitted += ids.size();
+                for (const NetId id : ids) {
+                    const NetRouteResult res = result(id);
+                    tally(res);
+                    run.transcript += "net " + result_line(id, res);
                 }
-            } catch (const std::exception& e) {
-                errors[si] = e.what();
+            } else {
+                const NetId id =
+                    static_cast<NetId>(static_cast<std::size_t>(r * 7) % admitted);
+                const EcoOutcome o = apply(id, script_move(opts, s, r));
+                tally(o.result);
+                run.transcript += "eco " + std::to_string(id) +
+                                  " move inc=" + std::to_string(o.incremental ? 1 : 0) +
+                                  "\n" + result_line(id, o.result);
             }
-        });
+        } catch (const OverloadError&) {
+            ++run.rejected;
+        }
     }
-    for (std::thread& c : clients) c.join();
-
-    std::array<std::uint64_t, kRouteStatusCount> totals{};
-    std::uint64_t rejected = 0;
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-        for (std::size_t i = 0; i < kRouteStatusCount; ++i)
-            totals[i] += tallies[s][i];
-        rejected += rejected_requests[s];
-    }
-
-    const ServiceStats st = svc.stats();
-    out << "# serve stats: batches " << st.batches << "  applies " << st.applies
-        << "  hits " << st.cache_hits << "  shared " << st.cache_shared
-        << "  evictions " << st.cache_evictions << "  contended "
-        << st.cache_contended << '\n'
-        << "# serve overload stats: rejected_overload " << st.rejected_overload
-        << "  pressure_evictions " << st.pressure_evictions << '\n'
-        << "# serve cache: size " << svc.cache().size() << "  resident_bytes "
-        << svc.cache().resident_bytes() << '\n';
-
-    bool bad = false;
-    out << "serve overload: sessions=" << opts.sessions
-        << " requests=" << opts.requests << " queue_cap=" << opts.queue_cap
-        << " rejected_requests=" << rejected;
-    for (std::size_t i = 0; i < kRouteStatusCount; ++i) {
-        const std::string name = to_string(static_cast<RouteStatus>(i));
-        if (name == "?") bad = bad || totals[i] != 0;
-        out << ' ' << name << '=' << totals[i];
-    }
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-        if (errors[s].empty()) continue;
-        bad = true;
-        out << "\nsession " << s << " error: " << errors[s];
-    }
-    out << (bad ? " verdict=FAIL" : " verdict=ok") << '\n';
-    return bad ? 1 : 0;
 }
 
 int run_serve(const CliOptions& opts, std::ostream& out)
@@ -729,11 +679,10 @@ int run_serve(const CliOptions& opts, std::ostream& out)
     const Technology tech = technology_by_name(opts.tech, opts.driver_scale);
 
     SessionOptions base;
-    base.pipeline.widths_r = opts.widths;
-    base.pipeline.threads = opts.threads;
-    base.pipeline.max_nodes_per_net = opts.max_nodes;
-    base.pipeline.faults = FaultPlan::parse(opts.fault_spec);
-    base.pipeline.deadline_ms = opts.deadline_ms;
+    base.pipeline = pipeline_options(opts);
+    // serve's --queue-cap bounds the service's requests in flight
+    // (ServiceOptions::queue_cap), not the nets of one batch.
+    base.pipeline.admit_cap = 0;
     base.cache_capacity = opts.cache_capacity;
     base.use_cache = opts.session_cache;
 
@@ -743,43 +692,13 @@ int run_serve(const CliOptions& opts, std::ostream& out)
         random_nets(opts.seed, opts.random_count, opts.grid, opts.sinks);
 
     // Lifecycle pressure switches serve into overload mode: graceful-
-    // degradation stress instead of the byte-identity check (whose serial
-    // reference is meaningless when admission depends on arrival timing).
-    if (opts.queue_cap > 0 || opts.deadline_ms > 0.0 ||
-        base.pipeline.faults.virtual_clock() || opts.memory_budget > 0)
-        return run_serve_overload(opts, tech, base, common, out);
-
-    // One session's deterministic request script -- translated-twin batch
-    // admissions on even requests, ECO sink moves on odd ones -- producing a
-    // per-request transcript.  The same script drives the concurrent service
-    // run and the serial replay; only who routes may differ, never the bytes.
-    const auto run_script =
-        [&](int s,
-            const std::function<std::vector<NetId>(const std::vector<Net>&)>&
-                add_batch,
-            const std::function<NetRouteResult(NetId)>& result,
-            const std::function<EcoOutcome(NetId, const EcoDelta&)>& apply) {
-            std::string t;
-            std::size_t admitted = 0;
-            for (int r = 0; r < opts.requests; ++r) {
-                if (r % 2 == 0 || admitted == 0) {
-                    const std::vector<NetId> ids =
-                        add_batch(translated_twins(common, s, r));
-                    admitted += ids.size();
-                    for (const NetId id : ids)
-                        t += "net " + result_line(id, result(id));
-                } else {
-                    const NetId id =
-                        static_cast<NetId>(static_cast<std::size_t>(r * 7) %
-                                           admitted);
-                    const EcoOutcome o = apply(id, script_move(opts, s, r));
-                    t += "eco " + std::to_string(id) +
-                         " move inc=" + std::to_string(o.incremental ? 1 : 0) +
-                         "\n" + result_line(id, o.result);
-                }
-            }
-            return t;
-        };
+    // degradation stress instead of the byte-identity check.  WHICH
+    // requests get refused depends on arrival timing, so there is no serial
+    // reference to diff; the per-net statuses are still drawn from the
+    // ladder.
+    const bool overload = opts.queue_cap > 0 || opts.deadline_ms > 0.0 ||
+                          base.pipeline.faults.virtual_clock() ||
+                          opts.memory_budget > 0;
 
     // Concurrent run: one client thread per session, all through the shared
     // service (one cache, one pool).
@@ -787,64 +706,95 @@ int run_serve(const CliOptions& opts, std::ostream& out)
     so.session = base;
     so.threads = opts.threads;
     so.cache_capacity = opts.cache_capacity;
+    so.queue_cap = opts.queue_cap;
+    so.memory_budget_bytes = opts.memory_budget;
     SessionService svc(tech, so);
-    std::vector<std::string> got(static_cast<std::size_t>(opts.sessions));
+    const auto n_sessions = static_cast<std::size_t>(opts.sessions);
+    std::vector<ScriptRun> runs(n_sessions);
+    std::vector<std::string> errors(n_sessions);
     std::vector<std::thread> clients;
-    clients.reserve(got.size());
+    clients.reserve(n_sessions);
     for (int s = 0; s < opts.sessions; ++s) {
         const SessionId sid = svc.open();
         clients.emplace_back([&, s, sid] {
+            const auto si = static_cast<std::size_t>(s);
             try {
-                got[static_cast<std::size_t>(s)] = run_script(
-                    s,
-                    [&](const std::vector<Net>& nets) {
-                        // Admissions go through the workload layer: the
-                        // NetSource overload chunks (one chunk here) and
-                        // takes an admission ticket per chunk.
-                        VectorNetSource src(nets);
-                        return svc.add_batch(sid, src);
-                    },
+                run_script(
+                    opts, common, s,
+                    [&](const std::vector<Net>& nets) { return svc.add_batch(sid, nets); },
                     [&](NetId id) { return svc.result(sid, id); },
-                    [&](NetId id, const EcoDelta& d) {
-                        return svc.apply(sid, id, d);
-                    });
+                    [&](NetId id, const EcoDelta& d) { return svc.apply(sid, id, d); },
+                    runs[si]);
             } catch (const std::exception& e) {
-                got[static_cast<std::size_t>(s)] =
-                    std::string("error: ") + e.what() + '\n';
+                errors[si] = e.what();
             }
         });
     }
     for (std::thread& c : clients) c.join();
 
+    // Schedule-dependent telemetry ('#'-prefixed: excluded from CI diffs).
+    const auto print_stats = [&] {
+        const ServiceStats st = svc.stats();
+        out << "# serve stats: batches " << st.batches << "  applies " << st.applies
+            << "  hits " << st.cache_hits << "  shared " << st.cache_shared
+            << "  evictions " << st.cache_evictions << "  contended "
+            << st.cache_contended << '\n';
+        if (overload)
+            out << "# serve overload stats: rejected_overload " << st.rejected_overload
+                << "  pressure_evictions " << st.pressure_evictions << '\n';
+        out << "# serve cache: size " << svc.cache().size() << "  resident_bytes "
+            << svc.cache().resident_bytes() << '\n';
+    };
+
+    if (overload) {
+        // Everything numeric is telemetry except the verdict line; exits
+        // nonzero only if a client failed with a real error or a net came
+        // back with an unknown status.
+        print_stats();
+        std::array<std::uint64_t, kRouteStatusCount> totals{};
+        std::uint64_t rejected = 0;
+        for (const ScriptRun& run : runs) {
+            for (std::size_t i = 0; i < kRouteStatusCount; ++i)
+                totals[i] += run.statuses[i];
+            rejected += run.rejected;
+        }
+        bool bad = false;
+        out << "serve overload: sessions=" << opts.sessions
+            << " requests=" << opts.requests << " queue_cap=" << opts.queue_cap
+            << " rejected_requests=" << rejected;
+        for (std::size_t i = 0; i < kRouteStatusCount; ++i) {
+            const std::string name = to_string(static_cast<RouteStatus>(i));
+            if (name == "?") bad = bad || totals[i] != 0;
+            out << ' ' << name << '=' << totals[i];
+        }
+        for (std::size_t s = 0; s < n_sessions; ++s) {
+            if (errors[s].empty()) continue;
+            bad = true;
+            out << "\nsession " << s << " error: " << errors[s];
+        }
+        out << (bad ? " verdict=FAIL" : " verdict=ok") << '\n';
+        return bad ? 1 : 0;
+    }
+
     // Serial replay: the same scripts through independent single sessions.
     bool identical = true;
     for (int s = 0; s < opts.sessions; ++s) {
+        const auto si = static_cast<std::size_t>(s);
         Session session(tech, base);
-        const std::string want = run_script(
-            s,
-            [&](const std::vector<Net>& nets) {
-                VectorNetSource src(nets);
-                return session.add_batch(src);
-            },
+        ScriptRun want;
+        run_script(
+            opts, common, s,
+            [&](const std::vector<Net>& nets) { return session.add_batch(nets); },
             [&](NetId id) { return session.result(id); },
-            [&](NetId id, const EcoDelta& d) { return session.apply(id, d); });
-        const bool match = got[static_cast<std::size_t>(s)] == want;
+            [&](NetId id, const EcoDelta& d) { return session.apply(id, d); }, want);
+        const bool match = errors[si].empty() && runs[si].transcript == want.transcript;
         identical = identical && match;
         // The serial transcript is the deterministic reference output (equal
         // to the concurrent one whenever the verdict is yes), so the printed
         // bytes can be diffed across runs and thread counts.
-        out << "session " << s << (match ? "" : " MISMATCH") << '\n' << want;
+        out << "session " << s << (match ? "" : " MISMATCH") << '\n' << want.transcript;
     }
-
-    // Schedule-dependent telemetry ('#'-prefixed: excluded from CI diffs).
-    const ServiceStats st = svc.stats();
-    out << "# serve stats: batches " << st.batches << "  applies " << st.applies
-        << "  hits " << st.cache_hits << "  shared " << st.cache_shared
-        << "  evictions " << st.cache_evictions << "  contended "
-        << st.cache_contended << '\n'
-        << "# serve cache: size " << svc.cache().size() << "  resident_bytes "
-        << svc.cache().resident_bytes() << '\n';
-
+    print_stats();
     out << "serve: sessions=" << opts.sessions << " requests=" << opts.requests
         << " identical=" << (identical ? "yes" : "no") << '\n';
     return identical ? 0 : 1;

@@ -2,9 +2,13 @@
 // full route+wiresize+simulate flow, or simulate serialized trees.
 //
 //   cong93 gen      --random 10 --sinks 8 [--grid 4000] [--seed 1]
-//                   [--out design.nets]: also write the cong93 netlist
-//                   format (workload/netlist.h), which `chip`/`batch
-//                   --in` read back bit-identically
+//                   [--out design.nets]: print the generated nets as a
+//                   cong93 netlist (workload/netlist.h), or write it to the
+//                   --out file.  Every command that takes nets (route,
+//                   flow, batch, chip) reads that format with --in, and
+//                   routes it bit-identically to the same --random run;
+//                   a header error exits 2, and route/flow also exit 2 on
+//                   a net the reader or validate_net rejects.
 //   cong93 chip     chip-level workload: stream a whole design (netlist
 //                   --in file, or --random N generated nets) through
 //                   route_stream in bounded-memory chunks and roll up
@@ -13,7 +17,7 @@
 //                   delay ratios): [--chunk-nets C] [--top K] plus the
 //                   batch pipeline knobs -- output is byte-identical at
 //                   any thread count ('#' telemetry lines excluded)
-//   cong93 route    (--in nets.txt | --random N --sinks K) [--algo atree]
+//   cong93 route    (--in design.nets | --random N --sinks K) [--algo atree]
 //                   [--tech mcm] [--driver-scale X] [--out trees.txt]
 //   cong93 flow     like route, plus --widths R and --sizer combined
 //   cong93 simulate --in trees.txt [--method two_pole] [--threshold 0.5]
@@ -83,7 +87,7 @@ struct CliOptions {
     std::string command;  ///< gen|route|flow|simulate|batch|chip|session|serve
 
     // Input selection.
-    std::string input_path;  ///< nets/trees file; empty => --random
+    std::string input_path;  ///< netlist/trees/script file; empty => --random
     int random_count = 10;
     int sinks = 8;
     Coord grid = 4000;
@@ -91,7 +95,7 @@ struct CliOptions {
 
     // Routing.
     std::string algo = "atree";  ///< atree|steiner|mst|spt|brbc05|brbc10
-    std::string out_path;        ///< optional tree dump
+    std::string out_path;        ///< gen's netlist file, or a tree dump
 
     // Technology.
     std::string tech = "mcm";  ///< mcm|cmos20|cmos15|cmos12|cmos05

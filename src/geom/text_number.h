@@ -1,5 +1,5 @@
-// Number rules shared by the plain-text formats: the `net ... end` /
-// `tree ... end` text of rtree/io.h and the netlist of workload/netlist.h.
+// Number rules shared by the plain-text formats: the `tree ... end` text of
+// rtree/io.h and the netlist of workload/netlist.h.
 // A token is read whole: integers must fit int32 (Coord's range, also used
 // for tree indices), doubles must be finite, and doubles are written in
 // shortest round-trip form, so parse(format(x)) == x bit for bit.

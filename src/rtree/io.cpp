@@ -132,71 +132,6 @@ Point to_point(const std::string& x, const std::string& y)
 
 }  // namespace
 
-std::string format_net(const Net& net)
-{
-    std::ostringstream os;
-    os << "net\n";
-    os << "source " << net.source.x << ' ' << net.source.y << '\n';
-    for (std::size_t i = 0; i < net.sinks.size(); ++i) {
-        os << "sink " << net.sinks[i].x << ' ' << net.sinks[i].y;
-        if (net.sink_cap(i) >= 0.0) os << ' ' << fmt_double(net.sink_cap(i));
-        os << '\n';
-    }
-    os << "end\n";
-    return os.str();
-}
-
-std::string format_nets(const std::vector<Net>& nets)
-{
-    std::string out;
-    for (const Net& n : nets) out += format_net(n);
-    return out;
-}
-
-std::vector<Net> parse_nets(const std::string& text)
-{
-    std::vector<Net> nets;
-    Net cur;
-    bool in_net = false;
-    bool have_source = false;
-    for (const auto& tokens : token_lines(text)) {
-        const std::string& kw = tokens[0];
-        if (kw == "net") {
-            if (in_net) throw std::invalid_argument("parse_net: nested 'net'");
-            in_net = true;
-            have_source = false;
-            cur = Net{};
-        } else if (kw == "source") {
-            if (!in_net || tokens.size() != 3)
-                throw std::invalid_argument("parse_net: bad 'source' line");
-            cur.source = to_point(tokens[1], tokens[2]);
-            have_source = true;
-        } else if (kw == "sink") {
-            if (!in_net || tokens.size() < 3 || tokens.size() > 4)
-                throw std::invalid_argument("parse_net: bad 'sink' line");
-            cur.sinks.push_back(to_point(tokens[1], tokens[2]));
-            cur.sink_caps.push_back(tokens.size() == 4 ? to_cap(tokens[3]) : -1.0);
-        } else if (kw == "end") {
-            if (!in_net || !have_source || cur.sinks.empty())
-                throw std::invalid_argument("parse_net: incomplete net");
-            nets.push_back(cur);
-            in_net = false;
-        } else {
-            throw std::invalid_argument("parse_net: unknown keyword " + kw);
-        }
-    }
-    if (in_net) throw std::invalid_argument("parse_net: missing 'end'");
-    return nets;
-}
-
-Net parse_net(const std::string& text)
-{
-    const auto nets = parse_nets(text);
-    if (nets.size() != 1)
-        throw std::invalid_argument("parse_net: expected exactly one net");
-    return nets.front();
-}
-
 std::string format_tree(const RoutingTree& tree)
 {
     std::ostringstream os;

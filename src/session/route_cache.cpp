@@ -138,7 +138,6 @@ std::uint32_t RouteCache::config_of(const Technology& tech,
     c.widths_r = opts.widths_r;
     c.wiresize = opts.wiresize;
     c.moment_check = opts.moment_check;
-    c.rc_sections_per_edge = opts.rc_sections_per_edge;
     c.max_nodes_per_net = opts.max_nodes_per_net;
 
     std::lock_guard<std::mutex> lk(m_);
@@ -146,7 +145,6 @@ std::uint32_t RouteCache::config_of(const Technology& tech,
         const Config& o = configs_[i];
         if (tech_equal(o.tech, c.tech) && o.widths_r == c.widths_r &&
             o.wiresize == c.wiresize && o.moment_check == c.moment_check &&
-            o.rc_sections_per_edge == c.rc_sections_per_edge &&
             o.max_nodes_per_net == c.max_nodes_per_net)
             return static_cast<std::uint32_t>(i);
     }

@@ -201,7 +201,6 @@ private:
         int widths_r = 0;
         bool wiresize = false;
         bool moment_check = false;
-        int rc_sections_per_edge = 0;
         std::size_t max_nodes_per_net = 0;
     };
 

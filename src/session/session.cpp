@@ -119,8 +119,6 @@ void apply_delta(Net& net, Technology& tech, const EcoDelta& delta)
 Session::Session(Technology tech, SessionOptions opts)
     : opts_(std::move(opts)),
       tech_(std::move(tech)),
-      faults_(opts_.pipeline.faults.enabled ? opts_.pipeline.faults
-                                            : FaultPlan::from_env()),
       cache_(opts_.cache_capacity)
 {
 }
@@ -142,7 +140,6 @@ const Session::Entry& Session::entry(NetId id) const
 PipelineOptions Session::route_options() const
 {
     PipelineOptions p = opts_.pipeline;
-    p.faults = faults_;
     p.cache = nullptr;  // per-request paths never consult the batch cache
     // Lifecycle knobs apply to batch admission (add_batch), not to the
     // per-request ECO path: an incremental repair is bit-compared against
@@ -158,18 +155,19 @@ PipelineOptions Session::route_options() const
 
 bool Session::fault_would_fire(std::uint64_t request) const
 {
-    if (!faults_.enabled) return false;
+    const FaultPlan& faults = opts_.pipeline.faults;
+    if (!faults.enabled) return false;
     // A virtual deadline clock charges every stage of every request, so
     // whether a net is pressured depends on more than its own faults: no
     // request keeps repair state under it.
-    if (faults_.virtual_clock()) return true;
+    if (faults.virtual_clock()) return true;
     const std::size_t i = static_cast<std::size_t>(request);
-    return faults_.fires(i, RouteStage::topology) ||
-           faults_.fires(i, RouteStage::fallback) ||
-           faults_.fires(i, RouteStage::compile) ||
-           faults_.fires(i, RouteStage::report) ||
-           faults_.fires(i, RouteStage::wiresize) ||
-           faults_.fires(i, RouteStage::moment_check);
+    return faults.fires(i, RouteStage::topology) ||
+           faults.fires(i, RouteStage::fallback) ||
+           faults.fires(i, RouteStage::compile) ||
+           faults.fires(i, RouteStage::report) ||
+           faults.fires(i, RouteStage::wiresize) ||
+           faults.fires(i, RouteStage::moment_check);
 }
 
 void Session::warm_solve(const WiresizeContext& ctx, WiresizeScratch& s,
@@ -313,7 +311,6 @@ std::vector<NetId> Session::add_batch(const std::vector<Net>& nets,
                                       PipelineStats* stats)
 {
     PipelineOptions popts = opts_.pipeline;
-    popts.faults = faults_;
     popts.cache = opts_.use_cache ? &cache() : nullptr;
     PipelineStats local;
     std::vector<NetRouteResult> results =

@@ -127,8 +127,7 @@ struct EcoOutcome {
 struct SessionOptions {
     /// Pipeline knobs for every route this session performs.  `cache` is
     /// ignored (the session supplies its own), `threads` applies to
-    /// add_batch only.  The fault plan resolves once, at construction
-    /// (explicit plan, else $CONG93_FAULT_INJECT).
+    /// add_batch only.
     PipelineOptions pipeline;
     /// Entry capacity of the session's route cache (0 = unbounded).
     std::size_t cache_capacity = 0;
@@ -252,7 +251,6 @@ private:
 
     SessionOptions opts_;
     Technology tech_;
-    FaultPlan faults_;
     RouteCache cache_;
     Workspace ws_;
     std::vector<Entry> entries_;

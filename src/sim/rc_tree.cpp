@@ -168,11 +168,4 @@ RcTree RcTree::from_wiresized_flat(const WiresizeContext& ctx,
     return rc;
 }
 
-double RcTree::total_capacitance() const
-{
-    double c = 0.0;
-    for (const double ci : c_) c += ci;
-    return c;
-}
-
 }  // namespace cong93

@@ -75,8 +75,6 @@ public:
     /// FlatTree::sinks() order (empty for raw construction).
     const std::vector<int>& sink_nodes() const { return sink_nodes_; }
 
-    double total_capacitance() const;
-
     /// True when any branch carries inductance (cached at construction).
     bool has_inductance() const { return has_inductance_; }
 

@@ -10,6 +10,7 @@
 #include "rtree/io.h"
 #include "session/session.h"
 #include "tech/technology.h"
+#include "workload/netlist.h"
 
 namespace cong93 {
 namespace {
@@ -17,6 +18,25 @@ namespace {
 CliOptions parse(std::initializer_list<const char*> args)
 {
     return parse_cli(std::vector<std::string>(args.begin(), args.end()));
+}
+
+/// The netlist text `gen` prints for these arguments.
+std::string gen_text(std::initializer_list<const char*> args)
+{
+    std::vector<std::string> v{"gen"};
+    v.insert(v.end(), args.begin(), args.end());
+    std::ostringstream out;
+    EXPECT_EQ(run_cli(parse_cli(v), out), 0);
+    return out.str();
+}
+
+std::string read_file(const std::string& path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 TEST(CliParse, Defaults)
@@ -164,12 +184,37 @@ TEST(CliRun, BatchAdmitCapAndVirtualDeadline)
 
 TEST(CliRun, GenProducesParsableNets)
 {
-    CliOptions o = parse({"gen", "--random", "4", "--sinks", "3", "--grid", "50"});
+    const NetlistDesign design =
+        parse_netlist(gen_text({"--random", "4", "--sinks", "3", "--grid", "50"}));
+    ASSERT_EQ(design.items.size(), 4u);
+    for (const WorkItem& item : design.items) {
+        EXPECT_TRUE(item.meta.parse_error.empty()) << item.meta.parse_error;
+        EXPECT_EQ(item.net.sinks.size(), 3u);
+    }
+}
+
+TEST(CliRun, GenStdoutEqualsGenOutFile)
+{
+    const std::string path = testing::TempDir() + "/cong93_cli_gen.nets";
+    CliOptions o = parse({"gen", "--random", "7", "--sinks", "5", "--seed", "3",
+                          "--out", path.c_str()});
     std::ostringstream out;
-    EXPECT_EQ(run_cli(o, out), 0);
-    const auto nets = parse_nets(out.str());
-    ASSERT_EQ(nets.size(), 4u);
-    for (const Net& n : nets) EXPECT_EQ(n.sinks.size(), 3u);
+    ASSERT_EQ(run_cli(o, out), 0);
+    EXPECT_EQ(out.str(), "wrote 7 nets to " + path + "\n");
+    EXPECT_EQ(read_file(path), gen_text({"--random", "7", "--sinks", "5", "--seed", "3"}));
+}
+
+TEST(CliRun, GenOutFailuresPrintNothing)
+{
+    // An unwritable path fails before any output; so does a failed write
+    // (/dev/full opens, then every write fails).
+    for (const char* path : {"/nonexistent-dir/x.nets", "/dev/full"}) {
+        if (std::string(path) == "/dev/full" && !std::ofstream(path)) continue;
+        CliOptions o = parse({"gen", "--random", "3", "--out", path});
+        std::ostringstream out;
+        EXPECT_THROW(run_cli(o, out), std::invalid_argument) << path;
+        EXPECT_EQ(out.str(), "") << path;
+    }
 }
 
 TEST(CliRun, RouteGeneratedNets)
@@ -184,17 +229,61 @@ TEST(CliRun, RouteGeneratedNets)
 
 TEST(CliRun, RouteFromNetText)
 {
-    const std::string nets = format_nets(random_nets(3, 2, 200, 4));
+    const std::string nets = gen_text({"--random", "2", "--sinks", "4", "--grid", "200",
+                                       "--seed", "3"});
     CliOptions o = parse({"route", "--in", "ignored.txt", "--algo", "mst"});
     std::ostringstream out;
     EXPECT_EQ(run_cli(o, out, &nets), 0);
     EXPECT_NE(out.str().find(" 1 |"), std::string::npos);
 }
 
+TEST(CliRun, RouteAndFlowFromGenOutputMatchRandom)
+{
+    // The netlist gen prints routes to exactly the bytes of the --random run.
+    const std::string nets = gen_text({"--random", "5", "--sinks", "8", "--seed", "4"});
+    for (const char* cmd : {"route", "flow"}) {
+        std::ostringstream from_text, from_random;
+        ASSERT_EQ(run_cli(parse({cmd, "--in", "x"}), from_text, &nets), 0) << cmd;
+        ASSERT_EQ(run_cli(parse({cmd, "--random", "5", "--sinks", "8", "--seed", "4"}),
+                          from_random),
+                  0)
+            << cmd;
+        EXPECT_EQ(from_text.str(), from_random.str()) << cmd;
+    }
+}
+
+TEST(CliRun, RouteReadsTheBundledDesign)
+{
+    CliOptions o = parse({"route"});
+    o.input_path = std::string(CONG93_EXAMPLES_DIR) + "/chip_small.nets";
+    std::ostringstream out;
+    EXPECT_EQ(run_cli(o, out), 0);
+    EXPECT_NE(out.str().find(" 7 |"), std::string::npos);  // eight nets routed
+}
+
+TEST(CliRun, NetCommandsRejectTextWithoutTheMagicLine)
+{
+    // The `net / source / sink / end` list without a netlist header is a
+    // header error for every command that takes nets.
+    const std::string legacy = "net\nsource 0 0\nsink 5 5\nend\n";
+    for (const char* cmd : {"route", "flow", "batch", "chip"}) {
+        CliOptions o = parse({cmd, "--in", "x"});
+        std::ostringstream out;
+        try {
+            run_cli(o, out, &legacy);
+            ADD_FAILURE() << cmd << " accepted text without the magic line";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("missing magic line"), std::string::npos)
+                << cmd << ": " << e.what();
+        }
+        EXPECT_EQ(out.str(), "") << cmd;
+    }
+}
+
 TEST(CliRun, RouteAndFlowRejectEmptyInput)
 {
     // An input without nets has no aggregate to report.
-    const std::string empty = "# no nets\n";
+    const std::string empty = "# cong93 netlist v1\ndesign empty 0\n";
     for (const char* cmd : {"route", "flow"}) {
         CliOptions o = parse({cmd, "--in", "x"});
         std::ostringstream out;
@@ -204,19 +293,29 @@ TEST(CliRun, RouteAndFlowRejectEmptyInput)
 
 TEST(CliRun, RouteAndFlowRejectInvalidNets)
 {
-    // sink.x - source.x overflows int32 here; validate_net rejects the net
-    // (as batch does), so route and flow name it instead of routing it.
+    // sink.x - source.x overflows int32 in net `far`; validate_net rejects
+    // it (as batch does), so route and flow name it instead of routing it.
+    // A block the reader rejects is named the same way.
     const std::string far =
-        "net\nsource 0 0\nsink 5 5\nend\n"
-        "net\nsource -2000000000 0\nsink 2000000000 7\nend\n";
+        "# cong93 netlist v1\ndesign d 2\n"
+        "net ok 2\nsource 0 0\nsink 5 5\nend\n"
+        "net far 2\nsource -2000000000 0\nsink 2000000000 7\nend\n";
+    const std::string bad_pin =
+        "# cong93 netlist v1\ndesign d 2\n"
+        "net ok 2\nsource 0 0\nsink 5 5\nend\n"
+        "net bad 2\nsource 0 0\nsink 1.5 7\nend\n";
     for (const char* cmd : {"route", "flow"}) {
-        CliOptions o = parse({cmd, "--in", "x"});
-        std::ostringstream out;
-        try {
-            run_cli(o, out, &far);
-            ADD_FAILURE() << cmd << " routed an invalid net";
-        } catch (const std::invalid_argument& e) {
-            EXPECT_EQ(std::string(e.what()).rfind("net 1: ", 0), 0u) << e.what();
+        for (const auto& [text, prefix] :
+             {std::pair{far, "net 1 'far': "}, std::pair{bad_pin, "net 1 'bad': "}}) {
+            CliOptions o = parse({cmd, "--in", "x"});
+            std::ostringstream out;
+            try {
+                run_cli(o, out, &text);
+                ADD_FAILURE() << cmd << " routed an invalid net";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
+            }
+            EXPECT_EQ(out.str(), "") << cmd;
         }
     }
 }
@@ -246,7 +345,8 @@ TEST(CliRun, FlowSizers)
 TEST(CliRun, RouteDumpThenSimulate)
 {
     // Full round trip: route generated nets to a tree dump, then simulate it.
-    const std::string nets_text = format_nets(random_nets(4, 2, 300, 4));
+    const std::string nets_text =
+        gen_text({"--random", "2", "--sinks", "4", "--grid", "300", "--seed", "4"});
     const std::string dump_path =
         testing::TempDir() + "/cong93_cli_trees.txt";
     {

@@ -1,10 +1,9 @@
 // Tests for the extension modules: bottom-up DP wiresizing (the paper's
 // negative claim), critical-sink A-trees (Section 6 future work), RLC
-// simulation (Table 4 inductance), net/tree text I/O and grafting.
+// simulation (Table 4 inductance), tree text I/O and grafting.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "atree/critical.h"
 #include "atree/generalized.h"
@@ -201,61 +200,10 @@ TEST(Rlc, HasInductanceFlag)
 
 // ----------------------------------------------------------------- text I/O
 
-TEST(Io, NetRoundTrip)
-{
-    const Net net{{10, -20}, {{30, 40}, {-5, 2}}};
-    const Net back = parse_net(format_net(net));
-    EXPECT_EQ(back.source, net.source);
-    EXPECT_EQ(back.sinks, net.sinks);
-}
-
-TEST(Io, NetsRoundTripAndComments)
-{
-    const auto nets = random_nets(6, 4, 500, 5);
-    const auto back = parse_nets("# header comment\n" + format_nets(nets));
-    ASSERT_EQ(back.size(), nets.size());
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-        EXPECT_EQ(back[i].source, nets[i].source);
-        EXPECT_EQ(back[i].sinks, nets[i].sinks);
-    }
-}
-
-TEST(Io, NetParseErrors)
-{
-    EXPECT_THROW(parse_net("net\nsink 1 2\nend\n"), std::invalid_argument);
-    EXPECT_THROW(parse_net("net\nsource 0 0\nend\n"), std::invalid_argument);
-    EXPECT_THROW(parse_net("net\nsource 0 0\nsink 1 2\n"), std::invalid_argument);
-    EXPECT_THROW(parse_net("bogus\n"), std::invalid_argument);
-    EXPECT_THROW(parse_net("net\nsource a b\nsink 1 2\nend\n"),
-                 std::invalid_argument);
-    // Numbers follow the netlist's rules: int32 coordinates, finite caps,
-    // whole tokens; anything else is std::invalid_argument.
-    for (const char* bad : {"sink 4294967301 7", "sink 2147483648 7",
-                            "sink 99999999999999999999999 7", "sink 1.5 7",
-                            "sink 1 7x", "sink 1 7 nan", "sink 1 7 inf",
-                            "sink 1 7 -inf", "sink 1 7 1e999", "sink 1 7 2e-12f"}) {
-        EXPECT_THROW(parse_net(std::string("net\nsource 0 0\n") + bad + "\nend\n"),
-                     std::invalid_argument)
-            << bad;
-    }
-    EXPECT_EQ(parse_net("net\nsource 0 0\nsink -2147483648 2147483647\nend\n")
-                  .sinks.front(),
-              (Point{std::numeric_limits<Coord>::min(), std::numeric_limits<Coord>::max()}));
-}
-
 TEST(Io, CapsRoundTripBitExact)
 {
     // Shortest round-trip formatting: format -> parse gives the same bits.
-    const Net net{{0, 0},
-                  {{10, 0}, {0, 10}, {7, 7}},
-                  {1.234567891e-12, -1.0, 0.1 + 0.2}};
-    const Net back = parse_net(format_net(net));
-    ASSERT_EQ(back.sink_caps.size(), net.sink_caps.size());
-    EXPECT_EQ(back.sink_caps[0], net.sink_caps[0]);
-    EXPECT_LT(back.sink_caps[1], 0.0);
-    EXPECT_EQ(back.sink_caps[2], net.sink_caps[2]);
-    EXPECT_EQ(format_net(back), format_net(net));
-
+    // The netlist half is NetlistTest.CapsRoundTripBitExact.
     RoutingTree t(Point{0, 0});
     t.mark_sink(t.add_child(t.root(), Point{5, 0}), 1.234567891e-12);
     t.mark_sink(t.add_child(t.root(), Point{0, 5}), 0.1 + 0.2);

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -83,17 +82,6 @@ TEST(FaultPlan, MaybeThrowRaisesInjectedFault)
     EXPECT_THROW(plan.maybe_throw(3, RouteStage::topology, "injected: boom"),
                  InjectedFault);
     EXPECT_NO_THROW(plan.maybe_throw(3, RouteStage::wiresize, "never"));
-}
-
-TEST(FaultPlan, FromEnvReadsTheGateVariable)
-{
-    ASSERT_EQ(setenv("CONG93_FAULT_INJECT", "seed=5,nan=0.5", 1), 0);
-    const FaultPlan plan = FaultPlan::from_env();
-    EXPECT_TRUE(plan.enabled);
-    EXPECT_EQ(plan.seed, 5u);
-    EXPECT_DOUBLE_EQ(plan.nan_tech_rate, 0.5);
-    ASSERT_EQ(unsetenv("CONG93_FAULT_INJECT"), 0);
-    EXPECT_FALSE(FaultPlan::from_env().enabled);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,20 +220,6 @@ TEST(FaultLadder, RealNodeCapGuardsTheArena)
         EXPECT_EQ(r.diag.events[0].stage, RouteStage::compile);
     }
     EXPECT_EQ(stats.counters.arena_rejects, 3u);
-}
-
-TEST(FaultLadder, EnvironmentGateInjectsWhenOptionsAreSilent)
-{
-    ASSERT_EQ(setenv("CONG93_FAULT_INJECT", "seed=2,topology=1.0", 1), 0);
-    PipelineOptions opts;
-    opts.threads = 1;
-    auto results = route_batch(1, 3, 1000, 5, mcm_technology(), opts);
-    for (const NetRouteResult& r : results)
-        EXPECT_EQ(r.status, RouteStatus::fallback_brbc);
-    ASSERT_EQ(unsetenv("CONG93_FAULT_INJECT"), 0);
-    results = route_batch(1, 3, 1000, 5, mcm_technology(), opts);
-    for (const NetRouteResult& r : results)
-        EXPECT_EQ(r.status, RouteStatus::ok);
 }
 
 // ---------------------------------------------------------------------------

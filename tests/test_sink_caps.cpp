@@ -12,6 +12,7 @@
 #include "rtree/validate.h"
 #include "tech/technology.h"
 #include "wiresize/owsa.h"
+#include "workload/netlist.h"
 
 namespace cong93 {
 namespace {
@@ -98,8 +99,12 @@ TEST(SinkCaps, WiresizingFavorsHeavyBranch)
 
 TEST(SinkCaps, IoRoundTrip)
 {
-    const Net net{{1, 2}, {{10, 2}, {1, 30}}, {-1.0, 3.5e-12}};
-    const Net back = parse_net(format_net(net));
+    std::vector<WorkItem> items(1);
+    items[0].net = Net{{1, 2}, {{10, 2}, {1, 30}}, {-1.0, 3.5e-12}};
+    const Net& net = items[0].net;
+    const NetlistDesign design = parse_netlist(format_netlist(items));
+    ASSERT_EQ(design.items.size(), 1u);
+    const Net& back = design.items[0].net;
     ASSERT_EQ(back.sinks, net.sinks);
     ASSERT_EQ(back.sink_caps.size(), 2u);
     EXPECT_LT(back.sink_caps[0], 0.0);  // default marker survives

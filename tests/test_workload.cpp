@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -159,6 +160,25 @@ TEST(NetlistTest, MetadataRoundTripsThroughTheTextFormat)
     ASSERT_EQ(got.net.sink_caps.size(), 2u);
     EXPECT_DOUBLE_EQ(got.net.sink_caps[0], 2.5e-13);
     EXPECT_LT(got.net.sink_caps[1], 0.0);
+    EXPECT_EQ(format_netlist(design.items, design.name), text);
+}
+
+TEST(NetlistTest, CapsRoundTripBitExact)
+{
+    // Shortest round-trip formatting: format -> parse gives the same bits.
+    std::vector<WorkItem> items(1);
+    items[0].net = Net{{0, 0},
+                       {{10, 0}, {0, 10}, {7, 7}},
+                       {1.234567891e-12, -1.0, 0.1 + 0.2}};
+    const Net& net = items[0].net;
+    const std::string text = format_netlist(items, "caps");
+    const NetlistDesign design = parse_netlist(text);
+    ASSERT_EQ(design.items.size(), 1u);
+    const Net& back = design.items[0].net;
+    ASSERT_EQ(back.sink_caps.size(), net.sink_caps.size());
+    EXPECT_EQ(back.sink_caps[0], net.sink_caps[0]);
+    EXPECT_LT(back.sink_caps[1], 0.0);
+    EXPECT_EQ(back.sink_caps[2], net.sink_caps[2]);
     EXPECT_EQ(format_netlist(design.items, design.name), text);
 }
 
@@ -352,6 +372,49 @@ TEST(NetlistNegativeTest, NonFiniteValuesAndNegativeCritAreParseErrors)
     EXPECT_TRUE(std::isfinite(s.tns_s));
     EXPECT_TRUE(std::isfinite(s.wns_s));
     EXPECT_LT(s.tns_s, 0.0);
+}
+
+// Numbers are read whole: coordinates must fit int32 and caps must be
+// finite.  Each bad pin line is its net's parse error; the int32 extremes
+// parse.
+TEST(NetlistNegativeTest, NumberRulesOnSourceAndSinkLines)
+{
+    const std::vector<std::string> bad_sources = {
+        "source 4294967301 7", "source 2147483648 7", "source -2147483649 7",
+        "source 99999999999999999999999 7", "source 1.5 7", "source 1 7x"};
+    const std::vector<std::string> bad_sinks = {
+        "sink 4294967301 7",  "sink 2147483648 7",   "sink 99999999999999999999999 7",
+        "sink 1.5 7",         "sink 1 7x",           "sink 1 7 cap nan",
+        "sink 1 7 cap inf",   "sink 1 7 cap -inf",   "sink 1 7 cap 1e999",
+        "sink 1 7 cap 2e-12f"};
+    const std::size_t n_bad = bad_sources.size() + bad_sinks.size();
+    std::string text = "# cong93 netlist v1\ndesign numbers " +
+                       std::to_string(n_bad + 2) + "\n";
+    std::size_t i = 0;
+    for (const std::string& line : bad_sources)
+        text += "net b" + std::to_string(i++) + " 2\n" + line + "\nsink 1 1\nend\n";
+    for (const std::string& line : bad_sinks)
+        text += "net b" + std::to_string(i++) + " 2\nsource 0 0\n" + line + "\nend\n";
+    text += "net src_extremes 2\nsource -2147483648 2147483647\nsink 1 1\nend\n";
+    text += "net sink_extremes 2\nsource 0 0\nsink -2147483648 2147483647\nend\n";
+
+    const NetlistDesign design = parse_netlist(text);
+    ASSERT_EQ(design.items.size(), n_bad + 2);
+    for (std::size_t k = 0; k < n_bad; ++k) {
+        const std::string& line =
+            k < bad_sources.size() ? bad_sources[k] : bad_sinks[k - bad_sources.size()];
+        EXPECT_FALSE(design.items[k].meta.parse_error.empty()) << line;
+        EXPECT_TRUE(design.items[k].net.sinks.empty()) << line;
+    }
+    const Point extremes{std::numeric_limits<Coord>::min(),
+                         std::numeric_limits<Coord>::max()};
+    const WorkItem& src_ok = design.items[n_bad];
+    const WorkItem& sink_ok = design.items[n_bad + 1];
+    EXPECT_TRUE(src_ok.meta.parse_error.empty()) << src_ok.meta.parse_error;
+    EXPECT_EQ(src_ok.net.source, extremes);
+    EXPECT_TRUE(sink_ok.meta.parse_error.empty()) << sink_ok.meta.parse_error;
+    ASSERT_EQ(sink_ok.net.sinks.size(), 1u);
+    EXPECT_EQ(sink_ok.net.sinks.front(), extremes);
 }
 
 TEST(NetlistNegativeTest, OutOfBoundCoordsParseButNeverRouteOrIntern)
